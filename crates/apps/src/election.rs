@@ -193,12 +193,15 @@ mod tests {
             .mode(mode)
             .seed(seed)
             .suspect(p(1), p(0), 10) // p1 falsely suspects the leader
-            .run_apps(|_| ElectionApp::new())
+            .try_run_apps(|_| ElectionApp::new())
+            .expect("feasible spec")
     }
 
     #[test]
     fn initial_leader_is_p0() {
-        let trace = ClusterSpec::new(4, 1).run_apps(|_| ElectionApp::new());
+        let trace = ClusterSpec::new(4, 1)
+            .try_run_apps(|_| ElectionApp::new())
+            .expect("feasible spec");
         let outcome = analyze_election(&trace);
         assert_eq!(outcome.claims.len(), 1);
         assert_eq!(outcome.claims[0].1, p(0));

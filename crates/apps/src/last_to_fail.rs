@@ -96,7 +96,7 @@ mod tests {
         for i in 0..n {
             spec = spec.crash(p(i), 300 + 300 * i as u64);
         }
-        spec.run()
+        spec.try_run().expect("feasible spec")
     }
 
     #[test]
@@ -142,7 +142,8 @@ mod tests {
             .suspect(p(1), p(0), 10)
             .crash(p(0), 100)
             .crash(p(1), 200)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         match recover_last_to_fail(&trace) {
             Recovery::Inconsistent(cycle) => assert_eq!(cycle.len(), 2),
             Recovery::Candidates(c) => {
@@ -164,7 +165,8 @@ mod tests {
             .suspect(p(0), p(1), 10)
             .crash(p(0), 100)
             .crash(p(1), 500)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         let truth = true_last_to_fail(&trace).unwrap();
         assert_eq!(truth, p(1));
         match recover_last_to_fail(&trace) {

@@ -142,7 +142,8 @@ mod tests {
         let trace = ClusterSpec::new(5, 2)
             .seed(11)
             .suspect(p(3), p(4), 10)
-            .run_apps(|_| MembershipApp::new());
+            .try_run_apps(|_| MembershipApp::new())
+            .expect("feasible spec");
         check_convergence(&trace).expect("survivor views diverged");
         let logs = view_log(&trace);
         // Survivors installed exactly two views: full membership, then
@@ -164,7 +165,8 @@ mod tests {
                 .seed(seed)
                 .suspect(p(1), p(0), 10)
                 .suspect(p(2), p(5), 12)
-                .run_apps(|_| MembershipApp::new());
+                .try_run_apps(|_| MembershipApp::new())
+                .expect("feasible spec");
             check_convergence(&trace)
                 .unwrap_or_else(|(a, b)| panic!("seed {seed}: {a} and {b} diverged"));
         }
@@ -175,7 +177,8 @@ mod tests {
         let trace = ClusterSpec::new(4, 1)
             .seed(3)
             .suspect(p(1), p(2), 10)
-            .run_apps(|_| MembershipApp::new());
+            .try_run_apps(|_| MembershipApp::new())
+            .expect("feasible spec");
         for (pid, views) in view_log(&trace) {
             for (i, v) in views.iter().enumerate() {
                 assert!(v.starts_with(&format!("v{i}")), "{pid}: {views:?}");

@@ -82,7 +82,8 @@ impl WitnessAttack {
     ///
     /// # Panics
     ///
-    /// Panics if `t < 2` (a cycle needs at least two victims) or `n < t`.
+    /// Panics if `t < 2` (a cycle needs at least two victims), `n < t`, or
+    /// the attack's quorum is infeasible for `(n, t)`.
     pub fn run(&self) -> Trace {
         assert!(
             self.t >= 2,
@@ -145,7 +146,9 @@ impl WitnessAttack {
                 spec = spec.suspect(v, victim, 1 + step as u64 * d);
             }
         }
-        spec.run_with_latency(latency, |_| sfs::NullApp)
+        spec.try_build_with_latency(latency, |_| sfs::NullApp)
+            .expect("attack quorum is feasible for (n, t)")
+            .run()
     }
 }
 
@@ -399,7 +402,8 @@ impl ExploreInstance {
     fn build(&self) -> Sim<SfsMsg<()>> {
         self.spec
             .clone()
-            .build_with_latency(FixedLatency(1), |_| NullApp)
+            .try_build_with_latency(FixedLatency(1), |_| NullApp)
+            .expect("explored instance is feasible")
     }
 
     /// Sleep-set pruning is sound only when process behaviour is a
@@ -774,7 +778,9 @@ impl ExploreInstance {
     /// pending) — not from trace-level accounting, which cannot see an
     /// event whose handler was still running at shutdown.
     pub fn run_threaded(&self, settle: Duration) -> (Trace, bool) {
-        self.spec.run_threaded_quiesced(|_| NullApp, settle)
+        self.spec
+            .try_run_threaded(|_| NullApp, settle)
+            .expect("explored instance is feasible")
     }
 
     /// The full differential-conformance check of this instance: explores

@@ -221,7 +221,8 @@ mod tests {
     fn all_tasks_complete_without_failures() {
         let trace = ClusterSpec::new(4, 1)
             .seed(2)
-            .run_apps(|_| WorkPoolApp::new(12));
+            .try_run_apps(|_| WorkPoolApp::new(12))
+            .expect("feasible spec");
         let outcome = analyze_workpool(&trace);
         assert_eq!(outcome.tasks_executed.len(), 12);
         assert_eq!(
@@ -237,7 +238,8 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(0), p(3), 30)
-                .run_apps(|_| WorkPoolApp::new(10));
+                .try_run_apps(|_| WorkPoolApp::new(10))
+                .expect("feasible spec");
             let outcome = analyze_workpool(&trace);
             assert_eq!(
                 outcome.tasks_executed.len(),
@@ -255,7 +257,8 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(2), p(0), 25) // kill the coordinator mid-stream
-                .run_apps(|_| WorkPoolApp::new(10));
+                .try_run_apps(|_| WorkPoolApp::new(10))
+                .expect("feasible spec");
             let outcome = analyze_workpool(&trace);
             assert_eq!(outcome.tasks_executed.len(), 10, "seed {seed}: lost tasks");
             assert!(outcome.all_done_observed, "seed {seed}");
@@ -269,7 +272,8 @@ mod tests {
                 .seed(seed)
                 .suspect(p(2), p(0), 25)
                 .suspect(p(3), p(1), 40)
-                .run_apps(|_| WorkPoolApp::new(8));
+                .try_run_apps(|_| WorkPoolApp::new(8))
+                .expect("feasible spec");
             let outcome = analyze_workpool(&trace);
             assert_eq!(outcome.tasks_executed.len(), 8, "seed {seed}: lost tasks");
         }
@@ -286,7 +290,8 @@ mod tests {
                 .seed(seed)
                 .latency(1, 200)
                 .suspect(p(0), p(1), 5)
-                .run_apps(|_| WorkPoolApp::new(10));
+                .try_run_apps(|_| WorkPoolApp::new(10))
+                .expect("feasible spec");
             let outcome = analyze_workpool(&trace);
             assert_eq!(outcome.tasks_executed.len(), 10, "seed {seed}");
             if outcome.total_executions > 10 {

@@ -1,132 +1,84 @@
-//! Trace equivalence of the batched delivery fast path (ISSUE E11): on
-//! the deterministic simulator, running the *same* cluster spec with and
-//! without batching must land in the **same happens-before class** —
-//! identical per-process event sequences, identical send/receive
-//! pairings. The class fingerprint from `sfs-explore` condenses exactly
-//! that invariant, so fingerprint equality *is* the "batching is
-//! invisible to the HB model" claim, machine-checked at the model level
-//! (the simulator's flush is in fact byte-identical by construction —
-//! see `SimConfig::batch_flush` — which makes this suite a regression
-//! tripwire: any future "optimization" that reorders intra-instant
-//! execution, and thereby the shared rng's draw order, fails here).
+//! Trace equivalence of the batched delivery fast path (ISSUE E11), on
+//! the engine that actually coalesces: the threaded router regroups the
+//! events of one instant per destination, which reorders execution
+//! *across* processes. Running the bounded E9 instances with batching on
+//! must still land every threaded run — bare and over the link seam — in
+//! the **happens-before envelope** the exhaustive exploration of the same
+//! instance establishes (class fingerprints and per-property verdict
+//! bounds), which *is* the "batching is invisible to the HB model" claim.
+//! The simulator has one loop mode and ignores the knob, so there is
+//! nothing to compare there.
 
-use sfs::{ClusterSpec, HeartbeatConfig};
-use sfs_apps::workpool::WorkPoolApp;
+use sfs::{ClusterSpec, NetSpec, NullApp};
+use sfs_apps::scenarios::{ConformanceConfig, ExploreInstance};
 use sfs_asys::ProcessId;
-use sfs_explore::class_fingerprint;
-use sfs_history::History;
+use std::time::Duration;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
 }
 
-/// Fingerprints of the model-level projection and of the full trace
-/// (infrastructure traffic included — the stronger claim: even the
-/// detector's own obituary/heartbeat traffic keeps its HB class).
-fn fingerprints(trace: &sfs_asys::Trace) -> (u64, u64) {
-    (
-        class_fingerprint(&History::from_trace(trace)),
-        class_fingerprint(&History::from_trace_full(trace)),
-    )
-}
-
 #[test]
 fn batching_preserves_the_hb_class_of_detection_rounds() {
-    // Suspicion-driven detection rounds: obituary broadcasts are exactly
-    // the same-instant same-destination storms batching coalesces.
-    for seed in 0..20 {
-        let spec = |batch: bool| {
-            ClusterSpec::new(6, 2)
-                .seed(seed)
-                .batched(batch)
+    // A fixed link latency makes every answer to an obituary broadcast
+    // come due at the initiator in the same instant, so the net leg of
+    // this instance coalesces on every run (the clock only advances once
+    // an instant is fully dispatched); the bare leg ignores the latency.
+    let within_bound = ClusterSpec::new(3, 1)
+        .latency(2, 2)
+        .suspect(p(1), p(0), 10)
+        .batched(true);
+    let instances = [
+        ("within bound", within_bound.clone()),
+        (
+            "chained suspicions (2 crashes > t)",
+            ClusterSpec::new(3, 1)
                 .suspect(p(1), p(0), 10)
-                .suspect(p(3), p(2), 25)
-        };
-        let plain = spec(false).run();
-        let batched = spec(true).run();
-        assert_eq!(
-            fingerprints(&plain),
-            fingerprints(&batched),
-            "seed {seed}: batching changed the HB class\nplain:\n{}\nbatched:\n{}",
-            plain.to_pretty_string(),
-            batched.to_pretty_string()
-        );
-        // Outcome sets must match exactly; their *global trace order* may
-        // not (cross-process interleaving within an instant is precisely
-        // what batching is allowed to change).
-        assert_eq!(
-            sorted(plain.crashed()),
-            sorted(batched.crashed()),
-            "seed {seed}"
-        );
-        assert_eq!(
-            sorted(plain.detections()),
-            sorted(batched.detections()),
-            "seed {seed}"
-        );
+                .suspect(p(2), p(1), 12)
+                .batched(true),
+        ),
+        (
+            "ablation: no self-crash",
+            ClusterSpec::new(3, 1)
+                .suspect(p(1), p(0), 10)
+                .without_self_crash()
+                .batched(true),
+        ),
+    ];
+    let config = ConformanceConfig {
+        random_runs: 0,
+        threaded_runs: 4,
+        transport_runs: 0,
+        settle_ms: 2_000,
+        ..ConformanceConfig::default()
+    };
+    for (label, spec) in instances {
+        let out = ExploreInstance::new(spec).conformance(&config);
+        assert!(out.reference.stats.complete, "{label}: envelope incomplete");
+        for leg in ["threaded:event", "threaded:event+net"] {
+            let report = out
+                .backends
+                .iter()
+                .find(|b| b.backend == leg)
+                .expect("conformance reports both threaded legs");
+            assert_eq!(report.runs, config.threaded_runs, "{label} / {leg}");
+            assert!(
+                report.divergences.is_empty(),
+                "{label} / {leg}: batching left the HB envelope: {:#?}",
+                report.divergences
+            );
+        }
     }
-}
-
-fn sorted<T: Ord>(mut v: Vec<T>) -> Vec<T> {
-    v.sort();
-    v
-}
-
-#[test]
-fn batching_preserves_the_hb_class_under_application_load() {
-    // Work-pool traffic on top of the detector: model-level sends and
-    // receives must pair and order identically too.
-    for seed in 0..10 {
-        let spec = |batch: bool| {
-            ClusterSpec::new(5, 2)
-                .seed(seed)
-                .batched(batch)
-                .suspect(p(0), p(3), 30)
-        };
-        let plain = spec(false).run_apps(|_| WorkPoolApp::new(8));
-        let batched = spec(true).run_apps(|_| WorkPoolApp::new(8));
-        assert_eq!(
-            fingerprints(&plain),
-            fingerprints(&batched),
-            "seed {seed}: batching changed the HB class under load"
-        );
-        assert_eq!(
-            plain.stats().messages_delivered,
-            batched.stats().messages_delivered,
-            "seed {seed}"
-        );
-    }
-}
-
-#[test]
-fn batching_preserves_the_hb_class_with_heartbeats_and_crashes() {
-    // Heartbeats synchronize broadcasts across the whole system — the
-    // maximal-coalescing case — and a real crash exercises the
-    // crashed-target admission path inside a flush.
-    for seed in 0..5 {
-        let spec = |batch: bool| {
-            ClusterSpec::new(5, 1)
-                .seed(seed)
-                .batched(batch)
-                .heartbeat(HeartbeatConfig::default())
-                .crash(p(2), 50)
-                .max_time(1_000)
-        };
-        let plain = spec(false).run();
-        let batched = spec(true).run();
-        assert!(
-            batched.stats().delivery_batches > 0,
-            "seed {seed}: heartbeat storms must coalesce"
-        );
-        assert_eq!(
-            fingerprints(&plain),
-            fingerprints(&batched),
-            "seed {seed}: batching changed the HB class under heartbeats"
-        );
-        assert_eq!(
-            sorted(plain.detections()),
-            sorted(batched.detections()),
-            "seed {seed}"
-        );
-    }
+    // The pin has teeth only if the router really coalesced: the same
+    // spec the `threaded:event+net` leg just ran must report batches.
+    let (trace, quiesced) = within_bound
+        .net(NetSpec::faultless())
+        .try_run_threaded_net(|_| NullApp, Duration::from_secs(2))
+        .expect("feasible spec");
+    assert!(quiesced, "{}", trace.to_pretty_string());
+    assert!(
+        trace.stats().delivery_batches > 0,
+        "fixed-latency obituary rounds must coalesce: {:?}",
+        trace.stats()
+    );
 }

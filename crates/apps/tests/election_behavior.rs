@@ -24,7 +24,9 @@ fn spec(mode: ModeSpec, seed: u64) -> ClusterSpec {
 #[test]
 fn sim_leadership_transfers_without_fs_impossible_observations() {
     for seed in 0..10 {
-        let trace = spec(ModeSpec::SfsOneRound, seed).run_apps(|_| ElectionApp::new());
+        let trace = spec(ModeSpec::SfsOneRound, seed)
+            .try_run_apps(|_| ElectionApp::new())
+            .expect("feasible spec");
         let outcome = analyze_election(&trace);
         assert_eq!(
             outcome.observed_anomalies, 0,
@@ -44,7 +46,9 @@ fn threaded_leadership_transfers_without_fs_impossible_observations() {
     // by its own obituary, leadership must still transfer, and no process
     // may observe anything a fail-stop run could not produce.
     let trace = spec(ModeSpec::SfsOneRound, 3)
-        .run_threaded(|_| ElectionApp::new(), Duration::from_millis(400));
+        .try_run_threaded(|_| ElectionApp::new(), Duration::from_millis(400))
+        .expect("feasible spec")
+        .0;
     assert_eq!(
         trace.crashed(),
         vec![p(0)],
@@ -74,7 +78,9 @@ fn threaded_unilateral_detection_leaks_split_brain_evidence() {
     let mut anomaly_seen = false;
     for seed in 0..5 {
         let trace = spec(ModeSpec::Unilateral, seed)
-            .run_threaded(|_| ElectionApp::new(), Duration::from_millis(300));
+            .try_run_threaded(|_| ElectionApp::new(), Duration::from_millis(300))
+            .expect("feasible spec")
+            .0;
         assert!(trace.crashed().is_empty(), "unilateral mode kills no one");
         if analyze_election(&trace).observed_anomalies > 0 {
             anomaly_seen = true;

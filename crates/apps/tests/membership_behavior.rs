@@ -20,7 +20,8 @@ fn sim_views_converge_across_seeds_and_orders() {
             .seed(seed)
             .suspect(p(1), p(0), 10)
             .suspect(p(2), p(5), 12)
-            .run_apps(|_| MembershipApp::new());
+            .try_run_apps(|_| MembershipApp::new())
+            .expect("feasible spec");
         check_convergence(&trace)
             .unwrap_or_else(|(a, b)| panic!("seed {seed}: views of {a} and {b} diverged"));
         // Survivors end on the 4-member view.
@@ -41,7 +42,9 @@ fn sim_views_converge_across_seeds_and_orders() {
 fn threaded_views_converge() {
     let trace = ClusterSpec::new(5, 2)
         .suspect(p(3), p(4), 10)
-        .run_threaded(|_| MembershipApp::new(), Duration::from_millis(400));
+        .try_run_threaded(|_| MembershipApp::new(), Duration::from_millis(400))
+        .expect("feasible spec")
+        .0;
     assert_eq!(trace.crashed(), vec![p(4)], "{}", trace.to_pretty_string());
     check_convergence(&trace).unwrap_or_else(|(a, b)| {
         panic!(
@@ -65,7 +68,9 @@ fn threaded_two_failures_still_converge() {
     let trace = ClusterSpec::new(6, 2)
         .suspect(p(1), p(0), 10)
         .suspect(p(2), p(5), 25)
-        .run_threaded(|_| MembershipApp::new(), Duration::from_millis(500));
+        .try_run_threaded(|_| MembershipApp::new(), Duration::from_millis(500))
+        .expect("feasible spec")
+        .0;
     let crashed = trace.crashed();
     assert!(
         crashed.contains(&p(0)) && crashed.contains(&p(5)),

@@ -40,7 +40,8 @@ fn differential(n: usize, spec: &ClusterSpec, max_schedules: usize) -> (usize, u
         &config,
         || {
             spec.clone()
-                .build_with_latency(FixedLatency(1), |_| NullApp)
+                .try_build_with_latency(FixedLatency(1), |_| NullApp)
+                .expect("feasible spec")
         },
         |run| {
             schedules += 1;

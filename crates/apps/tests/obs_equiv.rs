@@ -45,9 +45,12 @@ fn model_fingerprint(trace: &sfs_asys::Trace) -> u64 {
 #[test]
 fn obs_is_byte_invisible_on_sim_detection_rounds() {
     for seed in 0..10 {
-        let bare = detect_spec(seed).run();
+        let bare = detect_spec(seed).try_run().expect("feasible spec");
         let registry = Registry::for_shard("sim", 0);
-        let observed = detect_spec(seed).observe(registry.handle()).run();
+        let observed = detect_spec(seed)
+            .observe(registry.handle())
+            .try_run()
+            .expect("feasible spec");
         // Byte-identical traces — stronger than HB-class equality.
         assert_eq!(
             sfs_obs::trace_json::trace_to_json(&bare),
@@ -75,11 +78,15 @@ fn obs_is_byte_invisible_under_an_app_workload() {
             .latency(1, 1)
             .suspect(p(2), p(0), 40)
             .max_time(20_000);
-        let bare = spec.clone().run_apps(|_| WorkPoolApp::new(6));
+        let bare = spec
+            .clone()
+            .try_run_apps(|_| WorkPoolApp::new(6))
+            .expect("feasible spec");
         let registry = Registry::for_shard("sim", 0);
         let observed = spec
             .observe(registry.handle())
-            .run_apps(|_| WorkPoolApp::new(6));
+            .try_run_apps(|_| WorkPoolApp::new(6))
+            .expect("feasible spec");
         assert!(bare.stop_reason().is_complete(), "seed {seed}");
         assert_eq!(
             sfs_obs::trace_json::trace_to_json(&bare),
@@ -97,12 +104,14 @@ fn obs_is_hb_invisible_on_the_threaded_runtime() {
     for seed in 0..6 {
         let bare = detect_spec(seed)
             .try_run_threaded(|_| NullApp, Duration::from_millis(400))
-            .expect("bare threaded run");
+            .expect("bare threaded run")
+            .0;
         let registry = Registry::for_shard("threaded", 0);
         let observed = detect_spec(seed)
             .observe(registry.handle())
             .try_run_threaded(|_| NullApp, Duration::from_millis(400))
-            .expect("observed threaded run");
+            .expect("observed threaded run")
+            .0;
         assert!(bare.stop_reason().is_complete(), "seed {seed}");
         assert!(observed.stop_reason().is_complete(), "seed {seed}");
         assert_eq!(
@@ -125,12 +134,16 @@ fn obs_is_hb_invisible_through_the_transport() {
     // transport-backed run must stay in the bare transport run's class
     // (which transport_equiv separately pins to the bare-channel class).
     for seed in 0..6 {
-        let bare = detect_spec(seed).net(NetSpec::faultless()).run_net();
+        let bare = detect_spec(seed)
+            .net(NetSpec::faultless())
+            .try_run_net(|_| NullApp)
+            .expect("feasible spec");
         let registry = Registry::for_shard("sim+net", 0);
         let observed = detect_spec(seed)
             .net(NetSpec::faultless())
             .observe(registry.handle())
-            .run_net();
+            .try_run_net(|_| NullApp)
+            .expect("feasible spec");
         assert_eq!(
             model_fingerprint(&bare),
             model_fingerprint(&observed),
@@ -165,9 +178,12 @@ fn posthoc(trace: &sfs_asys::Trace) -> SuiteVerdicts {
 #[test]
 fn sfs_monitor_is_byte_invisible_on_sim() {
     for seed in 0..10 {
-        let bare = detect_spec(seed).run();
+        let bare = detect_spec(seed).try_run().expect("feasible spec");
         let monitor = SfsMonitor::new(6);
-        let monitored = detect_spec(seed).event_sink(monitor.handle()).run();
+        let monitored = detect_spec(seed)
+            .event_sink(monitor.handle())
+            .try_run()
+            .expect("feasible spec");
         assert_eq!(
             sfs_obs::trace_json::trace_to_json(&bare),
             sfs_obs::trace_json::trace_to_json(&monitored),
@@ -189,12 +205,14 @@ fn sfs_monitor_is_hb_invisible_on_the_threaded_runtime() {
     for seed in 0..6 {
         let bare = detect_spec(seed)
             .try_run_threaded(|_| NullApp, Duration::from_millis(400))
-            .expect("bare threaded run");
+            .expect("bare threaded run")
+            .0;
         let monitor = SfsMonitor::new(6);
         let monitored = detect_spec(seed)
             .event_sink(monitor.handle())
             .try_run_threaded(|_| NullApp, Duration::from_millis(400))
-            .expect("monitored threaded run");
+            .expect("monitored threaded run")
+            .0;
         assert_eq!(
             model_fingerprint(&bare),
             model_fingerprint(&monitored),
@@ -208,12 +226,16 @@ fn sfs_monitor_is_hb_invisible_on_the_threaded_runtime() {
 #[test]
 fn sfs_monitor_is_hb_invisible_through_the_transport() {
     for seed in 0..6 {
-        let bare = detect_spec(seed).net(NetSpec::faultless()).run_net();
+        let bare = detect_spec(seed)
+            .net(NetSpec::faultless())
+            .try_run_net(|_| NullApp)
+            .expect("feasible spec");
         let monitor = SfsMonitor::new(6);
         let monitored = detect_spec(seed)
             .net(NetSpec::faultless())
             .event_sink(monitor.handle())
-            .run_net();
+            .try_run_net(|_| NullApp)
+            .expect("feasible spec");
         assert_eq!(
             model_fingerprint(&bare),
             model_fingerprint(&monitored),
@@ -229,13 +251,14 @@ fn monitor_and_registry_stack_without_interference() {
     // Both seams attached at once — the telemetry registry on `ObsSink`,
     // the monitor on `EventSink` — still byte-identical to bare.
     for seed in 0..4 {
-        let bare = detect_spec(seed).run();
+        let bare = detect_spec(seed).try_run().expect("feasible spec");
         let registry = Registry::for_shard("sim", 0);
         let monitor = SfsMonitor::new(6);
         let both = detect_spec(seed)
             .observe(registry.handle())
             .event_sink(monitor.handle())
-            .run();
+            .try_run()
+            .expect("feasible spec");
         assert_eq!(
             sfs_obs::trace_json::trace_to_json(&bare),
             sfs_obs::trace_json::trace_to_json(&both),
@@ -269,9 +292,9 @@ mod prop {
                 .latency(1, 2)
                 .suspect(p(1), p(0), s1)
                 .suspect(p(n - 1), p(n - 2), s2);
-            let bare = spec.clone().run();
+            let bare = spec.clone().try_run().expect("feasible spec");
             let registry = Registry::for_shard("sim", 0);
-            let observed = spec.observe(registry.handle()).run();
+            let observed = spec.observe(registry.handle()).try_run().expect("feasible spec");
             prop_assert_eq!(
                 sfs_obs::trace_json::trace_to_json(&bare),
                 sfs_obs::trace_json::trace_to_json(&observed)
@@ -293,9 +316,9 @@ mod prop {
                 .latency(1, 2)
                 .suspect(p(1), p(0), s1)
                 .suspect(p(n - 1), p(n - 2), s2);
-            let bare = spec.clone().run();
+            let bare = spec.clone().try_run().expect("feasible spec");
             let monitor = sfs_obs::SfsMonitor::new(n);
-            let monitored = spec.event_sink(monitor.handle()).run();
+            let monitored = spec.event_sink(monitor.handle()).try_run().expect("feasible spec");
             prop_assert_eq!(
                 sfs_obs::trace_json::trace_to_json(&bare),
                 sfs_obs::trace_json::trace_to_json(&monitored)

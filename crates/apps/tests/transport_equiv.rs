@@ -13,7 +13,7 @@
 //! model. Any future change that renumbers, reorders, or double-releases
 //! payloads fails here.
 
-use sfs::{AdaptiveConfig, ClusterSpec, NetSpec};
+use sfs::{AdaptiveConfig, ClusterSpec, NetSpec, NullApp};
 use sfs_apps::workpool::WorkPoolApp;
 use sfs_asys::ProcessId;
 use sfs_explore::class_fingerprint;
@@ -42,8 +42,11 @@ fn transport_is_hb_invisible_on_detection_rounds() {
             .latency(1, 1)
             .suspect(p(1), p(0), 10)
             .suspect(p(4), p(3), 25);
-        let bare = spec.clone().run();
-        let wrapped = spec.net(NetSpec::faultless()).run_net();
+        let bare = spec.clone().try_run().expect("feasible spec");
+        let wrapped = spec
+            .net(NetSpec::faultless())
+            .try_run_net(|_| NullApp)
+            .expect("feasible spec");
         assert!(bare.stop_reason().is_complete());
         assert!(wrapped.stop_reason().is_complete());
         let (hb, hw) = (model_fingerprint(&bare), model_fingerprint(&wrapped));
@@ -68,7 +71,10 @@ fn transport_is_hb_invisible_under_an_app_workload() {
             .latency(1, 1)
             .suspect(p(2), p(0), 40)
             .max_time(20_000);
-        let bare = spec.clone().run_apps(|_| WorkPoolApp::new(6));
+        let bare = spec
+            .clone()
+            .try_run_apps(|_| WorkPoolApp::new(6))
+            .expect("feasible spec");
         let wrapped = spec
             .net(NetSpec::faultless())
             .try_run_net(|_| WorkPoolApp::new(6))
@@ -103,10 +109,11 @@ fn adaptive_transport_is_hb_invisible_when_loss_free() {
             .latency(1, 1)
             .suspect(p(1), p(0), 10)
             .suspect(p(4), p(3), 25);
-        let bare = spec.clone().run();
+        let bare = spec.clone().try_run().expect("feasible spec");
         let wrapped = spec
             .net(NetSpec::faultless().adaptive(AdaptiveConfig::default()))
-            .run_net();
+            .try_run_net(|_| NullApp)
+            .expect("feasible spec");
         assert!(bare.stop_reason().is_complete());
         assert!(wrapped.stop_reason().is_complete());
         assert_eq!(
@@ -130,7 +137,10 @@ fn adaptive_transport_is_hb_invisible_under_an_app_workload() {
             .latency(1, 1)
             .suspect(p(2), p(0), 40)
             .max_time(20_000);
-        let bare = spec.clone().run_apps(|_| WorkPoolApp::new(6));
+        let bare = spec
+            .clone()
+            .try_run_apps(|_| WorkPoolApp::new(6))
+            .expect("feasible spec");
         let wrapped = spec
             .net(NetSpec::faultless().adaptive(AdaptiveConfig::default()))
             .try_run_net(|_| WorkPoolApp::new(6))

@@ -20,7 +20,8 @@ fn sim_worker_and_coordinator_failures_lose_nothing() {
             .seed(seed)
             .suspect(p(2), p(0), 25) // coordinator
             .suspect(p(3), p(4), 40) // worker
-            .run_apps(|_| WorkPoolApp::new(12));
+            .try_run_apps(|_| WorkPoolApp::new(12))
+            .expect("feasible spec");
         let outcome = analyze_workpool(&trace);
         assert_eq!(
             outcome.tasks_executed.len(),
@@ -37,8 +38,10 @@ fn sim_worker_and_coordinator_failures_lose_nothing() {
 
 #[test]
 fn threaded_pool_completes_all_tasks() {
-    let trace =
-        ClusterSpec::new(4, 1).run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(400));
+    let trace = ClusterSpec::new(4, 1)
+        .try_run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(400))
+        .expect("feasible spec")
+        .0;
     let outcome = analyze_workpool(&trace);
     assert_eq!(
         outcome.tasks_executed.len(),
@@ -57,7 +60,9 @@ fn threaded_pool_completes_all_tasks() {
 fn threaded_worker_failure_reassigns_its_tasks() {
     let trace = ClusterSpec::new(5, 2)
         .suspect(p(0), p(3), 30)
-        .run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(500));
+        .try_run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(500))
+        .expect("feasible spec")
+        .0;
     assert_eq!(trace.crashed(), vec![p(3)], "{}", trace.to_pretty_string());
     let outcome = analyze_workpool(&trace);
     assert_eq!(
@@ -73,7 +78,9 @@ fn threaded_worker_failure_reassigns_its_tasks() {
 fn threaded_coordinator_failover_hands_over() {
     let trace = ClusterSpec::new(5, 2)
         .suspect(p(2), p(0), 30)
-        .run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(500));
+        .try_run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(500))
+        .expect("feasible spec")
+        .0;
     assert_eq!(trace.crashed(), vec![p(0)], "{}", trace.to_pretty_string());
     let outcome = analyze_workpool(&trace);
     assert_eq!(

@@ -44,10 +44,6 @@ use std::fmt;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Per-link artificial delay, in virtual ticks, chosen by the router
-/// before forwarding.
-pub type LinkDelay = Box<dyn Fn(ProcessId, ProcessId) -> u64 + Send>;
-
 /// Predicate marking payloads as infrastructure; the threaded mirror of
 /// `SimBuilder::classify`.
 pub type Classify<M> = Box<dyn Fn(&M) -> bool + Send>;
@@ -61,16 +57,12 @@ pub struct RuntimeConfig<M = ()> {
     /// Seed feeding each node's deterministic rng (node `i` uses
     /// `seed + i`). Scheduling itself is real-concurrency nondeterminism.
     pub seed: u64,
-    /// Optional artificial per-link delay, in virtual ticks, applied by
-    /// the router before forwarding a message, modelling a slow
-    /// asynchronous network. Ignored when [`RuntimeConfig::link`] is set.
-    pub delay: Option<LinkDelay>,
     /// Optional faulty-network model: the threaded mirror of the
     /// simulator's link seam. The router consults it once per send, in
     /// send order, with its own seeded rng; verdict delays are virtual
     /// ticks on the router's wheel, so the *same* [`LinkModel`] drives
     /// both backends — what E10's transport-backed conformance leg relies
-    /// on. Takes precedence over [`RuntimeConfig::delay`].
+    /// on. `None` delivers every message at the instant it is sent.
     pub link: Option<Box<dyn LinkModel + Send>>,
     /// Whether to record payload `Debug` text in the trace.
     pub record_payloads: bool,
@@ -134,7 +126,6 @@ impl<M> Default for RuntimeConfig<M> {
     fn default() -> Self {
         RuntimeConfig {
             seed: 0,
-            delay: None,
             link: None,
             record_payloads: false,
             classify: None,
@@ -154,7 +145,6 @@ impl<M> fmt::Debug for RuntimeConfig<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RuntimeConfig")
             .field("seed", &self.seed)
-            .field("has_delay", &self.delay.is_some())
             .field("has_link", &self.link.is_some())
             .field("record_payloads", &self.record_payloads)
             .field("has_obs", &self.obs.is_some())
@@ -540,7 +530,6 @@ struct RouterState<M> {
     events: Vec<TraceEvent>,
     stats: SimStats,
     node_txs: Vec<Sender<NodeEvent<M>>>,
-    delay: Option<LinkDelay>,
     link: Option<Box<dyn LinkModel + Send>>,
     /// Rng feeding link-model verdicts (seeded from the config; node rngs
     /// are independent, so link draws never perturb process behaviour).
@@ -677,14 +666,11 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                     }
                     // The link seam, mirroring the simulator: a LinkModel
                     // verdict (delays in virtual ticks on the wheel) when
-                    // one is installed, else the legacy per-link delay fn.
+                    // one is installed, else delivery at this instant.
                     let now = self.now();
                     let verdict = match &mut self.link {
                         Some(link) => link.verdict(from, to, now, &mut self.link_rng),
-                        None => {
-                            let ticks = self.delay.as_ref().map(|f| f(from, to)).unwrap_or(0);
-                            LinkVerdict::Deliver(ticks)
-                        }
+                        None => LinkVerdict::Deliver(0),
                     };
                     match verdict {
                         LinkVerdict::Deliver(ticks) => {
@@ -1050,7 +1036,6 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
         events: Vec::new(),
         stats: SimStats::default(),
         node_txs,
-        delay: config.delay,
         link: config.link,
         link_rng: StdRng::seed_from_u64(config.seed ^ 0x11AC_C01D),
         classify: config.classify,
@@ -1212,6 +1197,7 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::latency::FixedLatency;
     use crate::process::Process;
 
     #[derive(Clone, Debug)]
@@ -1618,7 +1604,7 @@ mod tests {
         }
         let config = RuntimeConfig {
             batch: true,
-            delay: Some(Box::new(|_, _| 10)),
+            link: Some(Box::new(FixedLatency(10))),
             ..RuntimeConfig::default()
         };
         let rt = Runtime::spawn(2, config, |pid| {
@@ -1770,7 +1756,7 @@ mod tests {
             }
         }
         let config: RuntimeConfig<E> = RuntimeConfig {
-            delay: Some(Box::new(|_, _| 5)),
+            link: Some(Box::new(FixedLatency(5))),
             faults: FaultPlan::new().external_at(
                 ProcessId::new(1),
                 VirtualTime::from_ticks(5),

@@ -74,20 +74,6 @@ pub struct SimConfig {
     /// is the schedule explorer's depth bound. Ignored by the default
     /// time-ordered loop.
     pub max_steps: usize,
-    /// Batched delivery flush for the time-ordered loop: all events due
-    /// at the same virtual instant are drained in one heap pass and
-    /// executed back to back, in exact pop order — byte-identical to the
-    /// unbatched loop by construction (the simulator's shared rng makes
-    /// any intra-instant reordering schedule-visible, so none happens
-    /// here; the per-destination coalescing that does reorder across
-    /// processes lives in the threaded router, whose nodes own their
-    /// rngs). The run additionally measures the coalescing structure:
-    /// [`SimStats::delivery_batches`](crate::trace::SimStats) counts the
-    /// same-instant same-destination runs a batching transport would
-    /// hand over as single batches. The `batch_equiv` suite in
-    /// `sfs-apps` pins the equivalence. Ignored by scheduled runs, whose
-    /// strategy owns the interleaving.
-    pub batch_flush: bool,
 }
 
 impl Default for SimConfig {
@@ -98,7 +84,6 @@ impl Default for SimConfig {
             max_events: 1_000_000,
             record_payloads: false,
             max_steps: usize::MAX,
-            batch_flush: false,
         }
     }
 }
@@ -197,20 +182,6 @@ struct QueueEntry<M> {
     at: VirtualTime,
     order: u64,
     pending: Pending<M>,
-}
-
-impl<M> QueueEntry<M> {
-    /// The process whose state executing this entry touches — the batched
-    /// flush's grouping key (every pending step affects exactly one
-    /// process, mirroring the paper's model where an event changes the
-    /// state of one process and at most one incident channel).
-    fn target_index(&self) -> usize {
-        match self.pending {
-            Pending::Deliver { to, .. } => to.index(),
-            Pending::Timer { pid, .. } => pid.index(),
-            Pending::Inject { pid, .. } => pid.index(),
-        }
-    }
 }
 
 impl<M> PartialEq for QueueEntry<M> {
@@ -342,13 +313,6 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
     /// [`SimConfig::max_steps`]).
     pub fn max_steps(mut self, max: usize) -> Self {
         self.config.max_steps = max;
-        self
-    }
-
-    /// Enables the batched delivery flush (shorthand for mutating
-    /// [`SimConfig::batch_flush`]).
-    pub fn batch_deliveries(mut self, on: bool) -> Self {
-        self.config.batch_flush = on;
         self
     }
 
@@ -811,13 +775,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 self.dispatch(pid, |p, ctx| p.on_start(ctx));
             }
         }
-        // Flush scratch buffers, reused across iterations in batched mode:
-        // the drained entries, a per-process event counter, and the list
-        // of processes touched this flush (so resetting is O(touched)).
-        let mut flush: Vec<QueueEntry<M>> = Vec::new();
-        let mut flush_counts: Vec<u32> = vec![0; self.n];
-        let mut touched: Vec<usize> = Vec::new();
-        let stop = 'run: loop {
+        let stop = loop {
             if self.events.len() >= self.config.max_events {
                 // `apply_actions` stops recording mid-batch at the budget,
                 // so the trace is already an exact prefix here.
@@ -834,104 +792,13 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 break StopReason::MaxTime;
             }
             self.now = entry.at;
-            if !self.config.batch_flush {
-                self.step_entry(entry);
-                continue;
-            }
-            // Batched flush: drain every entry due at this same instant in
-            // one heap pass and execute the run back to back, in exact pop
-            // order. Execution order is NOT regrouped: the simulator's
-            // random draws (latency model, process rngs) come from one
-            // shared generator consumed in dispatch order, so any
-            // reordering would reassign draws and silently fork the
-            // schedule. Keeping pop order makes the batched run
-            // byte-identical to the unbatched one by construction; the
-            // per-destination coalescing that *does* reorder across
-            // processes lives in the threaded router, where every node
-            // owns its rng (see `net::router`). What is measured here is
-            // the coalescing structure itself: how many same-instant
-            // same-destination runs the flush contains.
-            // Fast path: nothing else due at this instant — no flush to
-            // account for.
-            let dense = matches!(self.queue.peek(), Some(Reverse(top)) if top.at == self.now);
-            if !dense {
-                self.step_entry(entry);
-                continue;
-            }
-            flush.clear();
-            flush.push(entry);
-            while let Some(Reverse(top)) = self.queue.peek() {
-                if top.at != self.now {
-                    break;
-                }
-                let Some(Reverse(next)) = self.queue.pop() else {
-                    unreachable!("peeked entry vanished");
-                };
-                flush.push(next);
-            }
-            // Count per-destination groups of ≥ 2 *admissible* entries —
-            // the batches a batching transport would hand over in one
-            // send. Entries that dissolve before dispatch (cancelled
-            // timers, deliveries to crashed or currently-refusing
-            // targets) and injections (which a router never heaps) are
-            // excluded, mirroring the threaded router's
-            // admitted-items-only counter. Judged at flush time; effects
-            // *within* the flush are not re-examined.
-            for entry in &flush {
-                if !self.would_dispatch(entry) {
-                    continue;
-                }
-                let pid = entry.target_index();
-                if flush_counts[pid] == 0 {
-                    touched.push(pid);
-                }
-                flush_counts[pid] += 1;
-            }
-            self.stats.delivery_batches +=
-                touched.iter().filter(|&&pid| flush_counts[pid] > 1).count() as u64;
-            for &pid in &touched {
-                flush_counts[pid] = 0;
-            }
-            touched.clear();
-            for entry in flush.drain(..) {
-                if self.events.len() >= self.config.max_events {
-                    break 'run StopReason::MaxEvents;
-                }
-                if self.crashed.iter().all(|&c| c) {
-                    break 'run StopReason::AllCrashed;
-                }
-                self.step_entry(entry);
-            }
+            self.step_entry(entry);
         };
         Trace::from_parts(self.n, self.events, stop, self.now, self.stats)
     }
 
-    /// Whether a due entry would reach its target as a node event right
-    /// now — the flush's admission predicate for counting coalescable
-    /// runs (mirrors `net::router`'s `admit_due`: crashed targets,
-    /// cancelled timers, and filter-refused channel heads dissolve;
-    /// injections never ride a router heap at all).
-    fn would_dispatch(&self, entry: &QueueEntry<M>) -> bool {
-        match entry.pending {
-            Pending::Deliver { from, to } => {
-                if self.crashed[to.index()] {
-                    return false;
-                }
-                let ch = from.index() * self.n + to.index();
-                match (&self.filters[to.index()], self.channels[ch].front()) {
-                    (Some(filter), Some(head)) => filter.accepts(&head.payload),
-                    _ => true,
-                }
-            }
-            Pending::Timer { pid, id } => {
-                !self.crashed[pid.index()] && !self.cancelled.is_cancelled(id)
-            }
-            Pending::Inject { .. } => false,
-        }
-    }
-
     /// Executes one due queue entry — the step body shared by the
-    /// per-entry path and the batched flush path of the time-ordered loop.
+    /// time-ordered and the scheduled loop.
     fn step_entry(&mut self, entry: QueueEntry<M>) {
         match entry.pending {
             Pending::Deliver { from, to } => self.deliver(from, to),
@@ -1039,29 +906,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             // executes at the latest of its own ready time and the
             // current clock, mirroring an adversary that withheld it.
             self.now = self.now.max(entry.at);
-            match entry.pending {
-                Pending::Deliver { from, to } => self.deliver(from, to),
-                Pending::Timer { pid, id } => {
-                    if !self.cancelled.take(id) && !self.crashed[pid.index()] {
-                        self.record(TraceEventKind::TimerFired { pid, timer: id });
-                        self.stats.timers_fired += 1;
-                        self.obs_count(pid, MsgClass::None, metric::TIMERS, 1);
-                        self.dispatch(pid, |p, ctx| p.on_timer(ctx, id));
-                    }
-                }
-                Pending::Inject { pid, injection } => {
-                    if !self.crashed[pid.index()] {
-                        match injection {
-                            Injection::Crash => self.do_crash(pid),
-                            Injection::External(payload) => {
-                                let repr = self.payload_repr(&payload);
-                                self.record(TraceEventKind::External { pid, payload: repr });
-                                self.dispatch(pid, |p, ctx| p.on_external(ctx, payload));
-                            }
-                        }
-                    }
-                }
-            }
+            self.step_entry(entry);
         };
         (
             Trace::from_parts(self.n, self.events, stop, self.now, self.stats),
@@ -1721,93 +1566,6 @@ mod tests {
             trace.to_pretty_string()
         );
         assert!(trace.channels_drained());
-    }
-
-    /// Per-process projection of a trace: the sequence of events each
-    /// process executes, as `Debug` text.
-    fn projections(trace: &Trace) -> Vec<Vec<String>> {
-        let mut per: Vec<Vec<String>> = (0..trace.n()).map(|_| Vec::new()).collect();
-        for e in trace.events() {
-            per[e.kind.process().index()].push(format!("{:?}", e.kind));
-        }
-        per
-    }
-
-    #[test]
-    fn batched_flush_preserves_per_process_order() {
-        // Three flooders target one sink with fixed latency, so every
-        // delivery of a wave comes due at the same tick and the batched
-        // run actually coalesces. Every process must still observe
-        // exactly the unbatched event sequence.
-        fn run(batch: bool) -> Trace {
-            let sim = Sim::<u32>::builder(4)
-                .seed(11)
-                .batch_deliveries(batch)
-                .latency(FixedLatency(3))
-                .build(|pid| {
-                    if pid.index() < 3 {
-                        Box::new(Flooder {
-                            count: 10,
-                            target: ProcessId::new(3),
-                        }) as Box<dyn Process<u32>>
-                    } else {
-                        Box::new(Sink {
-                            received: Vec::new(),
-                        })
-                    }
-                });
-            sim.run()
-        }
-        let plain = run(false);
-        let batched = run(true);
-        assert_eq!(plain.stop_reason(), batched.stop_reason());
-        assert_eq!(projections(&plain), projections(&batched));
-        // Stronger still: the batched run is byte-identical (same events,
-        // same order, same timestamps) — pop-order execution guarantees
-        // the shared rng is consumed identically.
-        assert_eq!(plain.events(), batched.events());
-        assert_eq!(plain.stats().messages_sent, batched.stats().messages_sent);
-        assert!(
-            batched.stats().delivery_batches > 0,
-            "the flush must observe coalescable runs"
-        );
-        assert_eq!(plain.stats().delivery_batches, 0);
-    }
-
-    #[test]
-    fn batched_flush_handles_crashes_and_timers() {
-        // Mixed steps in one flush (timers + deliveries + an injected
-        // crash) keep per-process order and stats coherent.
-        fn run(batch: bool) -> Trace {
-            let plan = FaultPlan::new().crash_at(ProcessId::new(2), VirtualTime::from_ticks(4));
-            let sim = Sim::<u32>::builder(3)
-                .seed(5)
-                .batch_deliveries(batch)
-                .latency(FixedLatency(4))
-                .faults(plan)
-                .build(|pid| {
-                    if pid.index() == 0 {
-                        Box::new(Flooder {
-                            count: 6,
-                            target: ProcessId::new(2),
-                        }) as Box<dyn Process<u32>>
-                    } else {
-                        Box::new(Sink {
-                            received: Vec::new(),
-                        })
-                    }
-                });
-            sim.run()
-        }
-        let plain = run(false);
-        let batched = run(true);
-        assert_eq!(projections(&plain), projections(&batched));
-        assert_eq!(plain.events(), batched.events());
-        assert_eq!(plain.stats().crashes, batched.stats().crashes);
-        assert_eq!(
-            plain.stats().messages_to_crashed,
-            batched.stats().messages_to_crashed
-        );
     }
 
     #[test]

@@ -181,13 +181,10 @@ pub struct SimStats {
     pub crashes: u64,
     /// Failure detections declared.
     pub detections: u64,
-    /// Batching-fast-path counter. On the threaded router: multi-event
-    /// per-destination batches actually coalesced into one channel send.
-    /// On the simulator's batched flush: same-instant same-destination
-    /// runs of *admissible* events (live target, uncancelled timer,
-    /// unrefused head — judged at flush admission) that a batching
-    /// transport would so coalesce; execution itself stays in pop order
-    /// there. Zero when batching is off; purely an engine-mechanics
+    /// Batching-fast-path counter: multi-event per-destination batches
+    /// the threaded router actually coalesced into one channel send.
+    /// Zero when `RuntimeConfig::batch` is off and always zero on the
+    /// simulator, which has no batching mode; purely an engine-mechanics
     /// counter — batching never changes any of the other counters.
     pub delivery_batches: u64,
     /// Total bytes the run's sends would put on a real wire, under the

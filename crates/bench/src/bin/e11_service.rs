@@ -1,6 +1,7 @@
 //! E11 — sharded service scale: N ∈ {64, 256, 1024} total processes as
 //! independent 16-process quorum groups behind a replicated directory,
-//! on both backends, batched and unbatched (see EXPERIMENTS.md §E11).
+//! on the simulator and on the threaded runtime batched and unbatched
+//! (see EXPERIMENTS.md §E11).
 //!
 //! CLI: `e11_service [max_n] [ops_per_proc]`. The CI smoke job runs
 //! `e11_service 64 2` (only the N=64 cells, small op budget); the full
@@ -17,7 +18,6 @@
 //! tick-paced sleeping blows the budget by orders of magnitude.
 
 use sfs_service::Backend;
-use std::fmt::Write as _;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -28,45 +28,23 @@ fn main() {
     // E11 runs one fixed seed per cell (the op budget is in the configs
     // string, not the seeds field).
     let configs = format!(
-        "N in {{64,256,1024}} capped at {max_n} x {{sim,threaded}} x {{batch off,on}}, \
+        "N in {{64,256,1024}} capped at {max_n} x {{sim, threaded batch off, threaded batch on}}, \
          t=2, 16-process shards, ops_per_proc={ops_per_proc}"
     );
-    let record = sfs_bench::run_with_report("E11", &configs, 1, || {
+    let mut record = sfs_bench::run_with_report("E11", &configs, 1, || {
         let (table, r) = sfs_bench::run_e11(max_n, ops_per_proc);
         rows = Some(r);
         table
     });
     let rows = rows.expect("run_e11 ran");
-    // ...then extends it in place with the per-cell measurement table the
-    // experiment is actually about.
-    let mut json = String::from("{\n");
-    let _ = writeln!(json, "  \"experiment\": \"E11\",");
-    let _ = writeln!(
-        json,
-        "  \"configs\": \"{}\",",
-        record.configs.escape_default()
-    );
-    let _ = writeln!(json, "  \"seeds\": {},", record.seeds);
-    let _ = writeln!(json, "  \"wall_ms\": {:.3},", record.wall_ms);
-    let _ = writeln!(json, "  \"events\": {},", record.events);
-    let _ = writeln!(
-        json,
-        "  \"events_per_sec\": {:.1},",
-        record.events_per_sec()
-    );
-    let _ = writeln!(json, "  \"threads\": {},", record.threads);
-    let _ = writeln!(json, "  \"rows\": {},", record.rows);
-    let _ = writeln!(json, "  \"table\": [");
-    for (i, (row, speedup_wall, speedup_serving)) in rows.iter().enumerate() {
-        let sep = if i + 1 < rows.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "    {}{sep}",
-            row.to_json(*speedup_wall, *speedup_serving)
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    json.push('}');
+    // ...then replaces the printable table with the per-cell measurement
+    // rows the experiment is actually about.
+    let cells: Vec<String> = rows
+        .iter()
+        .map(|(row, wall, serving)| format!("    {}", row.to_json(*wall, *serving)))
+        .collect();
+    record.table_json = format!("[\n{}\n  ]", cells.join(",\n"));
+    let json = record.to_json();
     let out_dir = std::env::var_os("SFS_BENCH_OUT")
         .map(std::path::PathBuf::from)
         .unwrap_or_else(|| std::path::PathBuf::from("."));

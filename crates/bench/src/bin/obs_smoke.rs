@@ -113,7 +113,10 @@ fn main() {
     let mut merged = RunReport::empty("");
 
     let sim_reg = Registry::for_shard("sim", 0);
-    let sim_obs_trace = common_spec(seed).observe(sim_reg.handle()).run();
+    let sim_obs_trace = common_spec(seed)
+        .observe(sim_reg.handle())
+        .try_run()
+        .unwrap_or_else(|e| fail(&format!("sim leg: {e}")));
     sim_reg.ingest_trace(&sim_obs_trace);
     merged.merge(&sim_reg.report());
 
@@ -121,7 +124,8 @@ fn main() {
     let thr_obs_trace = common_spec(seed)
         .observe(thr_reg.handle())
         .try_run_threaded(|_| NullApp, Duration::from_millis(500))
-        .unwrap_or_else(|e| fail(&format!("threaded leg: {e}")));
+        .unwrap_or_else(|e| fail(&format!("threaded leg: {e}")))
+        .0;
     thr_reg.ingest_trace(&thr_obs_trace);
     merged.merge(&thr_reg.report());
 
@@ -129,7 +133,8 @@ fn main() {
     let net_trace = common_spec(seed)
         .net(NetSpec::faultless())
         .observe(net_reg.handle())
-        .run_net();
+        .try_run_net(|_| NullApp)
+        .unwrap_or_else(|e| fail(&format!("sim+net leg: {e}")));
     net_reg.ingest_trace(&net_trace);
     merged.merge(&net_reg.report());
 
@@ -192,7 +197,9 @@ fn main() {
     );
 
     // ---- 4. Fingerprint drift gate ----------------------------------
-    let bare_sim = common_spec(seed).run();
+    let bare_sim = common_spec(seed)
+        .try_run()
+        .unwrap_or_else(|e| fail(&format!("bare sim leg: {e}")));
     if sfs_obs::trace_json::trace_to_json(&bare_sim)
         != sfs_obs::trace_json::trace_to_json(&sim_obs_trace)
     {
@@ -200,7 +207,8 @@ fn main() {
     }
     let bare_thr = common_spec(seed)
         .try_run_threaded(|_| NullApp, Duration::from_millis(500))
-        .unwrap_or_else(|e| fail(&format!("bare threaded leg: {e}")));
+        .unwrap_or_else(|e| fail(&format!("bare threaded leg: {e}")))
+        .0;
     let (fp_bare, fp_obs) = (
         class_fingerprint(&History::from_trace(&bare_thr)),
         class_fingerprint(&History::from_trace(&thr_obs_trace)),

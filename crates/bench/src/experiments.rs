@@ -6,7 +6,7 @@
 //! table. See DESIGN.md §3 for the full index.
 
 use crate::report::note_trace;
-use crate::table::Table;
+use crate::table::{json_str, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -88,7 +88,7 @@ pub fn random_sfs_run(n: usize, t: usize, variant: E1Variant, seed: u64) -> Trac
         let at = rng.gen_range(5..50);
         spec = spec.suspect(ProcessId::new(by), ProcessId::new(v), at);
     }
-    let trace = spec.run_apps(|_| GossipApp);
+    let trace = spec.try_run_apps(|_| GossipApp).expect("feasible spec");
     note_trace(&trace);
     trace
 }
@@ -406,7 +406,8 @@ pub fn detection_cost(n: usize, t: usize, policy: QuorumPolicy, seed: u64) -> De
         .quorum(policy)
         .seed(seed)
         .suspect(ProcessId::new(1), ProcessId::new(0), suspect_at)
-        .run();
+        .try_run()
+        .expect("feasible spec");
     let last_detection = trace
         .events()
         .iter()
@@ -523,7 +524,7 @@ pub fn run_e6(seeds: u64) -> Table {
             for i in 0..n {
                 spec = spec.crash(ProcessId::new(i), 500 + 400 * i as u64);
             }
-            let trace = spec.run();
+            let trace = spec.try_run().expect("feasible spec");
             note_trace(&trace);
             let truth = true_last_to_fail(&trace);
             match recover_last_to_fail(&trace) {
@@ -575,7 +576,8 @@ pub fn run_e7(seeds: u64) -> Table {
                 .mode(mode)
                 .seed(seed)
                 .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-                .run_apps(|_| ElectionApp::new());
+                .try_run_apps(|_| ElectionApp::new())
+                .expect("feasible spec");
             note_trace(&trace);
             let outcome = analyze_election(&trace);
             (
@@ -982,10 +984,10 @@ impl E10Summary {
             };
             let rendered: Vec<String> = choices.iter().map(u32::to_string).collect();
             out.push_str(&format!(
-                "    {{\"instance\": \"{}\", \"property\": \"{}\", \"before\": {}, \
+                "    {{\"instance\": {}, \"property\": {}, \"before\": {}, \
                  \"after\": {}, \"choices\": [{}]}}{}\n",
-                instance.escape_default(),
-                property.escape_default(),
+                json_str(instance),
+                json_str(property),
                 before,
                 after,
                 rendered.join(","),
@@ -999,7 +1001,7 @@ impl E10Summary {
             } else {
                 ","
             };
-            out.push_str(&format!("    \"{}\"{}\n", d.escape_default(), sep));
+            out.push_str(&format!("    {}{}\n", json_str(d), sep));
         }
         out.push_str("  ]\n}\n");
         out

@@ -4,12 +4,12 @@
 //! Every `e*` binary wraps its table generation in [`run_with_report`],
 //! which times the sweep, counts the simulator events produced (every
 //! trace minted by the experiment helpers passes through [`note_trace`]),
-//! and appends a criterion-style summary to `BENCH_<experiment>.json` in
+//! and writes a machine-readable summary to `BENCH_<experiment>.json` in
 //! the directory named by `SFS_BENCH_OUT` (default: the working
 //! directory). The files are the perf trajectory of the repository: each
 //! PR that touches a hot path regenerates them and compares.
 
-use crate::table::Table;
+use crate::table::{json_str, Table};
 use sfs_asys::Trace;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,11 +80,11 @@ impl BenchRecord {
             self.table_json.clone()
         };
         format!(
-            "{{\n  \"experiment\": \"{}\",\n  \"configs\": \"{}\",\n  \"seeds\": {},\n  \
+            "{{\n  \"experiment\": {},\n  \"configs\": {},\n  \"seeds\": {},\n  \
              \"wall_ms\": {:.3},\n  \"events\": {},\n  \"events_per_sec\": {:.1},\n  \
              \"threads\": {},\n  \"rows\": {},\n  \"table\": {}\n}}",
-            self.experiment,
-            self.configs.escape_default(),
+            json_str(self.experiment),
+            json_str(&self.configs),
             self.seeds,
             self.wall_ms,
             self.events,
@@ -205,12 +205,48 @@ mod tests {
     }
 
     #[test]
+    fn record_round_trips_through_the_json_parser() {
+        // `'` and non-ASCII must pass through unescaped and `"` as `\"`:
+        // Rust's `escape_default` forms (`\'`, `\u{d7}`) are not JSON.
+        let configs = "N='64' x \"sim\" × {off,on}";
+        let mut t = Table::new("cells × 2", &["it's", "\"q\""]);
+        t.row(["a×b", "1"]);
+        let r = BenchRecord {
+            experiment: "E0",
+            configs: configs.into(),
+            seeds: 1,
+            wall_ms: 1.0,
+            events: 0,
+            threads: 1,
+            rows: t.len(),
+            table_json: t.to_json(),
+        };
+        let parsed = sfs_obs::Json::parse(&r.to_json()).expect("record is valid JSON");
+        assert_eq!(
+            parsed.get("configs").and_then(|c| c.as_str()),
+            Some(configs)
+        );
+        let table = parsed.get("table").expect("table embedded");
+        assert_eq!(
+            table.get("title").and_then(|c| c.as_str()),
+            Some("cells × 2")
+        );
+        let columns = table
+            .get("columns")
+            .and_then(|c| c.as_arr())
+            .expect("columns");
+        assert_eq!(columns[0].as_str(), Some("it's"));
+        assert_eq!(columns[1].as_str(), Some("\"q\""));
+    }
+
+    #[test]
     fn event_counter_drains() {
         let _ = take_events();
         let trace = sfs::ClusterSpec::new(3, 1)
             .seed(1)
             .suspect(sfs_asys::ProcessId::new(1), sfs_asys::ProcessId::new(0), 10)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         note_trace(&trace);
         assert_eq!(take_events(), trace.events().len() as u64);
         assert_eq!(take_events(), 0);

@@ -100,40 +100,29 @@ impl Table {
     /// is a no-op stand-in), embedded verbatim in `BENCH_*.json` so the
     /// machine-readable record carries every column, not just row counts.
     pub fn to_json(&self) -> String {
-        // JSON string escaping by hand (`escape_default` emits Rust's
-        // `\u{..}` form, which JSON parsers reject); non-ASCII passes
-        // through untouched — the file is UTF-8.
-        let quote = |s: &str| {
-            let mut out = String::with_capacity(s.len() + 2);
-            out.push('"');
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    '\r' => out.push_str("\\r"),
-                    '\t' => out.push_str("\\t"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out.push('"');
-            out
-        };
         let list = |cells: &[String]| {
-            let quoted: Vec<String> = cells.iter().map(|c| quote(c)).collect();
+            let quoted: Vec<String> = cells.iter().map(|c| json_str(c)).collect();
             format!("[{}]", quoted.join(", "))
         };
         let rows: Vec<String> = self.rows.iter().map(|r| list(r)).collect();
-        let notes: Vec<String> = self.notes.iter().map(|n| quote(n)).collect();
+        let notes: Vec<String> = self.notes.iter().map(|n| json_str(n)).collect();
         format!(
             "{{\"title\": {}, \"columns\": {}, \"rows\": [{}], \"notes\": [{}]}}",
-            quote(&self.title),
+            json_str(&self.title),
             list(&self.headers),
             rows.join(", "),
             notes.join(", "),
         )
     }
+}
+
+/// `s` as a JSON string literal, through the workspace's one JSON writer
+/// (`str::escape_default` emits Rust's `\'` and `\u{..}` forms, which
+/// JSON parsers reject).
+pub(crate) fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    sfs_obs::json::write_str(&mut out, s);
+    out
 }
 
 #[cfg(test)]

@@ -77,7 +77,7 @@ impl From<crate::udp::UdpError> for SpecError {
 /// Declarative description of the network beneath one cluster run: the
 /// faulty-link parameters plus whether the `sfs-transport` ARQ layer is
 /// interposed to earn the §2 channel axioms back. The harness leg next
-/// to [`ClusterSpec::build_with_latency`]; see [`ClusterSpec::net`].
+/// to [`ClusterSpec::try_build_with_latency`]; see [`ClusterSpec::net`].
 #[derive(Debug, Clone)]
 pub struct NetSpec {
     /// I.i.d. per-message loss probability.
@@ -213,18 +213,18 @@ pub struct ClusterSpec {
     /// Scripted erroneous suspicions `(suspector, suspect, at)` — the
     /// paper's "spontaneous" suspicions.
     pub suspicions: Vec<(ProcessId, ProcessId, u64)>,
-    /// Batched delivery fast path on both backends: the simulator's
-    /// same-instant flush grouping and the threaded router's
-    /// per-destination event coalescing. Semantically invisible to the
-    /// happens-before model (see `SimConfig::batch_flush` and
-    /// `RuntimeConfig::batch` in `sfs-asys`); the `sfs-service` layer and
-    /// experiment E11 measure its throughput effect.
+    /// Batched delivery fast path of the threaded legs: the router's
+    /// per-destination event coalescing (`RuntimeConfig::batch` in
+    /// `sfs-asys`). Semantically invisible to the happens-before model —
+    /// the `batch_equiv` suite in `sfs-apps` pins it — and ignored by
+    /// the simulator, which has one loop mode; the `sfs-service` layer
+    /// and experiment E11 measure its throughput effect.
     pub batch: bool,
     /// The faulty network beneath the run, for the `*_net` legs: link
     /// faults (loss/duplication/partitions) plus the `sfs-transport` ARQ
     /// and probe parameters. `None` behaves as [`NetSpec::faultless`].
-    /// Ignored by the bare (`run`/`run_threaded`/...) legs, which assume
-    /// the §2 channel axioms directly.
+    /// Ignored by the bare (`try_run`/`try_run_threaded`/...) legs, which
+    /// assume the §2 channel axioms directly.
     pub net: Option<NetSpec>,
     /// Telemetry sink threaded into whichever engine the spec runs on
     /// (the simulator's dispatch seams or the threaded router's). Strictly
@@ -282,14 +282,14 @@ impl ClusterSpec {
     }
 
     /// Installs the network description for the `*_net` legs (see
-    /// [`ClusterSpec::run_net`] and friends).
+    /// [`ClusterSpec::try_run_net`] and friends).
     pub fn net(mut self, net: NetSpec) -> Self {
         self.net = Some(net);
         self
     }
 
-    /// Enables (or disables) the batched delivery fast path on whichever
-    /// backend the spec is run on.
+    /// Enables (or disables) the threaded router's batched delivery fast
+    /// path; the simulator ignores it.
     pub fn batched(mut self, on: bool) -> Self {
         self.batch = on;
         self
@@ -459,45 +459,19 @@ impl ClusterSpec {
         self.fault_plan_wrapped(SfsMsg::Control)
     }
 
-    /// Runs the cluster with [`NullApp`] on every process and the spec's
-    /// uniform latency model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is infeasible; [`ClusterSpec::try_run`]
-    /// returns the typed [`QuorumError`] instead.
-    pub fn run(self) -> Trace {
-        self.try_run().expect("infeasible cluster configuration")
-    }
-
-    /// Fallible twin of [`ClusterSpec::run`]: infeasible shapes (`n = 0`,
-    /// or `n ≤ t²` under the fixed minimum quorum) come back as typed
-    /// errors instead of panics.
+    /// Runs the cluster on the simulator with [`NullApp`] on every
+    /// process and the spec's uniform latency model.
     ///
     /// # Errors
     ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
+    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]):
+    /// infeasible shapes (`n = 0`, or `n ≤ t²` under the fixed minimum
+    /// quorum) come back as typed errors, never panics.
     pub fn try_run(self) -> Result<Trace, SpecError> {
-        let latency = self.latency_model()?;
-        self.try_run_with_latency(latency, |_| NullApp)
+        self.try_run_apps(|_| NullApp)
     }
 
-    /// Runs the cluster with an application per process.
-    ///
-    /// # Panics
-    ///
-    /// Panics on infeasible configurations; see
-    /// [`ClusterSpec::try_run_apps`].
-    pub fn run_apps<A, F>(self, make_app: F) -> Trace
-    where
-        A: Application,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.try_run_apps(make_app)
-            .expect("infeasible cluster configuration")
-    }
-
-    /// Fallible twin of [`ClusterSpec::run_apps`].
+    /// Runs the cluster on the simulator with an application per process.
     ///
     /// # Errors
     ///
@@ -508,67 +482,17 @@ impl ClusterSpec {
         F: FnMut(ProcessId) -> A,
     {
         let latency = self.latency_model()?;
-        self.try_run_with_latency(latency, make_app)
-    }
-
-    /// Runs the cluster with a custom latency model (e.g. the adversarial
-    /// [`OverrideLatency`](sfs_asys::OverrideLatency) used by the Theorem 6
-    /// experiment).
-    ///
-    /// # Panics
-    ///
-    /// Panics on infeasible configurations; see
-    /// [`ClusterSpec::try_run_with_latency`].
-    pub fn run_with_latency<A, F>(self, latency: impl LinkModel + 'static, make_app: F) -> Trace
-    where
-        A: Application,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.try_run_with_latency(latency, make_app)
-            .expect("infeasible cluster configuration")
-    }
-
-    /// Fallible twin of [`ClusterSpec::run_with_latency`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_run_with_latency<A, F>(
-        self,
-        latency: impl LinkModel + 'static,
-        make_app: F,
-    ) -> Result<Trace, SpecError>
-    where
-        A: Application,
-        F: FnMut(ProcessId) -> A,
-    {
         Ok(self.try_build_with_latency(latency, make_app)?.run())
     }
 
-    /// Builds the cluster's simulator **without running it** — the hook
-    /// for schedule exploration: the `sfs-explore` crate re-executes the
+    /// Builds the cluster's simulator **without running it**, over a
+    /// custom latency model (e.g. the adversarial
+    /// [`OverrideLatency`](sfs_asys::OverrideLatency) used by the Theorem 6
+    /// experiment; `.run()` on the result runs it). Also the hook for
+    /// schedule exploration: the `sfs-explore` crate re-executes the
     /// same cluster under every schedule its search prescribes, so it
     /// needs a fresh, un-run [`Sim`] per execution (the spec is `Clone`;
     /// clone it once per build).
-    ///
-    /// # Panics
-    ///
-    /// Panics on infeasible configurations; see
-    /// [`ClusterSpec::try_build_with_latency`].
-    pub fn build_with_latency<A, F>(
-        self,
-        latency: impl LinkModel + 'static,
-        make_app: F,
-    ) -> Sim<SfsMsg<A::Msg>>
-    where
-        A: Application,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.try_build_with_latency(latency, make_app)
-            .expect("infeasible cluster configuration")
-    }
-
-    /// Fallible twin of [`ClusterSpec::build_with_latency`].
     ///
     /// # Errors
     ///
@@ -587,7 +511,6 @@ impl ClusterSpec {
             .seed(self.seed)
             .max_time(self.max_time)
             .max_events(self.max_events)
-            .batch_deliveries(self.batch)
             .link(latency)
             // Obituaries and heartbeats are the detector's own mechanism,
             // beneath the paper's formal model; only App messages are
@@ -611,45 +534,44 @@ impl ClusterSpec {
         }))
     }
 
-    /// Spawns the cluster on the **threaded runtime** — identical protocol
-    /// code on real OS threads, on the event-driven virtual clock. The
-    /// spec's scripted crashes and suspicions are seeded onto the
+    /// Runs the cluster on the **threaded runtime** — identical protocol
+    /// code on real OS threads, on the event-driven virtual clock — and
+    /// reports whether the system **quiesced** before shutdown, via the
+    /// runtime's drain handshake ([`Runtime::drain`]): every forwarded
+    /// event fully dispatched, no pending deliveries, timers, or
+    /// scheduled injections. A `true` means the trace is maximal — no
+    /// recorded receive is missing its handler's effects — and matches a
+    /// [`Quiescent`](sfs_asys::StopReason::Quiescent) stop reason on the
+    /// trace, exactly as on the simulator. Heartbeat and oracle
+    /// configurations re-arm timers forever and thus never quiesce: they
+    /// run to the spec's `max_time` horizon (or `max_events` budget) at
+    /// compute speed and the drain reports `false`. The `settle`
+    /// duration is only a wall-clock upper bound on waiting for either
+    /// outcome, not a pacing parameter.
+    ///
+    /// The spec's scripted crashes and suspicions are seeded onto the
     /// router's timer wheel at spawn, so they fire at their exact
-    /// virtual ticks (before any message due at the same instant);
-    /// the caller may inject *additional* stimuli and must shut the
-    /// runtime down. Most callers want [`ClusterSpec::run_threaded`].
+    /// virtual ticks (before any message due at the same instant). The
+    /// runtime gets the same infrastructure classifier as the simulator
+    /// build (so histories project identically), a [`CrashRegistry`] the
+    /// router marks (which makes [`ModeSpec::Oracle`] work on threads
+    /// too), and the spec's `max_time`/`max_events` bounds — the same
+    /// horizon the simulator honours, meaningful on threads because the
+    /// router's clock is logical, not wall-clock.
     ///
-    /// The runtime gets the same infrastructure classifier as the
-    /// simulator build (so histories project identically), a
-    /// [`CrashRegistry`] the router marks (which makes
-    /// [`ModeSpec::Oracle`] work on threads too), and the spec's
-    /// `max_time`/`max_events` bounds — the same horizon the simulator
-    /// honours, now meaningful on threads because the router's clock is
-    /// logical, not wall-clock.
-    ///
-    /// # Panics
-    ///
-    /// Panics on infeasible configurations, as the simulator builds do;
-    /// see [`ClusterSpec::try_spawn_runtime`].
-    pub fn spawn_runtime<A, F>(&self, make_app: F) -> Runtime<SfsMsg<A::Msg>>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.try_spawn_runtime(make_app)
-            .expect("infeasible cluster configuration")
-    }
-
-    /// Fallible twin of [`ClusterSpec::spawn_runtime`].
+    /// This is the third execution backend next to
+    /// [`ClusterSpec::try_run`] (deterministic simulation) and the
+    /// explorer's scheduled re-execution; the conformance harness in
+    /// `sfs-apps` cross-checks all three.
     ///
     /// # Errors
     ///
     /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_spawn_runtime<A, F>(
+    pub fn try_run_threaded<A, F>(
         &self,
         mut make_app: F,
-    ) -> Result<Runtime<SfsMsg<A::Msg>>, SpecError>
+        settle: Duration,
+    ) -> Result<(Trace, bool), SpecError>
     where
         A: Application + Send + 'static,
         A::Msg: Send,
@@ -659,7 +581,6 @@ impl ClusterSpec {
         let registry = CrashRegistry::new(self.n);
         let config = RuntimeConfig {
             seed: self.seed,
-            delay: None,
             link: None,
             record_payloads: false,
             classify: Some(Box::new(|m: &SfsMsg<A::Msg>| !m.is_app())),
@@ -673,97 +594,12 @@ impl ClusterSpec {
             max_events: self.max_events,
         };
         let spec = self.clone();
-        Ok(Runtime::spawn(self.n, config, move |pid| {
+        let rt = Runtime::spawn(self.n, config, move |pid| {
             let config = spec.sfs_config(&registry);
             let process = SfsProcess::new(config, make_app(pid))
                 .expect("validate() already admitted this shape");
             Box::new(process)
-        }))
-    }
-
-    /// Runs the cluster on the threaded runtime: spawns it with the
-    /// scripted crashes and suspicions on the router's timer wheel (they
-    /// fire at their exact virtual ticks), waits up to `settle` wall
-    /// clock for quiescence, and returns the recorded trace. See
-    /// [`ClusterSpec::run_threaded_quiesced`] for the quiescence verdict
-    /// itself.
-    ///
-    /// # Panics
-    ///
-    /// Panics on infeasible configurations; see
-    /// [`ClusterSpec::try_run_threaded`].
-    pub fn run_threaded<A, F>(&self, make_app: F, settle: Duration) -> Trace
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.run_threaded_quiesced(make_app, settle).0
-    }
-
-    /// Fallible twin of [`ClusterSpec::run_threaded`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_run_threaded<A, F>(&self, make_app: F, settle: Duration) -> Result<Trace, SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        Ok(self.try_run_threaded_quiesced(make_app, settle)?.0)
-    }
-
-    /// [`ClusterSpec::run_threaded`], also reporting whether the system
-    /// **quiesced** before shutdown, via the runtime's drain handshake
-    /// ([`Runtime::drain`]): every forwarded event fully dispatched, no
-    /// pending deliveries, timers, or scheduled injections. A `true`
-    /// means the trace is maximal — no recorded receive is missing its
-    /// handler's effects — and matches a
-    /// [`Quiescent`](sfs_asys::StopReason::Quiescent) stop reason on the
-    /// trace, exactly as on the simulator. Heartbeat and oracle
-    /// configurations re-arm timers forever and thus never quiesce: they
-    /// run to the spec's `max_time` horizon (or `max_events` budget) at
-    /// compute speed and the drain reports `false`. The `settle`
-    /// duration is only a wall-clock upper bound on waiting for either
-    /// outcome, not a pacing parameter.
-    ///
-    /// This is the third execution backend next to [`ClusterSpec::run`]
-    /// (deterministic simulation) and the explorer's scheduled
-    /// re-execution; the conformance harness in `sfs-apps` cross-checks
-    /// all three.
-    ///
-    /// # Panics
-    ///
-    /// Panics on infeasible configurations; see
-    /// [`ClusterSpec::try_run_threaded_quiesced`].
-    pub fn run_threaded_quiesced<A, F>(&self, make_app: F, settle: Duration) -> (Trace, bool)
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.try_run_threaded_quiesced(make_app, settle)
-            .expect("infeasible cluster configuration")
-    }
-
-    /// Fallible twin of [`ClusterSpec::run_threaded_quiesced`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_run_threaded_quiesced<A, F>(
-        &self,
-        make_app: F,
-        settle: Duration,
-    ) -> Result<(Trace, bool), SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        let rt = self.try_spawn_runtime(make_app)?;
+        });
         let quiesced = rt.drain(settle);
         Ok((rt.shutdown(), quiesced))
     }
@@ -806,32 +642,19 @@ impl ClusterSpec {
     /// Builds the **transport-backed** simulator for this spec — the §5
     /// protocol wrapped in the `sfs-transport` ARQ layer, over the
     /// faulty link the spec's [`NetSpec`] describes — without running
-    /// it. The net-leg mirror of [`ClusterSpec::build_with_latency`]:
+    /// it. The net-leg mirror of [`ClusterSpec::try_build_with_latency`]:
     /// schedule exploration and conformance re-execute from here.
     ///
     /// All wire frames are classified as infrastructure; the model-level
     /// history comes from the wrapper's logical send/receive events, so
     /// the usual projections and property checkers apply unchanged.
     ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_build_net<A, F>(
-        &self,
-        make_app: F,
-    ) -> Result<Sim<TransportMsg<SfsMsg<A::Msg>>>, SpecError>
-    where
-        A: Application,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.try_build_net_with(|b| b, make_app)
-    }
-
-    /// [`ClusterSpec::try_build_net`] with a builder-tuning hook: `tune`
-    /// receives the fully configured [`SimBuilder`](sfs_asys::SimBuilder)
-    /// right before processes are constructed, for instrumentation the
-    /// spec itself does not model — e.g. the wire-byte measure behind
-    /// [`ClusterSpec::try_run_net_measured`](crate::udp).
+    /// `tune` receives the fully configured
+    /// [`SimBuilder`](sfs_asys::SimBuilder) right before processes are
+    /// constructed, for instrumentation the spec itself does not model —
+    /// e.g. the wire-byte measure behind
+    /// [`ClusterSpec::try_run_net_measured`](crate::udp); pass `|b| b`
+    /// for none.
     ///
     /// # Errors
     ///
@@ -855,7 +678,6 @@ impl ClusterSpec {
             .seed(self.seed)
             .max_time(self.max_time)
             .max_events(self.max_events)
-            .batch_deliveries(self.batch)
             .link(link)
             // Every wire frame is transport infrastructure; the model
             // alphabet is reconstructed from the wrapper's logical events.
@@ -874,18 +696,8 @@ impl ClusterSpec {
         Ok(builder.build(|pid| Box::new(self.wrap_process(&net, &registry, make_app(pid)))))
     }
 
-    /// Runs the transport-backed cluster on the simulator; panicking twin
-    /// of [`ClusterSpec::try_run_net`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on infeasible configurations.
-    pub fn run_net(self) -> Trace {
-        self.try_run_net(|_| NullApp)
-            .expect("infeasible cluster configuration")
-    }
-
-    /// Runs the transport-backed cluster with an application per process.
+    /// Runs the transport-backed cluster on the simulator with an
+    /// application per process.
     ///
     /// # Errors
     ///
@@ -895,82 +707,16 @@ impl ClusterSpec {
         A: Application,
         F: FnMut(ProcessId) -> A,
     {
-        Ok(self.try_build_net(make_app)?.run())
+        Ok(self.try_build_net_with(|b| b, make_app)?.run())
     }
 
-    /// Spawns the transport-backed cluster on the **threaded runtime**:
+    /// Runs the transport-backed cluster on the **threaded runtime** —
     /// the same ARQ-wrapped processes on real OS threads, with the
     /// spec's [`NetSpec`] driving the router's link seam on the virtual
-    /// clock (link-verdict delays are wheel deadlines). The spec's
-    /// fault plan is seeded onto the wheel at spawn; the caller may
-    /// inject additional stimuli and must shut down. Most callers want
-    /// [`ClusterSpec::try_run_threaded_net`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_spawn_net_runtime<A, F>(
-        &self,
-        make_app: F,
-    ) -> Result<Runtime<TransportMsg<SfsMsg<A::Msg>>>, SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.try_spawn_net_runtime_measured(None, make_app)
-    }
-
-    /// [`ClusterSpec::try_spawn_net_runtime`] with an optional wire-byte
-    /// measure, the threaded mirror of the simulator's
-    /// `SimBuilder::measure` tuning in
-    /// [`ClusterSpec::try_run_net_measured`](crate::udp): every sent
-    /// frame is charged `measure(frame)` bytes to
-    /// [`SimStats::wire_bytes`](sfs_asys::SimStats), making the threaded
-    /// leg's byte accounting directly comparable to the simulator's and
-    /// the UDP backend's.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_spawn_net_runtime_measured<A, F>(
-        &self,
-        measure: Option<sfs_asys::net::Measure<TransportMsg<SfsMsg<A::Msg>>>>,
-        mut make_app: F,
-    ) -> Result<Runtime<TransportMsg<SfsMsg<A::Msg>>>, SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.validate()?;
-        let net = self.net.clone().unwrap_or_default();
-        let registry = CrashRegistry::new(self.n);
-        let config = RuntimeConfig {
-            seed: self.seed,
-            delay: None,
-            link: Some(Box::new(self.link_model()?)),
-            record_payloads: false,
-            classify: Some(Box::new(|_: &TransportMsg<SfsMsg<A::Msg>>| true)),
-            measure,
-            obs: self.obs.clone(),
-            sink: self.sink.clone(),
-            registry: Some(registry.clone()),
-            batch: self.batch,
-            faults: self.fault_plan_net::<A::Msg>(),
-            max_time: self.max_time,
-            max_events: self.max_events,
-        };
-        let spec = self.clone();
-        Ok(Runtime::spawn(self.n, config, move |pid| {
-            Box::new(spec.wrap_process(&net, &registry, make_app(pid)))
-        }))
-    }
-
-    /// Runs the transport-backed cluster on the threaded runtime, with
-    /// the scripted crashes and suspicions firing at their exact virtual
-    /// ticks, and reports whether the run quiesced — the net-leg mirror
-    /// of [`ClusterSpec::run_threaded_quiesced`].
+    /// clock (link-verdict delays are wheel deadlines) and the scripted
+    /// crashes and suspicions firing at their exact virtual ticks — and
+    /// reports whether the run quiesced: the net-leg mirror of
+    /// [`ClusterSpec::try_run_threaded`].
     ///
     /// # Errors
     ///
@@ -985,7 +731,46 @@ impl ClusterSpec {
         A::Msg: Send,
         F: FnMut(ProcessId) -> A,
     {
-        let rt = self.try_spawn_net_runtime(make_app)?;
+        self.run_threaded_net_with(None, make_app, settle)
+    }
+
+    /// [`ClusterSpec::try_run_threaded_net`] with an optional wire-byte
+    /// measure on the router's send seam, the threaded mirror of the
+    /// simulator's `SimBuilder::measure` tuning: every sent frame is
+    /// charged `measure(frame)` bytes to
+    /// [`SimStats::wire_bytes`](sfs_asys::SimStats).
+    pub(crate) fn run_threaded_net_with<A, F>(
+        &self,
+        measure: Option<sfs_asys::net::Measure<TransportMsg<SfsMsg<A::Msg>>>>,
+        mut make_app: F,
+        settle: Duration,
+    ) -> Result<(Trace, bool), SpecError>
+    where
+        A: Application + Send + 'static,
+        A::Msg: Send,
+        F: FnMut(ProcessId) -> A,
+    {
+        self.validate()?;
+        let net = self.net.clone().unwrap_or_default();
+        let registry = CrashRegistry::new(self.n);
+        let config = RuntimeConfig {
+            seed: self.seed,
+            link: Some(Box::new(self.link_model()?)),
+            record_payloads: false,
+            classify: Some(Box::new(|_: &TransportMsg<SfsMsg<A::Msg>>| true)),
+            measure,
+            obs: self.obs.clone(),
+            sink: self.sink.clone(),
+            registry: Some(registry.clone()),
+            batch: self.batch,
+            faults: self.fault_plan_net::<A::Msg>(),
+            max_time: self.max_time,
+            max_events: self.max_events,
+        };
+        let spec = self.clone();
+        let rt = Runtime::spawn(self.n, config, move |pid| {
+            Box::new(spec.wrap_process(&net, &registry, make_app(pid)))
+        });
         let quiesced = rt.drain(settle);
         Ok((rt.shutdown(), quiesced))
     }
@@ -1006,7 +791,11 @@ mod tests {
     fn injected_suspicion_detects_and_kills_the_victim() {
         // p1 erroneously suspects p0; the protocol must (a) eventually make
         // every live process detect p0, and (b) crash p0 (sFS2a).
-        let trace = ClusterSpec::new(5, 2).seed(3).suspect(p(1), p(0), 10).run();
+        let trace = ClusterSpec::new(5, 2)
+            .seed(3)
+            .suspect(p(1), p(0), 10)
+            .try_run()
+            .expect("feasible spec");
         assert_eq!(trace.stop_reason(), StopReason::Quiescent);
         assert_eq!(trace.crashed(), vec![p(0)]);
         let h = History::from_trace(&trace);
@@ -1027,7 +816,8 @@ mod tests {
             .crash(p(2), 50)
             .max_time(2_000)
             .seed(7)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         let h = History::from_trace(&trace);
         assert_eq!(
             properties::check_fs2(&h).verdict,
@@ -1053,7 +843,8 @@ mod tests {
             .crash(p(1), 40)
             .max_time(1_000)
             .seed(5)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         let h = History::from_trace(&trace);
         assert_eq!(properties::check_fs2(&h).verdict, Verdict::Holds);
         assert_eq!(properties::check_fs1(&h, false).verdict, Verdict::Holds);
@@ -1066,7 +857,8 @@ mod tests {
         let trace = ClusterSpec::new(3, 1)
             .mode(ModeSpec::Unilateral)
             .suspect(p(1), p(0), 10)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         assert_eq!(trace.crashed(), vec![]);
         let h = History::from_trace(&trace);
         assert_eq!(properties::check_sfs2a(&h, true).verdict, Verdict::Violated);
@@ -1077,7 +869,8 @@ mod tests {
         let trace = ClusterSpec::new(5, 2)
             .mode(ModeSpec::CheapBroadcast)
             .suspect(p(1), p(0), 10)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         assert_eq!(trace.crashed(), vec![p(0)]);
         let h = History::from_trace(&trace);
         assert_eq!(properties::check_sfs2a(&h, true).verdict, Verdict::Holds);
@@ -1091,7 +884,9 @@ mod tests {
         // suspicion must detect-and-kill p0 exactly as in the simulator.
         let trace = ClusterSpec::new(4, 1)
             .suspect(p(1), p(0), 10)
-            .run_threaded(|_| NullApp, Duration::from_millis(300));
+            .try_run_threaded(|_| NullApp, Duration::from_millis(300))
+            .expect("feasible spec")
+            .0;
         assert_eq!(trace.crashed(), vec![p(0)], "{}", trace.to_pretty_string());
         assert!(trace.channels_drained(), "{}", trace.to_pretty_string());
         let h = History::from_trace(&trace);
@@ -1113,7 +908,8 @@ mod tests {
             .crash(p(2), 40)
             .max_time(200)
             .seed(7)
-            .run_threaded_quiesced(|_| NullApp, Duration::from_secs(10));
+            .try_run_threaded(|_| NullApp, Duration::from_secs(10))
+            .expect("feasible spec");
         let crash = trace
             .events()
             .iter()
@@ -1146,7 +942,9 @@ mod tests {
         let trace = ClusterSpec::new(3, 1)
             .mode(ModeSpec::Oracle)
             .crash(p(2), 20)
-            .run_threaded(|_| NullApp, Duration::from_millis(400));
+            .try_run_threaded(|_| NullApp, Duration::from_millis(400))
+            .expect("feasible spec")
+            .0;
         let detectors: std::collections::BTreeSet<_> = trace
             .detections()
             .into_iter()
@@ -1180,9 +978,6 @@ mod tests {
         assert!(ClusterSpec::new(9, 3).try_run_apps(|_| NullApp).is_err());
         assert!(ClusterSpec::new(9, 3)
             .try_build_with_latency(UniformLatency::new(1, 10), |_| NullApp)
-            .is_err());
-        assert!(ClusterSpec::new(9, 3)
-            .try_spawn_runtime(|_| NullApp)
             .is_err());
         assert!(ClusterSpec::new(9, 3)
             .try_run_threaded(|_| NullApp, Duration::from_millis(10))
@@ -1248,30 +1043,20 @@ mod tests {
 
     #[test]
     fn batched_spec_produces_equivalent_runs_on_sim() {
-        // The batch switch must not change what any process observes:
-        // detection outcome, crash set, and per-process event order are
-        // identical; only cross-process interleaving within an instant
-        // may differ (pinned in full by the HB fingerprint test in
-        // sfs-apps).
+        // Batching is the threaded router's fast path; the simulator has
+        // one loop mode, so the switch must change nothing there — not
+        // even the engine-mechanics counter.
         let spec = |batch: bool| {
             ClusterSpec::new(6, 2)
                 .seed(9)
                 .batched(batch)
                 .suspect(p(1), p(0), 10)
         };
-        let plain = spec(false).run();
-        let batched = spec(true).run();
-        let sorted = |mut v: Vec<_>| {
-            v.sort();
-            v
-        };
-        assert_eq!(plain.crashed(), batched.crashed());
-        assert_eq!(sorted(plain.detections()), sorted(batched.detections()));
-        assert_eq!(plain.stop_reason(), batched.stop_reason());
-        assert_eq!(
-            plain.stats().messages_delivered,
-            batched.stats().messages_delivered
-        );
+        let plain = spec(false).try_run().expect("feasible spec");
+        let batched = spec(true).try_run().expect("feasible spec");
+        assert_eq!(plain.events(), batched.events());
+        assert_eq!(plain.stats(), batched.stats());
+        assert_eq!(batched.stats().delivery_batches, 0);
     }
 
     #[test]
@@ -1279,8 +1064,11 @@ mod tests {
         // The transport-wrapped run of a faultless net must reproduce the
         // bare run's observable outcome: same victim, full sFS suite.
         let spec = ClusterSpec::new(5, 2).seed(3).suspect(p(1), p(0), 10);
-        let bare = spec.clone().run();
-        let net = spec.net(NetSpec::faultless()).run_net();
+        let bare = spec.clone().try_run().expect("feasible spec");
+        let net = spec
+            .net(NetSpec::faultless())
+            .try_run_net(|_| NullApp)
+            .expect("feasible spec");
         assert_eq!(net.stop_reason(), StopReason::Quiescent);
         assert_eq!(net.crashed(), bare.crashed());
         let h = History::from_trace(&net);
@@ -1302,7 +1090,8 @@ mod tests {
                 .seed(seed)
                 .suspect(p(1), p(0), 10)
                 .net(NetSpec::faultless().loss(0.25))
-                .run_net();
+                .try_run_net(|_| NullApp)
+                .expect("feasible spec");
             assert_eq!(trace.crashed(), vec![p(0)], "seed {seed}");
             assert!(trace.stats().messages_dropped > 0, "seed {seed}: not lossy");
             let h = History::from_trace(&trace);
@@ -1336,7 +1125,8 @@ mod tests {
                         &outbound,
                     )),
             )
-            .run_net();
+            .try_run_net(|_| NullApp)
+            .expect("feasible spec");
         assert_eq!(trace.crashed(), vec![p(0)], "{}", trace.to_pretty_string());
         let detectors: std::collections::BTreeSet<_> = trace
             .detections()
@@ -1378,7 +1168,8 @@ mod tests {
                 .seed(seed)
                 .suspect(p(0), p(1), 10)
                 .suspect(p(1), p(0), 10)
-                .run();
+                .try_run()
+                .expect("feasible spec");
             let h = History::from_trace(&trace);
             let r = properties::check_sfs2b(&h);
             assert!(r.is_ok(), "seed {seed}: {r}\n{}", trace.to_pretty_string());

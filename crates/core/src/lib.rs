@@ -50,7 +50,8 @@
 //! // 5 processes tolerating 2 failures; p1 spuriously suspects p0.
 //! let trace = ClusterSpec::new(5, 2)
 //!     .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-//!     .run();
+//!     .try_run()
+//!     .expect("5 > 2²: a feasible shape");
 //! // The victim crashed (sFS2a) and every sFS property holds:
 //! assert_eq!(trace.crashed(), vec![ProcessId::new(0)]);
 //! let history = History::from_trace(&trace);

@@ -456,7 +456,7 @@ impl ClusterSpec {
     /// up to `settle` wall clock for the outstanding-count quiescence
     /// handshake to confirm, then returns the Lamport-merged [`Trace`]
     /// and the quiescence verdict — the same contract as
-    /// [`ClusterSpec::try_run_threaded_quiesced`].
+    /// [`ClusterSpec::try_run_threaded`].
     ///
     /// Trace timestamps are Lamport ticks, not the spec's virtual-time
     /// ticks: causal order is exact, durations are not comparable to the
@@ -601,14 +601,13 @@ impl ClusterSpec {
         &self,
         settle: std::time::Duration,
     ) -> Result<(Trace, bool), SpecError> {
-        let rt = self.try_spawn_net_runtime_measured(
+        self.run_threaded_net_with(
             Some(Box::new(|m: &TransportMsg<SfsMsg<()>>| {
                 sfs_wire::wire_cost(m)
             })),
             |_| NullApp,
-        )?;
-        let quiesced = rt.drain(settle);
-        Ok((rt.shutdown(), quiesced))
+            settle,
+        )
     }
 }
 

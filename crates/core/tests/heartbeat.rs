@@ -24,7 +24,8 @@ fn real_crash_detected_within_timeout_plus_round() {
             .seed(seed)
             .crash(p(3), 100)
             .max_time(2_000)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         let detect_times: Vec<u64> = trace
             .events()
             .iter()
@@ -65,7 +66,9 @@ fn latency_spike_causes_organic_false_detection_and_sfs_absorbs_it() {
         .heartbeat(hb)
         .seed(4)
         .max_time(3_000)
-        .run_with_latency(spike, |_| sfs::NullApp);
+        .try_build_with_latency(spike, |_| sfs::NullApp)
+        .expect("feasible spec")
+        .run();
     // p0 was falsely suspected and therefore killed (sFS2a): the wrong
     // timeout became a true crash.
     assert!(
@@ -101,7 +104,9 @@ fn oracle_detector_never_produces_false_detections_under_the_same_spike() {
         .heartbeat(hb)
         .seed(4)
         .max_time(3_000)
-        .run_with_latency(spike, |_| sfs::NullApp);
+        .try_build_with_latency(spike, |_| sfs::NullApp)
+        .expect("feasible spec")
+        .run();
     assert!(
         trace.crashed().is_empty(),
         "oracle must not kill a slow process"
@@ -122,7 +127,8 @@ fn heartbeat_systems_with_no_failures_stay_silent() {
             .seed(seed)
             .latency(1, 8) // comfortably under the timeout
             .max_time(2_000)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         assert!(
             trace.detections().is_empty(),
             "seed {seed}: spurious detection"
@@ -145,7 +151,8 @@ fn two_staggered_crashes_are_both_detected_by_all_survivors() {
             .crash(p(1), 100)
             .crash(p(4), 400)
             .max_time(3_000)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         let h = History::from_trace(&trace);
         // The run is truncated (heartbeats never stop), so FS1 may be
         // vacuous, but with this horizon it should be outright satisfied.

@@ -66,7 +66,7 @@ fn run_workload(w: &Workload) -> sfs_asys::Trace {
     for &(by, victim, at) in &w.suspicions {
         spec = spec.suspect(ProcessId::new(by), ProcessId::new(victim), at);
     }
-    spec.run()
+    spec.try_run().expect("feasible spec")
 }
 
 proptest! {

@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod benchdiff;
 pub mod chrome;
 pub mod flight;
 pub mod hist;

@@ -418,7 +418,8 @@ mod tests {
     fn closed_loop_completes_all_ops() {
         let trace = ClusterSpec::new(5, 2)
             .seed(4)
-            .run_apps(|_| LoadGenApp::new(LoadProfile::closed(20, 4)));
+            .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(20, 4)))
+            .expect("feasible spec");
         let out = analyze_load(&trace);
         assert_eq!(out.completed, 20, "{}", trace.to_pretty_string());
         assert!(out.complete);
@@ -430,7 +431,8 @@ mod tests {
     fn open_loop_completes_all_ops_at_rate() {
         let trace = ClusterSpec::new(5, 2)
             .seed(8)
-            .run_apps(|_| LoadGenApp::new(LoadProfile::open(24, 5, 3)));
+            .try_run_apps(|_| LoadGenApp::new(LoadProfile::open(24, 5, 3)))
+            .expect("feasible spec");
         let out = analyze_load(&trace);
         assert_eq!(out.completed, 24, "{}", trace.to_pretty_string());
         assert!(out.complete);
@@ -446,7 +448,8 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(0), p(3), 30)
-                .run_apps(|_| LoadGenApp::new(LoadProfile::closed(16, 4)));
+                .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(16, 4)))
+                .expect("feasible spec");
             let out = analyze_load(&trace);
             assert_eq!(
                 out.completed,
@@ -464,7 +467,8 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(2), p(0), 25)
-                .run_apps(|_| LoadGenApp::new(LoadProfile::closed(16, 4)));
+                .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(16, 4)))
+                .expect("feasible spec");
             let out = analyze_load(&trace);
             assert_eq!(
                 out.completed,
@@ -481,7 +485,8 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(1), p(0), 20)
-                .run_apps(|_| LoadGenApp::new(LoadProfile::open(12, 4, 2)));
+                .try_run_apps(|_| LoadGenApp::new(LoadProfile::open(12, 4, 2)))
+                .expect("feasible spec");
             let out = analyze_load(&trace);
             assert_eq!(
                 out.completed,
@@ -494,7 +499,9 @@ mod tests {
 
     #[test]
     fn zero_ops_is_immediately_quiescent() {
-        let trace = ClusterSpec::new(3, 1).run_apps(|_| LoadGenApp::new(LoadProfile::closed(0, 4)));
+        let trace = ClusterSpec::new(3, 1)
+            .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(0, 4)))
+            .expect("feasible spec");
         let out = analyze_load(&trace);
         assert_eq!(out.issued, 0);
         assert_eq!(out.completed, 0);

@@ -75,7 +75,8 @@ pub struct ServiceSpec {
     pub seed: u64,
     /// Execution backend for the shard groups.
     pub backend: Backend,
-    /// Batched delivery fast path on/off (both backends).
+    /// The threaded router's batched delivery fast path on/off; the
+    /// simulator ignores it.
     pub batch: bool,
     /// Ops per epoch, routed over the whole key space.
     pub load: LoadProfile,
@@ -112,12 +113,6 @@ pub struct ServiceSpec {
     pub watermarks: bool,
     /// Virtual-time horizon per shard run.
     pub max_time: u64,
-    /// Threaded-backend drain budget per shard run, in wall-clock
-    /// milliseconds. Purely an upper bound on *waiting*: the event-driven
-    /// runtime answers the drain as soon as the shard quiesces or stalls
-    /// at its horizon/event budget, so a generous value costs nothing on
-    /// healthy runs and only caps truly wedged ones.
-    pub settle_ms: u64,
     /// The network beneath every shard group, for faulty-net
     /// deployments: when set, each shard runs transport-backed
     /// (`sfs-transport` ARQ over the described faulty link) instead of
@@ -147,7 +142,6 @@ impl ServiceSpec {
             certify_online: false,
             watermarks: false,
             max_time: 5_000,
-            settle_ms: 5_000,
             net: None,
         }
     }
@@ -729,6 +723,12 @@ fn run_epoch(
     })
 }
 
+/// Threaded-backend drain budget per shard run. Purely an upper bound on
+/// *waiting*: the event-driven runtime answers the drain as soon as the
+/// shard quiesces or stalls at its horizon/event budget, so a generous
+/// value costs nothing on healthy runs and only caps truly wedged ones.
+const SETTLE: Duration = Duration::from_secs(5);
+
 /// Runs one shard group for one epoch on the spec's backend. `dead`
 /// members from earlier epochs are gone for good: the group runs as its
 /// `n - dead` survivors with the remaining budget `t - dead` (always
@@ -821,8 +821,9 @@ fn run_shard(
     let trace = match (&net, spec.backend) {
         (None, Backend::Sim) => cluster.try_run_apps(|_| LoadGenApp::new(profile))?,
         (None, Backend::Threaded) => {
-            let settle = Duration::from_millis(spec.settle_ms);
-            cluster.try_run_threaded(|_| LoadGenApp::new(profile), settle)?
+            cluster
+                .try_run_threaded(|_| LoadGenApp::new(profile), SETTLE)?
+                .0
         }
         // Faulty-net deployment: the shard group runs transport-backed,
         // its channels emulated by the ARQ layer over the described
@@ -831,10 +832,9 @@ fn run_shard(
             .net(net.clone())
             .try_run_net(|_| LoadGenApp::new(profile))?,
         (Some(net), Backend::Threaded) => {
-            let settle = Duration::from_millis(spec.settle_ms);
             cluster
                 .net(net.clone())
-                .try_run_threaded_net(|_| LoadGenApp::new(profile), settle)?
+                .try_run_threaded_net(|_| LoadGenApp::new(profile), SETTLE)?
                 .0
         }
     };
@@ -1157,9 +1157,9 @@ mod tests {
 
     #[test]
     fn batching_changes_no_outcome_on_sim() {
-        // Heartbeats stay on: their synchronized broadcasts guarantee
-        // same-instant same-destination deliveries, so the batched run
-        // demonstrably coalesces while changing nothing observable.
+        // Batching is the threaded router's fast path: on the simulator
+        // backend the switch is inert, so nothing observable moves and
+        // no batch is ever counted.
         let spec = ServiceSpec::new(20, 2, 10)
             .seed(8)
             .max_time(800)
@@ -1168,8 +1168,7 @@ mod tests {
         let batched = run_service(&spec.batched(true)).unwrap();
         assert_eq!(plain.ops_completed(), batched.ops_completed());
         assert_eq!(plain.messages(), batched.messages());
-        assert!(batched.delivery_batches() > 0);
-        assert_eq!(plain.delivery_batches(), 0);
+        assert_eq!(batched.delivery_batches(), 0);
     }
 
     #[test]

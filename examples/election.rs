@@ -22,7 +22,8 @@ fn run_one(label: &str, mode: ModeSpec, seed: u64) {
         .mode(mode)
         .seed(seed)
         .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-        .run_apps(|_| ElectionApp::new());
+        .try_run_apps(|_| ElectionApp::new())
+        .expect("feasible spec");
     let outcome = analyze_election(&trace);
     println!("== {label} ==");
     println!(
@@ -68,7 +69,8 @@ fn main() {
             &ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-                .run_apps(|_| ElectionApp::new()),
+                .try_run_apps(|_| ElectionApp::new())
+                .expect("feasible spec"),
         );
         sfs_anomalies += sfs.observed_anomalies;
         sfs_two_leader_windows += usize::from(sfs.max_concurrent_leaders >= 2);
@@ -77,7 +79,8 @@ fn main() {
                 .mode(ModeSpec::Unilateral)
                 .seed(seed)
                 .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-                .run_apps(|_| ElectionApp::new()),
+                .try_run_apps(|_| ElectionApp::new())
+                .expect("feasible spec"),
         );
         uni_anomalies += uni.observed_anomalies;
     }

@@ -26,7 +26,7 @@ fn staggered_total_failure(mode: ModeSpec, n: usize, t: usize, seed: u64) -> Tra
     for i in 0..n {
         spec = spec.crash(ProcessId::new(i), 300 + 300 * i as u64);
     }
-    spec.run()
+    spec.try_run().expect("feasible spec")
 }
 
 fn main() {
@@ -53,7 +53,8 @@ fn main() {
         .suspect(ProcessId::new(1), ProcessId::new(0), 10)
         .crash(ProcessId::new(0), 100)
         .crash(ProcessId::new(1), 200)
-        .run();
+        .try_run()
+        .expect("feasible spec");
     println!("  crash order (global truth): {:?}", trace.crashed());
     match recover_last_to_fail(&trace) {
         Recovery::Candidates(c) => println!("  recovery candidates: {c:?}"),
@@ -73,7 +74,8 @@ fn main() {
         .suspect(ProcessId::new(0), ProcessId::new(1), 10)
         .crash(ProcessId::new(0), 100)
         .crash(ProcessId::new(1), 500)
-        .run();
+        .try_run()
+        .expect("feasible spec");
     let truth = true_last_to_fail(&trace).unwrap();
     match recover_last_to_fail(&trace) {
         Recovery::Candidates(c) => {

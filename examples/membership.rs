@@ -14,7 +14,8 @@ fn main() {
         .seed(9)
         .suspect(ProcessId::new(1), ProcessId::new(0), 10)
         .suspect(ProcessId::new(2), ProcessId::new(5), 60)
-        .run_apps(|_| MembershipApp::new());
+        .try_run_apps(|_| MembershipApp::new())
+        .expect("feasible spec");
 
     println!("view installations per process:");
     for (pid, views) in view_log(&trace) {

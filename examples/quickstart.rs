@@ -23,7 +23,8 @@ fn main() {
     let trace = ClusterSpec::new(n, t)
         .seed(29)
         .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-        .run();
+        .try_run()
+        .expect("feasible spec");
 
     println!("--- trace ({} events) ---", trace.events().len());
     for event in trace.events() {

@@ -15,7 +15,8 @@ fn main() {
         .latency(1, 40)
         .suspect(ProcessId::new(2), ProcessId::new(0), 30) // kill the coordinator
         .suspect(ProcessId::new(3), ProcessId::new(1), 50) // then kill a worker
-        .run_apps(|_| WorkPoolApp::new(tasks));
+        .try_run_apps(|_| WorkPoolApp::new(tasks))
+        .expect("feasible spec");
 
     let outcome = analyze_workpool(&trace);
     println!("tasks:            {tasks}");

@@ -28,7 +28,8 @@
 //! let trace = ClusterSpec::new(5, 2)
 //!     .seed(29)
 //!     .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-//!     .run();
+//!     .try_run()
+//!     .expect("5 > 2²: a feasible shape");
 //!
 //! // The run is NOT fail-stop (the detection preceded the crash)...
 //! let run = History::from_trace(&trace);

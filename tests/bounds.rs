@@ -131,7 +131,8 @@ fn wait_for_all_survives_where_fixed_quorum_cannot() {
     let trace = ClusterSpec::new(9, 3)
         .quorum(QuorumPolicy::WaitForAll)
         .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-        .run();
+        .try_run()
+        .expect("feasible spec");
     assert_eq!(trace.crashed(), vec![ProcessId::new(0)]);
     assert_eq!(trace.detections().len(), 8);
 }

@@ -14,7 +14,11 @@ fn two_processes_one_failure() {
     // own suffices, since a cycle needs two failures and t = 1 forbids
     // that).
     assert_eq!(min_quorum(2, 1), 1);
-    let trace = ClusterSpec::new(2, 1).seed(3).suspect(p(1), p(0), 10).run();
+    let trace = ClusterSpec::new(2, 1)
+        .seed(3)
+        .suspect(p(1), p(0), 10)
+        .try_run()
+        .expect("feasible spec");
     assert_eq!(trace.crashed(), vec![p(0)]);
     assert_eq!(trace.detections(), vec![(p(1), p(0))]);
     let h = History::from_trace(&trace);
@@ -29,7 +33,7 @@ fn two_processes_one_failure() {
 fn single_process_system_is_trivially_fine() {
     let config = SfsConfig::new(1, 0);
     assert!(SfsProcess::new(config, NullApp).is_ok());
-    let trace = ClusterSpec::new(1, 0).run();
+    let trace = ClusterSpec::new(1, 0).try_run().expect("feasible spec");
     assert!(trace.detections().is_empty());
     assert!(trace.crashed().is_empty());
     assert_eq!(trace.stop_reason(), StopReason::Quiescent);
@@ -51,7 +55,11 @@ fn n_equals_one_terminates_cleanly_under_every_mode() {
     // (deliberately small) horizon rather than quiescing — that is its
     // clean stop, pinned here explicitly.
     for mode in ALL_MODES {
-        let trace = ClusterSpec::new(1, 0).mode(mode).max_time(500).run();
+        let trace = ClusterSpec::new(1, 0)
+            .mode(mode)
+            .max_time(500)
+            .try_run()
+            .expect("feasible spec");
         assert!(
             trace.detections().is_empty(),
             "{mode:?}: detection in a 1-process system"
@@ -76,7 +84,8 @@ fn t_zero_cluster_handles_an_injected_suspicion_under_every_mode() {
             .mode(mode)
             .max_time(5_000)
             .suspect(p(1), p(0), 10)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         match mode {
             // Quorum degenerates to 1 vote: the suspicion detects and
             // kills p0 exactly as with t = 1.
@@ -132,7 +141,8 @@ fn t_equals_n_runs_cleanly_under_non_quorum_modes() {
             .max_time(5_000)
             .suspect(p(1), p(0), 10)
             .crash(p(2), 50)
-            .run();
+            .try_run()
+            .expect("feasible spec");
         assert!(
             trace.stop_reason() == StopReason::Quiescent
                 || trace.stop_reason() == StopReason::MaxTime,
@@ -156,7 +166,10 @@ fn t_equals_n_runs_cleanly_under_non_quorum_modes() {
 fn self_suspicion_injection_is_ignored() {
     // The environment tells p0 to suspect itself; sFS2c demands nothing
     // come of it.
-    let trace = ClusterSpec::new(3, 1).suspect(p(0), p(0), 10).run();
+    let trace = ClusterSpec::new(3, 1)
+        .suspect(p(0), p(0), 10)
+        .try_run()
+        .expect("feasible spec");
     assert!(trace.detections().is_empty());
     assert!(trace.crashed().is_empty());
     let h = History::from_trace(&trace);
@@ -169,7 +182,8 @@ fn suspicion_of_already_detected_process_is_idempotent() {
         .seed(1)
         .suspect(p(1), p(0), 10)
         .suspect(p(2), p(0), 200) // long after the first round finished
-        .run();
+        .try_run()
+        .expect("feasible spec");
     // Exactly one detection per survivor, one crash.
     assert_eq!(trace.crashed(), vec![p(0)]);
     let mut seen = std::collections::BTreeSet::new();
@@ -188,7 +202,8 @@ fn suspicion_of_a_crashed_process_still_completes() {
         .seed(2)
         .crash(p(0), 10)
         .suspect(p(1), p(0), 50)
-        .run();
+        .try_run()
+        .expect("feasible spec");
     let detectors: std::collections::BTreeSet<_> =
         trace.detections().into_iter().map(|(by, _)| by).collect();
     assert_eq!(detectors.len(), 4, "{}", trace.to_pretty_string());
@@ -206,7 +221,8 @@ fn simultaneous_suspicions_of_the_same_victim_merge() {
         .suspect(p(1), p(0), 10)
         .suspect(p(2), p(0), 10)
         .suspect(p(3), p(0), 10)
-        .run();
+        .try_run()
+        .expect("feasible spec");
     assert_eq!(trace.crashed(), vec![p(0)]);
     let h = History::from_trace(&trace);
     for report in properties::check_sfs_suite(&h, true) {
@@ -224,7 +240,7 @@ fn event_budget_stops_runaway_runs() {
         check_every: 2,
     });
     spec.max_events = 500;
-    let trace = spec.run();
+    let trace = spec.try_run().expect("feasible spec");
     assert_eq!(trace.stop_reason(), StopReason::MaxEvents);
     assert!(trace.events().len() <= 500);
 }
@@ -238,7 +254,8 @@ fn all_but_one_crash_under_wait_for_all() {
         .suspect(p(3), p(0), 10)
         .suspect(p(3), p(1), 120)
         .suspect(p(3), p(2), 240)
-        .run();
+        .try_run()
+        .expect("feasible spec");
     assert_eq!(trace.crashed().len(), 3, "{}", trace.to_pretty_string());
     let survivor_detections: Vec<_> = trace
         .detections()

@@ -16,7 +16,7 @@ fn busy_run(n: usize, t: usize, seed: u64) -> Trace {
     for v in 0..t {
         spec = spec.suspect(p(t + v), p(v), 10 + (seed % 7) * (v as u64 + 1));
     }
-    spec.run()
+    spec.try_run().expect("feasible spec")
 }
 
 #[test]
