@@ -161,8 +161,9 @@ fn obs_is_hb_invisible_through_the_transport() {
 // Same neutrality pins for the `EventSink` seam the online sFS monitors
 // ride: a monitored run must be byte-identical (sim) or
 // HB-fingerprint-identical (threaded, transport) to the bare run, while
-// the monitor demonstrably consumed every event and reached the same
-// verdicts as the post-hoc checker.
+// the monitor demonstrably consumed every event of its declared
+// interest — the model alphabet `History::from_trace` keeps — and reached
+// the same verdicts as the post-hoc checker.
 
 use sfs_obs::{SfsMonitor, SuiteVerdicts};
 use sfs_tlogic::properties;
@@ -191,8 +192,8 @@ fn sfs_monitor_is_byte_invisible_on_sim() {
         );
         assert_eq!(
             monitor.events_seen(),
-            monitored.events().len() as u64,
-            "seed {seed}: the monitor missed events"
+            History::from_trace(&monitored).len() as u64,
+            "seed {seed}: the monitor was not fed exactly the model alphabet"
         );
         let online = monitor.finish(monitored.stop_reason().is_complete());
         assert_eq!(online, posthoc(&monitored), "seed {seed}");
@@ -269,6 +270,69 @@ fn monitor_and_registry_stack_without_interference() {
     }
 }
 
+/// A sink declaring the monitor's interest that only counts its calls.
+#[derive(Default)]
+struct ModelCounter(std::sync::atomic::AtomicU64);
+
+impl sfs_obs::EventSink for ModelCounter {
+    fn on_event(&self, _: &sfs_asys::TraceEvent) {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    }
+
+    fn interest(&self) -> sfs_obs::Interest {
+        sfs_obs::Interest::MODEL
+    }
+}
+
+#[test]
+fn interest_is_the_history_projection() {
+    use sfs_asys::TraceEventKind as K;
+    use std::sync::Arc;
+
+    // A transport-backed work-pool run over a lossy, probed link: timers,
+    // notes, infra frames and model-level traffic all in one trace. A
+    // sink declaring the model alphabet must be called for exactly the
+    // events `History::from_trace` keeps — live, and again on replay
+    // through a handle (the UDP leg's path).
+    for seed in 0..4 {
+        let counter = Arc::new(ModelCounter::default());
+        let handle = sfs_obs::EventSinkHandle::new(counter.clone());
+        let trace = ClusterSpec::new(5, 2)
+            .seed(seed)
+            .suspect(p(2), p(0), 40)
+            .max_time(3_000)
+            .net(
+                NetSpec::faultless()
+                    .loss(0.1)
+                    .probe(sfs::ProbeConfig::default()),
+            )
+            .event_sink(handle.clone())
+            .try_run_net(|_| WorkPoolApp::new(6))
+            .expect("feasible spec");
+        let has = |pred: fn(&K) -> bool| trace.events().iter().any(|e| pred(&e.kind));
+        assert!(has(|k| matches!(k, K::TimerFired { .. })), "seed {seed}");
+        assert!(has(|k| matches!(k, K::Note { .. })), "seed {seed}");
+        assert!(
+            has(|k| matches!(k, K::Send { infra: true, .. })),
+            "seed {seed}"
+        );
+        assert!(
+            has(|k| matches!(k, K::Send { infra: false, .. })),
+            "seed {seed}"
+        );
+        let projected = History::from_trace(&trace).len() as u64;
+        let live = counter.0.load(std::sync::atomic::Ordering::Relaxed);
+        assert_eq!(live, projected, "seed {seed}: live feed");
+        sfs_obs::monitor::replay_fragments(&handle, &sfs_obs::monitor::fragments_of(&trace));
+        let replayed = counter.0.load(std::sync::atomic::Ordering::Relaxed) - live;
+        assert_eq!(replayed, projected, "seed {seed}: fragment replay");
+        // The monitor's own replay entry point applies the same filter.
+        let monitor = SfsMonitor::new(5);
+        monitor.ingest_trace(&trace);
+        assert_eq!(monitor.events_seen(), projected, "seed {seed}: ingest");
+    }
+}
+
 mod prop {
     use super::*;
     use proptest::prelude::*;
@@ -323,7 +387,10 @@ mod prop {
                 sfs_obs::trace_json::trace_to_json(&bare),
                 sfs_obs::trace_json::trace_to_json(&monitored)
             );
-            prop_assert_eq!(monitor.events_seen(), monitored.events().len() as u64);
+            prop_assert_eq!(
+                monitor.events_seen(),
+                History::from_trace(&monitored).len() as u64
+            );
         }
     }
 }

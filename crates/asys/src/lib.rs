@@ -62,6 +62,7 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+mod calendar;
 mod fault;
 mod id;
 mod latency;
@@ -85,7 +86,7 @@ pub use latency::{
 };
 pub use link::{FaultyLink, FnLink, LinkModel, LinkVerdict, PartitionSchedule, StormSchedule};
 pub use note::{Note, NOTE_LEADER, NOTE_QUORUM};
-pub use observe::{EventSink, EventSinkHandle, MsgClass, ObsEvent, ObsHandle, ObsSink};
+pub use observe::{EventSink, EventSinkHandle, Interest, MsgClass, ObsEvent, ObsHandle, ObsSink};
 pub use process::{Action, Context, Process, ReceiveFilter};
 pub use sim::{CrashRegistry, Sim, SimBuilder, SimConfig};
 pub use strategy::{
@@ -93,5 +94,5 @@ pub use strategy::{
     Strategy, TimeOrderedStrategy,
 };
 pub use time::VirtualTime;
-pub use trace::{SimStats, StopReason, Trace, TraceEvent, TraceEventKind};
+pub use trace::{RunSummary, SimStats, StopReason, Trace, TraceEvent, TraceEventKind};
 pub use wheel::{TimerWheel, WheelEntryId};

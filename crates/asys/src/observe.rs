@@ -20,6 +20,7 @@
 //! implementation.
 
 use crate::id::ProcessId;
+use crate::trace::{TraceEvent, TraceEventKind};
 use std::fmt;
 use std::sync::Arc;
 
@@ -153,49 +154,159 @@ impl fmt::Debug for ObsHandle {
     }
 }
 
+/// Which trace events a sink reads: a bitmask over event kind, with
+/// sends and receives split by the engines' infrastructure flag.
+///
+/// A sink declares its interest once ([`EventSink::interest`]); the
+/// handle reads it when it is built and tests it inline before the
+/// virtual call, so an event nobody reads costs one mask test. The
+/// default is [`Interest::ALL`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Interest(u16);
+
+impl Interest {
+    /// Model-level (non-infrastructure) sends.
+    pub const MODEL_SEND: Interest = Interest(1 << 0);
+    /// Infrastructure sends (heartbeats, obituaries, wire frames).
+    pub const INFRA_SEND: Interest = Interest(1 << 1);
+    /// Model-level receives.
+    pub const MODEL_RECV: Interest = Interest(1 << 2);
+    /// Infrastructure receives.
+    pub const INFRA_RECV: Interest = Interest(1 << 3);
+    /// Crashes.
+    pub const CRASH: Interest = Interest(1 << 4);
+    /// Failure detections.
+    pub const FAILED: Interest = Interest(1 << 5);
+    /// Timer firings.
+    pub const TIMER: Interest = Interest(1 << 6);
+    /// Environment injections.
+    pub const EXTERNAL: Interest = Interest(1 << 7);
+    /// Protocol annotations.
+    pub const NOTE: Interest = Interest(1 << 8);
+    /// Nothing.
+    pub const NONE: Interest = Interest(0);
+    /// Every event.
+    pub const ALL: Interest = Interest((1 << 9) - 1);
+    /// The paper's event alphabet (model-level `send`/`recv`, `crash`,
+    /// `failed`): exactly what `History::from_trace` keeps.
+    pub const MODEL: Interest =
+        Interest(Self::MODEL_SEND.0 | Self::MODEL_RECV.0 | Self::CRASH.0 | Self::FAILED.0);
+
+    /// Both interests combined.
+    pub const fn union(self, other: Interest) -> Interest {
+        Interest(self.0 | other.0)
+    }
+
+    /// Whether an event of this kind is of interest.
+    #[inline]
+    pub fn wants(self, kind: &TraceEventKind) -> bool {
+        let bit = match kind {
+            TraceEventKind::Send { infra: false, .. } => Self::MODEL_SEND,
+            TraceEventKind::Send { infra: true, .. } => Self::INFRA_SEND,
+            TraceEventKind::Recv { infra: false, .. } => Self::MODEL_RECV,
+            TraceEventKind::Recv { infra: true, .. } => Self::INFRA_RECV,
+            TraceEventKind::Crash { .. } => Self::CRASH,
+            TraceEventKind::Failed { .. } => Self::FAILED,
+            TraceEventKind::TimerFired { .. } => Self::TIMER,
+            TraceEventKind::External { .. } => Self::EXTERNAL,
+            TraceEventKind::Note { .. } => Self::NOTE,
+        };
+        self.0 & bit.0 != 0
+    }
+}
+
 /// A trace-event sink: the second half of the telemetry seam, carrying
-/// **structural** facts (the [`crate::trace::TraceEvent`]s the engines
-/// append to their traces) instead of numeric samples.
+/// **structural** facts (the [`TraceEvent`]s the engines emit) instead of
+/// numeric samples.
 ///
 /// Where [`ObsSink`] feeds metric registries, an `EventSink` feeds
-/// *property monitors*: the `sfs-obs` streaming sFS monitors consume
-/// exactly the event stream a post-hoc checker would read off the
-/// finished trace, one event at a time, as each engine records it. The
-/// execution-neutrality contract is identical to [`ObsSink`]'s — the
-/// sink is handed an immutable borrow of an already-recorded event,
-/// draws no randomness, and has no channel back into scheduling — so a
-/// monitored run is byte-identical to a bare run on the simulator and
-/// HB-fingerprint-identical on every backend.
+/// *property monitors* and run summaries: the `sfs-obs` streaming sFS
+/// monitors consume exactly the event stream a post-hoc checker would
+/// read off the finished trace, one event at a time, as each engine
+/// emits it. The execution-neutrality contract is identical to
+/// [`ObsSink`]'s — the sink is handed an immutable borrow of an
+/// already-decided event, draws no randomness, reads no clock, and has no
+/// channel back into scheduling — so a monitored run is byte-identical to
+/// a bare run on the simulator and HB-fingerprint-identical on every
+/// backend.
 pub trait EventSink: Send + Sync {
-    /// Absorb one just-recorded trace event.
-    fn on_event(&self, event: &crate::trace::TraceEvent);
+    /// Absorb one just-emitted trace event. Through an
+    /// [`EventSinkHandle`] this is called only for events
+    /// [`EventSink::interest`] admits.
+    fn on_event(&self, event: &TraceEvent);
+
+    /// The events this sink reads. Read **once**, when the sink is
+    /// wrapped in an [`EventSinkHandle`]; everything else is filtered
+    /// out before the call, on every engine and on trace replay alike.
+    /// Declare the narrowest set the sink's `on_event` does not ignore:
+    /// on a heartbeat-driven run nine events in ten are infrastructure
+    /// sends and receives, which no property of the paper's model reads.
+    /// Pinned by `interest_is_the_history_projection` in
+    /// `crates/apps/tests/obs_equiv.rs`.
+    fn interest(&self) -> Interest {
+        Interest::ALL
+    }
 }
 
 /// A cloneable, `Debug`-friendly handle to an [`EventSink`], mirroring
-/// [`ObsHandle`] so specs that derive `Clone`/`Debug` can carry one.
+/// [`ObsHandle`] so specs that derive `Clone`/`Debug` can carry one. The
+/// handle is where the sink's [`Interest`] is applied.
 #[derive(Clone)]
-pub struct EventSinkHandle(Arc<dyn EventSink>);
+pub struct EventSinkHandle {
+    sink: Arc<dyn EventSink>,
+    interest: Interest,
+}
 
 impl EventSinkHandle {
-    /// Wraps a sink.
+    /// Wraps a sink, reading its interest.
     pub fn new(sink: Arc<dyn EventSink>) -> Self {
-        EventSinkHandle(sink)
+        let interest = sink.interest();
+        EventSinkHandle { sink, interest }
+    }
+
+    /// One handle feeding several sinks, each offered only what it
+    /// declared; the handle's own interest is their union.
+    pub fn fanout(handles: Vec<EventSinkHandle>) -> Self {
+        struct Fanout(Vec<EventSinkHandle>);
+        impl EventSink for Fanout {
+            fn on_event(&self, event: &TraceEvent) {
+                for h in &self.0 {
+                    h.on_event(event);
+                }
+            }
+            fn interest(&self) -> Interest {
+                self.0
+                    .iter()
+                    .fold(Interest::NONE, |all, h| all.union(h.interest))
+            }
+        }
+        EventSinkHandle::new(Arc::new(Fanout(handles)))
     }
 
     /// The underlying sink.
     pub fn sink(&self) -> &Arc<dyn EventSink> {
-        &self.0
+        &self.sink
     }
 
-    /// Report one just-recorded trace event.
-    pub fn on_event(&self, event: &crate::trace::TraceEvent) {
-        self.0.on_event(event);
+    /// The interest the sink declared when the handle was built.
+    pub fn interest(&self) -> Interest {
+        self.interest
+    }
+
+    /// Report one just-emitted trace event, if the sink reads its kind.
+    #[inline]
+    pub fn on_event(&self, event: &TraceEvent) {
+        if self.interest.wants(&event.kind) {
+            self.sink.on_event(event);
+        }
     }
 }
 
 impl fmt::Debug for EventSinkHandle {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("EventSinkHandle").finish_non_exhaustive()
+        f.debug_struct("EventSinkHandle")
+            .field("interest", &self.interest)
+            .finish_non_exhaustive()
     }
 }
 
@@ -258,6 +369,58 @@ mod tests {
         });
         assert_eq!(sink.0.lock().unwrap().len(), 1);
         assert!(format!("{handle:?}").contains("ObsHandle"));
+    }
+
+    struct Counting(Interest, Mutex<Vec<usize>>);
+    impl EventSink for Counting {
+        fn on_event(&self, event: &TraceEvent) {
+            self.1.lock().unwrap().push(event.seq);
+        }
+        fn interest(&self) -> Interest {
+            self.0
+        }
+    }
+
+    #[test]
+    fn handles_filter_by_declared_interest_and_fan_out_under_the_union() {
+        let p0 = ProcessId::new(0);
+        let kinds = [
+            TraceEventKind::Send {
+                from: p0,
+                to: p0,
+                msg: crate::id::MsgId::new(p0, 0),
+                infra: true,
+                payload: None,
+            },
+            TraceEventKind::Send {
+                from: p0,
+                to: p0,
+                msg: crate::id::MsgId::new(p0, 1),
+                infra: false,
+                payload: None,
+            },
+            TraceEventKind::Crash { pid: p0 },
+            TraceEventKind::Note {
+                pid: p0,
+                note: crate::note::Note::key_val("k", 1),
+            },
+        ];
+        let model = Arc::new(Counting(Interest::MODEL, Mutex::new(Vec::new())));
+        let notes = Arc::new(Counting(Interest::NOTE, Mutex::new(Vec::new())));
+        let both = EventSinkHandle::fanout(vec![
+            EventSinkHandle::new(model.clone()),
+            EventSinkHandle::new(notes.clone()),
+        ]);
+        assert_eq!(both.interest(), Interest::MODEL.union(Interest::NOTE));
+        for (seq, kind) in kinds.into_iter().enumerate() {
+            both.on_event(&TraceEvent {
+                seq,
+                time: crate::time::VirtualTime::ZERO,
+                kind,
+            });
+        }
+        assert_eq!(*model.1.lock().unwrap(), vec![1, 2]);
+        assert_eq!(*notes.1.lock().unwrap(), vec![3]);
     }
 
     #[test]

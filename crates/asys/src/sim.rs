@@ -17,14 +17,20 @@
 //! Every run is fully determined by `(processes, latency model, fault
 //! plan, seed)` — plus, in scheduled mode, the [`Strategy`]'s choice
 //! sequence — and produces a [`Trace`] consumed by the history and
-//! property-checking crates.
+//! property-checking crates. Every event goes through one `emit` path:
+//! it is numbered, offered to the attached
+//! [`EventSink`](crate::observe::EventSink), and kept only when a trace
+//! recorder is installed — [`Sim::run`] installs one,
+//! [`Sim::run_unrecorded`] runs the same loop without it for callers
+//! that fold the run through the sink and would drop the trace.
 //!
 //! # Scheduling modes
 //!
 //! The engine has two run loops over the same action/delivery machinery:
 //!
 //! * **Time-ordered** ([`Sim::run`] with no strategy installed) — events
-//!   execute in virtual-time order with creation-order tie-breaks; the
+//!   execute in virtual-time order with creation-order tie-breaks, popped
+//!   from a calendar queue keyed on the tick (see `calendar.rs`); the
 //!   asynchrony adversary acts through the latency model's delay draws.
 //!   This is the fast statistical mode used by the E1–E8 sweeps.
 //! * **Scheduled** ([`Sim::run_scheduled`], or [`Sim::run`] after a
@@ -36,6 +42,7 @@
 //!   enumerating and randomizing strategies to search the schedule space
 //!   (experiment E9).
 
+use crate::calendar::Calendar;
 use crate::fault::{FaultPlan, Injection};
 use crate::id::{MsgId, ProcessId, TimerId};
 use crate::latency::LatencyModel;
@@ -45,11 +52,10 @@ use crate::process::{Action, Context, Process, ReceiveFilter};
 use crate::strategy::{EnabledStep, ScheduleLog, StepKind, StepLog, Strategy, TimeOrderedStrategy};
 use crate::time::VirtualTime;
 use crate::timers::CancelledTimers;
-use crate::trace::{SimStats, StopReason, Trace, TraceEvent, TraceEventKind};
+use crate::trace::{RunSummary, SimStats, StopReason, Trace, TraceEvent, TraceEventKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -62,8 +68,8 @@ pub struct SimConfig {
     /// Virtual-time horizon; the run stops with [`StopReason::MaxTime`]
     /// when the next event would occur strictly after this time.
     pub max_time: VirtualTime,
-    /// Event budget; the run stops with [`StopReason::MaxEvents`] when the
-    /// trace reaches this many events.
+    /// Event budget; the run stops with [`StopReason::MaxEvents`] once
+    /// this many events have been emitted.
     pub max_events: usize,
     /// Whether to record `Debug` renderings of message payloads in the
     /// trace (costs memory on long runs).
@@ -163,42 +169,25 @@ struct InFlight<M> {
     infra: bool,
 }
 
-enum Pending<M> {
-    Deliver {
-        from: ProcessId,
-        to: ProcessId,
-    },
-    Timer {
-        pid: ProcessId,
-        id: TimerId,
-    },
-    Inject {
-        pid: ProcessId,
-        injection: Injection<M>,
-    },
+/// What a queue entry does when it comes due. Process ids are stored
+/// narrow and the rare injection payload lives in a side table
+/// ([`Sim::injections`]), so an entry is 16 bytes whatever `M` is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Pending {
+    Deliver { from: u32, to: u32 },
+    Timer { pid: u32, id: TimerId },
+    Inject { pid: u32, slot: u32 },
 }
 
-struct QueueEntry<M> {
+fn pid(narrow: u32) -> ProcessId {
+    ProcessId::new(narrow as usize)
+}
+
+#[derive(Debug, Clone, Copy)]
+struct QueueEntry {
     at: VirtualTime,
     order: u64,
-    pending: Pending<M>,
-}
-
-impl<M> PartialEq for QueueEntry<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.order == other.order
-    }
-}
-impl<M> Eq for QueueEntry<M> {}
-impl<M> PartialOrd for QueueEntry<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for QueueEntry<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.order).cmp(&(other.at, other.order))
-    }
+    pending: Pending,
 }
 
 /// Predicate marking payloads as infrastructure; see [`SimBuilder::classify`].
@@ -212,12 +201,16 @@ pub struct Sim<M> {
     n: usize,
     processes: Vec<Box<dyn Process<M>>>,
     crashed: Vec<bool>,
+    /// Processes that have not crashed.
+    live: usize,
     channels: Vec<VecDeque<InFlight<M>>>,
-    queue: BinaryHeap<Reverse<QueueEntry<M>>>,
+    queue: Calendar<Pending>,
+    /// Payloads of the fault plan's injections, taken when they fire.
+    injections: Vec<Option<Injection<M>>>,
     cancelled: CancelledTimers,
     filters: Vec<Option<ReceiveFilter<M>>>,
     /// Per-channel flag: the head was refused by the receiver's filter and
-    /// the channel therefore has no pending heap entry.
+    /// the channel therefore has no pending queue entry.
     parked: Vec<bool>,
     link: Box<dyn LinkModel>,
     classifier: Option<Classifier<M>>,
@@ -230,18 +223,22 @@ pub struct Sim<M> {
     order: u64,
     next_timer: u64,
     msg_seq: Vec<u64>,
-    events: Vec<TraceEvent>,
+    /// Events emitted so far; the next event's `seq`.
+    emitted: usize,
+    /// The trace recorder: the emitted events, kept only on a recorded
+    /// run ([`Sim::run`], [`Sim::run_scheduled`]).
+    recorder: Option<Vec<TraceEvent>>,
     stats: SimStats,
     failed_flags: Vec<bool>,
     config: SimConfig,
     /// Installed scheduling strategy; `None` selects the time-ordered
-    /// heap loop.
+    /// loop.
     strategy: Option<Box<dyn Strategy>>,
     /// Pending steps in creation order — the scheduled loop's working set
-    /// (the heap is drained into it when a scheduled run starts).
-    pending: Vec<QueueEntry<M>>,
+    /// (the queue is drained into it when a scheduled run starts).
+    pending: Vec<QueueEntry>,
     /// Whether `push_entry` should append to `pending` (scheduled loop
-    /// running) instead of the heap.
+    /// running) instead of the queue.
     scheduled: bool,
 }
 
@@ -250,7 +247,7 @@ impl<M> fmt::Debug for Sim<M> {
         f.debug_struct("Sim")
             .field("n", &self.n)
             .field("now", &self.now)
-            .field("events", &self.events.len())
+            .field("events", &self.emitted)
             .field("pending", &self.queue.len())
             .finish_non_exhaustive()
     }
@@ -380,11 +377,12 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
     }
 
     /// Attaches a trace-event sink (see [`crate::observe::EventSink`]):
-    /// every event appended to the trace is also handed, by reference, to
-    /// the sink — the live feed the streaming sFS monitors run on. The
-    /// sink sees each event *after* it is recorded and has no path back
-    /// into the rng, the clock, or the queue, so a monitored run is
-    /// byte-identical to a bare one.
+    /// every event the run emits that the sink declared an interest in is
+    /// handed to it by reference — the live feed the streaming sFS
+    /// monitors and the service's shard summaries run on. The sink sees
+    /// each event once it is decided and has no path back into the rng,
+    /// the clock, or the queue, so a monitored run is byte-identical to a
+    /// bare one.
     pub fn event_sink(mut self, sink: EventSinkHandle) -> Self {
         self.sink = Some(sink);
         self
@@ -403,18 +401,14 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
     {
         let n = self.n;
         let processes: Vec<_> = ProcessId::all(n).map(&mut make).collect();
-        // Pre-size the run-loop buffers from the configuration: enough for
-        // a few protocol rounds (Θ(n²) messages each) without reallocating,
-        // clamped by the event budget so short-budget runs allocate no more
-        // than they may record, and capped so a generous default budget
-        // does not reserve hundreds of megabytes up front.
-        let event_capacity = self.config.max_events.min((n * n * 8).clamp(256, 1 << 14));
         let mut sim = Sim {
             n,
             processes,
             crashed: vec![false; n],
+            live: n,
             channels: (0..n * n).map(|_| VecDeque::new()).collect(),
-            queue: BinaryHeap::with_capacity((n * 4).max(64)),
+            queue: Calendar::new(),
+            injections: Vec::new(),
             cancelled: CancelledTimers::new(),
             filters: (0..n).map(|_| None).collect(),
             parked: vec![false; n * n],
@@ -429,7 +423,8 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
             order: 0,
             next_timer: 0,
             msg_seq: vec![0; n],
-            events: Vec::with_capacity(event_capacity),
+            emitted: 0,
+            recorder: None,
             stats: SimStats::default(),
             failed_flags: vec![false; n * n],
             config: self.config,
@@ -438,7 +433,10 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
             scheduled: false,
         };
         for (time, pid, injection) in self.plan.into_items() {
-            sim.push_entry(time, Pending::Inject { pid, injection });
+            let slot = sim.injections.len() as u32;
+            sim.injections.push(Some(injection));
+            let pid = pid.index() as u32;
+            sim.push_entry(time, Pending::Inject { pid, slot });
         }
         sim
     }
@@ -449,9 +447,13 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0` (or does not fit 32 bits).
     pub fn builder(n: usize) -> SimBuilder<M> {
         assert!(n > 0, "a system needs at least one process");
+        assert!(
+            u32::try_from(n).is_ok(),
+            "process ids are 32-bit in the queue"
+        );
         SimBuilder {
             n,
             config: SimConfig::default(),
@@ -494,30 +496,39 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         self.config.max_steps = max;
     }
 
-    fn push_entry(&mut self, at: VirtualTime, pending: Pending<M>) {
+    fn push_entry(&mut self, at: VirtualTime, pending: Pending) {
         let order = self.order;
         self.order += 1;
-        let entry = QueueEntry { at, order, pending };
         if self.scheduled {
-            self.pending.push(entry);
+            self.pending.push(QueueEntry { at, order, pending });
         } else {
-            self.queue.push(Reverse(entry));
+            self.queue.push(at, order, pending);
         }
+    }
+
+    fn push_deliver(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
+        let (from, to) = (from.index() as u32, to.index() as u32);
+        self.push_entry(at, Pending::Deliver { from, to });
     }
 
     fn channel_index(&self, from: ProcessId, to: ProcessId) -> usize {
         from.index() * self.n + to.index()
     }
 
-    fn record(&mut self, kind: TraceEventKind) {
-        let seq = self.events.len();
-        self.events.push(TraceEvent {
-            seq,
+    /// The one path every event takes: numbered, offered to the sink,
+    /// and — on a recorded run — kept by the trace recorder.
+    fn emit(&mut self, kind: TraceEventKind) {
+        let event = TraceEvent {
+            seq: self.emitted,
             time: self.now,
             kind,
-        });
+        };
+        self.emitted += 1;
         if let Some(sink) = &self.sink {
-            sink.on_event(&self.events[seq]);
+            sink.on_event(&event);
+        }
+        if let Some(recorder) = &mut self.recorder {
+            recorder.push(event);
         }
     }
 
@@ -574,9 +585,9 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 // queued after CrashSelf in the same callback are void.
                 break;
             }
-            if self.events.len() >= self.config.max_events {
+            if self.emitted >= self.config.max_events {
                 // Event budget exhausted mid-batch: the run is stopping,
-                // and the rest of the batch falls outside the recorded
+                // and the rest of the batch falls outside the emitted
                 // prefix. Discarding it keeps the trace, the stats
                 // counters, the channels, and the crash registry all
                 // describing the same prefix (the run-loop top will break
@@ -587,6 +598,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 Action::Send { to, msg } => self.do_send(pid, to, msg),
                 Action::SetTimer { id, delay } => {
                     let at = self.now + delay.max(1);
+                    let pid = pid.index() as u32;
                     self.push_entry(at, Pending::Timer { pid, id });
                 }
                 Action::CancelTimer { id } => {
@@ -595,14 +607,14 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 Action::CrashSelf => self.do_crash(pid),
                 Action::DeclareFailed { of } => self.do_declare_failed(pid, of),
                 Action::Annotate(note) => {
-                    self.record(TraceEventKind::Note { pid, note });
+                    self.emit(TraceEventKind::Note { pid, note });
                 }
                 Action::SetReceiveFilter(filter) => {
                     self.filters[pid.index()] = filter;
                     self.unpark_channels_to(pid);
                 }
                 Action::ModelSend { to, msg } => {
-                    self.record(TraceEventKind::Send {
+                    self.emit(TraceEventKind::Send {
                         from: pid,
                         to,
                         msg,
@@ -611,7 +623,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                     });
                 }
                 Action::ModelRecv { from, msg } => {
-                    self.record(TraceEventKind::Recv {
+                    self.emit(TraceEventKind::Recv {
                         by: pid,
                         from,
                         msg,
@@ -635,13 +647,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             self.parked[ch] = false;
             if let Some(head) = self.channels[ch].front() {
                 let at = head.deliver_at.max(self.now);
-                self.push_entry(
-                    at,
-                    Pending::Deliver {
-                        from: ProcessId::new(from),
-                        to,
-                    },
-                );
+                self.push_deliver(at, ProcessId::new(from), to);
             }
         }
     }
@@ -652,7 +658,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         let msg = MsgId::new(from, seq);
         let repr = self.payload_repr(&payload);
         let infra = self.classifier.as_ref().is_some_and(|f| f(&payload));
-        self.record(TraceEventKind::Send {
+        self.emit(TraceEventKind::Send {
             from,
             to,
             msg,
@@ -707,7 +713,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             infra,
         });
         if was_empty {
-            self.push_entry(deliver_at, Pending::Deliver { from, to });
+            self.push_deliver(deliver_at, from, to);
         }
     }
 
@@ -716,8 +722,9 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             return;
         }
         self.crashed[pid.index()] = true;
+        self.live -= 1;
         self.registry.mark(pid);
-        self.record(TraceEventKind::Crash { pid });
+        self.emit(TraceEventKind::Crash { pid });
         self.stats.crashes += 1;
         self.obs_count(pid, MsgClass::None, metric::CRASHES, 1);
         // Channels parked behind the crashed process's receive filter
@@ -749,7 +756,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             return;
         }
         self.failed_flags[flag] = true;
-        self.record(TraceEventKind::Failed { by, of });
+        self.emit(TraceEventKind::Failed { by, of });
         self.stats.detections += 1;
         self.obs_count(by, MsgClass::None, metric::DETECTIONS, 1);
     }
@@ -762,68 +769,24 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// Runs the simulation to completion and returns the trace.
     ///
     /// With a [`Strategy`] installed (via [`SimBuilder::strategy`] or
-    /// [`Sim::set_strategy`]) this routes through [`Sim::run_scheduled`]
-    /// and discards the schedule log; without one it runs the default
-    /// time-ordered loop.
+    /// [`Sim::set_strategy`]) the run is scheduled, as under
+    /// [`Sim::run_scheduled`], and the schedule log is discarded; without
+    /// one it runs the default time-ordered loop.
     pub fn run(mut self) -> Trace {
-        if self.strategy.is_some() {
-            return self.run_scheduled().0;
-        }
-        // on_start for every process, in id order, at time zero.
-        for pid in ProcessId::all(self.n) {
-            if !self.crashed[pid.index()] {
-                self.dispatch(pid, |p, ctx| p.on_start(ctx));
-            }
-        }
-        let stop = loop {
-            if self.events.len() >= self.config.max_events {
-                // `apply_actions` stops recording mid-batch at the budget,
-                // so the trace is already an exact prefix here.
-                debug_assert!(self.events.len() <= self.config.max_events);
-                break StopReason::MaxEvents;
-            }
-            if self.crashed.iter().all(|&c| c) {
-                break StopReason::AllCrashed;
-            }
-            let Some(Reverse(entry)) = self.queue.pop() else {
-                break StopReason::Quiescent;
-            };
-            if entry.at > self.config.max_time {
-                break StopReason::MaxTime;
-            }
-            self.now = entry.at;
-            self.step_entry(entry);
-        };
-        Trace::from_parts(self.n, self.events, stop, self.now, self.stats)
+        self.start_recording();
+        let (summary, _) = self.execute();
+        self.into_trace(summary)
     }
 
-    /// Executes one due queue entry — the step body shared by the
-    /// time-ordered and the scheduled loop.
-    fn step_entry(&mut self, entry: QueueEntry<M>) {
-        match entry.pending {
-            Pending::Deliver { from, to } => self.deliver(from, to),
-            Pending::Timer { pid, id } => {
-                if !self.cancelled.take(id) && !self.crashed[pid.index()] {
-                    self.record(TraceEventKind::TimerFired { pid, timer: id });
-                    self.stats.timers_fired += 1;
-                    self.obs_count(pid, MsgClass::None, metric::TIMERS, 1);
-                    self.dispatch(pid, |p, ctx| p.on_timer(ctx, id));
-                }
-            }
-            Pending::Inject { pid, injection } => {
-                if self.crashed[pid.index()] {
-                    return;
-                }
-                match injection {
-                    Injection::Crash => self.do_crash(pid),
-                    Injection::External(payload) => {
-                        let repr = self.payload_repr(&payload);
-                        self.record(TraceEventKind::External { pid, payload: repr });
-                        self.dispatch(pid, |p, ctx| p.on_external(ctx, payload));
-                    }
-                }
-            }
-        }
+    /// Runs the simulation to completion **without building a trace**:
+    /// the same loop and the same events as [`Sim::run`] — every event is
+    /// numbered, counted against [`SimConfig::max_events`] and offered to
+    /// the attached [`EventSink`](crate::observe::EventSink) — but none is
+    /// retained. For callers that fold the run through a sink and would
+    /// drop the trace anyway (the service's shard runs); what they get
+    /// back is how the run ended.
+    pub fn run_unrecorded(mut self) -> RunSummary {
+        self.execute().0
     }
 
     /// Runs the simulation under the installed [`Strategy`] — installing
@@ -845,21 +808,42 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// [`Sim::run`]'s default loop — same events, timestamps, stats, and
     /// stop reason.
     pub fn run_scheduled(mut self) -> (Trace, ScheduleLog) {
-        let mut strategy = self
-            .strategy
-            .take()
-            .unwrap_or_else(|| Box::new(TimeOrderedStrategy));
-        // Route all further pushes into the scheduled working set and move
-        // the construction-time entries (the fault plan) over, restoring
-        // creation order.
-        self.scheduled = true;
-        let mut moved: Vec<QueueEntry<M>> = std::mem::take(&mut self.queue)
-            .into_iter()
-            .map(|Reverse(e)| e)
-            .collect();
-        moved.sort_by_key(|e| e.order);
-        moved.append(&mut self.pending);
-        self.pending = moved;
+        self.strategy
+            .get_or_insert_with(|| Box::new(TimeOrderedStrategy));
+        self.start_recording();
+        let (summary, log) = self.execute();
+        (self.into_trace(summary), log)
+    }
+
+    /// Installs the trace recorder, pre-sized from the configuration:
+    /// enough for a few protocol rounds (Θ(n²) messages each) without
+    /// reallocating, clamped by the event budget so short-budget runs
+    /// allocate no more than they may record, and capped so a generous
+    /// default budget does not reserve hundreds of megabytes up front.
+    fn start_recording(&mut self) {
+        let rounds = (self.n * self.n * 8).clamp(256, 1 << 14);
+        self.recorder = Some(Vec::with_capacity(self.config.max_events.min(rounds)));
+    }
+
+    fn into_trace(mut self, run: RunSummary) -> Trace {
+        let events = self.recorder.take().unwrap_or_default();
+        debug_assert_eq!(events.len(), run.events);
+        Trace::from_parts(self.n, events, run.stop, run.end_time, run.stats)
+    }
+
+    /// Starts every process and runs the loop the configuration selects.
+    fn execute(&mut self) -> (RunSummary, ScheduleLog) {
+        let strategy = self.strategy.take();
+        if strategy.is_some() {
+            // Route all further pushes into the scheduled working set and
+            // move the construction-time entries (the fault plan) over,
+            // restoring creation order.
+            self.scheduled = true;
+            while let Some((at, order, pending)) = self.queue.pop() {
+                self.pending.push(QueueEntry { at, order, pending });
+            }
+            self.pending.sort_by_key(|e| e.order);
+        }
         // on_start for every process, in id order, at time zero.
         for pid in ProcessId::all(self.n) {
             if !self.crashed[pid.index()] {
@@ -867,22 +851,66 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             }
         }
         let mut log = ScheduleLog::default();
-        let stop = loop {
-            if self.events.len() >= self.config.max_events {
-                break StopReason::MaxEvents;
+        let stop = match strategy {
+            None => self.time_ordered_loop(),
+            Some(strategy) => self.scheduled_loop(strategy, &mut log),
+        };
+        let summary = RunSummary {
+            stop,
+            end_time: self.now,
+            stats: self.stats,
+            events: self.emitted,
+        };
+        (summary, log)
+    }
+
+    /// Why the run must stop before taking another step, if it must.
+    /// `apply_actions` stops emitting mid-batch at the event budget, so
+    /// the emitted events are an exact prefix there.
+    fn finished(&self) -> Option<StopReason> {
+        if self.emitted >= self.config.max_events {
+            Some(StopReason::MaxEvents)
+        } else if self.live == 0 {
+            Some(StopReason::AllCrashed)
+        } else {
+            None
+        }
+    }
+
+    fn time_ordered_loop(&mut self) -> StopReason {
+        loop {
+            if let Some(stop) = self.finished() {
+                return stop;
             }
-            if self.crashed.iter().all(|&c| c) {
-                break StopReason::AllCrashed;
+            let Some((at, _, pending)) = self.queue.pop() else {
+                return StopReason::Quiescent;
+            };
+            if at > self.config.max_time {
+                return StopReason::MaxTime;
+            }
+            self.now = at;
+            self.step(pending);
+        }
+    }
+
+    fn scheduled_loop(
+        &mut self,
+        mut strategy: Box<dyn Strategy>,
+        log: &mut ScheduleLog,
+    ) -> StopReason {
+        loop {
+            if let Some(stop) = self.finished() {
+                return stop;
             }
             if self.pending.is_empty() {
-                break StopReason::Quiescent;
+                return StopReason::Quiescent;
             }
             // The step budget is checked after the terminal conditions so
             // that replaying a run under `max_steps = choices.len()`
             // reproduces its stop reason (a quiescent recording stays
             // Quiescent, a truncated one stays truncated).
             if log.steps.len() >= self.config.max_steps {
-                break StopReason::MaxSteps;
+                return StopReason::MaxSteps;
             }
             let enabled = self.enabled_steps();
             let chosen = strategy.choose(&enabled);
@@ -900,18 +928,52 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 chosen: chosen as u32,
             });
             if entry.at > self.config.max_time {
-                break StopReason::MaxTime;
+                return StopReason::MaxTime;
             }
             // Time only ever advances: an adversarially re-ordered step
             // executes at the latest of its own ready time and the
             // current clock, mirroring an adversary that withheld it.
             self.now = self.now.max(entry.at);
-            self.step_entry(entry);
-        };
-        (
-            Trace::from_parts(self.n, self.events, stop, self.now, self.stats),
-            log,
-        )
+            self.step(entry.pending);
+        }
+    }
+
+    /// Executes one due queue entry — the step body shared by the
+    /// time-ordered and the scheduled loop.
+    fn step(&mut self, pending: Pending) {
+        match pending {
+            Pending::Deliver { from, to } => self.deliver(pid(from), pid(to)),
+            Pending::Timer { pid: owner, id } => {
+                let owner = pid(owner);
+                if !self.cancelled.take(id) && !self.crashed[owner.index()] {
+                    self.emit(TraceEventKind::TimerFired {
+                        pid: owner,
+                        timer: id,
+                    });
+                    self.stats.timers_fired += 1;
+                    self.obs_count(owner, MsgClass::None, metric::TIMERS, 1);
+                    self.dispatch(owner, |p, ctx| p.on_timer(ctx, id));
+                }
+            }
+            Pending::Inject { pid: target, slot } => {
+                let target = pid(target);
+                let injection = self.injections[slot as usize].take();
+                if self.crashed[target.index()] {
+                    return;
+                }
+                match injection.expect("an injection fires once") {
+                    Injection::Crash => self.do_crash(target),
+                    Injection::External(payload) => {
+                        let repr = self.payload_repr(&payload);
+                        self.emit(TraceEventKind::External {
+                            pid: target,
+                            payload: repr,
+                        });
+                        self.dispatch(target, |p, ctx| p.on_external(ctx, payload));
+                    }
+                }
+            }
+        }
     }
 
     /// The canonical enabled-step list for the current state: one entry
@@ -922,16 +984,24 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             .iter()
             .map(|e| {
                 let (kind, noop) = match e.pending {
-                    Pending::Deliver { from, to } => {
-                        (StepKind::Deliver { from, to }, self.crashed[to.index()])
-                    }
-                    Pending::Timer { pid, id } => (
-                        StepKind::Timer { pid, timer: id },
-                        self.crashed[pid.index()] || self.cancelled.is_cancelled(id),
+                    Pending::Deliver { from, to } => (
+                        StepKind::Deliver {
+                            from: pid(from),
+                            to: pid(to),
+                        },
+                        self.crashed[to as usize],
                     ),
-                    Pending::Inject { pid, .. } => {
-                        (StepKind::Inject { pid }, self.crashed[pid.index()])
-                    }
+                    Pending::Timer { pid: owner, id } => (
+                        StepKind::Timer {
+                            pid: pid(owner),
+                            timer: id,
+                        },
+                        self.crashed[owner as usize] || self.cancelled.is_cancelled(id),
+                    ),
+                    Pending::Inject { pid: target, .. } => (
+                        StepKind::Inject { pid: pid(target) },
+                        self.crashed[target as usize],
+                    ),
                 };
                 EnabledStep {
                     kind,
@@ -966,7 +1036,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         // delivered before the message ahead of it was.
         if let Some(next) = self.channels[ch].front() {
             let at = next.deliver_at.max(self.now);
-            self.push_entry(at, Pending::Deliver { from, to });
+            self.push_deliver(at, from, to);
         }
         let class = MsgClass::from_infra(in_flight.infra);
         if self.crashed[to.index()] {
@@ -977,7 +1047,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             return;
         }
         let repr = self.payload_repr(&in_flight.payload);
-        self.record(TraceEventKind::Recv {
+        self.emit(TraceEventKind::Recv {
             by: to,
             from,
             msg: in_flight.msg,

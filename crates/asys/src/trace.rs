@@ -196,6 +196,23 @@ pub struct SimStats {
     pub wire_bytes: u64,
 }
 
+/// How a run that kept no trace ended: everything a [`Trace`] carries
+/// except the events themselves, which went only to the attached
+/// [`EventSink`](crate::observe::EventSink). Returned by
+/// [`Sim::run_unrecorded`](crate::sim::Sim::run_unrecorded).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RunSummary {
+    /// Why the run stopped.
+    pub stop: StopReason,
+    /// Virtual time when the run stopped.
+    pub end_time: VirtualTime,
+    /// Aggregate counters.
+    pub stats: SimStats,
+    /// Events the engine emitted — what `trace.events().len()` reads on
+    /// a recorded run of the same spec.
+    pub events: usize,
+}
+
 /// The full record of one run: every event in order, plus outcome metadata.
 ///
 /// # Examples

@@ -19,13 +19,11 @@
 //! each shard run's write-only event sink and the `cert` column counts
 //! shard runs whose full suite (FS1, sFS2a–d, Conditions 1–3) held —
 //! including the N = 1024 cells, whose traces were never affordable to
-//! retain. `mon ns/ev` reads the monitor-overhead gauge off the merged
-//! telemetry.
+//! retain (and, on the simulator, are no longer even built).
 
 use crate::report::note_events;
 use crate::table::{json_str, Table};
 use sfs::HeartbeatConfig;
-use sfs_obs::metrics;
 use sfs_service::{plan_shards, run_service, Backend, LoadProfile, ServiceReport, ServiceSpec};
 
 /// One measured E11 cell.
@@ -73,9 +71,6 @@ pub struct E11Row {
     /// Shard runs whose streaming monitor certified the full sFS suite
     /// online (no traces retained).
     pub certified: usize,
-    /// Monitor overhead: worst per-shard cost of one monitored event,
-    /// nanoseconds (the `monitor_ns_per_event` gauge, merged by max).
-    pub monitor_ns_per_event: u64,
 }
 
 impl E11Row {
@@ -108,7 +103,6 @@ impl E11Row {
                 .flat_map(|e| &e.shards)
                 .filter(|s| s.verdicts.as_ref().is_some_and(|v| v.all_ok()))
                 .count(),
-            monitor_ns_per_event: r.obs_report().gauge_max(metrics::MONITOR_NS_PER_EVENT),
         }
     }
 
@@ -121,8 +115,7 @@ impl E11Row {
              \"det_p50\": {}, \"det_p95\": {}, \"det_max\": {}, \
              \"op_p99\": {}, \"msgs_per_det\": {:.1}, \
              \"delivery_batches\": {}, \"shard_runs\": {}, \"certified\": {}, \
-             \"monitor_ns_per_event\": {}, \"speedup_wall\": {:.3}, \
-             \"speedup_serving\": {:.3}}}",
+             \"speedup_wall\": {:.3}, \"speedup_serving\": {:.3}}}",
             self.n,
             self.shards,
             json_str(&self.backend.to_string()),
@@ -141,7 +134,6 @@ impl E11Row {
             self.delivery_batches,
             self.shard_runs,
             self.certified,
-            self.monitor_ns_per_event,
             speedup_wall,
             speedup_serving,
         )
@@ -183,23 +175,8 @@ pub fn run_e11(max_n: usize, ops_per_proc: u64) -> (Table, Vec<(E11Row, f64, f64
     let mut table = Table::new(
         "E11 — sharded service scale (t=2 per shard, shard 0 exhausted, 2 epochs)",
         &[
-            "N",
-            "shards",
-            "backend",
-            "batch",
-            "ops",
-            "ops/s",
-            "msgs",
-            "msg/s",
-            "det p50",
-            "det p95",
-            "det max",
-            "op p99",
-            "msg/det",
-            "batches",
-            "cert",
-            "mon ns/ev",
-            "speedup",
+            "N", "shards", "backend", "batch", "ops", "ops/s", "msgs", "msg/s", "det p50",
+            "det p95", "det max", "op p99", "msg/det", "batches", "cert", "speedup",
         ],
     );
     let mut rows = Vec::new();
@@ -257,7 +234,6 @@ pub fn run_e11(max_n: usize, ops_per_proc: u64) -> (Table, Vec<(E11Row, f64, f64
                     format!("{:.0}", row.msgs_per_det),
                     row.delivery_batches.to_string(),
                     format!("{}/{}", row.certified, row.shard_runs),
-                    row.monitor_ns_per_event.to_string(),
                     speedup_cell,
                 ]);
                 if !batch {
@@ -283,8 +259,7 @@ pub fn run_e11(max_n: usize, ops_per_proc: u64) -> (Table, Vec<(E11Row, f64, f64
     table.note(
         "cert: shard runs whose streaming sFS monitor certified the full suite \
          (FS1 + sFS2a-d + Conditions 1-3) online, over the runs executed — no traces \
-         retained, so the N=1024 cells certify for the first time; mon ns/ev is the \
-         worst per-shard monitor cost per event from the telemetry gauges",
+         retained, so the N=1024 cells certify for the first time",
     );
     (table, rows)
 }

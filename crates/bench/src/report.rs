@@ -241,12 +241,14 @@ mod tests {
 
     #[test]
     fn event_counter_drains() {
-        let _ = take_events();
         let trace = sfs::ClusterSpec::new(3, 1)
             .seed(1)
             .suspect(sfs_asys::ProcessId::new(1), sfs_asys::ProcessId::new(0), 10)
             .try_run()
             .expect("feasible spec");
+        // The counter is process-wide and sibling tests feed it: open the
+        // window only once the run is done.
+        let _ = take_events();
         note_trace(&trace);
         assert_eq!(take_events(), trace.events().len() as u64);
         assert_eq!(take_events(), 0);

@@ -12,7 +12,6 @@
 //! writes it there as `<label>.flight.txt` for CI artifact upload.
 
 use sfs_asys::{ObsEvent, ObsHandle, ObsSink, Trace};
-use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -21,9 +20,11 @@ use std::sync::{Arc, Mutex};
 /// Unset ⇒ dumps are formatted but not persisted.
 pub const FLIGHT_DIR_ENV: &str = "SFS_FLIGHT_DIR";
 
+/// Event `seq` lives in slot `seq % capacity` until event
+/// `seq + capacity` overwrites it.
 #[derive(Debug)]
 struct Ring {
-    events: VecDeque<(u64, ObsEvent)>,
+    slots: Vec<(u64, ObsEvent)>,
     next_seq: u64,
 }
 
@@ -37,10 +38,11 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// A recorder keeping the most recent `capacity` events.
     pub fn new(capacity: usize) -> Arc<Self> {
+        let capacity = capacity.max(1);
         Arc::new(FlightRecorder {
-            capacity: capacity.max(1),
+            capacity,
             ring: Mutex::new(Ring {
-                events: VecDeque::new(),
+                slots: Vec::with_capacity(capacity),
                 next_seq: 0,
             }),
         })
@@ -61,11 +63,15 @@ impl FlightRecorder {
         let ring = self.ring.lock().expect("flight ring poisoned");
         let mut out = format!(
             "flight recorder: {} of {} events retained (capacity {})\n",
-            ring.events.len(),
+            ring.slots.len(),
             ring.next_seq,
             self.capacity
         );
-        for (seq, ev) in &ring.events {
+        // Once the ring has wrapped, the oldest event sits in the slot
+        // the next one will overwrite.
+        let oldest = ring.next_seq as usize % ring.slots.len().max(1);
+        let (newer, older) = ring.slots.split_at(oldest);
+        for (seq, ev) in older.iter().chain(newer) {
             let line = match ev {
                 ObsEvent::Counter {
                     node,
@@ -98,10 +104,11 @@ impl ObsSink for FlightRecorder {
         let mut ring = self.ring.lock().expect("flight ring poisoned");
         let seq = ring.next_seq;
         ring.next_seq += 1;
-        if ring.events.len() == self.capacity {
-            ring.events.pop_front();
+        if ring.slots.len() < self.capacity {
+            ring.slots.push((seq, event));
+        } else {
+            ring.slots[seq as usize % self.capacity] = (seq, event);
         }
-        ring.events.push_back((seq, event));
     }
 }
 

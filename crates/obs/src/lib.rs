@@ -46,9 +46,9 @@ pub use flight::FlightRecorder;
 pub use hist::LogHistogram;
 pub use json::Json;
 pub use monitor::SfsMonitor;
-pub use registry::{Metric, MetricKey, Registry};
+pub use registry::{Metric, MetricKey, Registry, TraceIngest};
 pub use report::RunReport;
-pub use sfs_asys::{EventSink, EventSinkHandle, MsgClass, ObsEvent, ObsHandle, ObsSink};
+pub use sfs_asys::{EventSink, EventSinkHandle, Interest, MsgClass, ObsEvent, ObsHandle, ObsSink};
 pub use sfs_tlogic::Verdict;
 pub use verdict::SuiteVerdicts;
 pub use watermark::AnomalyWatermarks;
@@ -104,12 +104,9 @@ pub mod metrics {
     /// suspect, `p<k>`). Matches `sfs_transport::NOTE_PROBE_SUSPECT`.
     pub const NOTE_PROBE_SUSPECT: &str = "probe-suspect";
 
-    /// Gauge: trace events the streaming sFS monitor consumed.
+    /// Gauge: trace events the streaming sFS monitor consumed (the
+    /// model-alphabet events of the run).
     pub const MONITOR_EVENTS: &str = "monitor_events";
-    /// Gauge: mean monitor cost per consumed event, in nanoseconds.
-    pub const MONITOR_NS_PER_EVENT: &str = "monitor_ns_per_event";
-    /// Gauge: monitor consumption rate, in events per wall second.
-    pub const MONITOR_EVENTS_PER_SEC: &str = "monitor_events_per_sec";
 
     /// Note key opening a named span (value: span name); paired with
     /// [`SPAN_END`] into Perfetto `B`/`E` slices by the Chrome exporter.

@@ -39,8 +39,14 @@
 //!   `History::from_trace` keeps); an event of `p` with `p ∈ K[p]` is
 //!   causally after a detection of `p`.
 //!
+//! The monitor declares exactly that alphabet as its
+//! [`EventSink::interest`] ([`Interest::MODEL`]: model-level sends and
+//! receives, crashes, detections — what `History::from_trace` keeps), so
+//! the engines never call it for heartbeat traffic, timers or notes, and
+//! it reads no clock: certification costs per *model* event.
+//!
 //! The monitor never touches engine state — `on_event` sees an
-//! immutable borrow of an already-recorded event — so monitored runs
+//! immutable borrow of an already-decided event — so monitored runs
 //! are byte-identical to bare runs on the simulator and HB-fingerprint
 //! identical on the threaded backends (`obs_equiv` pins this). For the
 //! UDP backend, whose nodes live in other OS processes, the per-node
@@ -50,12 +56,10 @@
 
 use crate::flight;
 use crate::verdict::SuiteVerdicts;
-use sfs_asys::{EventSink, EventSinkHandle, MsgId, Trace, TraceEvent, TraceEventKind};
+use sfs_asys::{EventSink, EventSinkHandle, Interest, MsgId, Trace, TraceEvent, TraceEventKind};
 use sfs_tlogic::Verdict;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One in-flight sFS2d/Condition-3 obligation: a model message sent by
 /// a process that had detections (or taint) at send time. Prefix
@@ -130,6 +134,8 @@ struct MonitorState {
     before: Vec<Vec<usize>>,
     /// In-flight sFS2d/C3 obligations keyed by model message id.
     flights: HashMap<MsgId, Flight>,
+    /// Events absorbed.
+    events_seen: u64,
     /// Messages whose latest receive violated sFS2d.
     violating_msgs: usize,
     /// Sticky safety violations.
@@ -150,6 +156,7 @@ impl MonitorState {
             crashed: vec![false; n],
             before: vec![Vec::new(); n],
             flights: HashMap::new(),
+            events_seen: 0,
             violating_msgs: 0,
             sfs2b_violated: false,
             sfs2c_violated: false,
@@ -190,6 +197,7 @@ impl MonitorState {
     /// Absorbs one model-alphabet event; returns the property name if
     /// a sticky safety clause was violated *by this event*.
     fn step(&mut self, kind: &TraceEventKind) -> Option<&'static str> {
+        self.events_seen += 1;
         match *kind {
             TraceEventKind::Send {
                 from,
@@ -288,7 +296,9 @@ impl MonitorState {
                 fired
             }
             // Infra traffic, timers, externals, and notes are outside
-            // the model alphabet (History::from_trace drops them).
+            // the model alphabet (History::from_trace drops them) and
+            // outside the declared interest; a caller that bypasses the
+            // handle's filter changes the count, never a verdict.
             _ => None,
         }
     }
@@ -343,16 +353,12 @@ pub type ViolationHook = Arc<dyn Fn(&'static str) + Send + Sync>;
 pub struct SfsMonitor {
     state: Mutex<MonitorState>,
     hook: Option<ViolationHook>,
-    /// Trace events consumed (model alphabet and infra alike).
-    events_seen: AtomicU64,
-    /// Wall nanoseconds spent inside `on_event`.
-    spent_ns: AtomicU64,
 }
 
 impl std::fmt::Debug for SfsMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SfsMonitor")
-            .field("events_seen", &self.events_seen.load(Ordering::Relaxed))
+            .field("events_seen", &self.events_seen())
             .field("has_hook", &self.hook.is_some())
             .finish_non_exhaustive()
     }
@@ -364,8 +370,6 @@ impl SfsMonitor {
         Arc::new(SfsMonitor {
             state: Mutex::new(MonitorState::new(n)),
             hook: None,
-            events_seen: AtomicU64::new(0),
-            spent_ns: AtomicU64::new(0),
         })
     }
 
@@ -377,8 +381,6 @@ impl SfsMonitor {
         Arc::new(SfsMonitor {
             state: Mutex::new(MonitorState::new(n)),
             hook: Some(hook),
-            events_seen: AtomicU64::new(0),
-            spent_ns: AtomicU64::new(0),
         })
     }
 
@@ -391,9 +393,12 @@ impl SfsMonitor {
 
     /// Streams a finished trace through the monitor — the replay path
     /// for engines that cannot feed events live (and the reference path
-    /// the differential tests compare against the live feed).
+    /// the differential tests compare against the live feed). Offers the
+    /// monitor what a live [`EventSinkHandle`] would: the events of its
+    /// declared interest.
     pub fn ingest_trace(&self, trace: &Trace) {
-        for e in trace.events() {
+        let interest = self.interest();
+        for e in trace.events().iter().filter(|e| interest.wants(&e.kind)) {
             self.on_event(e);
         }
     }
@@ -409,37 +414,28 @@ impl SfsMonitor {
             .verdicts(complete)
     }
 
-    /// Trace events consumed so far.
+    /// Events consumed so far: on any feed that applies the declared
+    /// interest, the model-alphabet events of the run —
+    /// `History::from_trace(&trace).len()`.
     pub fn events_seen(&self) -> u64 {
-        self.events_seen.load(Ordering::Relaxed)
-    }
-
-    /// Wall nanoseconds spent inside the monitor so far.
-    pub fn spent_ns(&self) -> u64 {
-        self.spent_ns.load(Ordering::Relaxed)
-    }
-
-    /// Mean monitor cost per consumed event, in nanoseconds.
-    pub fn ns_per_event(&self) -> u64 {
-        let events = self.events_seen().max(1);
-        self.spent_ns() / events
+        self.state.lock().expect("monitor poisoned").events_seen
     }
 }
 
 impl EventSink for SfsMonitor {
     fn on_event(&self, event: &TraceEvent) {
-        let start = Instant::now();
         let fired = self
             .state
             .lock()
             .expect("monitor poisoned")
             .step(&event.kind);
-        self.events_seen.fetch_add(1, Ordering::Relaxed);
-        self.spent_ns
-            .fetch_add(start.elapsed().as_nanos() as u64, Ordering::Relaxed);
         if let (Some(property), Some(hook)) = (fired, &self.hook) {
             hook(property);
         }
+    }
+
+    fn interest(&self) -> Interest {
+        Interest::MODEL
     }
 }
 
@@ -758,15 +754,26 @@ mod tests {
 
     #[test]
     fn overhead_counters_track_consumption() {
+        // The consumption counter is the monitor's whole overhead
+        // report: it counts the model-alphabet events, and the infra
+        // send and the timer around them never reach the monitor.
         let mon = SfsMonitor::new(2);
+        let infra_send = TraceEventKind::Send {
+            from: p(1),
+            to: p(0),
+            msg: msg(1, 0),
+            infra: true,
+            payload: None,
+        };
+        let timer = TraceEventKind::TimerFired {
+            pid: p(1),
+            timer: sfs_asys::TimerId::new(0),
+        };
         mon.ingest_trace(&trace_of(
             2,
-            vec![failed(1, 0), crash(0)],
+            vec![infra_send, failed(1, 0), timer, crash(0)],
             StopReason::Quiescent,
         ));
         assert_eq!(mon.events_seen(), 2);
-        // ns_per_event is total/events; with two events it is defined
-        // (possibly zero on a coarse clock).
-        let _ = mon.ns_per_event();
     }
 }

@@ -18,8 +18,10 @@
 
 use crate::hist::LogHistogram;
 use crate::metrics;
-use sfs_asys::{MsgClass, ObsEvent, ObsHandle, ObsSink, Trace, TraceEventKind, VirtualTime};
-use std::collections::BTreeMap;
+use sfs_asys::{
+    MsgClass, ObsEvent, ObsHandle, ObsSink, Trace, TraceEvent, TraceEventKind, VirtualTime,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 /// The identity of one instrument in a registry or report.
@@ -74,7 +76,32 @@ impl Metric {
 pub struct Registry {
     engine: String,
     shard: u32,
-    inner: Mutex<BTreeMap<MetricKey, Metric>>,
+    rows: Mutex<Rows>,
+}
+
+/// One row per `(node, class)`, holding that row's few instruments by
+/// name: the per-sample lookup compares two integers and scans a short
+/// vector, and a name is copied only when its instrument is created.
+type Rows = BTreeMap<(u32, MsgClass), Vec<(String, Metric)>>;
+
+/// The instrument `name` at `(node, class)`, created by `new` on first
+/// use.
+fn instrument<'a>(
+    rows: &'a mut Rows,
+    node: u32,
+    class: MsgClass,
+    name: &str,
+    new: impl FnOnce() -> Metric,
+) -> &'a mut Metric {
+    let row = rows.entry((node, class)).or_default();
+    let at = match row.iter().position(|(n, _)| n == name) {
+        Some(at) => at,
+        None => {
+            row.push((name.to_owned(), new()));
+            row.len() - 1
+        }
+    };
+    &mut row[at].1
 }
 
 impl Registry {
@@ -90,7 +117,7 @@ impl Registry {
         Arc::new(Registry {
             engine: engine.into(),
             shard,
-            inner: Mutex::new(BTreeMap::new()),
+            rows: Mutex::new(BTreeMap::new()),
         })
     }
 
@@ -99,22 +126,10 @@ impl Registry {
         ObsHandle::new(self.clone() as Arc<dyn ObsSink>)
     }
 
-    fn key(&self, node: u32, class: MsgClass, name: &str) -> MetricKey {
-        MetricKey {
-            name: name.to_owned(),
-            shard: self.shard,
-            node,
-            class,
-        }
-    }
-
     /// Adds `delta` to a counter.
     pub fn add(&self, node: u32, class: MsgClass, name: &str, delta: u64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        match inner
-            .entry(self.key(node, class, name))
-            .or_insert(Metric::Counter(0))
-        {
+        let mut rows = self.rows.lock().expect("registry poisoned");
+        match instrument(&mut rows, node, class, name, || Metric::Counter(0)) {
             Metric::Counter(c) => *c += delta,
             other => other.merge(&Metric::Counter(delta)),
         }
@@ -122,17 +137,16 @@ impl Registry {
 
     /// Sets a gauge.
     pub fn set(&self, node: u32, class: MsgClass, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        inner.insert(self.key(node, class, name), Metric::Gauge(value));
+        let mut rows = self.rows.lock().expect("registry poisoned");
+        *instrument(&mut rows, node, class, name, || Metric::Gauge(value)) = Metric::Gauge(value);
     }
 
     /// Records a histogram sample.
     pub fn observe(&self, node: u32, class: MsgClass, name: &str, value: u64) {
-        let mut inner = self.inner.lock().expect("registry poisoned");
-        match inner
-            .entry(self.key(node, class, name))
-            .or_insert_with(|| Metric::Hist(LogHistogram::new()))
-        {
+        let mut rows = self.rows.lock().expect("registry poisoned");
+        match instrument(&mut rows, node, class, name, || {
+            Metric::Hist(LogHistogram::new())
+        }) {
             Metric::Hist(h) => h.record(value),
             other => {
                 let mut h = LogHistogram::new();
@@ -145,8 +159,22 @@ impl Registry {
     /// Snapshots this registry into a report (the registry keeps
     /// accumulating; the snapshot is independent).
     pub fn report(&self) -> crate::RunReport {
-        let inner = self.inner.lock().expect("registry poisoned");
-        crate::RunReport::from_rows(self.engine.clone(), inner.clone())
+        let rows = self.rows.lock().expect("registry poisoned");
+        let rows = rows
+            .iter()
+            .flat_map(|(&(node, class), row)| {
+                row.iter().map(move |(name, metric)| {
+                    let key = MetricKey {
+                        name: name.clone(),
+                        shard: self.shard,
+                        node,
+                        class,
+                    };
+                    (key, metric.clone())
+                })
+            })
+            .collect();
+        crate::RunReport::from_rows(self.engine.clone(), rows)
     }
 
     /// Folds the UDP backend's per-node wire accounting — the
@@ -180,80 +208,98 @@ impl Registry {
     }
 
     /// Re-derives transport-layer metrics from the execution-neutral
-    /// annotations a finished run left in its trace:
-    ///
-    /// * `retx` notes (one per retransmission burst, value = burst size)
-    ///   → the [`metrics::RETX`] counter, attributed to the annotating
-    ///   node as infrastructure traffic;
-    /// * `rto` notes (current retransmission timeout in ticks) → the
-    ///   [`metrics::RTO_TICKS`] histogram — the RTO's evolution over the
-    ///   run;
-    /// * `probe-suspect` notes naming a previously crashed victim → the
-    ///   [`metrics::SUSPICION_LATENCY`] histogram (crash → first
-    ///   suspicion, in ticks);
-    /// * `Failed` events for a previously crashed victim → the
-    ///   [`metrics::DETECTION_LATENCY`] histogram (crash → detection, in
-    ///   ticks).
+    /// annotations a finished run left in its trace: replays
+    /// `trace.events()` through a [`TraceIngest`], which documents what
+    /// is derived.
     ///
     /// Works uniformly on traces from all four engines, since all of
     /// them record the same note/event vocabulary.
     pub fn ingest_trace(&self, trace: &Trace) {
-        let mut crash_at: BTreeMap<u32, VirtualTime> = BTreeMap::new();
-        let mut suspected: BTreeMap<(u32, u32), ()> = BTreeMap::new();
+        let mut ingest = TraceIngest::default();
         for e in trace.events() {
-            match &e.kind {
-                TraceEventKind::Crash { pid } => {
-                    crash_at.entry(pid.index() as u32).or_insert(e.time);
-                }
-                TraceEventKind::Failed { by, of } => {
-                    if let Some(&at) = crash_at.get(&(of.index() as u32)) {
-                        self.observe(
-                            by.index() as u32,
-                            MsgClass::None,
-                            metrics::DETECTION_LATENCY,
-                            e.time.ticks().saturating_sub(at.ticks()),
-                        );
-                    }
-                }
-                TraceEventKind::Note { pid, note } => {
-                    let sfs_asys::Note::KeyVal { key, val } = note else {
-                        continue;
-                    };
-                    let node = pid.index() as u32;
-                    match key.as_str() {
-                        metrics::NOTE_RETX => {
-                            if let Ok(burst) = val.parse::<u64>() {
-                                self.add(node, MsgClass::Infra, metrics::RETX, burst);
-                            }
-                        }
-                        metrics::NOTE_RTO => {
-                            if let Ok(rto) = val.parse::<u64>() {
-                                self.observe(node, MsgClass::Infra, metrics::RTO_TICKS, rto);
-                            }
-                        }
-                        metrics::NOTE_PROBE_SUSPECT => {
-                            // val is the suspect's Display form, "p<k>".
-                            let Some(victim) =
-                                val.strip_prefix('p').and_then(|s| s.parse::<u32>().ok())
-                            else {
-                                continue;
-                            };
-                            if suspected.insert((node, victim), ()).is_none() {
-                                if let Some(&at) = crash_at.get(&victim) {
-                                    self.observe(
-                                        node,
-                                        MsgClass::None,
-                                        metrics::SUSPICION_LATENCY,
-                                        e.time.ticks().saturating_sub(at.ticks()),
-                                    );
-                                }
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                _ => {}
+            ingest.on_event(self, e);
+        }
+    }
+}
+
+/// The single-pass fold behind [`Registry::ingest_trace`], one event at
+/// a time, so a run that keeps no trace can feed it live from an
+/// [`EventSink`](sfs_asys::EventSink) (interest: notes, crashes,
+/// detections — it ignores everything else):
+///
+/// * `retx` notes (one per retransmission burst, value = burst size)
+///   → the [`metrics::RETX`] counter, attributed to the annotating
+///   node as infrastructure traffic;
+/// * `rto` notes (current retransmission timeout in ticks) → the
+///   [`metrics::RTO_TICKS`] histogram — the RTO's evolution over the
+///   run;
+/// * `probe-suspect` notes naming a previously crashed victim → the
+///   [`metrics::SUSPICION_LATENCY`] histogram (crash → first
+///   suspicion, in ticks);
+/// * `Failed` events for a previously crashed victim → the
+///   [`metrics::DETECTION_LATENCY`] histogram (crash → detection, in
+///   ticks).
+#[derive(Debug, Default)]
+pub struct TraceIngest {
+    crash_at: BTreeMap<u32, VirtualTime>,
+    suspected: BTreeSet<(u32, u32)>,
+}
+
+impl TraceIngest {
+    /// Folds one event into `registry`.
+    pub fn on_event(&mut self, registry: &Registry, e: &TraceEvent) {
+        match &e.kind {
+            TraceEventKind::Crash { pid } => {
+                self.crash_at.entry(pid.index() as u32).or_insert(e.time);
             }
+            TraceEventKind::Failed { by, of } => {
+                if let Some(&at) = self.crash_at.get(&(of.index() as u32)) {
+                    registry.observe(
+                        by.index() as u32,
+                        MsgClass::None,
+                        metrics::DETECTION_LATENCY,
+                        e.time.ticks().saturating_sub(at.ticks()),
+                    );
+                }
+            }
+            TraceEventKind::Note {
+                pid,
+                note: sfs_asys::Note::KeyVal { key, val },
+            } => {
+                let node = pid.index() as u32;
+                match key.as_str() {
+                    metrics::NOTE_RETX => {
+                        if let Ok(burst) = val.parse::<u64>() {
+                            registry.add(node, MsgClass::Infra, metrics::RETX, burst);
+                        }
+                    }
+                    metrics::NOTE_RTO => {
+                        if let Ok(rto) = val.parse::<u64>() {
+                            registry.observe(node, MsgClass::Infra, metrics::RTO_TICKS, rto);
+                        }
+                    }
+                    metrics::NOTE_PROBE_SUSPECT => {
+                        // val is the suspect's Display form, "p<k>".
+                        let Some(victim) =
+                            val.strip_prefix('p').and_then(|s| s.parse::<u32>().ok())
+                        else {
+                            return;
+                        };
+                        if self.suspected.insert((node, victim)) {
+                            if let Some(&at) = self.crash_at.get(&victim) {
+                                registry.observe(
+                                    node,
+                                    MsgClass::None,
+                                    metrics::SUSPICION_LATENCY,
+                                    e.time.ticks().saturating_sub(at.ticks()),
+                                );
+                            }
+                        }
+                    }
+                    _ => {}
+                }
+            }
+            _ => {}
         }
     }
 }

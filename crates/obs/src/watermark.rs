@@ -14,7 +14,9 @@
 //! * **RTO inflation** — `rto_ticks` samples (the transport's adaptive
 //!   retransmission timeout); a timeout spiralling above its learned
 //!   level precedes the false-suspicion storms that break soak
-//!   certification.
+//!   certification. No engine emits these on the obs seam today — the
+//!   transport's `rto` values exist only as trace notes — so the signal
+//!   fires only for a caller that forwards them.
 //! * **false-suspicion rate** — the running ratio of `detections`
 //!   counter increments to `crashes` increments; in a clean sFS run
 //!   detections track crashes within the cluster fan-out, so a
@@ -164,6 +166,17 @@ impl AnomalyWatermarks {
 
 impl ObsSink for AnomalyWatermarks {
     fn record(&self, event: ObsEvent) {
+        // Four names are read. Everything else — with watermarks armed the
+        // simulator emits two or three facts per trace event — returns
+        // before the lock.
+        let name = event.name();
+        if name != metrics::QUEUE_DEPTH
+            && name != metrics::RTO_TICKS
+            && name != metrics::DETECTIONS
+            && name != metrics::CRASHES
+        {
+            return;
+        }
         let mut inner = self.inner.lock().expect("watermark poisoned");
         match event {
             ObsEvent::Observe { name, value, .. } if name == metrics::QUEUE_DEPTH => {

@@ -21,7 +21,7 @@
 
 use serde::{Deserialize, Serialize};
 use sfs::{AppApi, Application};
-use sfs_asys::{Note, ProcessId, Trace, TraceEventKind, VirtualTime};
+use sfs_asys::{Note, ProcessId, Trace, TraceEvent, TraceEventKind, VirtualTime};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Trace-note key: the driver issued an op (`val` = op id).
@@ -357,51 +357,75 @@ impl LoadOutcome {
     }
 }
 
-/// Extracts the load outcome from a trace.
+/// Extracts the load outcome from a trace: replays `trace.events()`
+/// through a [`LoadFold`].
 pub fn analyze_load(trace: &Trace) -> LoadOutcome {
-    let mut issued_at: BTreeMap<u64, VirtualTime> = BTreeMap::new();
-    let mut done_at: BTreeMap<u64, VirtualTime> = BTreeMap::new();
-    let mut executions = 0u64;
-    let mut complete = false;
+    let mut fold = LoadFold::default();
     for e in trace.events() {
-        let TraceEventKind::Note { note, .. } = &e.kind else {
-            continue;
-        };
-        let Note::KeyVal { key, val } = note else {
-            continue;
+        fold.on_event(e);
+    }
+    fold.finish()
+}
+
+/// The single-pass fold behind [`analyze_load`], one event at a time, so
+/// a shard run that keeps no trace can feed it live from an
+/// [`EventSink`](sfs_asys::EventSink). It reads the load generator's
+/// notes and ignores every other event.
+#[derive(Debug, Default)]
+pub struct LoadFold {
+    issued_at: BTreeMap<u64, VirtualTime>,
+    done_at: BTreeMap<u64, VirtualTime>,
+    executions: u64,
+    complete: bool,
+}
+
+impl LoadFold {
+    /// Folds one event.
+    pub fn on_event(&mut self, e: &TraceEvent) {
+        let TraceEventKind::Note {
+            note: Note::KeyVal { key, val },
+            ..
+        } = &e.kind
+        else {
+            return;
         };
         match key.as_str() {
             NOTE_OP_ISSUED => {
                 if let Ok(op) = val.parse::<u64>() {
-                    issued_at.entry(op).or_insert(e.time);
+                    self.issued_at.entry(op).or_insert(e.time);
                 }
             }
-            NOTE_OP_EXEC => executions += 1,
+            NOTE_OP_EXEC => self.executions += 1,
             NOTE_OP_DONE => {
                 if let Ok(op) = val.parse::<u64>() {
-                    done_at.entry(op).or_insert(e.time);
+                    self.done_at.entry(op).or_insert(e.time);
                 }
             }
-            NOTE_LOAD_COMPLETE => complete = true,
+            NOTE_LOAD_COMPLETE => self.complete = true,
             _ => {}
         }
     }
-    let op_latencies = done_at
-        .iter()
-        .filter_map(|(op, &t)| {
-            issued_at
-                .get(op)
-                .map(|&i| t.ticks().saturating_sub(i.ticks()))
-        })
-        .collect();
-    LoadOutcome {
-        issued: issued_at.len() as u64,
-        completed: done_at.len() as u64,
-        executions,
-        complete,
-        first_issue: issued_at.values().min().copied(),
-        last_done: done_at.values().max().copied(),
-        op_latencies,
+
+    /// The outcome of the events folded so far.
+    pub fn finish(&self) -> LoadOutcome {
+        let op_latencies = self
+            .done_at
+            .iter()
+            .filter_map(|(op, &t)| {
+                self.issued_at
+                    .get(op)
+                    .map(|&i| t.ticks().saturating_sub(i.ticks()))
+            })
+            .collect();
+        LoadOutcome {
+            issued: self.issued_at.len() as u64,
+            completed: self.done_at.len() as u64,
+            executions: self.executions,
+            complete: self.complete,
+            first_issue: self.issued_at.values().min().copied(),
+            last_done: self.done_at.values().max().copied(),
+            op_latencies,
+        }
     }
 }
 

@@ -25,20 +25,32 @@
 //!    and the rebalancing invariant — no op is ever routed to an
 //!    exhausted shard — is pinned by property tests.
 //!
-//! The per-shard traces fold into a [`ServiceReport`] carrying
-//! throughput, message counts, and the detection-latency distribution —
-//! the measured quantities behind experiments E11 and E13.
+//! Each shard run folds into a [`ShardOutcome`] — load outcome, engine
+//! counters, telemetry, detection latencies — in one pass over its
+//! events, and the outcomes into a [`ServiceReport`] carrying throughput,
+//! message counts, and the detection-latency distribution: the measured
+//! quantities behind experiments E11 and E13. The fold reads only notes,
+//! crashes and detections (under 1 % of a heartbeat-driven run), so on the
+//! simulator with [`ServiceSpec::keep_traces`] off it rides the run's
+//! event sink and **no trace is ever built**; a kept trace, and every
+//! threaded run, is replayed through the same fold afterwards.
 
 use crate::directory::{Directory, DirectoryError, DirectorySpec, RoutingTable, ShardReport};
-use crate::load::{analyze_load, LoadGenApp, LoadOutcome, LoadProfile};
+use crate::load::{LoadFold, LoadGenApp, LoadOutcome, LoadProfile};
 use crate::plan::{plan_shards, PlanError, ShardId, ShardPlan, ShardSpec};
 use rayon::prelude::*;
 use sfs::{ClusterSpec, HeartbeatConfig, NetSpec, QuorumError, SpecError};
-use sfs_asys::{ProcessId, SimStats, Trace, TraceEventKind, VirtualTime};
+use sfs_asys::{
+    EventSink, EventSinkHandle, Interest, ProcessId, SimStats, Trace, TraceEvent, TraceEventKind,
+    UniformLatency, VirtualTime,
+};
 use sfs_chaos::{ChaosPlan, ChaosSpec, ShardChaos};
-use sfs_obs::{metrics, LogHistogram, MsgClass, Registry, RunReport, SfsMonitor, SuiteVerdicts};
-use std::collections::BTreeMap;
+use sfs_obs::{
+    metrics, LogHistogram, MsgClass, Registry, RunReport, SfsMonitor, SuiteVerdicts, TraceIngest,
+};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Which engine executes the shard groups.
@@ -95,7 +107,10 @@ pub struct ServiceSpec {
     pub chaos: Option<ChaosSpec>,
     /// Carry each shard run's full trace on its [`ShardOutcome`] (for
     /// downstream certification of the sFS properties). Off by default
-    /// to keep large sweeps lean.
+    /// to keep large sweeps lean — **off: no trace is built on the
+    /// simulator**; the outcome is folded live from the run's event
+    /// sink, and equals the one folded from the kept trace field by
+    /// field.
     pub keep_traces: bool,
     /// Certify the sFS suite **online**: attach a streaming
     /// [`SfsMonitor`] to every shard run (O(n + active failures) state,
@@ -295,7 +310,8 @@ pub struct ShardOutcome {
     pub load: LoadOutcome,
     /// Engine counters for the run.
     pub stats: SimStats,
-    /// Recorded events.
+    /// Events the engine emitted (`trace.events().len()` when the trace
+    /// is kept).
     pub events: u64,
     /// Distinct members detected failed during the run.
     pub detected: usize,
@@ -303,7 +319,7 @@ pub struct ShardOutcome {
     pub detection_latencies: Vec<u64>,
     /// The shard run's telemetry: engine counters, the op-latency and
     /// detection-latency histograms, and the transport diagnostics
-    /// re-derived from the trace's execution-neutral annotations. Folded
+    /// re-derived from the run's execution-neutral annotations. Folded
     /// per shard so the rayon fan-out stays contention-free; merging is
     /// associative, so [`ServiceReport::obs_report`] never depends on
     /// completion order.
@@ -756,12 +772,9 @@ fn run_shard(
         cluster = cluster.heartbeat(hb);
     }
     // The online monitor rides the write-only event sink: it observes
-    // every recorded event live but cannot perturb the run, so
+    // every model-level event live but cannot perturb the run, so
     // monitored executions stay identical to bare ones.
     let monitor = spec.certify_online.then(|| SfsMonitor::new(n));
-    if let Some(m) = &monitor {
-        cluster = cluster.event_sink(m.handle());
-    }
     // Watermarks ride the (equally write-only) obs seam, paired with a
     // flight recorder so a trip ships the recent telemetry ring as its
     // own post-mortem — before any certification gate gets to fail.
@@ -818,38 +831,59 @@ fn run_shard(
         mode: spec.load.mode,
         ops,
     };
-    let trace = match (&net, spec.backend) {
-        (None, Backend::Sim) => cluster.try_run_apps(|_| LoadGenApp::new(profile))?,
-        (None, Backend::Threaded) => {
-            cluster
-                .try_run_threaded(|_| LoadGenApp::new(profile), SETTLE)?
-                .0
+    let make_app = |_| LoadGenApp::new(profile);
+    let mut out = if spec.backend == Backend::Sim && !spec.keep_traces {
+        // Nobody will read a trace, so none is built: the summary fold
+        // rides the event sink next to the monitor.
+        let live = Arc::new(LiveFold(Mutex::new(ShardFold::new(spec.backend, shard.id))));
+        let mut sinks = vec![EventSinkHandle::new(live.clone())];
+        sinks.extend(monitor.as_ref().map(|m| m.handle()));
+        cluster = cluster.event_sink(EventSinkHandle::fanout(sinks));
+        let run = match net {
+            None => {
+                let latency = UniformLatency::try_new(cluster.latency.0, cluster.latency.1)
+                    .map_err(SpecError::from)?;
+                cluster
+                    .try_build_with_latency(latency, make_app)?
+                    .run_unrecorded()
+            }
+            // Faulty-net deployment: the shard group runs
+            // transport-backed, its channels emulated by the ARQ layer
+            // over the described link instead of assumed reliable.
+            Some(net) => cluster
+                .net(net)
+                .try_build_net_with(|b| b, make_app)?
+                .run_unrecorded(),
+        };
+        let mut fold = live.0.lock().expect("shard fold poisoned");
+        fold.finish(n, ops, run.stats, run.events, monitor.as_deref())
+    } else {
+        if let Some(m) = &monitor {
+            cluster = cluster.event_sink(m.handle());
         }
-        // Faulty-net deployment: the shard group runs transport-backed,
-        // its channels emulated by the ARQ layer over the described
-        // link instead of assumed reliable.
-        (Some(net), Backend::Sim) => cluster
-            .net(net.clone())
-            .try_run_net(|_| LoadGenApp::new(profile))?,
-        (Some(net), Backend::Threaded) => {
-            cluster
-                .net(net.clone())
-                .try_run_threaded_net(|_| LoadGenApp::new(profile), SETTLE)?
-                .0
+        let trace = match (net, spec.backend) {
+            (None, Backend::Sim) => cluster.try_run_apps(make_app)?,
+            (None, Backend::Threaded) => cluster.try_run_threaded(make_app, SETTLE)?.0,
+            (Some(net), Backend::Sim) => cluster.net(net).try_run_net(make_app)?,
+            (Some(net), Backend::Threaded) => {
+                cluster.net(net).try_run_threaded_net(make_app, SETTLE)?.0
+            }
+        };
+        let mut out = summarize_shard(shard.id, n, ops, &trace, spec.backend, monitor.as_deref());
+        if spec.keep_traces {
+            out.trace = Some(trace);
         }
+        out
     };
-    let mut out = summarize_shard(shard.id, n, ops, &trace, spec.backend, monitor.as_deref());
     if let Some(wm) = &watermarks {
         out.watermark_trips = wm.trips();
-    }
-    if spec.keep_traces {
-        out.trace = Some(trace);
     }
     Ok(out)
 }
 
-/// Folds one shard trace into its outcome. `n` is the size the group
-/// actually ran at (survivors only, in epochs after losses).
+/// Folds one shard trace into its outcome: replays `trace.events()`
+/// through a [`ShardFold`]. `n` is the size the group actually ran at
+/// (survivors only, in epochs after losses).
 fn summarize_shard(
     shard: ShardId,
     n: usize,
@@ -858,94 +892,130 @@ fn summarize_shard(
     backend: Backend,
     monitor: Option<&SfsMonitor>,
 ) -> ShardOutcome {
-    let load = analyze_load(trace);
-    // Each shard folds its own registry — contention-free under the
-    // rayon fan-out — and the outcome carries the snapshot; the
-    // associative merge happens lazily in `ServiceReport::obs_report`.
-    let registry = Registry::for_shard(backend.to_string(), shard as u32);
-    registry.ingest_trace(trace);
-    for &l in &load.op_latencies {
-        registry.observe(0, MsgClass::App, metrics::OP_LATENCY, l);
-    }
-    let stats = trace.stats();
-    registry.add(0, MsgClass::None, metrics::SENT, stats.messages_sent);
-    registry.add(0, MsgClass::None, metrics::DROPPED, stats.messages_dropped);
-    registry.add(
-        0,
-        MsgClass::None,
-        metrics::DUPLICATED,
-        stats.messages_duplicated,
-    );
-    registry.add(0, MsgClass::None, metrics::WIRE_BYTES, stats.wire_bytes);
-    registry.add(
-        0,
-        MsgClass::None,
-        metrics::DELIVERED,
-        stats.messages_delivered,
-    );
-    registry.add(
-        0,
-        MsgClass::None,
-        metrics::TO_CRASHED,
-        stats.messages_to_crashed,
-    );
-    registry.add(0, MsgClass::None, metrics::TIMERS, stats.timers_fired);
-    registry.add(0, MsgClass::None, metrics::CRASHES, stats.crashes);
-    registry.add(0, MsgClass::None, metrics::DETECTIONS, stats.detections);
-    // Monitor overhead gauges: how much the online certification cost.
-    if let Some(m) = monitor {
-        let events = m.events_seen();
-        let spent = m.spent_ns();
-        registry.set(0, MsgClass::None, metrics::MONITOR_EVENTS, events);
-        registry.set(
-            0,
-            MsgClass::None,
-            metrics::MONITOR_NS_PER_EVENT,
-            m.ns_per_event(),
-        );
-        let per_sec = if spent > 0 {
-            (events as u128 * 1_000_000_000 / spent as u128) as u64
-        } else {
-            0
-        };
-        registry.set(0, MsgClass::None, metrics::MONITOR_EVENTS_PER_SEC, per_sec);
-    }
-    // Crash → detection latency: every Failed{of = v} after Crash{v}.
-    let mut crash_at: BTreeMap<usize, u64> = BTreeMap::new();
-    let mut latencies = Vec::new();
+    let mut fold = ShardFold::new(backend, shard);
     for e in trace.events() {
+        fold.on_event(e);
+    }
+    fold.finish(n, ops, trace.stats(), trace.events().len(), monitor)
+}
+
+/// The single-pass fold from a shard run's events to its
+/// [`ShardOutcome`]: the load outcome, the trace-derived telemetry, the
+/// crash→detection latencies and the detected set. Fed one event at a
+/// time — live from the run's event sink ([`LiveFold`]) or replayed from
+/// a trace ([`summarize_shard`]); it reads notes, crashes and detections
+/// and ignores every other event.
+struct ShardFold {
+    shard: ShardId,
+    load: LoadFold,
+    /// Each shard folds its own registry — contention-free under the
+    /// rayon fan-out — and the outcome carries the snapshot; the
+    /// associative merge happens lazily in `ServiceReport::obs_report`.
+    registry: Arc<Registry>,
+    ingest: TraceIngest,
+    crash_at: BTreeMap<usize, u64>,
+    latencies: Vec<u64>,
+    detected: BTreeSet<ProcessId>,
+}
+
+impl ShardFold {
+    fn new(backend: Backend, shard: ShardId) -> Self {
+        ShardFold {
+            shard,
+            load: LoadFold::default(),
+            registry: Registry::for_shard(backend.to_string(), shard as u32),
+            ingest: TraceIngest::default(),
+            crash_at: BTreeMap::new(),
+            latencies: Vec::new(),
+            detected: BTreeSet::new(),
+        }
+    }
+
+    fn on_event(&mut self, e: &TraceEvent) {
+        self.load.on_event(e);
+        self.ingest.on_event(&self.registry, e);
+        // Crash → detection latency: every Failed{of = v} after Crash{v}.
         match e.kind {
             TraceEventKind::Crash { pid } => {
-                crash_at.entry(pid.index()).or_insert(e.time.ticks());
+                self.crash_at.entry(pid.index()).or_insert(e.time.ticks());
             }
             TraceEventKind::Failed { of, .. } => {
-                if let Some(&c) = crash_at.get(&of.index()) {
-                    latencies.push(e.time.ticks().saturating_sub(c));
+                self.detected.insert(of);
+                if let Some(&c) = self.crash_at.get(&of.index()) {
+                    self.latencies.push(e.time.ticks().saturating_sub(c));
                 }
             }
             _ => {}
         }
     }
-    let detected: std::collections::BTreeSet<ProcessId> =
-        trace.detections().into_iter().map(|(_, of)| of).collect();
-    ShardOutcome {
-        shard,
-        n,
-        ops_routed: ops,
-        load,
-        stats,
-        events: trace.events().len() as u64,
-        detected: detected.len(),
-        detection_latencies: latencies,
-        obs: registry.report(),
-        trace: None,
-        // Liveness clauses are judged with all obligations due
-        // (`complete = true`): a shard run's horizon is its discharge
-        // deadline — transport-backed groups under probes never
-        // formally quiesce, and the E11/E13 certification convention is
-        // that every crash must be detected *within the run*.
-        verdicts: monitor.map(|m| m.finish(true)),
-        watermark_trips: Vec::new(),
+
+    /// Closes the fold with what only the finished run knows: its
+    /// counters, its event count and the monitor's verdicts.
+    fn finish(
+        &mut self,
+        n: usize,
+        ops: u64,
+        stats: SimStats,
+        events: usize,
+        monitor: Option<&SfsMonitor>,
+    ) -> ShardOutcome {
+        let load = self.load.finish();
+        let registry = &self.registry;
+        for &l in &load.op_latencies {
+            registry.observe(0, MsgClass::App, metrics::OP_LATENCY, l);
+        }
+        for (name, value) in [
+            (metrics::SENT, stats.messages_sent),
+            (metrics::DROPPED, stats.messages_dropped),
+            (metrics::DUPLICATED, stats.messages_duplicated),
+            (metrics::WIRE_BYTES, stats.wire_bytes),
+            (metrics::DELIVERED, stats.messages_delivered),
+            (metrics::TO_CRASHED, stats.messages_to_crashed),
+            (metrics::TIMERS, stats.timers_fired),
+            (metrics::CRASHES, stats.crashes),
+            (metrics::DETECTIONS, stats.detections),
+        ] {
+            registry.add(0, MsgClass::None, name, value);
+        }
+        // What the online certification consumed: the run's model-level
+        // events.
+        if let Some(m) = monitor {
+            registry.set(0, MsgClass::None, metrics::MONITOR_EVENTS, m.events_seen());
+        }
+        ShardOutcome {
+            shard: self.shard,
+            n,
+            ops_routed: ops,
+            load,
+            stats,
+            events: events as u64,
+            detected: self.detected.len(),
+            detection_latencies: std::mem::take(&mut self.latencies),
+            obs: registry.report(),
+            trace: None,
+            // Liveness clauses are judged with all obligations due
+            // (`complete = true`): a shard run's horizon is its discharge
+            // deadline — transport-backed groups under probes never
+            // formally quiesce, and the E11/E13 certification convention is
+            // that every crash must be detected *within the run*.
+            verdicts: monitor.map(|m| m.finish(true)),
+            watermark_trips: Vec::new(),
+        }
+    }
+}
+
+/// A [`ShardFold`] as an event sink, for runs that keep no trace.
+struct LiveFold(Mutex<ShardFold>);
+
+impl EventSink for LiveFold {
+    fn on_event(&self, event: &TraceEvent) {
+        self.0.lock().expect("shard fold poisoned").on_event(event);
+    }
+
+    fn interest(&self) -> Interest {
+        Interest::NOTE
+            .union(Interest::CRASH)
+            .union(Interest::FAILED)
     }
 }
 
