@@ -86,7 +86,7 @@ pub use latency::{
 };
 pub use link::{FaultyLink, FnLink, LinkModel, LinkVerdict, PartitionSchedule, StormSchedule};
 pub use note::{Note, NOTE_LEADER, NOTE_QUORUM};
-pub use observe::{EventSink, EventSinkHandle, Interest, MsgClass, ObsEvent, ObsHandle, ObsSink};
+pub use observe::{EventSink, EventSinkHandle, Interest, MsgClass};
 pub use process::{Action, Context, Process, ReceiveFilter};
 pub use sim::{CrashRegistry, Sim, SimBuilder, SimConfig};
 pub use strategy::{

@@ -30,7 +30,7 @@
 use crate::fault::{FaultPlan, Injection};
 use crate::id::{MsgId, ProcessId, TimerId};
 use crate::link::{LinkModel, LinkVerdict};
-use crate::observe::{metric, EventSinkHandle, MsgClass, ObsEvent, ObsHandle};
+use crate::observe::EventSinkHandle;
 use crate::process::{Action, Context, Process, ReceiveFilter};
 use crate::sim::CrashRegistry;
 use crate::time::VirtualTime;
@@ -78,20 +78,12 @@ pub struct RuntimeConfig<M = ()> {
     /// so oracle-configured processes (which poll a
     /// [`CrashRegistry`]) can run on real threads too.
     pub registry: Option<CrashRegistry>,
-    /// Optional telemetry sink (see [`crate::observe`]); the threaded
-    /// mirror of `SimBuilder::observe`. Fed the same counter/histogram
-    /// facts as the simulator plus router-only wall-clock and occupancy
-    /// samples (queue depth, wheel occupancy, stall-vs-compute split).
-    /// Strictly execution-neutral: the sink sees already-decided facts
-    /// and has no path back into scheduling, and the wall-clock reads
-    /// that feed it are only taken when a sink is installed.
-    pub obs: Option<ObsHandle>,
     /// Optional trace-event sink (see [`crate::observe::EventSink`]); the
     /// threaded mirror of `SimBuilder::event_sink`. Every event the
     /// router appends to its trace is also handed, by reference, to the
     /// sink — the live feed the streaming sFS property monitors consume.
-    /// Execution-neutral under the same contract as `obs`: the sink sees
-    /// already-recorded events and has no path back into scheduling.
+    /// Execution-neutral: the sink sees already-recorded events and has
+    /// no path back into scheduling.
     pub sink: Option<EventSinkHandle>,
     /// Batching fast path: when the router dispatches a due instant,
     /// deliveries and timer fires aimed at the same destination are
@@ -131,7 +123,6 @@ impl<M> Default for RuntimeConfig<M> {
             classify: None,
             measure: None,
             registry: None,
-            obs: None,
             sink: None,
             batch: false,
             faults: FaultPlan::new(),
@@ -147,7 +138,6 @@ impl<M> fmt::Debug for RuntimeConfig<M> {
             .field("seed", &self.seed)
             .field("has_link", &self.link.is_some())
             .field("record_payloads", &self.record_payloads)
-            .field("has_obs", &self.obs.is_some())
             .field("has_sink", &self.sink.is_some())
             .field("batch", &self.batch)
             .field("faults", &self.faults.len())
@@ -218,7 +208,6 @@ enum Due<M> {
         payload: M,
         repr: Option<String>,
         infra: bool,
-        sent_at: VirtualTime,
     },
     Fire {
         pid: ProcessId,
@@ -509,7 +498,6 @@ struct Parked<M> {
     payload: M,
     repr: Option<String>,
     infra: bool,
-    sent_at: VirtualTime,
 }
 
 struct RouterState<M> {
@@ -537,7 +525,6 @@ struct RouterState<M> {
     classify: Option<Classify<M>>,
     measure: Option<Measure<M>>,
     registry: Option<CrashRegistry>,
-    obs: Option<ObsHandle>,
     sink: Option<EventSinkHandle>,
     filters: Vec<Option<ReceiveFilter<M>>>,
     /// Per-channel FIFO queues of messages the receiver's filter refused,
@@ -578,28 +565,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
         self.wheel.insert(at, due);
     }
 
-    fn obs_count(&self, node: ProcessId, class: MsgClass, name: &'static str, delta: u64) {
-        if let Some(obs) = &self.obs {
-            obs.record(ObsEvent::Counter {
-                node,
-                class,
-                name,
-                delta,
-            });
-        }
-    }
-
-    fn obs_observe(&self, node: ProcessId, class: MsgClass, name: &'static str, value: u64) {
-        if let Some(obs) = &self.obs {
-            obs.record(ObsEvent::Observe {
-                node,
-                class,
-                name,
-                value,
-            });
-        }
-    }
-
     fn crash(&mut self, pid: ProcessId) {
         if self.crashed[pid.index()] {
             return;
@@ -610,7 +575,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
         }
         self.record(TraceEventKind::Crash { pid });
         self.stats.crashes += 1;
-        self.obs_count(pid, MsgClass::None, metric::CRASHES, 1);
         // Copies parked behind the crashed process's receive filter will
         // never be admitted (`drain_parked_to` stops at a crashed target
         // and the filter is frozen): consume them as messages-to-crashed
@@ -619,11 +583,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
         for from in 0..self.n {
             let ch = from * self.n + pid.index();
             if let Some(queue) = self.parked.remove(&ch) {
-                let stranded = queue.len() as u64;
-                self.stats.messages_to_crashed += stranded;
-                if stranded > 0 {
-                    self.obs_count(pid, MsgClass::None, metric::TO_CRASHED, stranded);
-                }
+                self.stats.messages_to_crashed += queue.len() as u64;
             }
         }
         let _ = self.node_txs[pid.index()].send(NodeEvent::Halt);
@@ -657,12 +617,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                         payload: repr.clone(),
                     });
                     self.stats.messages_sent += 1;
-                    let class = MsgClass::from_infra(infra);
-                    self.obs_count(from, class, metric::SENT, 1);
                     if let Some(measure) = &self.measure {
-                        let cost = measure(&msg);
-                        self.stats.wire_bytes += cost;
-                        self.obs_count(from, class, metric::WIRE_BYTES, cost);
+                        self.stats.wire_bytes += measure(&msg);
                     }
                     // The link seam, mirroring the simulator: a LinkModel
                     // verdict (delays in virtual ticks on the wheel) when
@@ -683,17 +639,14 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                                     payload: msg,
                                     repr,
                                     infra,
-                                    sent_at: now,
                                 },
                             );
                         }
                         LinkVerdict::Drop => {
                             self.stats.messages_dropped += 1;
-                            self.obs_count(from, class, metric::DROPPED, 1);
                         }
                         LinkVerdict::Duplicate(t1, t2) => {
                             self.stats.messages_duplicated += 1;
-                            self.obs_count(from, class, metric::DUPLICATED, 1);
                             for ticks in [t1, t2] {
                                 self.push(
                                     ticks,
@@ -704,7 +657,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                                         payload: msg.clone(),
                                         repr: repr.clone(),
                                         infra,
-                                        sent_at: now,
                                     },
                                 );
                             }
@@ -724,7 +676,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                         self.failed_flags[flag] = true;
                         self.record(TraceEventKind::Failed { by: from, of });
                         self.stats.detections += 1;
-                        self.obs_count(from, MsgClass::None, metric::DETECTIONS, 1);
                     }
                 }
                 Action::Annotate(note) => self.record(TraceEventKind::Note { pid: from, note }),
@@ -798,14 +749,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                 });
                 self.stats.messages_delivered += 1;
                 let at = self.now();
-                let class = MsgClass::from_infra(p.infra);
-                self.obs_count(to, class, metric::DELIVERED, 1);
-                self.obs_observe(
-                    to,
-                    class,
-                    metric::DELIVERY_LATENCY,
-                    at.ticks().saturating_sub(p.sent_at.ticks()),
-                );
                 self.forward(
                     to,
                     NodeEvent::Message {
@@ -894,12 +837,9 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                 payload,
                 repr,
                 infra,
-                sent_at,
             } => {
-                let class = MsgClass::from_infra(infra);
                 if self.crashed[to.index()] {
                     self.stats.messages_to_crashed += 1;
-                    self.obs_count(to, class, metric::TO_CRASHED, 1);
                     return None;
                 }
                 let ch = from.index() * self.n + to.index();
@@ -913,7 +853,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                         payload,
                         repr,
                         infra,
-                        sent_at,
                     });
                     return None;
                 }
@@ -925,13 +864,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                     payload: repr,
                 });
                 self.stats.messages_delivered += 1;
-                self.obs_count(to, class, metric::DELIVERED, 1);
-                self.obs_observe(
-                    to,
-                    class,
-                    metric::DELIVERY_LATENCY,
-                    self.now().ticks().saturating_sub(sent_at.ticks()),
-                );
                 Some((to, BatchItem::Message { from, msg: payload }))
             }
             Due::Fire { pid, id } => {
@@ -940,7 +872,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
                 }
                 self.record(TraceEventKind::TimerFired { pid, timer: id });
                 self.stats.timers_fired += 1;
-                self.obs_count(pid, MsgClass::None, metric::TIMERS, 1);
                 Some((pid, BatchItem::Timer { id }))
             }
             Due::Plan { .. } => unreachable!("plan entries apply inline in dispatch"),
@@ -1041,7 +972,6 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
         classify: config.classify,
         measure: config.measure,
         registry: config.registry,
-        obs: config.obs,
         sink: config.sink,
         filters: (0..n).map(|_| None).collect(),
         parked: std::collections::HashMap::new(),
@@ -1055,25 +985,11 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
         state.wheel.insert(at, Due::Plan { pid, injection });
     }
 
-    // Wall-clock instrumentation is taken only when a telemetry sink is
-    // installed: a bare run performs no `Instant` reads at all, and an
-    // observed run's reads feed the sink without touching scheduling —
-    // virtual time is advanced by the wheel alone either way.
-    let timing = state.obs.is_some();
-    let router_node = ProcessId::new(0);
     let mut shutdown = false;
     while !shutdown {
         // 1. Drain the inbox without blocking: replies retire outstanding
         // counts and schedule follow-up work; injections apply at the
         // current instant.
-        if timing {
-            state.obs_observe(
-                router_node,
-                MsgClass::None,
-                metric::QUEUE_DEPTH,
-                rx.len() as u64,
-            );
-        }
         loop {
             match rx.try_recv() {
                 Ok(msg) => {
@@ -1096,34 +1012,14 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
         // follow-ups from the replies just drained land here).
         let due = state.wheel.advance_to(state.wheel.now());
         if !due.is_empty() {
-            let t0 = timing.then(std::time::Instant::now);
             state.dispatch(due.into_iter().map(|(_, d)| d).collect(), batch);
-            if let Some(t0) = t0 {
-                state.obs_count(
-                    router_node,
-                    MsgClass::None,
-                    metric::COMPUTE_NS,
-                    t0.elapsed().as_nanos() as u64,
-                );
-            }
             continue;
         }
         // 3. Replies outstanding: the clock must hold (a pending reply may
         // schedule work at the current instant). Block for one.
         if state.outstanding > 0 {
-            let t0 = timing.then(std::time::Instant::now);
             match rx.recv() {
-                Ok(msg) => {
-                    if let Some(t0) = t0 {
-                        state.obs_count(
-                            router_node,
-                            MsgClass::None,
-                            metric::STALL_NS,
-                            t0.elapsed().as_nanos() as u64,
-                        );
-                    }
-                    shutdown = state.handle(msg);
-                }
+                Ok(msg) => shutdown = state.handle(msg),
                 Err(_) => shutdown = true,
             }
             continue;
@@ -1132,25 +1028,8 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
         // deadline, or conclude quiescence/stall and park.
         match state.wheel.next_deadline() {
             Some(d) if state.may_advance_to(d) => {
-                if timing {
-                    state.obs_observe(
-                        router_node,
-                        MsgClass::None,
-                        metric::WHEEL_OCCUPANCY,
-                        state.wheel.len() as u64,
-                    );
-                }
                 let due = state.wheel.advance_to(d);
-                let t0 = timing.then(std::time::Instant::now);
                 state.dispatch(due.into_iter().map(|(_, item)| item).collect(), batch);
-                if let Some(t0) = t0 {
-                    state.obs_count(
-                        router_node,
-                        MsgClass::None,
-                        metric::COMPUTE_NS,
-                        t0.elapsed().as_nanos() as u64,
-                    );
-                }
             }
             next => {
                 // Genuinely quiescent (nothing scheduled at all) or
@@ -1159,19 +1038,8 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
                 // answer drain callers and park until an injection or
                 // shutdown arrives.
                 state.notify_waiters(next.is_none());
-                let t0 = timing.then(std::time::Instant::now);
                 match rx.recv() {
-                    Ok(msg) => {
-                        if let Some(t0) = t0 {
-                            state.obs_count(
-                                router_node,
-                                MsgClass::None,
-                                metric::STALL_NS,
-                                t0.elapsed().as_nanos() as u64,
-                            );
-                        }
-                        shutdown = state.handle(msg);
-                    }
+                    Ok(msg) => shutdown = state.handle(msg),
                     Err(_) => shutdown = true,
                 }
             }

@@ -1,25 +1,22 @@
-//! The telemetry seam: a pluggable, **execution-neutral** observer every
-//! engine can feed without changing what it executes.
+//! The observation seam: every engine hands each event it emits to one
+//! pluggable, **execution-neutral** [`EventSink`], and emits nothing else.
+//!
+//! The paper models a run as its event sequence (§2) and states every
+//! property over it (§3), so the stream of [`TraceEvent`]s is the one
+//! thing an observer needs: the streaming sFS monitor, the service's
+//! shard summaries, the flight recorder and the anomaly watermarks in
+//! `sfs-obs` are all folds over it, each offered only the event kinds it
+//! declares ([`Interest`]). Engine counters travel separately, as the
+//! run's [`SimStats`](crate::SimStats).
 //!
 //! The contract mirrors the classifier and measure hooks: an attached
-//! [`ObsSink`] is *called* from the engines' hot paths but has no channel
-//! back into them — it receives copies of already-decided facts (a send
-//! happened, a delivery cost `k` ticks, the wheel holds `m` deadlines)
-//! and may not touch the shared rng, virtual time, or any scheduling
-//! state. An obs-enabled run is therefore byte-identical to a bare run
-//! on the simulator and HB-fingerprint-identical on every backend; the
-//! `sfs-apps` equivalence tests and the E10 `sim:obs` conformance leg
-//! pin exactly that.
-//!
-//! The event alphabet is deliberately small and type-erased: engines
-//! report `(node, message-class, metric name, value)` triples and the
-//! `sfs-obs` crate gives them meaning (counters, gauges, log-bucketed
-//! histograms, flight-recorder rings). Keeping the vocabulary here — in
-//! the substrate crate — lets the simulator, the threaded router, and
-//! the wire backends share one seam without depending on the telemetry
-//! implementation.
+//! sink is *called* from the engines' hot paths but has no channel back
+//! into them — it receives an immutable borrow of an already-decided
+//! event and may not touch the shared rng, virtual time, or any
+//! scheduling state. An observed run is therefore byte-identical to a
+//! bare run on the simulator and HB-fingerprint-identical on every
+//! backend; the `obs_equiv` tests in `sfs-apps` pin exactly that.
 
-use crate::id::ProcessId;
 use crate::trace::{TraceEvent, TraceEventKind};
 use std::fmt;
 use std::sync::Arc;
@@ -28,7 +25,7 @@ use std::sync::Arc;
 /// engines' infrastructure classifier: [`MsgClass::App`] is model-level
 /// traffic, [`MsgClass::Infra`] is detector/transport machinery, and
 /// [`MsgClass::None`] tags samples that are not about a message at all
-/// (timers, queue depths, wall-time splits).
+/// (timers, crashes, whole-run counters).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum MsgClass {
     /// Application (model-level) traffic.
@@ -56,101 +53,6 @@ impl MsgClass {
             MsgClass::Infra => "infra",
             MsgClass::None => "-",
         }
-    }
-}
-
-/// One telemetry fact, emitted by an engine into the attached sink.
-///
-/// The three shapes cover the registry's instrument kinds: monotonic
-/// counters, last-write gauges, and histogram observations. `node` is
-/// the process the sample is attributed to ([`ProcessId::new`] of
-/// `usize::MAX`.. never appears; engine-global samples use node 0 by
-/// convention and a [`MsgClass::None`] class).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ObsEvent {
-    /// Add `delta` to the counter `name` at `(node, class)`.
-    Counter {
-        /// Attributed process.
-        node: ProcessId,
-        /// Message-class attribution.
-        class: MsgClass,
-        /// Metric name (a `'static` vocabulary; see `sfs-obs::metrics`).
-        name: &'static str,
-        /// Increment.
-        delta: u64,
-    },
-    /// Set the gauge `name` at `(node, class)` to `value`.
-    Gauge {
-        /// Attributed process.
-        node: ProcessId,
-        /// Message-class attribution.
-        class: MsgClass,
-        /// Metric name.
-        name: &'static str,
-        /// New value.
-        value: u64,
-    },
-    /// Record `value` into the histogram `name` at `(node, class)`.
-    Observe {
-        /// Attributed process.
-        node: ProcessId,
-        /// Message-class attribution.
-        class: MsgClass,
-        /// Metric name.
-        name: &'static str,
-        /// Observed sample (ticks, bytes, nanoseconds — the name says).
-        value: u64,
-    },
-}
-
-impl ObsEvent {
-    /// The metric name, whatever the shape.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ObsEvent::Counter { name, .. }
-            | ObsEvent::Gauge { name, .. }
-            | ObsEvent::Observe { name, .. } => name,
-        }
-    }
-}
-
-/// A telemetry sink engines report into.
-///
-/// Implementations must be cheap, lock-light, and — the invariant the
-/// conformance suite enforces — **side-effect-free toward the engine**:
-/// `record` takes `&self`, draws no randomness from the engine's rng,
-/// and cannot influence scheduling. The `sfs-obs` crate provides the
-/// registry and flight-recorder implementations.
-pub trait ObsSink: Send + Sync {
-    /// Absorb one fact.
-    fn record(&self, event: ObsEvent);
-}
-
-/// A cloneable, `Debug`-friendly handle to an [`ObsSink`], so specs that
-/// derive `Clone`/`Debug` (e.g. `ClusterSpec`) can carry one.
-#[derive(Clone)]
-pub struct ObsHandle(Arc<dyn ObsSink>);
-
-impl ObsHandle {
-    /// Wraps a sink.
-    pub fn new(sink: Arc<dyn ObsSink>) -> Self {
-        ObsHandle(sink)
-    }
-
-    /// The underlying sink.
-    pub fn sink(&self) -> &Arc<dyn ObsSink> {
-        &self.0
-    }
-
-    /// Report one fact.
-    pub fn record(&self, event: ObsEvent) {
-        self.0.record(event);
-    }
-}
-
-impl fmt::Debug for ObsHandle {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ObsHandle").finish_non_exhaustive()
     }
 }
 
@@ -215,20 +117,15 @@ impl Interest {
     }
 }
 
-/// A trace-event sink: the second half of the telemetry seam, carrying
-/// **structural** facts (the [`TraceEvent`]s the engines emit) instead of
-/// numeric samples.
+/// A trace-event sink: the one observer seam every engine feeds.
 ///
-/// Where [`ObsSink`] feeds metric registries, an `EventSink` feeds
-/// *property monitors* and run summaries: the `sfs-obs` streaming sFS
-/// monitors consume exactly the event stream a post-hoc checker would
-/// read off the finished trace, one event at a time, as each engine
-/// emits it. The execution-neutrality contract is identical to
-/// [`ObsSink`]'s — the sink is handed an immutable borrow of an
-/// already-decided event, draws no randomness, reads no clock, and has no
-/// channel back into scheduling — so a monitored run is byte-identical to
-/// a bare run on the simulator and HB-fingerprint-identical on every
-/// backend.
+/// Property monitors, run summaries, flight recorders and watermarks
+/// all consume exactly the event stream a post-hoc checker would read
+/// off the finished trace, one event at a time, as each engine emits it.
+/// The sink is handed an immutable borrow of an already-decided event,
+/// draws no randomness, reads no clock, and has no channel back into
+/// scheduling — so an observed run is byte-identical to a bare run on
+/// the simulator and HB-fingerprint-identical on every backend.
 pub trait EventSink: Send + Sync {
     /// Absorb one just-emitted trace event. Through an
     /// [`EventSinkHandle`] this is called only for events
@@ -248,9 +145,9 @@ pub trait EventSink: Send + Sync {
     }
 }
 
-/// A cloneable, `Debug`-friendly handle to an [`EventSink`], mirroring
-/// [`ObsHandle`] so specs that derive `Clone`/`Debug` can carry one. The
-/// handle is where the sink's [`Interest`] is applied.
+/// A cloneable, `Debug`-friendly handle to an [`EventSink`], so specs
+/// that derive `Clone`/`Debug` can carry one. The handle is where the
+/// sink's [`Interest`] is applied.
 #[derive(Clone)]
 pub struct EventSinkHandle {
     sink: Arc<dyn EventSink>,
@@ -283,11 +180,6 @@ impl EventSinkHandle {
         EventSinkHandle::new(Arc::new(Fanout(handles)))
     }
 
-    /// The underlying sink.
-    pub fn sink(&self) -> &Arc<dyn EventSink> {
-        &self.sink
-    }
-
     /// The interest the sink declared when the handle was built.
     pub fn interest(&self) -> Interest {
         self.interest
@@ -310,66 +202,11 @@ impl fmt::Debug for EventSinkHandle {
     }
 }
 
-/// Metric names the engines emit. Centralised so the registry, the
-/// engines, and the reports agree on spelling; the `sfs-obs` crate
-/// re-exports them.
-pub mod metric {
-    /// Counter: send actions executed.
-    pub const SENT: &str = "sent";
-    /// Counter: messages admitted to a live process.
-    pub const DELIVERED: &str = "delivered";
-    /// Counter: copies withheld by the link/shim.
-    pub const DROPPED: &str = "dropped";
-    /// Counter: extra copies minted by the link/shim.
-    pub const DUPLICATED: &str = "duplicated";
-    /// Counter: messages consumed at a crashed receiver.
-    pub const TO_CRASHED: &str = "to_crashed";
-    /// Counter: sender-paid encoded frame bytes.
-    pub const WIRE_BYTES: &str = "wire_bytes";
-    /// Counter: timer firings delivered.
-    pub const TIMERS: &str = "timers_fired";
-    /// Counter: failure detections declared.
-    pub const DETECTIONS: &str = "detections";
-    /// Counter: process crashes.
-    pub const CRASHES: &str = "crashes";
-    /// Histogram: send→deliver latency in virtual ticks.
-    pub const DELIVERY_LATENCY: &str = "delivery_latency_ticks";
-    /// Histogram: router inbox depth sampled at each dispatch.
-    pub const QUEUE_DEPTH: &str = "queue_depth";
-    /// Histogram: timer-wheel occupancy sampled at each advance.
-    pub const WHEEL_OCCUPANCY: &str = "wheel_occupancy";
-    /// Counter: wall nanoseconds the router spent blocked on its inbox.
-    pub const STALL_NS: &str = "stall_ns";
-    /// Counter: wall nanoseconds the router spent dispatching events.
-    pub const COMPUTE_NS: &str = "compute_ns";
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::ProcessId;
     use std::sync::Mutex;
-
-    struct Capture(Mutex<Vec<ObsEvent>>);
-    impl ObsSink for Capture {
-        fn record(&self, event: ObsEvent) {
-            self.0.lock().unwrap().push(event);
-        }
-    }
-
-    #[test]
-    fn handle_forwards_and_is_debuggable() {
-        let sink = Arc::new(Capture(Mutex::new(Vec::new())));
-        let handle = ObsHandle::new(sink.clone());
-        let cloned = handle.clone();
-        cloned.record(ObsEvent::Counter {
-            node: ProcessId::new(3),
-            class: MsgClass::Infra,
-            name: metric::SENT,
-            delta: 2,
-        });
-        assert_eq!(sink.0.lock().unwrap().len(), 1);
-        assert!(format!("{handle:?}").contains("ObsHandle"));
-    }
 
     struct Counting(Interest, Mutex<Vec<usize>>);
     impl EventSink for Counting {
@@ -379,6 +216,21 @@ mod tests {
         fn interest(&self) -> Interest {
             self.0
         }
+    }
+
+    #[test]
+    fn handle_forwards_and_is_debuggable() {
+        let sink = Arc::new(Counting(Interest::CRASH, Mutex::new(Vec::new())));
+        let handle = EventSinkHandle::new(sink.clone());
+        handle.clone().on_event(&TraceEvent {
+            seq: 7,
+            time: crate::time::VirtualTime::ZERO,
+            kind: TraceEventKind::Crash {
+                pid: ProcessId::new(3),
+            },
+        });
+        assert_eq!(*sink.1.lock().unwrap(), vec![7]);
+        assert!(format!("{handle:?}").contains("EventSinkHandle"));
     }
 
     #[test]

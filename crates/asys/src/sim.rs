@@ -47,7 +47,7 @@ use crate::fault::{FaultPlan, Injection};
 use crate::id::{MsgId, ProcessId, TimerId};
 use crate::latency::LatencyModel;
 use crate::link::{LinkModel, LinkVerdict};
-use crate::observe::{metric, EventSinkHandle, MsgClass, ObsEvent, ObsHandle};
+use crate::observe::EventSinkHandle;
 use crate::process::{Action, Context, Process, ReceiveFilter};
 use crate::strategy::{EnabledStep, ScheduleLog, StepKind, StepLog, Strategy, TimeOrderedStrategy};
 use crate::time::VirtualTime;
@@ -164,7 +164,6 @@ impl CrashRegistry {
 struct InFlight<M> {
     msg: MsgId,
     payload: M,
-    sent_at: VirtualTime,
     deliver_at: VirtualTime,
     infra: bool,
 }
@@ -215,7 +214,6 @@ pub struct Sim<M> {
     link: Box<dyn LinkModel>,
     classifier: Option<Classifier<M>>,
     measure: Option<Measure<M>>,
-    obs: Option<ObsHandle>,
     sink: Option<EventSinkHandle>,
     registry: CrashRegistry,
     rng: StdRng,
@@ -260,7 +258,6 @@ pub struct SimBuilder<M> {
     link: Box<dyn LinkModel>,
     classifier: Option<Classifier<M>>,
     measure: Option<Measure<M>>,
-    obs: Option<ObsHandle>,
     sink: Option<EventSinkHandle>,
     plan: FaultPlan<M>,
     registry: CrashRegistry,
@@ -366,16 +363,6 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
         self
     }
 
-    /// Attaches a telemetry sink (see [`crate::observe`]). The sink is
-    /// fed already-decided facts — sends, deliveries and their latency,
-    /// drops, timer firings, detections, crashes — and by construction
-    /// cannot influence the run: it has no access to the rng, the clock,
-    /// or the queue, so an observed run is byte-identical to a bare one.
-    pub fn observe(mut self, obs: ObsHandle) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
     /// Attaches a trace-event sink (see [`crate::observe::EventSink`]):
     /// every event the run emits that the sink declared an interest in is
     /// handed to it by reference — the live feed the streaming sFS
@@ -415,7 +402,6 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
             link: self.link,
             classifier: self.classifier,
             measure: self.measure,
-            obs: self.obs,
             sink: self.sink,
             registry: self.registry,
             rng: StdRng::seed_from_u64(self.config.seed),
@@ -460,7 +446,6 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             link: Box::new(crate::latency::UniformLatency::new(1, 10)),
             classifier: None,
             measure: None,
-            obs: None,
             sink: None,
             plan: FaultPlan::new(),
             registry: CrashRegistry::with_capacity(n),
@@ -534,28 +519,6 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
 
     fn payload_repr(&self, payload: &M) -> Option<String> {
         self.config.record_payloads.then(|| format!("{payload:?}"))
-    }
-
-    fn obs_count(&self, node: ProcessId, class: MsgClass, name: &'static str, delta: u64) {
-        if let Some(obs) = &self.obs {
-            obs.record(ObsEvent::Counter {
-                node,
-                class,
-                name,
-                delta,
-            });
-        }
-    }
-
-    fn obs_observe(&self, node: ProcessId, class: MsgClass, name: &'static str, value: u64) {
-        if let Some(obs) = &self.obs {
-            obs.record(ObsEvent::Observe {
-                node,
-                class,
-                name,
-                value,
-            });
-        }
     }
 
     /// Runs the process callback `f` for `pid` and applies resulting
@@ -666,12 +629,8 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             payload: repr,
         });
         self.stats.messages_sent += 1;
-        let class = MsgClass::from_infra(infra);
-        self.obs_count(from, class, metric::SENT, 1);
         if let Some(measure) = &self.measure {
-            let cost = measure(&payload);
-            self.stats.wire_bytes += cost;
-            self.obs_count(from, class, metric::WIRE_BYTES, cost);
+            self.stats.wire_bytes += measure(&payload);
         }
         match self.link.verdict(from, to, self.now, &mut self.rng) {
             LinkVerdict::Deliver(delay) => self.enqueue(from, to, msg, payload, delay, infra),
@@ -680,11 +639,9 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 // happened), but no copy enters the channel. Reliability
                 // above this point is the transport layer's job.
                 self.stats.messages_dropped += 1;
-                self.obs_count(from, class, metric::DROPPED, 1);
             }
             LinkVerdict::Duplicate(d1, d2) => {
                 self.stats.messages_duplicated += 1;
-                self.obs_count(from, class, metric::DUPLICATED, 1);
                 self.enqueue(from, to, msg, payload.clone(), d1, infra);
                 self.enqueue(from, to, msg, payload, d2, infra);
             }
@@ -708,7 +665,6 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         self.channels[ch].push_back(InFlight {
             msg,
             payload,
-            sent_at: self.now,
             deliver_at,
             infra,
         });
@@ -726,7 +682,6 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         self.registry.mark(pid);
         self.emit(TraceEventKind::Crash { pid });
         self.stats.crashes += 1;
-        self.obs_count(pid, MsgClass::None, metric::CRASHES, 1);
         // Channels parked behind the crashed process's receive filter
         // have no scheduled delivery attempt left, and the filter that
         // refused them can never change again: consume their copies as
@@ -738,11 +693,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             let ch = from * self.n + pid.index();
             if self.parked[ch] {
                 self.parked[ch] = false;
-                let stranded = self.channels[ch].len() as u64;
-                self.stats.messages_to_crashed += stranded;
-                if stranded > 0 {
-                    self.obs_count(pid, MsgClass::None, metric::TO_CRASHED, stranded);
-                }
+                self.stats.messages_to_crashed += self.channels[ch].len() as u64;
                 self.channels[ch].clear();
             }
         }
@@ -758,7 +709,6 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         self.failed_flags[flag] = true;
         self.emit(TraceEventKind::Failed { by, of });
         self.stats.detections += 1;
-        self.obs_count(by, MsgClass::None, metric::DETECTIONS, 1);
     }
 
     /// Whether `by` has declared `of` failed so far.
@@ -951,7 +901,6 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                         timer: id,
                     });
                     self.stats.timers_fired += 1;
-                    self.obs_count(owner, MsgClass::None, metric::TIMERS, 1);
                     self.dispatch(owner, |p, ctx| p.on_timer(ctx, id));
                 }
             }
@@ -1038,12 +987,10 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             let at = next.deliver_at.max(self.now);
             self.push_deliver(at, from, to);
         }
-        let class = MsgClass::from_infra(in_flight.infra);
         if self.crashed[to.index()] {
             // The channel does not lose the message; the crashed process
             // simply never executes a receive event for it.
             self.stats.messages_to_crashed += 1;
-            self.obs_count(to, class, metric::TO_CRASHED, 1);
             return;
         }
         let repr = self.payload_repr(&in_flight.payload);
@@ -1055,13 +1002,6 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             payload: repr,
         });
         self.stats.messages_delivered += 1;
-        self.obs_count(to, class, metric::DELIVERED, 1);
-        self.obs_observe(
-            to,
-            class,
-            metric::DELIVERY_LATENCY,
-            self.now.ticks().saturating_sub(in_flight.sent_at.ticks()),
-        );
         self.dispatch(to, |p, ctx| p.on_message(ctx, from, in_flight.payload));
     }
 }

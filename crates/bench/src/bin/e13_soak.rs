@@ -4,10 +4,13 @@
 //! transport timeouts compared head to head (see EXPERIMENTS.md §E13).
 //!
 //! The optional CLI argument sets the seeds per cell. Exits nonzero when
-//! any soak fails to certify FS1/sFS2a–d on every kept shard trace, or
-//! when the adaptive rows do not show *strictly fewer* false suspicions
-//! than the fixed rows at the same N — this is the CI `e13-soak-smoke`
-//! entry point.
+//! any soak fails to certify FS1/sFS2a–d on every shard run, when the
+//! adaptive rows do not show *strictly fewer* false suspicions than the
+//! fixed rows at the same N, when an online row differs from its trace
+//! twin (same seeds, same runs) in any column but the certification
+//! mode, or when any shard run trips an anomaly watermark — the grid is
+//! healthy chaos, which the watermarks must ride out silently. This is
+//! the CI `e13-soak-smoke` entry point.
 fn main() {
     let seeds = sfs_bench::seeds_arg(4);
     let mut cells = None;
@@ -22,40 +25,47 @@ fn main() {
         },
     );
     let cells = cells.expect("run_e13 ran");
-    let mut failed = false;
+    let cell = |n: usize, adaptive: bool, online: bool| {
+        cells
+            .iter()
+            .find(|c| (c.n, c.adaptive, c.online) == (n, adaptive, online))
+            .expect("the grid holds every cell")
+    };
+    let mut failures = Vec::new();
     for c in &cells {
+        let name = format!(
+            "n={} {} {}",
+            c.n,
+            if c.adaptive { "adaptive" } else { "fixed" },
+            if c.online { "online" } else { "trace" }
+        );
         if c.suite_ok != c.runs {
-            eprintln!(
-                "[bench] E13 FAILED: n={} {} certified {}/{} soaks",
-                c.n,
-                if c.adaptive { "adaptive" } else { "fixed" },
-                c.suite_ok,
-                c.runs
-            );
-            failed = true;
+            failures.push(format!("{name} certified {}/{} soaks", c.suite_ok, c.runs));
+        }
+        if c.watermark_trips > 0 {
+            failures.push(format!("{name}: {} watermark trip(s)", c.watermark_trips));
+        }
+        let as_trace = sfs_bench::E13Cell {
+            online: false,
+            ..c.clone()
+        };
+        if c.online && as_trace != *cell(c.n, c.adaptive, false) {
+            failures.push(format!("{name} differs from its trace twin"));
         }
     }
-    for n in [64usize, 256] {
-        // False suspicions are counted from probe annotations on kept
-        // traces, so the comparison uses the trace-based rows only.
-        let fixed = cells
-            .iter()
-            .find(|c| c.n == n && !c.adaptive && !c.online)
-            .unwrap();
-        let adaptive = cells
-            .iter()
-            .find(|c| c.n == n && c.adaptive && !c.online)
-            .unwrap();
+    for n in [64, 256] {
+        let (fixed, adaptive) = (cell(n, false, false), cell(n, true, false));
         if adaptive.false_suspicions >= fixed.false_suspicions {
-            eprintln!(
-                "[bench] E13 FAILED: n={n} adaptive false suspicions not strictly lower \
-                 ({} vs {})",
+            failures.push(format!(
+                "n={n} adaptive false suspicions not strictly lower ({} vs {})",
                 adaptive.false_suspicions, fixed.false_suspicions
-            );
-            failed = true;
+            ));
         }
     }
-    if failed {
+    for f in &failures {
+        eprintln!("[bench] E13 FAILED: {f}");
+    }
+    if !failures.is_empty() {
         std::process::exit(1);
     }
 }

@@ -11,16 +11,21 @@
 //!    instance on the simulator, the event-driven threaded runtime, the
 //!    ARQ transport leg, and (when the node binary is present) the UDP
 //!    backend, folding every engine into one merged [`RunReport`]
-//!    (`OBS_FOUR_ENGINES.json`). Set `SFS_OBS_SMOKE_REQUIRE_UDP=1` to
-//!    make a missing node binary fatal (CI does).
-//! 3. **Chrome trace export**: converts the obs-enabled sim run to
-//!    Chrome trace-event JSON (`OBS_TRACE.json`), re-parses it with the
-//!    crate's own JSON reader, and requires a non-empty `traceEvents`
-//!    array — the same artifact `sfs-trace-export` emits for Perfetto.
-//! 4. **Fingerprint drift**: the obs-enabled sim run must be
-//!    byte-identical (serialized trace) to the bare run, and the
-//!    obs-enabled threaded run must land in the bare threaded run's HB
-//!    class. Any drift exits nonzero.
+//!    (`OBS_FOUR_ENGINES.json`): each leg's trace through
+//!    `Registry::ingest_trace`, its counters through `ingest_stats` (the
+//!    UDP leg's through `ingest_node_status`). Set
+//!    `SFS_OBS_SMOKE_REQUIRE_UDP=1` to make a missing node binary fatal
+//!    (CI does).
+//! 3. **Chrome trace export**: converts the observed sim run to Chrome
+//!    trace-event JSON (`OBS_TRACE.json`), re-parses it with the crate's
+//!    own JSON reader, and requires a non-empty `traceEvents` array — the
+//!    same artifact `sfs-trace-export` emits for Perfetto.
+//! 4. **Fingerprint drift**: the sim and threaded legs run with the
+//!    production observers on their event sink — streaming monitor,
+//!    flight recorder and anomaly watermarks, as the service arms them.
+//!    The observed sim run must be byte-identical (serialized trace) to
+//!    the bare run, and the observed threaded run must land in the bare
+//!    threaded run's HB class. Any drift exits nonzero.
 //!
 //! Artifacts land in `SFS_BENCH_OUT` (default `.`).
 
@@ -28,7 +33,10 @@ use sfs::{ClusterSpec, HeartbeatConfig, NetSpec, NullApp};
 use sfs_asys::ProcessId;
 use sfs_explore::class_fingerprint;
 use sfs_history::History;
-use sfs_obs::{metrics, Json, Registry, RunReport};
+use sfs_obs::{
+    metrics, AnomalyWatermarks, EventSinkHandle, FlightRecorder, Json, Registry, RunReport,
+    SfsMonitor,
+};
 use sfs_service::{plan_shards, run_service, Backend, LoadProfile, ServiceSpec};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -86,6 +94,24 @@ fn common_spec(seed: u64) -> ClusterSpec {
         .suspect(p(4), p(3), 25)
 }
 
+/// The observers a service shard run carries, on one event sink.
+fn production_fanout(label: &str) -> EventSinkHandle {
+    let recorder = FlightRecorder::new(512);
+    EventSinkHandle::fanout(vec![
+        SfsMonitor::new(6).handle(),
+        recorder.handle(),
+        AnomalyWatermarks::with_flight(label, recorder).handle(),
+    ])
+}
+
+/// One engine leg's trace and counters, in a registry of its own.
+fn leg_report(engine: &str, trace: &sfs_asys::Trace) -> RunReport {
+    let reg = Registry::for_shard(engine, 0);
+    reg.ingest_trace(trace);
+    reg.ingest_stats(&trace.stats());
+    reg.report()
+}
+
 fn main() {
     // ---- 1. E11 epoch with telemetry --------------------------------
     let report = run_service(&e11_cell()).unwrap_or_else(|e| fail(&format!("E11 cell: {e}")));
@@ -112,31 +138,24 @@ fn main() {
     let seed = 7u64;
     let mut merged = RunReport::empty("");
 
-    let sim_reg = Registry::for_shard("sim", 0);
     let sim_obs_trace = common_spec(seed)
-        .observe(sim_reg.handle())
+        .event_sink(production_fanout("obs-smoke-sim"))
         .try_run()
         .unwrap_or_else(|e| fail(&format!("sim leg: {e}")));
-    sim_reg.ingest_trace(&sim_obs_trace);
-    merged.merge(&sim_reg.report());
+    merged.merge(&leg_report("sim", &sim_obs_trace));
 
-    let thr_reg = Registry::for_shard("threaded", 0);
     let thr_obs_trace = common_spec(seed)
-        .observe(thr_reg.handle())
+        .event_sink(production_fanout("obs-smoke-threaded"))
         .try_run_threaded(|_| NullApp, Duration::from_millis(500))
         .unwrap_or_else(|e| fail(&format!("threaded leg: {e}")))
         .0;
-    thr_reg.ingest_trace(&thr_obs_trace);
-    merged.merge(&thr_reg.report());
+    merged.merge(&leg_report("threaded", &thr_obs_trace));
 
-    let net_reg = Registry::for_shard("sim+net", 0);
     let net_trace = common_spec(seed)
         .net(NetSpec::faultless())
-        .observe(net_reg.handle())
         .try_run_net(|_| NullApp)
         .unwrap_or_else(|e| fail(&format!("sim+net leg: {e}")));
-    net_reg.ingest_trace(&net_trace);
-    merged.merge(&net_reg.report());
+    merged.merge(&leg_report("sim+net", &net_trace));
 
     let mut engines = 3;
     match sfs::udp_node_binary() {
@@ -203,7 +222,7 @@ fn main() {
     if sfs_obs::trace_json::trace_to_json(&bare_sim)
         != sfs_obs::trace_json::trace_to_json(&sim_obs_trace)
     {
-        fail("telemetry changed the simulator's trace bytes");
+        fail("the observers changed the simulator's trace bytes");
     }
     let bare_thr = common_spec(seed)
         .try_run_threaded(|_| NullApp, Duration::from_millis(500))
@@ -215,7 +234,7 @@ fn main() {
     );
     if fp_bare != fp_obs {
         fail(&format!(
-            "telemetry moved the threaded HB class: bare {fp_bare:#018x} vs obs {fp_obs:#018x}"
+            "the observers moved the threaded HB class: bare {fp_bare:#018x} vs obs {fp_obs:#018x}"
         ));
     }
     eprintln!("[obs-smoke] fingerprints clean: sim byte-identical, threaded class {fp_obs:#018x}");

@@ -17,6 +17,7 @@ use rayon::prelude::*;
 use sfs_apps::scenarios::NetScenario;
 use sfs_asys::{ProcessId, Trace, TraceEventKind};
 use sfs_history::History;
+use sfs_obs::{metrics, Registry};
 use sfs_tlogic::properties;
 use std::collections::BTreeSet;
 
@@ -65,7 +66,8 @@ pub struct E12Cell {
     pub duplicated: f64,
     /// Mean *false* suspicions per run: `probe-suspect` annotations
     /// whose target had not crashed when the note was recorded (the
-    /// islanded-but-alive victims of the partition scenarios).
+    /// islanded-but-alive victims of the partition scenarios), as
+    /// `Registry::ingest_trace` counts them.
     pub false_susp: f64,
     /// Mean frames retransmitted by the ARQ layer per run (summed from
     /// the `retx` burst annotations).
@@ -105,31 +107,13 @@ fn ingest(cell: &mut E12Cell, scenario: &NetScenario, trace: &Trace) {
     let crashed: BTreeSet<ProcessId> = trace.crashed().into_iter().collect();
     cell.kills += crashed.len();
 
-    // Transport diagnostics, from the execution-neutral annotations: a
-    // suspicion is *false* when its target had not crashed yet at the
-    // moment the prober raised it (event order is causal order here),
-    // and every `retx` note carries the size of one resend burst.
-    let mut crashed_so_far: BTreeSet<usize> = BTreeSet::new();
-    for e in trace.events() {
-        match &e.kind {
-            TraceEventKind::Crash { pid } => {
-                crashed_so_far.insert(pid.index());
-            }
-            TraceEventKind::Note { note, .. } => match note {
-                sfs_asys::Note::KeyVal { key, val } if key == sfs::NOTE_PROBE_SUSPECT => {
-                    let target = val.strip_prefix('p').and_then(|v| v.parse::<usize>().ok());
-                    if target.is_none_or(|g| !crashed_so_far.contains(&g)) {
-                        cell.false_susp += 1.0;
-                    }
-                }
-                sfs_asys::Note::KeyVal { key, val } if key == sfs::NOTE_RETX => {
-                    cell.retx += val.parse::<f64>().unwrap_or(0.0);
-                }
-                _ => {}
-            },
-            _ => {}
-        }
-    }
+    // Transport diagnostics, re-derived from the execution-neutral
+    // annotations by the registry's trace fold.
+    let registry = Registry::new("sim+net");
+    registry.ingest_trace(trace);
+    let report = registry.report();
+    cell.false_susp += report.counter_total(metrics::FALSE_SUSPICIONS) as f64;
+    cell.retx += report.counter_total(metrics::RETX) as f64;
 
     // FS1, empirically: every survivor detected every killed process.
     let survivors: Vec<ProcessId> = ProcessId::all(trace.n())

@@ -29,13 +29,12 @@
 use crate::report::{note_events, note_trace};
 use crate::table::Table;
 use rayon::prelude::*;
-use sfs::{AdaptiveConfig, NetSpec, ProbeConfig, NOTE_PROBE_SUSPECT};
-use sfs_asys::{Note, TraceEventKind};
+use sfs::{AdaptiveConfig, NetSpec, ProbeConfig};
 use sfs_chaos::ChaosSpec;
 use sfs_history::History;
+use sfs_obs::{metrics, Registry};
 use sfs_service::{run_service, LoadProfile, ServiceReport, ServiceSpec};
 use sfs_tlogic::properties;
-use std::collections::BTreeSet;
 
 /// Epochs per soak.
 const EPOCHS: u64 = 3;
@@ -60,7 +59,7 @@ const FLAP: (u64, u64) = (150, 220);
 const STORM: (u64, u64, u64) = (400, 560, 110);
 
 /// One `(N, timeout mode)` cell of the E13 sweep, aggregated over seeds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct E13Cell {
     /// Total processes.
     pub n: usize,
@@ -85,8 +84,13 @@ pub struct E13Cell {
     /// false suspicions.
     pub kills: usize,
     /// Suspicions of still-live targets across runs (the storm's toll on
-    /// the fixed prober; the adaptive rows must stay strictly lower).
+    /// the fixed prober; the adaptive rows must stay strictly lower):
+    /// `Registry::ingest_trace` over each kept trace on trace rows, the
+    /// same fold run live (`ShardOutcome::obs`) on online rows.
     pub false_suspicions: usize,
+    /// Anomaly-watermark trips across every shard run (a healthy grid
+    /// trips none).
+    pub watermark_trips: usize,
     /// Detection events across runs (one per surviving detector per
     /// kill).
     pub detections: usize,
@@ -148,10 +152,10 @@ pub fn e13_spec(n: usize, adaptive: bool, seed: u64) -> ServiceSpec {
         .max_time(2_000)
         .keep_traces(true)
         .certify_online(true)
-        // Anomaly watermarks armed: a queue-depth, RTO, or
-        // suspicion-rate excursion past its learned baseline dumps the
-        // shard's flight ring (under SFS_FLIGHT_DIR) before the
-        // certification gate below ever sees a failed verdict.
+        // Anomaly watermarks armed: an RTO or suspicion-rate excursion
+        // past its learned baseline dumps the shard's flight ring (under
+        // SFS_FLIGHT_DIR) before the certification gate below ever sees
+        // a failed verdict.
         .watermarks(true)
         .load(LoadProfile::closed(2 * n as u64, 8))
         .net(net)
@@ -203,41 +207,26 @@ fn ingest(cell: &mut E13Cell, report: &ServiceReport) {
                         &body,
                     );
                 }
-                // A suspicion is false when its target had not crashed
-                // yet at the moment the prober annotated it (event order
-                // is causal).
-                let mut crashed_so_far: BTreeSet<usize> = BTreeSet::new();
-                for e in trace.events() {
-                    match &e.kind {
-                        TraceEventKind::Crash { pid } => {
-                            crashed_so_far.insert(pid.index());
-                        }
-                        TraceEventKind::Note {
-                            note: Note::KeyVal { key, val },
-                            ..
-                        } if key == NOTE_PROBE_SUSPECT => {
-                            let target =
-                                val.strip_prefix('p').and_then(|v| v.parse::<usize>().ok());
-                            if target.is_none_or(|g| !crashed_so_far.contains(&g)) {
-                                cell.false_suspicions += 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+                // False suspicions, replayed from the kept trace.
+                let registry = Registry::new("sim");
+                registry.ingest_trace(trace);
+                cell.false_suspicions +=
+                    registry.report().counter_total(metrics::FALSE_SUSPICIONS) as usize;
                 ok
             }
             // Certify-online row: no trace was retained; the streaming
-            // verdicts are the certificate. (False suspicions need the
-            // probe annotations, which live on the trace — those rows
-            // display `-`.) The shard still simulated `s.events` events,
-            // so the throughput record counts them like any other row.
+            // verdicts are the certificate, and the false suspicions come
+            // from the same fold run live over the shard's event stream.
+            // The shard still simulated `s.events` events, so the
+            // throughput record counts them like any other row.
             None => {
                 note_events(s.events);
+                cell.false_suspicions += s.obs.counter_total(metrics::FALSE_SUSPICIONS) as usize;
                 online.all_ok()
             }
         };
         all_ok &= ok;
+        cell.watermark_trips += s.watermark_trips.len();
         cell.kills += s.stats.crashes as usize;
         cell.detections += s.stats.detections as usize;
         cell.frames += s.stats.messages_sent;
@@ -271,6 +260,7 @@ pub fn e13_cell(n: usize, adaptive: bool, online: bool, seeds: u64) -> E13Cell {
         shard_runs: 0,
         kills: 0,
         false_suspicions: 0,
+        watermark_trips: 0,
         detections: 0,
         frames: 0,
         ops_completed: 0,
@@ -335,11 +325,7 @@ pub fn run_e13(seeds: u64) -> (Table, Vec<E13Cell>) {
             c.runs.to_string(),
             format!("{}/{}", c.suite_ok, c.runs),
             c.kills.to_string(),
-            if c.online {
-                "-".to_string()
-            } else {
-                format!("{:.1}", c.false_susp_rate())
-            },
+            format!("{:.1}", c.false_susp_rate()),
             format!("{:.0}", c.msgs_per_detection()),
             c.op_p99().to_string(),
             c.ops_completed.to_string(),
@@ -354,8 +340,8 @@ pub fn run_e13(seeds: u64) -> (Table, Vec<E13Cell>) {
          by clause; on `online` rows from the streaming monitors alone, with no trace \
          retained at all. f-susp counts suspicions of still-live targets (the delay storm \
          pushes the heartbeat gap past the fixed 100-tick timeout, while the adaptive \
-         prober, trained by the earlier sub-timeout flap, rides it out); the probe \
-         annotations live on the trace, so online rows show `-`. degraded counts shards \
+         prober, trained by the earlier sub-timeout flap, rides it out) — replayed from \
+         the kept trace on `trace` rows, folded live on `online` rows. degraded counts shards \
          that exhausted their budget and were shed by the directory, their stranded ops \
          rescued onto donors. op p99 is the 99th-percentile client-op latency (ticks) \
          from the telemetry registries' log-bucket histograms, merged across every seed.",
@@ -404,8 +390,8 @@ mod tests {
     #[test]
     fn e13_certify_online_matches_the_trace_based_cell() {
         // The certify-online cell keeps no traces, yet must reach the
-        // same verdict and the same engine counters as the kept-trace
-        // cell on the same seed — certification without retention.
+        // same verdict and the same columns as the kept-trace cell on the
+        // same seed — certification without retention.
         let traced = e13_cell(64, true, false, 1);
         let online = e13_cell(64, true, true, 1);
         assert_eq!(online.runs, 1);
@@ -413,12 +399,15 @@ mod tests {
             online.suite_ok, 1,
             "certify-online must certify without traces"
         );
-        assert_eq!(online.suite_ok, traced.suite_ok);
-        assert_eq!(online.shard_runs, traced.shard_runs);
-        assert_eq!(online.kills, traced.kills);
-        assert_eq!(online.detections, traced.detections);
-        assert_eq!(online.frames, traced.frames);
-        assert_eq!(online.ops_completed, traced.ops_completed);
+        // Every column agrees, false suspicions (folded live there,
+        // replayed from the kept traces here) included.
+        assert_eq!(
+            E13Cell {
+                online: false,
+                ..online
+            },
+            traced
+        );
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::protocol::SfsProcess;
 use crate::quorum::{QuorumError, QuorumPolicy};
 use sfs_asys::net::{Runtime, RuntimeConfig};
 use sfs_asys::{
-    CrashRegistry, EventSinkHandle, FaultPlan, FaultyLink, LatencyError, LinkModel, ObsHandle,
+    CrashRegistry, EventSinkHandle, FaultPlan, FaultyLink, LatencyError, LinkModel,
     PartitionSchedule, ProcessId, Sim, StormSchedule, Trace, UniformLatency, VirtualTime,
 };
 use sfs_transport::{
@@ -226,17 +226,12 @@ pub struct ClusterSpec {
     /// Ignored by the bare (`try_run`/`try_run_threaded`/...) legs, which
     /// assume the §2 channel axioms directly.
     pub net: Option<NetSpec>,
-    /// Telemetry sink threaded into whichever engine the spec runs on
-    /// (the simulator's dispatch seams or the threaded router's). Strictly
-    /// execution-neutral — the `obs_equiv` conformance suite pins that an
-    /// observed run is fingerprint-identical to a bare one. `None` (the
-    /// default) costs nothing.
-    pub obs: Option<ObsHandle>,
     /// Trace-event sink threaded into whichever engine the spec runs on:
     /// every event an engine appends to its trace is also handed, live,
     /// to the sink — the feed the `sfs-obs` streaming sFS monitors
-    /// certify on without retaining the trace. Execution-neutral under
-    /// the same contract as [`ClusterSpec::obs`]; the UDP leg, whose
+    /// certify on without retaining the trace. Strictly execution-neutral
+    /// — the `obs_equiv` conformance suite pins that an observed run is
+    /// fingerprint-identical to a bare one; the UDP leg, whose
     /// nodes run in separate OS processes, replays the Lamport-merged
     /// trace through the sink at the parent after the run. `None` (the
     /// default) costs nothing.
@@ -262,20 +257,13 @@ impl ClusterSpec {
             suspicions: Vec::new(),
             batch: false,
             net: None,
-            obs: None,
             sink: None,
         }
     }
 
-    /// Installs a telemetry sink (e.g. an `sfs-obs` registry handle or a
-    /// flight-recorder fanout) on whichever engine the spec runs on.
-    pub fn observe(mut self, obs: ObsHandle) -> Self {
-        self.obs = Some(obs);
-        self
-    }
-
     /// Installs a trace-event sink (e.g. an `sfs-obs` streaming sFS
-    /// monitor) on whichever engine the spec runs on.
+    /// monitor, or a fanout of several) on whichever engine the spec
+    /// runs on.
     pub fn event_sink(mut self, sink: EventSinkHandle) -> Self {
         self.sink = Some(sink);
         self
@@ -517,10 +505,6 @@ impl ClusterSpec {
             // model-level events.
             .classify(|m: &SfsMsg<A::Msg>| !m.is_app())
             .faults(self.fault_plan());
-        let builder = match &self.obs {
-            Some(obs) => builder.observe(obs.clone()),
-            None => builder,
-        };
         let builder = match &self.sink {
             Some(sink) => builder.event_sink(sink.clone()),
             None => builder,
@@ -585,7 +569,6 @@ impl ClusterSpec {
             record_payloads: false,
             classify: Some(Box::new(|m: &SfsMsg<A::Msg>| !m.is_app())),
             measure: None,
-            obs: self.obs.clone(),
             sink: self.sink.clone(),
             registry: Some(registry.clone()),
             batch: self.batch,
@@ -683,10 +666,6 @@ impl ClusterSpec {
             // alphabet is reconstructed from the wrapper's logical events.
             .classify(|_| true)
             .faults(self.fault_plan_net());
-        let builder = match &self.obs {
-            Some(obs) => builder.observe(obs.clone()),
-            None => builder,
-        };
         let builder = match &self.sink {
             Some(sink) => builder.event_sink(sink.clone()),
             None => builder,
@@ -759,7 +738,6 @@ impl ClusterSpec {
             record_payloads: false,
             classify: Some(Box::new(|_: &TransportMsg<SfsMsg<A::Msg>>| true)),
             measure,
-            obs: self.obs.clone(),
             sink: self.sink.clone(),
             registry: Some(registry.clone()),
             batch: self.batch,

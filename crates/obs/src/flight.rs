@@ -1,17 +1,21 @@
-//! The flight recorder: a fixed-size ring of the most recent telemetry
-//! events, dumped only when something goes wrong.
+//! The flight recorder: a fixed-size ring of the most recent events,
+//! dumped only when something goes wrong.
 //!
-//! A [`FlightRecorder`] is an [`ObsSink`], so it can ride the same
-//! engine seams as the metrics registry (fan both out with
-//! [`crate::fanout`]). It costs O(capacity) memory regardless of run
-//! length and is never consulted on the happy path; when a conformance
-//! check diverges, a certification gate fails, or a UDP control channel
-//! hits its deadline, the harness formats the ring — plus the tail of
-//! the merged trace via [`trace_tail`] — into a post-mortem snippet and,
-//! when the `SFS_FLIGHT_DIR` environment variable names a directory,
-//! writes it there as `<label>.flight.txt` for CI artifact upload.
+//! A [`FlightRecorder`] is an [`EventSink`] over the engines' one event
+//! stream. It keeps model-level events, notes and injections — the ~2 %
+//! of a heartbeat-driven run that explains it — and skips infrastructure
+//! frames and timer firings, which would flush a 512-slot ring within a
+//! few ticks. It costs O(capacity) memory regardless of run length and is
+//! never consulted on the happy path; when an anomaly watermark trips
+//! (see [`crate::watermark`]) its ring is the post-mortem body, and when
+//! a conformance check diverges, a certification gate fails, or a UDP
+//! control channel hits its deadline, the harness formats the tail of
+//! the trace via [`trace_tail`] — in the same one-line-per-event format.
+//! When the `SFS_FLIGHT_DIR` environment variable names a directory, a
+//! dump is written there as `<label>.flight.txt` for CI artifact upload;
+//! when it is unset, nothing is written.
 
-use sfs_asys::{ObsEvent, ObsHandle, ObsSink, Trace};
+use sfs_asys::{EventSink, EventSinkHandle, Interest, Trace, TraceEvent};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
@@ -20,15 +24,15 @@ use std::sync::{Arc, Mutex};
 /// Unset ⇒ dumps are formatted but not persisted.
 pub const FLIGHT_DIR_ENV: &str = "SFS_FLIGHT_DIR";
 
-/// Event `seq` lives in slot `seq % capacity` until event
-/// `seq + capacity` overwrites it.
+/// The `recorded`-th event offered lives in slot `recorded % capacity`
+/// until `capacity` later events overwrite it.
 #[derive(Debug)]
 struct Ring {
-    slots: Vec<(u64, ObsEvent)>,
-    next_seq: u64,
+    slots: Vec<TraceEvent>,
+    recorded: u64,
 }
 
-/// A bounded ring of recent [`ObsEvent`]s (newest evicts oldest).
+/// A bounded ring of recent [`TraceEvent`]s (newest evicts oldest).
 #[derive(Debug)]
 pub struct FlightRecorder {
     capacity: usize,
@@ -43,19 +47,19 @@ impl FlightRecorder {
             capacity,
             ring: Mutex::new(Ring {
                 slots: Vec::with_capacity(capacity),
-                next_seq: 0,
+                recorded: 0,
             }),
         })
     }
 
-    /// An [`ObsHandle`] feeding this recorder, for engine builders.
-    pub fn handle(self: &Arc<Self>) -> ObsHandle {
-        ObsHandle::new(self.clone() as Arc<dyn ObsSink>)
+    /// An [`EventSinkHandle`] feeding this recorder.
+    pub fn handle(self: &Arc<Self>) -> EventSinkHandle {
+        EventSinkHandle::new(self.clone() as Arc<dyn EventSink>)
     }
 
     /// Total events ever recorded (including evicted ones).
     pub fn recorded(&self) -> u64 {
-        self.ring.lock().expect("flight ring poisoned").next_seq
+        self.ring.lock().expect("flight ring poisoned").recorded
     }
 
     /// Formats the ring, oldest first, one event per line.
@@ -64,52 +68,43 @@ impl FlightRecorder {
         let mut out = format!(
             "flight recorder: {} of {} events retained (capacity {})\n",
             ring.slots.len(),
-            ring.next_seq,
+            ring.recorded,
             self.capacity
         );
         // Once the ring has wrapped, the oldest event sits in the slot
         // the next one will overwrite.
-        let oldest = ring.next_seq as usize % ring.slots.len().max(1);
+        let oldest = ring.recorded as usize % ring.slots.len().max(1);
         let (newer, older) = ring.slots.split_at(oldest);
-        for (seq, ev) in older.iter().chain(newer) {
-            let line = match ev {
-                ObsEvent::Counter {
-                    node,
-                    class,
-                    name,
-                    delta,
-                } => format!("#{seq:<8} {node} {:<6} {name} += {delta}", class.label()),
-                ObsEvent::Gauge {
-                    node,
-                    class,
-                    name,
-                    value,
-                } => format!("#{seq:<8} {node} {:<6} {name} = {value}", class.label()),
-                ObsEvent::Observe {
-                    node,
-                    class,
-                    name,
-                    value,
-                } => format!("#{seq:<8} {node} {:<6} {name} ~ {value}", class.label()),
-            };
-            out.push_str(&line);
-            out.push('\n');
+        for e in older.iter().chain(newer) {
+            write_event(&mut out, e);
         }
         out
     }
 }
 
-impl ObsSink for FlightRecorder {
-    fn record(&self, event: ObsEvent) {
+impl EventSink for FlightRecorder {
+    fn on_event(&self, event: &TraceEvent) {
         let mut ring = self.ring.lock().expect("flight ring poisoned");
-        let seq = ring.next_seq;
-        ring.next_seq += 1;
+        let slot = ring.recorded as usize % self.capacity;
+        ring.recorded += 1;
         if ring.slots.len() < self.capacity {
-            ring.slots.push((seq, event));
+            ring.slots.push(event.clone());
         } else {
-            ring.slots[seq as usize % self.capacity] = (seq, event);
+            ring.slots[slot] = event.clone();
         }
     }
+
+    fn interest(&self) -> Interest {
+        Interest::MODEL
+            .union(Interest::NOTE)
+            .union(Interest::EXTERNAL)
+    }
+}
+
+/// One event as a dump line — the one format the recorder's dump and
+/// [`trace_tail`] share.
+fn write_event(out: &mut String, e: &TraceEvent) {
+    let _ = writeln!(out, "  [{:>8}] #{:<6} {:?}", e.time.ticks(), e.seq, e.kind);
 }
 
 /// Formats the last `k` events of `trace`, one per line — the trace-side
@@ -126,7 +121,7 @@ pub fn trace_tail(trace: &Trace, k: usize) -> String {
         trace.end_time().ticks()
     );
     for e in &events[start..] {
-        let _ = writeln!(out, "  [{:>8}] #{:<6} {:?}", e.time.ticks(), e.seq, e.kind);
+        write_event(&mut out, e);
     }
     out
 }
@@ -157,26 +152,45 @@ pub fn dump_to_dir(label: &str, body: &str) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs_asys::{MsgClass, ProcessId};
+    use sfs_asys::{MsgId, Note, ProcessId, SimStats, StopReason, TraceEventKind, VirtualTime};
+
+    /// Event `seq` at tick `seq`: a note, so every recorder keeps it.
+    fn note(seq: usize) -> TraceEvent {
+        TraceEvent {
+            seq,
+            time: VirtualTime::from_ticks(seq as u64),
+            kind: TraceEventKind::Note {
+                pid: ProcessId::new(seq % 3),
+                note: Note::key_val("k", seq),
+            },
+        }
+    }
+
+    /// The seq field of every event line of a dump, in order.
+    fn dumped_seqs(dump: &str) -> Vec<usize> {
+        dump.lines()
+            .skip(1) // header
+            .map(|l| {
+                l.split_whitespace()
+                    .find_map(|w| w.strip_prefix('#'))
+                    .expect("seq field")
+                    .parse()
+                    .expect("numeric seq")
+            })
+            .collect()
+    }
 
     #[test]
     fn ring_keeps_only_the_newest_events() {
         let rec = FlightRecorder::new(4);
         let h = rec.handle();
-        for i in 0..10u64 {
-            h.record(ObsEvent::Counter {
-                node: ProcessId::new(0),
-                class: MsgClass::App,
-                name: "sent",
-                delta: i,
-            });
+        for i in 0..10 {
+            h.on_event(&note(i));
         }
         assert_eq!(rec.recorded(), 10);
         let dump = rec.dump();
         assert!(dump.contains("4 of 10 events retained"));
-        assert!(dump.contains("#9"), "newest event missing:\n{dump}");
-        assert!(!dump.contains("#5 "), "evicted event present:\n{dump}");
-        assert!(dump.contains("sent += 9"));
+        assert_eq!(dumped_seqs(&dump), vec![6, 7, 8, 9], "{dump}");
     }
 
     #[test]
@@ -188,57 +202,56 @@ mod tests {
         let total = 7 * 3 + 4; // lands mid-window, off the wrap boundary
         let rec = FlightRecorder::new(capacity);
         let h = rec.handle();
-        for i in 0..total as u64 {
-            h.record(ObsEvent::Gauge {
-                node: ProcessId::new((i % 3) as usize),
-                class: MsgClass::Infra,
-                name: "depth",
-                value: i,
-            });
+        for i in 0..total {
+            h.on_event(&note(i));
         }
         assert_eq!(rec.recorded(), total as u64);
         let dump = rec.dump();
-        let seqs: Vec<u64> = dump
-            .lines()
-            .skip(1) // header
-            .map(|l| {
-                l.trim_start_matches('#')
-                    .split_whitespace()
-                    .next()
-                    .expect("seq field")
-                    .parse()
-                    .expect("numeric seq")
-            })
-            .collect();
-        let expect: Vec<u64> = (total as u64 - capacity as u64..total as u64).collect();
+        let expect: Vec<usize> = (total - capacity..total).collect();
         assert_eq!(
-            seqs, expect,
+            dumped_seqs(&dump),
+            expect,
             "dump after wraparound is not the ordered final window:\n{dump}"
         );
     }
 
     #[test]
     fn trace_tail_formats_last_events() {
-        use sfs_asys::{SimStats, StopReason, TraceEvent, TraceEventKind, VirtualTime};
-        let events = (0..20)
-            .map(|i| TraceEvent {
-                seq: i,
-                time: VirtualTime::from_ticks(i as u64),
-                kind: TraceEventKind::Crash {
-                    pid: ProcessId::new(0),
-                },
-            })
-            .collect();
+        let p0 = ProcessId::new(0);
+        let mut events: Vec<TraceEvent> = (0..20).map(note).collect();
+        // An infrastructure frame: in the trace, outside the recorder's
+        // interest.
+        events.push(TraceEvent {
+            seq: 20,
+            time: VirtualTime::from_ticks(20),
+            kind: TraceEventKind::Send {
+                from: p0,
+                to: p0,
+                msg: MsgId::new(p0, 0),
+                infra: true,
+                payload: None,
+            },
+        });
+        let rec = FlightRecorder::new(4);
+        let h = rec.handle();
+        for e in &events {
+            h.on_event(e);
+        }
         let trace = Trace::from_parts(
-            1,
+            3,
             events,
             StopReason::MaxTime,
-            VirtualTime::from_ticks(19),
+            VirtualTime::from_ticks(20),
             SimStats::default(),
         );
         let tail = trace_tail(&trace, 5);
-        assert!(tail.contains("events 15..20 of 20"));
-        assert!(tail.contains("#19"));
-        assert!(!tail.contains("#14 "));
+        assert!(tail.contains("events 16..21 of 21"));
+        assert!(tail.contains("#20"));
+        assert!(!tail.contains("#15 "));
+        // One line format: the recorder's dump is the tail's note lines.
+        assert_eq!(
+            rec.dump().lines().skip(1).collect::<Vec<_>>(),
+            tail.lines().skip(1).take(4).collect::<Vec<_>>()
+        );
     }
 }

@@ -1,18 +1,31 @@
 //! `sfs-obs` — deterministic telemetry for the fail-stop simulation
-//! stack: a metrics registry, causal span export, and a flight recorder,
-//! shared by all four engines (virtual-time simulator, threaded router,
-//! transport-backed runs, and the UDP multi-process backend).
+//! stack: a metrics registry, causal span export, a flight recorder,
+//! anomaly watermarks and the streaming sFS monitor, shared by all four
+//! engines (virtual-time simulator, threaded router, transport-backed
+//! runs, and the UDP multi-process backend).
+//!
+//! # One stream
+//!
+//! The engines emit trace events and nothing else. Everything here that
+//! watches a run live is an [`EventSink`] over that one stream, declaring
+//! the event kinds it reads ([`Interest`]) so the engines skip the rest:
+//! the [`SfsMonitor`] reads the model alphabet, the [`FlightRecorder`]
+//! model events, notes and injections, the [`AnomalyWatermarks`] crashes,
+//! detections and notes, and the service's shard fold ([`TraceIngest`]
+//! behind it) notes, crashes and detections. Engine counters come from
+//! the run's [`SimStats`](sfs_asys::SimStats) ([`Registry::ingest_stats`])
+//! or, on the UDP backend, the per-node status ledgers
+//! ([`Registry::ingest_node_status`]).
 //!
 //! # Execution neutrality
 //!
-//! The whole crate sits strictly *downstream* of the engines: the
-//! [`ObsSink`] seam the engines call has no channel back into scheduling
-//! state (no RNG, no clock, no queue access), traces are only ever read
-//! after a run finishes, and transport metrics are re-derived from
-//! annotations the transport already records unconditionally. An
-//! obs-enabled run is therefore happened-before-fingerprint-identical to
-//! a bare run — a property pinned by the `obs_equiv` conformance tests
-//! rather than merely asserted here.
+//! The whole crate sits strictly *downstream* of the engines: a sink has
+//! no channel back into scheduling state (no RNG, no clock, no queue
+//! access), and transport metrics are re-derived from annotations the
+//! transport already records unconditionally. An observed run is
+//! therefore happened-before-fingerprint-identical to a bare run — a
+//! property pinned by the `obs_equiv` conformance tests rather than
+//! merely asserted here.
 //!
 //! # Pieces
 //!
@@ -23,8 +36,8 @@
 //! * [`chrome::chrome_trace`] — Lamport-merged [`Trace`](sfs_asys::Trace)
 //!   → Chrome trace-event JSON for Perfetto, including crash→detection
 //!   spans and `span-begin`/`span-end` protocol phases.
-//! * [`FlightRecorder`] — a fixed-size ring of recent telemetry, dumped
-//!   via [`flight::dump_to_dir`] when a gate fails.
+//! * [`FlightRecorder`] — a fixed-size ring of recent events, dumped via
+//!   [`flight::dump_to_dir`] when a gate fails or a watermark trips.
 //! * [`trace_json`] — a hand-rolled JSON round-trip for traces, feeding
 //!   the `sfs-trace-export` binary.
 
@@ -48,38 +61,31 @@ pub use json::Json;
 pub use monitor::SfsMonitor;
 pub use registry::{Metric, MetricKey, Registry, TraceIngest};
 pub use report::RunReport;
-pub use sfs_asys::{EventSink, EventSinkHandle, Interest, MsgClass, ObsEvent, ObsHandle, ObsSink};
+pub use sfs_asys::{EventSink, EventSinkHandle, Interest, MsgClass};
 pub use sfs_tlogic::Verdict;
 pub use verdict::SuiteVerdicts;
 pub use watermark::AnomalyWatermarks;
 
-use std::sync::Arc;
-
-/// Fans one telemetry stream out to several sinks (e.g. a [`Registry`]
-/// and a [`FlightRecorder`] observing the same engine).
-pub fn fanout(handles: Vec<ObsHandle>) -> ObsHandle {
-    #[derive(Debug)]
-    struct Fanout(Vec<ObsHandle>);
-    impl ObsSink for Fanout {
-        fn record(&self, event: ObsEvent) {
-            for h in &self.0 {
-                h.record(event);
-            }
-        }
-    }
-    ObsHandle::new(Arc::new(Fanout(handles)))
-}
-
-/// Metric and annotation names shared across engines and reports.
-///
-/// Engine-seam names (emitted through [`ObsSink`]) re-export the
-/// canonical constants from `sfs_asys::observe::metric`; trace-derived
-/// names and the note keys they parse live here.
+/// Metric and annotation names shared across registries and reports.
 pub mod metrics {
-    pub use sfs_asys::observe::metric::{
-        COMPUTE_NS, CRASHES, DELIVERED, DELIVERY_LATENCY, DETECTIONS, DROPPED, DUPLICATED,
-        QUEUE_DEPTH, SENT, STALL_NS, TIMERS, TO_CRASHED, WHEEL_OCCUPANCY, WIRE_BYTES,
-    };
+    /// Counter: send actions executed.
+    pub const SENT: &str = "sent";
+    /// Counter: messages admitted to a live process.
+    pub const DELIVERED: &str = "delivered";
+    /// Counter: copies withheld by the link/shim.
+    pub const DROPPED: &str = "dropped";
+    /// Counter: extra copies minted by the link/shim.
+    pub const DUPLICATED: &str = "duplicated";
+    /// Counter: messages consumed at a crashed receiver.
+    pub const TO_CRASHED: &str = "to_crashed";
+    /// Counter: sender-paid encoded frame bytes.
+    pub const WIRE_BYTES: &str = "wire_bytes";
+    /// Counter: timer firings delivered.
+    pub const TIMERS: &str = "timers_fired";
+    /// Counter: failure detections declared.
+    pub const DETECTIONS: &str = "detections";
+    /// Counter: process crashes.
+    pub const CRASHES: &str = "crashes";
 
     /// Counter: datagrams/messages retransmitted (from `retx` notes).
     pub const RETX: &str = "retx";
@@ -91,6 +97,9 @@ pub mod metrics {
     /// Histogram: crash → first probe suspicion naming the victim, in
     /// ticks.
     pub const SUSPICION_LATENCY: &str = "suspicion_latency_ticks";
+    /// Counter: `probe-suspect` notes whose target had not crashed when
+    /// the note was recorded (an unparseable target counts as live).
+    pub const FALSE_SUSPICIONS: &str = "false_suspicions";
     /// Histogram: application operation latency, in ticks (service layer).
     pub const OP_LATENCY: &str = "op_latency_ticks";
 
@@ -118,20 +127,25 @@ pub mod metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs_asys::ProcessId;
+    use sfs_asys::{ProcessId, TraceEvent, TraceEventKind, VirtualTime};
 
     #[test]
     fn fanout_feeds_every_sink() {
-        let reg_a = Registry::new("sim");
-        let reg_b = Registry::new("sim");
-        let h = fanout(vec![reg_a.handle(), reg_b.handle()]);
-        h.record(ObsEvent::Counter {
-            node: ProcessId::new(1),
-            class: MsgClass::App,
-            name: metrics::SENT,
-            delta: 2,
-        });
-        assert_eq!(reg_a.report().counter_total(metrics::SENT), 2);
-        assert_eq!(reg_b.report().counter_total(metrics::SENT), 2);
+        let recorder = FlightRecorder::new(8);
+        let monitor = SfsMonitor::new(2);
+        let h = EventSinkHandle::fanout(vec![recorder.handle(), monitor.handle()]);
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        for kind in [
+            TraceEventKind::Failed { by: p0, of: p1 },
+            TraceEventKind::Crash { pid: p1 },
+        ] {
+            h.on_event(&TraceEvent {
+                seq: 0,
+                time: VirtualTime::ZERO,
+                kind,
+            });
+        }
+        assert_eq!(recorder.recorded(), 2);
+        assert_eq!(monitor.events_seen(), 2);
     }
 }

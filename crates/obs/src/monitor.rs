@@ -54,7 +54,6 @@
 //! trace merge and replayed through the same code path
 //! ([`replay_fragments`]).
 
-use crate::flight;
 use crate::verdict::SuiteVerdicts;
 use sfs_asys::{EventSink, EventSinkHandle, Interest, MsgId, Trace, TraceEvent, TraceEventKind};
 use sfs_tlogic::Verdict;
@@ -142,10 +141,6 @@ struct MonitorState {
     sfs2b_violated: bool,
     sfs2c_violated: bool,
     cond3_violated: bool,
-    /// Whether the violation hook already fired for sFS2d (whose
-    /// verdict, unlike the sticky clauses, can clear at a later
-    /// receive — the hook still fires at the first violating one).
-    sfs2d_fired: bool,
 }
 
 impl MonitorState {
@@ -161,7 +156,6 @@ impl MonitorState {
             sfs2b_violated: false,
             sfs2c_violated: false,
             cond3_violated: false,
-            sfs2d_fired: false,
         }
     }
 
@@ -194,9 +188,8 @@ impl MonitorState {
         self.procs[by].is_tainted_by(by)
     }
 
-    /// Absorbs one model-alphabet event; returns the property name if
-    /// a sticky safety clause was violated *by this event*.
-    fn step(&mut self, kind: &TraceEventKind) -> Option<&'static str> {
+    /// Absorbs one model-alphabet event.
+    fn step(&mut self, kind: &TraceEventKind) {
         self.events_seen += 1;
         match *kind {
             TraceEventKind::Send {
@@ -219,7 +212,6 @@ impl MonitorState {
                         },
                     );
                 }
-                None
             }
             TraceEventKind::Recv {
                 by,
@@ -228,15 +220,13 @@ impl MonitorState {
                 ..
             } => {
                 let by = by.index();
-                let mut flight = self.flights.get(&msg).copied()?;
-                let mut fired = None;
+                let Some(mut flight) = self.flights.get(&msg).copied() else {
+                    return;
+                };
                 // Condition 3: the receive pulls the sender's causal
                 // past (at send time) into the receiver's.
-                if self.merge_taint(flight.from, flight.taint_len as usize, by)
-                    && !self.cond3_violated
-                {
+                if self.merge_taint(flight.from, flight.taint_len as usize, by) {
                     self.cond3_violated = true;
-                    fired = Some("Condition3");
                 }
                 // sFS2d: the receiver must already hold every detection
                 // the sender held at send time. The *last* receive of a
@@ -256,50 +246,38 @@ impl MonitorState {
                     flight.violating = true;
                     self.violating_msgs += 1;
                     self.flights.insert(msg, flight);
-                    if fired.is_none() && !self.sfs2d_fired {
-                        self.sfs2d_fired = true;
-                        fired = Some("sFS2d");
-                    }
                 }
-                fired
             }
             TraceEventKind::Crash { pid } => {
                 let pid = pid.index();
                 self.crashed[pid] = true;
-                if self.procs[pid].is_tainted_by(pid) && !self.cond3_violated {
+                if self.procs[pid].is_tainted_by(pid) {
                     self.cond3_violated = true;
-                    return Some("Condition3");
                 }
-                None
             }
             TraceEventKind::Failed { by, of } => {
                 let (by, of) = (by.index(), of.index());
-                let mut fired = None;
-                if by == of && !self.sfs2c_violated {
+                if by == of {
                     self.sfs2c_violated = true;
-                    fired = Some("sFS2c");
                 }
                 if self.procs[by].note_detection(self.n, of) {
                     // New failed-before edge of → by: closes a cycle
                     // iff of was already reachable from by.
                     if !self.sfs2b_violated && self.reaches(by, of) {
                         self.sfs2b_violated = true;
-                        fired.get_or_insert("sFS2b");
                     }
                     self.before[of].push(by);
                 }
                 self.procs[by].note_taint(self.n, of);
-                if self.procs[by].is_tainted_by(by) && !self.cond3_violated {
+                if self.procs[by].is_tainted_by(by) {
                     self.cond3_violated = true;
-                    fired.get_or_insert("Condition3");
                 }
-                fired
             }
             // Infra traffic, timers, externals, and notes are outside
             // the model alphabet (History::from_trace drops them) and
             // outside the declared interest; a caller that bypasses the
             // handle's filter changes the count, never a verdict.
-            _ => None,
+            _ => {}
         }
     }
 
@@ -344,22 +322,15 @@ impl MonitorState {
     }
 }
 
-/// A hook invoked (at most once per property) when the monitor sees a
-/// sticky safety clause go violated mid-run — the flight recorder's
-/// third dump trigger.
-pub type ViolationHook = Arc<dyn Fn(&'static str) + Send + Sync>;
-
 /// The streaming sFS suite monitor; see the module docs.
 pub struct SfsMonitor {
     state: Mutex<MonitorState>,
-    hook: Option<ViolationHook>,
 }
 
 impl std::fmt::Debug for SfsMonitor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SfsMonitor")
             .field("events_seen", &self.events_seen())
-            .field("has_hook", &self.hook.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -369,18 +340,6 @@ impl SfsMonitor {
     pub fn new(n: usize) -> Arc<Self> {
         Arc::new(SfsMonitor {
             state: Mutex::new(MonitorState::new(n)),
-            hook: None,
-        })
-    }
-
-    /// A monitor whose mid-run safety violations invoke `hook` — used
-    /// to make monitor-detected violations a flight-recorder dump
-    /// trigger alongside divergence and certification failure (see
-    /// [`flight_dump_hook`]).
-    pub fn with_violation_hook(n: usize, hook: ViolationHook) -> Arc<Self> {
-        Arc::new(SfsMonitor {
-            state: Mutex::new(MonitorState::new(n)),
-            hook: Some(hook),
         })
     }
 
@@ -424,32 +383,15 @@ impl SfsMonitor {
 
 impl EventSink for SfsMonitor {
     fn on_event(&self, event: &TraceEvent) {
-        let fired = self
-            .state
+        self.state
             .lock()
             .expect("monitor poisoned")
             .step(&event.kind);
-        if let (Some(property), Some(hook)) = (fired, &self.hook) {
-            hook(property);
-        }
     }
 
     fn interest(&self) -> Interest {
         Interest::MODEL
     }
-}
-
-/// A [`ViolationHook`] that writes a flight dump
-/// (`<label>-monitor-<property>.flight.txt` under `SFS_FLIGHT_DIR`) the
-/// moment the monitor sees a safety clause break — *before* the run's
-/// certification gate fails — with the recorder's recent telemetry as
-/// the body.
-pub fn flight_dump_hook(label: &str, recorder: Arc<crate::FlightRecorder>) -> ViolationHook {
-    let label = label.to_owned();
-    Arc::new(move |property| {
-        let body = format!("monitor violation: {property}\n{}", recorder.dump());
-        flight::dump_to_dir(&format!("{label}-monitor-{property}"), &body);
-    })
 }
 
 /// Splits a Lamport-merged trace into per-node event fragments, each in
@@ -733,23 +675,6 @@ mod tests {
         replay_fragments(&merged.handle(), &fragments_of(&trace));
         assert_eq!(merged.finish(true), whole.finish(true));
         assert_eq!(merged.events_seen(), whole.events_seen());
-    }
-
-    #[test]
-    fn violation_hook_fires_once_per_property() {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let sink = seen.clone();
-        let mon = SfsMonitor::with_violation_hook(
-            2,
-            Arc::new(move |prop| sink.lock().unwrap().push(prop)),
-        );
-        mon.ingest_trace(&trace_of(
-            2,
-            vec![failed(0, 1), failed(1, 0), failed(0, 1), crash(0), crash(1)],
-            StopReason::Quiescent,
-        ));
-        let fired = seen.lock().unwrap().clone();
-        assert_eq!(fired, vec!["sFS2b"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
-//! The metrics registry: an [`ObsSink`] that aggregates engine-emitted
-//! facts into typed instruments keyed by `(node, shard, message-class,
-//! name)`.
+//! The metrics registry: typed instruments keyed by `(node, shard,
+//! message-class, name)`, filled from a run's counters and its event
+//! stream.
 //!
 //! One registry serves one engine run (or one rayon shard of one); the
 //! per-shard registries then collapse into a single
@@ -9,18 +9,18 @@
 //! fold, because counters add, gauges take the latest-by-max, and the
 //! log-bucket histograms merge element-wise.
 //!
-//! Engines that cannot host a sink in their hot path (the transport
-//! wrappers run *inside* processes, the UDP nodes in other OS processes)
-//! are covered by [`Registry::ingest_trace`], which re-derives transport
-//! metrics — retransmission bursts, RTO evolution, suspicion and
-//! detection latency — from the execution-neutral annotations those
-//! layers already leave in the [`Trace`].
+//! A registry is not itself a sink. Counts come from the run's
+//! [`SimStats`] ([`Registry::ingest_stats`]) or the UDP backend's node
+//! ledgers ([`Registry::ingest_node_status`]); transport metrics —
+//! retransmission bursts, RTO evolution, false suspicions, suspicion and
+//! detection latency — are re-derived by a [`TraceIngest`] fold from the
+//! execution-neutral annotations those layers leave in the event stream,
+//! live from a sink or replayed from a [`Trace`]
+//! ([`Registry::ingest_trace`]).
 
 use crate::hist::LogHistogram;
 use crate::metrics;
-use sfs_asys::{
-    MsgClass, ObsEvent, ObsHandle, ObsSink, Trace, TraceEvent, TraceEventKind, VirtualTime,
-};
+use sfs_asys::{MsgClass, SimStats, Trace, TraceEvent, TraceEventKind, VirtualTime};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
@@ -69,9 +69,7 @@ impl Metric {
     }
 }
 
-/// A thread-safe metrics registry; implements [`ObsSink`] so engines can
-/// feed it through [`SimBuilder::observe`](sfs_asys::SimBuilder) or
-/// `RuntimeConfig::obs`.
+/// A thread-safe metrics registry.
 #[derive(Debug)]
 pub struct Registry {
     engine: String,
@@ -119,11 +117,6 @@ impl Registry {
             shard,
             rows: Mutex::new(BTreeMap::new()),
         })
-    }
-
-    /// An [`ObsHandle`] feeding this registry, for engine builders.
-    pub fn handle(self: &Arc<Self>) -> ObsHandle {
-        ObsHandle::new(self.clone() as Arc<dyn ObsSink>)
     }
 
     /// Adds `delta` to a counter.
@@ -175,6 +168,25 @@ impl Registry {
             })
             .collect();
         crate::RunReport::from_rows(self.engine.clone(), rows)
+    }
+
+    /// Folds an engine's run counters into whole-run counters (node 0,
+    /// no message class): the one source of message, timer, crash and
+    /// detection counts on the simulator and the threaded runtime.
+    pub fn ingest_stats(&self, stats: &SimStats) {
+        for (name, value) in [
+            (metrics::SENT, stats.messages_sent),
+            (metrics::DROPPED, stats.messages_dropped),
+            (metrics::DUPLICATED, stats.messages_duplicated),
+            (metrics::WIRE_BYTES, stats.wire_bytes),
+            (metrics::DELIVERED, stats.messages_delivered),
+            (metrics::TO_CRASHED, stats.messages_to_crashed),
+            (metrics::TIMERS, stats.timers_fired),
+            (metrics::CRASHES, stats.crashes),
+            (metrics::DETECTIONS, stats.detections),
+        ] {
+            self.add(0, MsgClass::None, name, value);
+        }
     }
 
     /// Folds the UDP backend's per-node wire accounting — the
@@ -235,7 +247,9 @@ impl Registry {
 ///   run;
 /// * `probe-suspect` notes naming a previously crashed victim → the
 ///   [`metrics::SUSPICION_LATENCY`] histogram (crash → first
-///   suspicion, in ticks);
+///   suspicion, in ticks); every other `probe-suspect` note — its target
+///   not crashed yet, or not parseable — → the
+///   [`metrics::FALSE_SUSPICIONS`] counter;
 /// * `Failed` events for a previously crashed victim → the
 ///   [`metrics::DETECTION_LATENCY`] histogram (crash → detection, in
 ///   ticks).
@@ -280,20 +294,19 @@ impl TraceIngest {
                     }
                     metrics::NOTE_PROBE_SUSPECT => {
                         // val is the suspect's Display form, "p<k>".
-                        let Some(victim) =
-                            val.strip_prefix('p').and_then(|s| s.parse::<u32>().ok())
-                        else {
-                            return;
-                        };
-                        if self.suspected.insert((node, victim)) {
-                            if let Some(&at) = self.crash_at.get(&victim) {
-                                registry.observe(
-                                    node,
-                                    MsgClass::None,
-                                    metrics::SUSPICION_LATENCY,
-                                    e.time.ticks().saturating_sub(at.ticks()),
-                                );
+                        let victim = val.strip_prefix('p').and_then(|s| s.parse::<u32>().ok());
+                        let first = victim.is_some_and(|v| self.suspected.insert((node, v)));
+                        match victim.and_then(|v| self.crash_at.get(&v)) {
+                            None => {
+                                registry.add(node, MsgClass::None, metrics::FALSE_SUSPICIONS, 1)
                             }
+                            Some(&at) if first => registry.observe(
+                                node,
+                                MsgClass::None,
+                                metrics::SUSPICION_LATENCY,
+                                e.time.ticks().saturating_sub(at.ticks()),
+                            ),
+                            Some(_) => {}
                         }
                     }
                     _ => {}
@@ -304,62 +317,28 @@ impl TraceIngest {
     }
 }
 
-impl ObsSink for Registry {
-    fn record(&self, event: ObsEvent) {
-        match event {
-            ObsEvent::Counter {
-                node,
-                class,
-                name,
-                delta,
-            } => self.add(node.index() as u32, class, name, delta),
-            ObsEvent::Gauge {
-                node,
-                class,
-                name,
-                value,
-            } => self.set(node.index() as u32, class, name, value),
-            ObsEvent::Observe {
-                node,
-                class,
-                name,
-                value,
-            } => self.observe(node.index() as u32, class, name, value),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs_asys::{MsgId, Note, ProcessId, SimStats, StopReason, TraceEvent};
+    use sfs_asys::{MsgId, Note, ProcessId, StopReason, TraceEvent};
 
     #[test]
     fn sink_routes_shapes_to_instruments() {
         let reg = Registry::new("sim");
-        let handle = reg.handle();
-        let node = ProcessId::new(2);
-        handle.record(ObsEvent::Counter {
-            node,
-            class: MsgClass::App,
-            name: "sent",
-            delta: 3,
-        });
-        handle.record(ObsEvent::Counter {
-            node,
-            class: MsgClass::App,
-            name: "sent",
-            delta: 2,
-        });
-        handle.record(ObsEvent::Observe {
-            node,
-            class: MsgClass::App,
-            name: "lat",
-            value: 40,
+        reg.add(2, MsgClass::App, "sent", 3);
+        reg.add(2, MsgClass::App, "sent", 2);
+        reg.observe(2, MsgClass::App, "lat", 40);
+        reg.set(2, MsgClass::None, "depth", 7);
+        reg.ingest_stats(&SimStats {
+            messages_sent: 4,
+            detections: 1,
+            ..SimStats::default()
         });
         let report = reg.report();
-        assert_eq!(report.counter_total("sent"), 5);
+        assert_eq!(report.counter_total("sent"), 9);
+        assert_eq!(report.counter_total(metrics::DETECTIONS), 1);
         assert_eq!(report.hist("lat").count(), 1);
+        assert_eq!(report.counter_total("depth"), 7);
     }
 
     #[test]
@@ -403,7 +382,7 @@ mod tests {
                 },
             },
         ];
-        // A send/recv pair just to keep the trace shaped like a real one.
+        // A send just to keep the trace shaped like a real one.
         events.push(TraceEvent {
             seq: 5,
             time: t(63),
@@ -415,6 +394,17 @@ mod tests {
                 payload: None,
             },
         });
+        // Two false suspicions: a live target and an unparseable one.
+        for (seq, suspect) in [(6, "p0"), (7, "?")] {
+            events.push(TraceEvent {
+                seq,
+                time: t(64),
+                kind: TraceEventKind::Note {
+                    pid: p1,
+                    note: Note::key_val(metrics::NOTE_PROBE_SUSPECT, suspect),
+                },
+            });
+        }
         let trace = Trace::from_parts(2, events, StopReason::MaxTime, t(70), SimStats::default());
         let reg = Registry::new("any");
         reg.ingest_trace(&trace);
@@ -423,5 +413,6 @@ mod tests {
         assert_eq!(report.hist(metrics::DETECTION_LATENCY).max(), 50);
         assert_eq!(report.counter_total(metrics::RETX), 4);
         assert_eq!(report.hist(metrics::RTO_TICKS).max(), 128);
+        assert_eq!(report.counter_total(metrics::FALSE_SUSPICIONS), 2);
     }
 }

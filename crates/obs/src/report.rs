@@ -41,11 +41,6 @@ impl RunReport {
         &self.engine
     }
 
-    /// All rows, in deterministic (name, shard, node, class) order.
-    pub fn rows(&self) -> impl Iterator<Item = (&MetricKey, &Metric)> {
-        self.rows.iter()
-    }
-
     /// Number of instruments.
     pub fn len(&self) -> usize {
         self.rows.len()
@@ -90,32 +85,6 @@ impl RunReport {
                 Metric::Hist(h) => h.count(),
             })
             .sum()
-    }
-
-    /// Total over counter rows named `name` restricted to one class.
-    pub fn counter_for_class(&self, name: &str, class: MsgClass) -> u64 {
-        self.rows
-            .iter()
-            .filter(|(k, _)| k.name == name && k.class == class)
-            .map(|(_, m)| match m {
-                Metric::Counter(c) | Metric::Gauge(c) => *c,
-                Metric::Hist(h) => h.count(),
-            })
-            .sum()
-    }
-
-    /// The largest value over every gauge row named `name` (gauges
-    /// merge by max, so this is the fold's natural read; 0 when none).
-    pub fn gauge_max(&self, name: &str) -> u64 {
-        self.rows
-            .iter()
-            .filter(|(k, _)| k.name == name)
-            .filter_map(|(_, m)| match m {
-                Metric::Gauge(g) => Some(*g),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0)
     }
 
     /// The merge of every histogram row named `name` (empty when none).

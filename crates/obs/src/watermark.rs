@@ -1,27 +1,23 @@
-//! Anomaly watermarks: learned-baseline tripwires over the live
-//! telemetry stream, dumping the flight recorder *before* a
-//! certification gate fails.
+//! Anomaly watermarks: learned-baseline tripwires over the live event
+//! stream, dumping the flight recorder *before* a certification gate
+//! fails.
 //!
-//! [`AnomalyWatermarks`] is an [`ObsSink`] meant to ride a
-//! [`crate::fanout`] next to the metrics registry and the flight
-//! recorder. It learns a per-signal baseline from the first samples of
-//! a run, then trips — at most once per signal — when a later sample
-//! inflates past the learned baseline by the configured factor:
+//! [`AnomalyWatermarks`] is an [`EventSink`] reading crashes, detections
+//! and notes — a few percent of a heartbeat-driven run — meant to ride an
+//! [`EventSinkHandle::fanout`] next to a [`FlightRecorder`]. Two signals
+//! are live, each tripping at most once per run:
 //!
-//! * **queue depth** — `queue_depth` histogram samples from the
-//!   threaded router's dispatch loop; a deep inbox is the earliest sign
-//!   of a router falling behind its shard.
-//! * **RTO inflation** — `rto_ticks` samples (the transport's adaptive
-//!   retransmission timeout); a timeout spiralling above its learned
-//!   level precedes the false-suspicion storms that break soak
-//!   certification. No engine emits these on the obs seam today — the
-//!   transport's `rto` values exist only as trace notes — so the signal
-//!   fires only for a caller that forwards them.
-//! * **false-suspicion rate** — the running ratio of `detections`
-//!   counter increments to `crashes` increments; in a clean sFS run
-//!   detections track crashes within the cluster fan-out, so a
-//!   detections excess flags suspicion churn before the verdict gate
-//!   sees it.
+//! * **false-suspicion rate** — `Failed` events against `Crash` events:
+//!   in a clean sFS run detections track crashes within the cluster
+//!   fan-out, so detections beyond `crashes × suspicion_fanout +
+//!   suspicion_slack` flag suspicion churn before the verdict gate sees
+//!   it.
+//! * **RTO inflation** — the adaptive transport's `rto` notes (its
+//!   retransmission timeout each time backoff re-arms it). The first
+//!   `warmup` samples of the run learn a baseline mean; a later sample
+//!   above `rto_floor` and `inflation ×` that mean trips. A timeout
+//!   spiralling above its learned level precedes the false-suspicion
+//!   storms that break soak certification.
 //!
 //! A trip is recorded (see [`AnomalyWatermarks::trips`]) and, when a
 //! flight recorder is attached, its ring is dumped to
@@ -31,7 +27,7 @@
 use crate::flight;
 use crate::metrics;
 use crate::FlightRecorder;
-use sfs_asys::{ObsEvent, ObsHandle, ObsSink};
+use sfs_asys::{EventSink, EventSinkHandle, Interest, Note, TraceEvent, TraceEventKind};
 use std::sync::{Arc, Mutex};
 
 /// Tuning for the watermark tripwires. The defaults are deliberately
@@ -39,14 +35,11 @@ use std::sync::{Arc, Mutex};
 /// gate, and must stay silent on healthy chaos (E13's fault grid).
 #[derive(Debug, Clone)]
 pub struct WatermarkConfig {
-    /// Samples per signal consumed to learn the baseline mean before
-    /// the tripwire arms.
+    /// RTO samples consumed to learn the baseline mean before the
+    /// tripwire arms.
     pub warmup: u64,
     /// A sample trips when it exceeds `inflation × baseline mean`.
     pub inflation: f64,
-    /// Absolute floor below which queue-depth samples never trip
-    /// (shallow inboxes are noise regardless of ratio).
-    pub queue_floor: u64,
     /// Absolute floor below which RTO samples never trip.
     pub rto_floor: u64,
     /// Detections allowed per observed crash (the detection fan-out of
@@ -62,7 +55,6 @@ impl Default for WatermarkConfig {
         WatermarkConfig {
             warmup: 32,
             inflation: 8.0,
-            queue_floor: 256,
             rto_floor: 64,
             suspicion_fanout: 64,
             suspicion_slack: 256,
@@ -79,20 +71,19 @@ struct Baseline {
 impl Baseline {
     /// Learns during warmup; afterwards reports whether `value` inflates
     /// past the learned mean.
-    fn sample(&mut self, value: u64, cfg: &WatermarkConfig, floor: u64) -> bool {
+    fn sample(&mut self, value: u64, cfg: &WatermarkConfig) -> bool {
         if self.count < cfg.warmup {
             self.count += 1;
             let v = value as f64;
             self.mean += (v - self.mean) / self.count as f64;
             return false;
         }
-        value >= floor && (value as f64) > self.mean.max(1.0) * cfg.inflation
+        value >= cfg.rto_floor && (value as f64) > self.mean.max(1.0) * cfg.inflation
     }
 }
 
 #[derive(Debug, Default)]
 struct Inner {
-    queue: Baseline,
     rto: Baseline,
     detections: u64,
     crashes: u64,
@@ -134,9 +125,9 @@ impl AnomalyWatermarks {
         })
     }
 
-    /// An [`ObsHandle`] feeding these watermarks, for [`crate::fanout`].
-    pub fn handle(self: &Arc<Self>) -> ObsHandle {
-        ObsHandle::new(self.clone() as Arc<dyn ObsSink>)
+    /// An [`EventSinkHandle`] feeding these watermarks.
+    pub fn handle(self: &Arc<Self>) -> EventSinkHandle {
+        EventSinkHandle::new(self.clone() as Arc<dyn EventSink>)
     }
 
     /// Signals that have tripped so far, in trip order.
@@ -164,38 +155,14 @@ impl AnomalyWatermarks {
     }
 }
 
-impl ObsSink for AnomalyWatermarks {
-    fn record(&self, event: ObsEvent) {
-        // Four names are read. Everything else — with watermarks armed the
-        // simulator emits two or three facts per trace event — returns
-        // before the lock.
-        let name = event.name();
-        if name != metrics::QUEUE_DEPTH
-            && name != metrics::RTO_TICKS
-            && name != metrics::DETECTIONS
-            && name != metrics::CRASHES
-        {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("watermark poisoned");
-        match event {
-            ObsEvent::Observe { name, value, .. } if name == metrics::QUEUE_DEPTH => {
-                let baseline = inner.queue.mean;
-                if inner
-                    .queue
-                    .sample(value, &self.config, self.config.queue_floor)
-                {
-                    self.trip(&mut inner, "queue-depth", value, baseline);
-                }
-            }
-            ObsEvent::Observe { name, value, .. } if name == metrics::RTO_TICKS => {
-                let baseline = inner.rto.mean;
-                if inner.rto.sample(value, &self.config, self.config.rto_floor) {
-                    self.trip(&mut inner, "rto-inflation", value, baseline);
-                }
-            }
-            ObsEvent::Counter { name, delta, .. } if name == metrics::DETECTIONS => {
-                inner.detections += delta;
+impl EventSink for AnomalyWatermarks {
+    fn on_event(&self, event: &TraceEvent) {
+        let lock = || self.inner.lock().expect("watermark poisoned");
+        match &event.kind {
+            TraceEventKind::Crash { .. } => lock().crashes += 1,
+            TraceEventKind::Failed { .. } => {
+                let mut inner = lock();
+                inner.detections += 1;
                 let allowance =
                     inner.crashes * self.config.suspicion_fanout + self.config.suspicion_slack;
                 if inner.detections > allowance {
@@ -208,48 +175,53 @@ impl ObsSink for AnomalyWatermarks {
                     );
                 }
             }
-            ObsEvent::Counter { name, delta, .. } if name == metrics::CRASHES => {
-                inner.crashes += delta;
+            TraceEventKind::Note {
+                note: Note::KeyVal { key, val },
+                ..
+            } if key == metrics::NOTE_RTO => {
+                let Ok(rto) = val.parse::<u64>() else { return };
+                let mut inner = lock();
+                let baseline = inner.rto.mean;
+                if inner.rto.sample(rto, &self.config) {
+                    self.trip(&mut inner, "rto-inflation", rto, baseline);
+                }
             }
             _ => {}
         }
+    }
+
+    fn interest(&self) -> Interest {
+        Interest::CRASH
+            .union(Interest::FAILED)
+            .union(Interest::NOTE)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs_asys::{MsgClass, ProcessId};
+    use sfs_asys::{ProcessId, VirtualTime};
 
-    fn observe(name: &'static str, value: u64) -> ObsEvent {
-        ObsEvent::Observe {
-            node: ProcessId::new(0),
-            class: MsgClass::None,
-            name,
-            value,
+    fn feed(h: &EventSinkHandle, kind: TraceEventKind) {
+        h.on_event(&TraceEvent {
+            seq: 0,
+            time: VirtualTime::ZERO,
+            kind,
+        });
+    }
+
+    fn rto(value: u64) -> TraceEventKind {
+        TraceEventKind::Note {
+            pid: ProcessId::new(0),
+            note: Note::key_val(metrics::NOTE_RTO, value),
         }
     }
 
-    fn count(name: &'static str, delta: u64) -> ObsEvent {
-        ObsEvent::Counter {
-            node: ProcessId::new(0),
-            class: MsgClass::None,
-            name,
-            delta,
+    fn failed() -> TraceEventKind {
+        TraceEventKind::Failed {
+            by: ProcessId::new(0),
+            of: ProcessId::new(1),
         }
-    }
-
-    #[test]
-    fn queue_watermark_learns_then_trips_once() {
-        let wm = AnomalyWatermarks::new("test");
-        let h = wm.handle();
-        for _ in 0..40 {
-            h.record(observe(metrics::QUEUE_DEPTH, 8));
-        }
-        assert!(wm.trips().is_empty(), "healthy depth must not trip");
-        h.record(observe(metrics::QUEUE_DEPTH, 1_000));
-        h.record(observe(metrics::QUEUE_DEPTH, 2_000));
-        assert_eq!(wm.trips(), vec!["queue-depth"], "trips exactly once");
     }
 
     #[test]
@@ -257,10 +229,10 @@ mod tests {
         let wm = AnomalyWatermarks::new("test");
         let h = wm.handle();
         for _ in 0..40 {
-            h.record(observe(metrics::QUEUE_DEPTH, 1));
+            feed(&h, rto(1));
         }
-        // 100x the baseline but under the absolute floor.
-        h.record(observe(metrics::QUEUE_DEPTH, 100));
+        // 60x the baseline but under the absolute floor.
+        feed(&h, rto(60));
         assert!(wm.trips().is_empty());
     }
 
@@ -268,10 +240,19 @@ mod tests {
     fn suspicion_rate_trips_on_detection_flood_without_crashes() {
         let wm = AnomalyWatermarks::new("test");
         let h = wm.handle();
-        h.record(count(metrics::CRASHES, 1));
-        h.record(count(metrics::DETECTIONS, 64));
+        feed(
+            &h,
+            TraceEventKind::Crash {
+                pid: ProcessId::new(1),
+            },
+        );
+        for _ in 0..64 {
+            feed(&h, failed());
+        }
         assert!(wm.trips().is_empty(), "one kill's fan-out is healthy");
-        h.record(count(metrics::DETECTIONS, 1_000));
+        for _ in 0..1_000 {
+            feed(&h, failed());
+        }
         assert_eq!(wm.trips(), vec!["false-suspicion-rate"]);
     }
 
@@ -280,11 +261,12 @@ mod tests {
         let wm = AnomalyWatermarks::new("test");
         let h = wm.handle();
         for _ in 0..40 {
-            h.record(observe(metrics::RTO_TICKS, 20));
+            feed(&h, rto(20));
         }
-        h.record(observe(metrics::RTO_TICKS, 30));
+        feed(&h, rto(30));
         assert!(wm.trips().is_empty(), "mild drift is fine");
-        h.record(observe(metrics::RTO_TICKS, 400));
-        assert_eq!(wm.trips(), vec!["rto-inflation"]);
+        feed(&h, rto(400));
+        feed(&h, rto(800));
+        assert_eq!(wm.trips(), vec!["rto-inflation"], "trips exactly once");
     }
 }

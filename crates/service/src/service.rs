@@ -30,10 +30,10 @@
 //! events, and the outcomes into a [`ServiceReport`] carrying throughput,
 //! message counts, and the detection-latency distribution: the measured
 //! quantities behind experiments E11 and E13. The fold reads only notes,
-//! crashes and detections (under 1 % of a heartbeat-driven run), so on the
-//! simulator with [`ServiceSpec::keep_traces`] off it rides the run's
-//! event sink and **no trace is ever built**; a kept trace, and every
-//! threaded run, is replayed through the same fold afterwards.
+//! crashes and detections (under 1 % of a heartbeat-driven run) and rides
+//! the run's event sink on both backends, next to the online monitor and
+//! the watermarks; [`ServiceSpec::keep_traces`] only decides whether the
+//! trace is kept — off, the simulator **never builds one**.
 
 use crate::directory::{Directory, DirectoryError, DirectorySpec, RoutingTable, ShardReport};
 use crate::load::{LoadFold, LoadGenApp, LoadOutcome, LoadProfile};
@@ -41,12 +41,13 @@ use crate::plan::{plan_shards, PlanError, ShardId, ShardPlan, ShardSpec};
 use rayon::prelude::*;
 use sfs::{ClusterSpec, HeartbeatConfig, NetSpec, QuorumError, SpecError};
 use sfs_asys::{
-    EventSink, EventSinkHandle, Interest, ProcessId, SimStats, Trace, TraceEvent, TraceEventKind,
-    UniformLatency, VirtualTime,
+    EventSink, EventSinkHandle, Interest, ProcessId, Sim, SimStats, Trace, TraceEvent,
+    TraceEventKind, UniformLatency, VirtualTime,
 };
 use sfs_chaos::{ChaosPlan, ChaosSpec, ShardChaos};
 use sfs_obs::{
-    metrics, LogHistogram, MsgClass, Registry, RunReport, SfsMonitor, SuiteVerdicts, TraceIngest,
+    metrics, AnomalyWatermarks, FlightRecorder, LogHistogram, MsgClass, Registry, RunReport,
+    SfsMonitor, SuiteVerdicts, TraceIngest,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -108,9 +109,8 @@ pub struct ServiceSpec {
     /// Carry each shard run's full trace on its [`ShardOutcome`] (for
     /// downstream certification of the sFS properties). Off by default
     /// to keep large sweeps lean — **off: no trace is built on the
-    /// simulator**; the outcome is folded live from the run's event
-    /// sink, and equals the one folded from the kept trace field by
-    /// field.
+    /// simulator** (the threaded runtime's is dropped). The outcome is
+    /// folded live from the run's event sink either way.
     pub keep_traces: bool,
     /// Certify the sFS suite **online**: attach a streaming
     /// [`SfsMonitor`] to every shard run (O(n + active failures) state,
@@ -119,12 +119,12 @@ pub struct ServiceSpec {
     /// [`ServiceSpec::keep_traces`] — this is how a soak certifies
     /// without retaining traces at all.
     pub certify_online: bool,
-    /// Arm anomaly watermarks on every shard run: a flight recorder and
-    /// an [`sfs_obs::AnomalyWatermarks`] sink ride the obs seam, and a
-    /// signal inflating past its learned baseline (queue depth, RTO,
-    /// suspicion rate) dumps the ring under `SFS_FLIGHT_DIR` *before*
-    /// any certification gate fails. Trips are carried on each
-    /// [`ShardOutcome`]; the soak benches arm this.
+    /// Arm anomaly watermarks on every shard run: a [`FlightRecorder`]
+    /// and an [`AnomalyWatermarks`] sink ride the run's event sink, and a
+    /// signal inflating past its learned baseline (RTO, suspicion rate)
+    /// dumps the ring under `SFS_FLIGHT_DIR` *before* any certification
+    /// gate fails. Trips are carried on each [`ShardOutcome`]; the soak
+    /// benches arm this.
     pub watermarks: bool,
     /// Virtual-time horizon per shard run.
     pub max_time: u64,
@@ -771,24 +771,6 @@ fn run_shard(
     if let Some(hb) = spec.heartbeat {
         cluster = cluster.heartbeat(hb);
     }
-    // The online monitor rides the write-only event sink: it observes
-    // every model-level event live but cannot perturb the run, so
-    // monitored executions stay identical to bare ones.
-    let monitor = spec.certify_online.then(|| SfsMonitor::new(n));
-    // Watermarks ride the (equally write-only) obs seam, paired with a
-    // flight recorder so a trip ships the recent telemetry ring as its
-    // own post-mortem — before any certification gate gets to fail.
-    let watermarks = if spec.watermarks {
-        let recorder = sfs_obs::FlightRecorder::new(512);
-        let wm = sfs_obs::AnomalyWatermarks::with_flight(
-            &format!("shard{}-epoch{epoch}", shard.id),
-            recorder.clone(),
-        );
-        cluster = cluster.observe(sfs_obs::fanout(vec![recorder.handle(), wm.handle()]));
-        Some(wm)
-    } else {
-        None
-    };
     for &(local, tick) in &crashes {
         cluster = cluster.crash(ProcessId::new(local), tick.max(1));
     }
@@ -827,84 +809,88 @@ fn run_shard(
         }
         net
     });
+    // Every observer rides the one write-only event sink: the summary
+    // fold, the online monitor, and — armed — a flight recorder with the
+    // watermarks that dump it on a trip, before any certification gate
+    // gets to fail. None can perturb the run.
+    let fold = Arc::new(LiveFold(Mutex::new(ShardFold::new(spec.backend, shard.id))));
+    let monitor = spec.certify_online.then(|| SfsMonitor::new(n));
+    let watermarks = spec.watermarks.then(|| {
+        let recorder = FlightRecorder::new(512);
+        let label = flight_label(spec.seed, shard.id, epoch, salt);
+        (
+            recorder.clone(),
+            AnomalyWatermarks::with_flight(&label, recorder),
+        )
+    });
+    let mut sinks = vec![EventSinkHandle::new(fold.clone())];
+    sinks.extend(monitor.as_ref().map(|m| m.handle()));
+    if let Some((recorder, wm)) = &watermarks {
+        sinks.extend([recorder.handle(), wm.handle()]);
+    }
+    let cluster = cluster.event_sink(EventSinkHandle::fanout(sinks));
     let profile = LoadProfile {
         mode: spec.load.mode,
         ops,
     };
     let make_app = |_| LoadGenApp::new(profile);
-    let mut out = if spec.backend == Backend::Sim && !spec.keep_traces {
-        // Nobody will read a trace, so none is built: the summary fold
-        // rides the event sink next to the monitor.
-        let live = Arc::new(LiveFold(Mutex::new(ShardFold::new(spec.backend, shard.id))));
-        let mut sinks = vec![EventSinkHandle::new(live.clone())];
-        sinks.extend(monitor.as_ref().map(|m| m.handle()));
-        cluster = cluster.event_sink(EventSinkHandle::fanout(sinks));
-        let run = match net {
-            None => {
-                let latency = UniformLatency::try_new(cluster.latency.0, cluster.latency.1)
-                    .map_err(SpecError::from)?;
-                cluster
-                    .try_build_with_latency(latency, make_app)?
-                    .run_unrecorded()
-            }
-            // Faulty-net deployment: the shard group runs
-            // transport-backed, its channels emulated by the ARQ layer
-            // over the described link instead of assumed reliable.
-            Some(net) => cluster
-                .net(net)
-                .try_build_net_with(|b| b, make_app)?
-                .run_unrecorded(),
-        };
-        let mut fold = live.0.lock().expect("shard fold poisoned");
-        fold.finish(n, ops, run.stats, run.events, monitor.as_deref())
-    } else {
-        if let Some(m) = &monitor {
-            cluster = cluster.event_sink(m.handle());
+    let keep = spec.keep_traces;
+    let (stats, events, trace) = match (net, spec.backend) {
+        (None, Backend::Sim) => {
+            let latency = UniformLatency::try_new(cluster.latency.0, cluster.latency.1)
+                .map_err(SpecError::from)?;
+            run_sim(cluster.try_build_with_latency(latency, make_app)?, keep)
         }
-        let trace = match (net, spec.backend) {
-            (None, Backend::Sim) => cluster.try_run_apps(make_app)?,
-            (None, Backend::Threaded) => cluster.try_run_threaded(make_app, SETTLE)?.0,
-            (Some(net), Backend::Sim) => cluster.net(net).try_run_net(make_app)?,
-            (Some(net), Backend::Threaded) => {
-                cluster.net(net).try_run_threaded_net(make_app, SETTLE)?.0
-            }
-        };
-        let mut out = summarize_shard(shard.id, n, ops, &trace, spec.backend, monitor.as_deref());
-        if spec.keep_traces {
-            out.trace = Some(trace);
+        // Faulty-net deployment: the shard group runs transport-backed,
+        // its channels emulated by the ARQ layer over the described link
+        // instead of assumed reliable.
+        (Some(net), Backend::Sim) => {
+            run_sim(cluster.net(net).try_build_net_with(|b| b, make_app)?, keep)
         }
-        out
+        (net, Backend::Threaded) => {
+            let trace = match net {
+                None => cluster.try_run_threaded(make_app, SETTLE)?.0,
+                Some(net) => cluster.net(net).try_run_threaded_net(make_app, SETTLE)?.0,
+            };
+            (trace.stats(), trace.events().len(), keep.then_some(trace))
+        }
     };
-    if let Some(wm) = &watermarks {
+    let mut fold = fold.0.lock().expect("shard fold poisoned");
+    let mut out = fold.finish(n, ops, stats, events, monitor.as_deref());
+    out.trace = trace;
+    if let Some((_, wm)) = &watermarks {
         out.watermark_trips = wm.trips();
     }
     Ok(out)
 }
 
-/// Folds one shard trace into its outcome: replays `trace.events()`
-/// through a [`ShardFold`]. `n` is the size the group actually ran at
-/// (survivors only, in epochs after losses).
-fn summarize_shard(
-    shard: ShardId,
-    n: usize,
-    ops: u64,
-    trace: &Trace,
-    backend: Backend,
-    monitor: Option<&SfsMonitor>,
-) -> ShardOutcome {
-    let mut fold = ShardFold::new(backend, shard);
-    for e in trace.events() {
-        fold.on_event(e);
+/// Runs a built simulator: `keep` records the trace, otherwise none is
+/// built. Returns the run's counters, its event count and the trace.
+fn run_sim<M: Clone + fmt::Debug + 'static>(
+    sim: Sim<M>,
+    keep: bool,
+) -> (SimStats, usize, Option<Trace>) {
+    if keep {
+        let trace = sim.run();
+        (trace.stats(), trace.events().len(), Some(trace))
+    } else {
+        let run = sim.run_unrecorded();
+        (run.stats, run.events, None)
     }
-    fold.finish(n, ops, trace.stats(), trace.events().len(), monitor)
+}
+
+/// The flight-dump label of one shard run's watermarks: every input that
+/// distinguishes two shard runs of one process — the service seed, the
+/// epoch, the shard and the rescue salt — so no dump overwrites another.
+fn flight_label(seed: u64, shard: ShardId, epoch: u64, salt: u64) -> String {
+    format!("seed{seed}-shard{shard}-epoch{epoch}-salt{salt:x}")
 }
 
 /// The single-pass fold from a shard run's events to its
 /// [`ShardOutcome`]: the load outcome, the trace-derived telemetry, the
 /// crash→detection latencies and the detected set. Fed one event at a
-/// time — live from the run's event sink ([`LiveFold`]) or replayed from
-/// a trace ([`summarize_shard`]); it reads notes, crashes and detections
-/// and ignores every other event.
+/// time, live from the run's event sink ([`LiveFold`]); it reads notes,
+/// crashes and detections and ignores every other event.
 struct ShardFold {
     shard: ShardId,
     load: LoadFold,
@@ -964,19 +950,7 @@ impl ShardFold {
         for &l in &load.op_latencies {
             registry.observe(0, MsgClass::App, metrics::OP_LATENCY, l);
         }
-        for (name, value) in [
-            (metrics::SENT, stats.messages_sent),
-            (metrics::DROPPED, stats.messages_dropped),
-            (metrics::DUPLICATED, stats.messages_duplicated),
-            (metrics::WIRE_BYTES, stats.wire_bytes),
-            (metrics::DELIVERED, stats.messages_delivered),
-            (metrics::TO_CRASHED, stats.messages_to_crashed),
-            (metrics::TIMERS, stats.timers_fired),
-            (metrics::CRASHES, stats.crashes),
-            (metrics::DETECTIONS, stats.detections),
-        ] {
-            registry.add(0, MsgClass::None, name, value);
-        }
+        registry.ingest_stats(&stats);
         // What the online certification consumed: the run's model-level
         // events.
         if let Some(m) = monitor {
@@ -1004,7 +978,7 @@ impl ShardFold {
     }
 }
 
-/// A [`ShardFold`] as an event sink, for runs that keep no trace.
+/// A [`ShardFold`] as an event sink.
 struct LiveFold(Mutex<ShardFold>);
 
 impl EventSink for LiveFold {
@@ -1471,8 +1445,8 @@ mod tests {
     fn watermarks_stay_silent_on_a_healthy_run_and_perturb_nothing() {
         // Armed watermarks are a smoke alarm: on a clean run (one
         // scripted crash, no chaos) every signal stays inside its
-        // learned baseline, and the extra obs sinks change nothing the
-        // shard outcomes can observe.
+        // learned baseline, and the extra sinks change nothing the shard
+        // outcomes can observe.
         let plan = plan_shards(20, 2, 10, 7).unwrap();
         let victim = plan.shards[0].members[0];
         let spec = ServiceSpec::new(20, 2, 10)
@@ -1492,5 +1466,23 @@ mod tests {
                 s.watermark_trips
             );
         }
+    }
+
+    #[test]
+    fn flight_labels_separate_seeds_epochs_shards_and_rescue_passes() {
+        // Dumps are written with `std::fs::write`: two shard runs sharing
+        // a label would overwrite each other's post-mortem (a rescue pass
+        // its main pass, E13's second seed its first).
+        let mut labels = BTreeSet::new();
+        for seed in [0, 1] {
+            for shard in [0, 1] {
+                for epoch in [1, 2] {
+                    for salt in [0, RESCUE_SALT] {
+                        labels.insert(flight_label(seed, shard, epoch, salt));
+                    }
+                }
+            }
+        }
+        assert_eq!(labels.len(), 16, "{labels:?}");
     }
 }

@@ -1,20 +1,22 @@
 //! Shard runs that keep no trace build none — and lose nothing.
 //!
-//! With `keep_traces` off, a simulator shard run folds its summary live
-//! from the event sink (`Sim::run_unrecorded`); with it on, and on the
-//! threaded backend, the same fold replays the kept trace. These tests
-//! pin that the two are indistinguishable from outside, that each fold
-//! fed live equals its `&Trace` entry point on the same run, and that the
+//! Every shard run folds its summary live from the event sink, on both
+//! backends; `keep_traces` only decides whether the trace is kept (off,
+//! the simulator runs `Sim::run_unrecorded` and builds none). These tests
+//! pin that kept and unkept runs are indistinguishable from outside, that
+//! each fold fed live — on the simulator and on the threaded router's
+//! thread — equals its `&Trace` entry point on the same run, and that the
 //! sinks are called for a small, exactly countable share of the events.
 
 use sfs::{ClusterSpec, HeartbeatConfig, NetSpec, ProbeConfig};
 use sfs_asys::{EventSink, EventSinkHandle, Interest, ProcessId, TraceEvent};
 use sfs_chaos::ChaosSpec;
 use sfs_history::History;
-use sfs_obs::{metrics, Registry, SfsMonitor, TraceIngest};
+use sfs_obs::{metrics, MsgClass, Registry, SfsMonitor, TraceIngest};
 use sfs_service::load::LoadFold;
 use sfs_service::{
-    analyze_load, plan_shards, run_service, LoadGenApp, LoadProfile, ServiceReport, ServiceSpec,
+    analyze_load, plan_shards, run_service, Backend, LoadGenApp, LoadProfile, ServiceReport,
+    ServiceSpec,
 };
 use std::sync::{Arc, Mutex};
 
@@ -150,6 +152,48 @@ fn each_live_fold_equals_its_trace_entry_point_on_the_same_run() {
             "seed {seed}"
         );
     }
+}
+
+#[test]
+fn the_threaded_fold_equals_its_replay_over_the_kept_trace() {
+    // On threads the shard fold runs live on the router thread; replaying
+    // the kept trace through `analyze_load` and `Registry::ingest_trace`
+    // (plus the run's counters) must give the same outcome, shard by
+    // shard — over a lossy probed transport, with a crash detected.
+    let plan = plan_shards(32, 2, 16, 5).unwrap();
+    let spec = ServiceSpec::new(32, 2, 16)
+        .seed(5)
+        .backend(Backend::Threaded)
+        .heartbeat(None)
+        .max_time(1_500)
+        .keep_traces(true)
+        .load(LoadProfile::closed(64, 8))
+        .net(
+            NetSpec::faultless()
+                .loss(0.05)
+                .probe(ProbeConfig::default()),
+        )
+        .crash(plan.shards[0].members[0], 40);
+    let report = run_service(&spec).unwrap();
+    let mut runs = 0;
+    for s in report.epochs.iter().flat_map(|e| &e.shards) {
+        let trace = s.trace.as_ref().expect("keep_traces carries traces");
+        let load = analyze_load(trace);
+        let replayed = Registry::for_shard("threaded", s.shard as u32);
+        replayed.ingest_trace(trace);
+        for &l in &load.op_latencies {
+            replayed.observe(0, MsgClass::App, metrics::OP_LATENCY, l);
+        }
+        replayed.ingest_stats(&trace.stats());
+        assert_eq!(s.load, load, "shard {}", s.shard);
+        assert_eq!(s.obs, replayed.report(), "shard {}", s.shard);
+        assert_eq!(s.events, trace.events().len() as u64, "shard {}", s.shard);
+        assert_eq!(s.stats, trace.stats(), "shard {}", s.shard);
+        runs += 1;
+    }
+    assert!(runs >= 2);
+    assert!(!report.detection_latencies().is_empty());
+    assert!(report.obs_report().counter_total(metrics::RETX) > 0);
 }
 
 #[test]
