@@ -1,13 +1,12 @@
-//! Trace equivalence of the batched delivery fast path (ISSUE E11), on
-//! the engine that actually coalesces: the threaded router regroups the
-//! events of one instant per destination, which reorders execution
-//! *across* processes. Running the bounded E9 instances with batching on
-//! must still land every threaded run — bare and over the link seam — in
-//! the **happens-before envelope** the exhaustive exploration of the same
-//! instance establishes (class fingerprints and per-property verdict
-//! bounds), which *is* the "batching is invisible to the HB model" claim.
-//! The simulator has one loop mode and ignores the knob, so there is
-//! nothing to compare there.
+//! Trace equivalence of batched delivery, on the engine that actually
+//! coalesces: the threaded router regroups the events of one instant per
+//! worker, which reorders execution *across* processes. Running the
+//! bounded E9 instances must still land every threaded run — bare and
+//! over the link seam — in the **happens-before envelope** the
+//! exhaustive exploration of the same instance establishes (class
+//! fingerprints and per-property verdict bounds), which *is* the
+//! "batching is invisible to the HB model" claim. The simulator has one
+//! loop mode and never batches, so there is nothing to compare there.
 
 use sfs::{ClusterSpec, NetSpec, NullApp};
 use sfs_apps::scenarios::{ConformanceConfig, ExploreInstance};
@@ -24,25 +23,20 @@ fn batching_preserves_the_hb_class_of_detection_rounds() {
     // come due at the initiator in the same instant, so the net leg of
     // this instance coalesces on every run (the clock only advances once
     // an instant is fully dispatched); the bare leg ignores the latency.
-    let within_bound = ClusterSpec::new(3, 1)
-        .latency(2, 2)
-        .suspect(p(1), p(0), 10)
-        .batched(true);
+    let within_bound = ClusterSpec::new(3, 1).latency(2, 2).suspect(p(1), p(0), 10);
     let instances = [
         ("within bound", within_bound.clone()),
         (
             "chained suspicions (2 crashes > t)",
             ClusterSpec::new(3, 1)
                 .suspect(p(1), p(0), 10)
-                .suspect(p(2), p(1), 12)
-                .batched(true),
+                .suspect(p(2), p(1), 12),
         ),
         (
             "ablation: no self-crash",
             ClusterSpec::new(3, 1)
                 .suspect(p(1), p(0), 10)
-                .without_self_crash()
-                .batched(true),
+                .without_self_crash(),
         ),
     ];
     let config = ConformanceConfig {

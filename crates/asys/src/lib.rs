@@ -24,7 +24,7 @@
 //! * [`Trace`] — the total order of observed events, consumed by the
 //!   `sfs-history` and `sfs-tlogic` crates;
 //! * [`net`] — a threaded runtime driving the same [`Process`] automata
-//!   over real OS threads and crossbeam channels.
+//!   on a pool of worker threads behind a router, over crossbeam channels.
 //!
 //! # Examples
 //!

@@ -3,9 +3,10 @@
 //!
 //! The simulator in [`Sim`](crate::Sim) explores adversarial schedules
 //! deterministically; this module runs the *identical* protocol code on
-//! real concurrency — one thread per process, crossbeam channels as the
-//! FIFO links. A central router thread serializes all effects, which both
-//! preserves per-channel FIFO order (the property the paper's sFS2d
+//! real concurrency — a pool of worker threads, one per available core,
+//! each owning a fixed slice of the processes, with crossbeam channels
+//! as the handovers. A central router thread serializes all effects, which
+//! both preserves per-channel FIFO order (the property the paper's sFS2d
 //! argument depends on) and lets the runtime record a single coherent
 //! [`Trace`](crate::Trace).
 //!
@@ -13,11 +14,11 @@
 //! [`TimerWheel`](crate::TimerWheel) holding every pending deadline
 //! (message deliveries, timer fires, scheduled fault injections) and
 //! advances its virtual clock straight to the next due instant whenever
-//! nothing is in flight. All events due at one instant dispatch
-//! concurrently across node threads; the clock never moves while a
-//! handler's action reply is outstanding. A run's wall cost is therefore
-//! proportional to the events it executes, not the virtual span it
-//! covers — the property experiment E11 benchmarks.
+//! nothing is in flight. Each dispatch hands every busy worker one batch
+//! of its processes' due events, run back to back and answered with one
+//! reply; the clock never moves while a reply is outstanding. A run's
+//! wall cost is therefore proportional to the events it executes, not the
+//! virtual span it covers — the property experiment E11 benchmarks.
 //!
 //! The repro substitutes threads + crossbeam for the async-executor
 //! plumbing a modern implementation might use (tokio is outside the

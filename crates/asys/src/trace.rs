@@ -181,11 +181,11 @@ pub struct SimStats {
     pub crashes: u64,
     /// Failure detections declared.
     pub detections: u64,
-    /// Batching-fast-path counter: multi-event per-destination batches
-    /// the threaded router actually coalesced into one channel send.
-    /// Zero when `RuntimeConfig::batch` is off and always zero on the
-    /// simulator, which has no batching mode; purely an engine-mechanics
-    /// counter — batching never changes any of the other counters.
+    /// Worker handovers the threaded router made that carried more than
+    /// one handler call (one batch per busy worker per dispatch). Always
+    /// zero on the simulator, which never batches; purely an
+    /// engine-mechanics counter — batching never changes any of the
+    /// other counters.
     pub delivery_batches: u64,
     /// Total bytes the run's sends would put on a real wire, under the
     /// measure installed via `SimBuilder::measure` (the engines) or

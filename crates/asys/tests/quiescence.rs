@@ -54,7 +54,7 @@ fn drain_never_declares_quiescence_with_a_message_in_flight() {
     const TTL: u32 = 8;
 
     for iteration in 0..ITERATIONS {
-        let n = 2 + iteration % 3; // small clusters: N in {2, 3, 4}
+        let n = 2 + iteration % 8; // small clusters: N in {2, ..., 9}
         let rt = spawn_ring(n);
 
         let injector = {

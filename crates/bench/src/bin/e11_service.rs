@@ -1,16 +1,16 @@
 //! E11 — sharded service scale: N ∈ {64, 256, 1024} total processes as
 //! independent 16-process quorum groups behind a replicated directory,
-//! on the simulator and on the threaded runtime batched and unbatched
-//! (see EXPERIMENTS.md §E11).
+//! on the simulator and on the threaded runtime (see EXPERIMENTS.md
+//! §E11).
 //!
 //! CLI: `e11_service [max_n] [ops_per_proc]`. The CI smoke job runs
 //! `e11_service 64 2` (only the N=64 cells, small op budget); the full
 //! sweep defaults to `1024 4`.
 //!
 //! Writes `BENCH_E11.json` carrying the standard wall/events record
-//! *plus* a per-cell table with throughput, detection-latency, and
-//! batched-vs-unbatched speedup columns. Exits nonzero if any cell
-//! completes zero ops (throughput regression to zero), or — when
+//! *plus* a per-cell table with throughput and detection-latency
+//! columns. Exits nonzero if any cell completes zero ops (throughput
+//! regression to zero), or — when
 //! `SFS_E11_THREADED_BUDGET_MS` is set — if the threaded cells together
 //! exceed that wall-clock budget. The budget gate is what CI's
 //! threaded-runtime smoke job pins: the event-driven router's wall cost
@@ -28,7 +28,7 @@ fn main() {
     // E11 runs one fixed seed per cell (the op budget is in the configs
     // string, not the seeds field).
     let configs = format!(
-        "N in {{64,256,1024}} capped at {max_n} x {{sim, threaded batch off, threaded batch on}}, \
+        "N in {{64,256,1024}} capped at {max_n} x {{sim, threaded}}, \
          t=2, 16-process shards, ops_per_proc={ops_per_proc}"
     );
     let mut record = sfs_bench::run_with_report("E11", &configs, 1, || {
@@ -41,7 +41,7 @@ fn main() {
     // rows the experiment is actually about.
     let cells: Vec<String> = rows
         .iter()
-        .map(|(row, wall, serving)| format!("    {}", row.to_json(*wall, *serving)))
+        .map(|row| format!("    {}", row.to_json()))
         .collect();
     record.table_json = format!("[\n{}\n  ]", cells.join(",\n"));
     let json = record.to_json();
@@ -67,8 +67,8 @@ fn main() {
     }
     let stalled: Vec<String> = rows
         .iter()
-        .filter(|(r, _, _)| r.ops_completed == 0)
-        .map(|(r, _, _)| format!("(n={}, {}, batch={})", r.n, r.backend, r.batch))
+        .filter(|r| r.ops_completed == 0)
+        .map(|r| format!("(n={}, {})", r.n, r.backend))
         .collect();
     if !stalled.is_empty() {
         eprintln!(
@@ -83,8 +83,8 @@ fn main() {
     {
         let threaded_wall: f64 = rows
             .iter()
-            .filter(|(r, _, _)| r.backend == Backend::Threaded)
-            .map(|(r, _, _)| r.wall_ms)
+            .filter(|r| r.backend == Backend::Threaded)
+            .map(|r| r.wall_ms)
             .sum();
         if threaded_wall > budget_ms {
             eprintln!(

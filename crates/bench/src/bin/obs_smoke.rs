@@ -2,8 +2,8 @@
 //!
 //! Four checks, each fatal:
 //!
-//! 1. **E11 epoch with telemetry**: runs the N=64 E11 cell (sim backend,
-//!    batched) through `sfs-service` and requires the merged per-shard
+//! 1. **E11 epoch with telemetry**: runs the N=64 E11 cell (sim backend)
+//!    through `sfs-service` and requires the merged per-shard
 //!    registries to carry live op-latency and message-class data —
 //!    `op_p99 > 0`, sends attributed, detections counted. Writes the
 //!    merged [`RunReport`] to `OBS_REPORT.json`.
@@ -64,7 +64,7 @@ fn write_artifact(name: &str, body: String) {
     }
 }
 
-/// The N=64 E11 cell (sim, batched): 4 shards of 16, t=2, shard 0
+/// The N=64 E11 cell (sim): 4 shards of 16, t=2, shard 0
 /// exhausted by two scripted crashes, two epochs of closed-loop ops.
 fn e11_cell() -> ServiceSpec {
     let plan = plan_shards(64, 2, 16, 11).expect("E11 shape is feasible");
@@ -72,7 +72,6 @@ fn e11_cell() -> ServiceSpec {
     ServiceSpec::new(64, 2, 16)
         .seed(11)
         .backend(Backend::Sim)
-        .batched(true)
         .heartbeat(Some(HeartbeatConfig {
             interval: 10,
             timeout: 60,

@@ -1,19 +1,16 @@
 //! E11 — service-layer scale: sharded sFS deployments at N ∈ {64, 256,
 //! 1024} total processes, on the simulator and on the threaded runtime
-//! batched and unbatched (see EXPERIMENTS.md §E11).
+//! (see EXPERIMENTS.md §E11).
 //!
 //! Each cell plans `N/16` shards of 16 processes tolerating `t = 2`
 //! locally, exhausts shard 0's budget with two scripted crashes, and
 //! drives two epochs of closed-loop client ops through the
 //! `sfs-service` engine — epoch 2 running on the directory's rebalanced
 //! table. Measured per cell: completed ops, wall-clock throughput,
-//! message rate, the crash→detection latency distribution, and the
-//! threaded batching fast path's wall-clock speedup against the unbatched
-//! sibling. Both backends run the same virtual clock; the event-driven
-//! threaded runtime advances it at compute speed, so its wall time is
-//! proportional to events executed — not to the virtual horizon or a
-//! drain budget — and the batching win (fewer channel handovers per
-//! event) reads directly off its wall column.
+//! message rate, and the crash→detection latency distribution. Both
+//! backends run the same virtual clock; the event-driven threaded runtime
+//! advances it at compute speed, so its wall time is proportional to
+//! events executed — not to the virtual horizon or a drain budget.
 //!
 //! Every cell also certifies **online**: a streaming `SfsMonitor` rides
 //! each shard run's write-only event sink and the `cert` column counts
@@ -35,8 +32,6 @@ pub struct E11Row {
     pub shards: usize,
     /// Backend.
     pub backend: Backend,
-    /// Batching fast path on?
-    pub batch: bool,
     /// Distinct client ops completed (both epochs).
     pub ops_completed: u64,
     /// Distinct client ops issued.
@@ -62,7 +57,7 @@ pub struct E11Row {
     pub op_p99: u64,
     /// Messages sent per detection event, from the registry counters.
     pub msgs_per_det: f64,
-    /// Coalesced delivery batches (0 when batching is off).
+    /// Multi-call worker handovers (0 on the simulator).
     pub delivery_batches: u64,
     /// Shards that exhausted their budget (must be exactly shard 0).
     pub exhausted: usize,
@@ -79,7 +74,6 @@ impl E11Row {
             n: r.total,
             shards: r.shard_count,
             backend: r.backend,
-            batch: r.batch,
             ops_completed: r.ops_completed(),
             ops_issued: r.ops_issued(),
             wall_ms: r.wall_ms,
@@ -107,19 +101,17 @@ impl E11Row {
     }
 
     /// One JSON object for the `BENCH_E11.json` table array.
-    pub fn to_json(&self, speedup_wall: f64, speedup_serving: f64) -> String {
+    pub fn to_json(&self) -> String {
         format!(
-            "{{\"n\": {}, \"shards\": {}, \"backend\": {}, \"batch\": {}, \
+            "{{\"n\": {}, \"shards\": {}, \"backend\": {}, \
              \"ops_completed\": {}, \"ops_per_sec\": {:.1}, \"messages\": {}, \
              \"msgs_per_sec\": {:.1}, \"wall_ms\": {:.1}, \"serving_ticks\": {}, \
              \"det_p50\": {}, \"det_p95\": {}, \"det_max\": {}, \
              \"op_p99\": {}, \"msgs_per_det\": {:.1}, \
-             \"delivery_batches\": {}, \"shard_runs\": {}, \"certified\": {}, \
-             \"speedup_wall\": {:.3}, \"speedup_serving\": {:.3}}}",
+             \"delivery_batches\": {}, \"shard_runs\": {}, \"certified\": {}}}",
             self.n,
             self.shards,
             json_str(&self.backend.to_string()),
-            self.batch,
             self.ops_completed,
             self.ops_per_sec,
             self.messages,
@@ -134,14 +126,12 @@ impl E11Row {
             self.delivery_batches,
             self.shard_runs,
             self.certified,
-            speedup_wall,
-            speedup_serving,
         )
     }
 }
 
 /// The spec for one E11 cell.
-fn e11_spec(n: usize, backend: Backend, batch: bool, ops_per_proc: u64) -> ServiceSpec {
+fn e11_spec(n: usize, backend: Backend, ops_per_proc: u64) -> ServiceSpec {
     // Shard 0's first two members crash early, exhausting its t = 2 and
     // forcing an epoch-2 rebalance; the plan is deterministic, so the
     // victims are nameable up front.
@@ -150,7 +140,6 @@ fn e11_spec(n: usize, backend: Backend, batch: bool, ops_per_proc: u64) -> Servi
     ServiceSpec::new(n, 2, 16)
         .seed(11)
         .backend(backend)
-        .batched(batch)
         // Fast heartbeats keep crash→detection latency (and the threaded
         // drain budget riding on it) small.
         .heartbeat(Some(HeartbeatConfig {
@@ -169,14 +158,13 @@ fn e11_spec(n: usize, backend: Backend, batch: bool, ops_per_proc: u64) -> Servi
 
 /// Runs the E11 sweep. `max_n` bounds the deployment sizes swept (the CI
 /// smoke job passes 64); `ops_per_proc` scales the per-epoch op count.
-/// Returns the printable table and the rows (with per-pair speedups) for
-/// `BENCH_E11.json`.
-pub fn run_e11(max_n: usize, ops_per_proc: u64) -> (Table, Vec<(E11Row, f64, f64)>) {
+/// Returns the printable table and the rows for `BENCH_E11.json`.
+pub fn run_e11(max_n: usize, ops_per_proc: u64) -> (Table, Vec<E11Row>) {
     let mut table = Table::new(
         "E11 — sharded service scale (t=2 per shard, shard 0 exhausted, 2 epochs)",
         &[
-            "N", "shards", "backend", "batch", "ops", "ops/s", "msgs", "msg/s", "det p50",
-            "det p95", "det max", "op p99", "msg/det", "batches", "cert", "speedup",
+            "N", "shards", "backend", "ops", "ops/s", "msgs", "msg/s", "det p50", "det p95",
+            "det max", "op p99", "msg/det", "batches", "cert",
         ],
     );
     let mut rows = Vec::new();
@@ -185,69 +173,33 @@ pub fn run_e11(max_n: usize, ops_per_proc: u64) -> (Table, Vec<(E11Row, f64, f64
             continue;
         }
         for backend in [Backend::Sim, Backend::Threaded] {
-            let mut baseline: Option<E11Row> = None;
-            for batch in [false, true] {
-                // Batching is the threaded router's fast path; the
-                // simulator has one loop mode, so no batch cell.
-                if batch && backend == Backend::Sim {
-                    continue;
-                }
-                let spec = e11_spec(n, backend, batch, ops_per_proc);
-                let report = run_service(&spec).unwrap_or_else(|e| {
-                    panic!("E11 cell (n={n}, {backend}, batch={batch}) failed: {e}")
-                });
-                note_events(report.events());
-                let row = E11Row::from_report(&report);
-                // Speedup of this (batched) row against its unbatched
-                // threaded sibling, in wall-clock: the event-driven
-                // router's wall is compute per event executed — the thing
-                // per-destination coalescing halves. (The serving window
-                // is kept in the JSON but is degenerate on the bare
-                // threaded backend: zero-delay delivery collapses the
-                // message-driven closed loop onto a single virtual
-                // instant.)
-                let (speedup_wall, speedup_serving) = match &baseline {
-                    Some(b) if batch => (
-                        safe_ratio(b.wall_ms, row.wall_ms),
-                        safe_ratio(b.serving_ticks as f64, row.serving_ticks as f64),
-                    ),
-                    _ => (1.0, 1.0),
-                };
-                let speedup_cell = if batch {
-                    format!("{speedup_wall:.2}x wall")
-                } else {
-                    "-".to_owned()
-                };
-                table.row([
-                    row.n.to_string(),
-                    row.shards.to_string(),
-                    row.backend.to_string(),
-                    if row.batch { "on" } else { "off" }.to_owned(),
-                    row.ops_completed.to_string(),
-                    format!("{:.0}", row.ops_per_sec),
-                    row.messages.to_string(),
-                    format!("{:.0}", row.msgs_per_sec),
-                    row.det_p50.to_string(),
-                    row.det_p95.to_string(),
-                    row.det_max.to_string(),
-                    row.op_p99.to_string(),
-                    format!("{:.0}", row.msgs_per_det),
-                    row.delivery_batches.to_string(),
-                    format!("{}/{}", row.certified, row.shard_runs),
-                    speedup_cell,
-                ]);
-                if !batch {
-                    baseline = Some(row.clone());
-                }
-                rows.push((row, speedup_wall, speedup_serving));
-            }
+            let spec = e11_spec(n, backend, ops_per_proc);
+            let report = run_service(&spec)
+                .unwrap_or_else(|e| panic!("E11 cell (n={n}, {backend}) failed: {e}"));
+            note_events(report.events());
+            let row = E11Row::from_report(&report);
+            table.row([
+                row.n.to_string(),
+                row.shards.to_string(),
+                row.backend.to_string(),
+                row.ops_completed.to_string(),
+                format!("{:.0}", row.ops_per_sec),
+                row.messages.to_string(),
+                format!("{:.0}", row.msgs_per_sec),
+                row.det_p50.to_string(),
+                row.det_p95.to_string(),
+                row.det_max.to_string(),
+                row.op_p99.to_string(),
+                format!("{:.0}", row.msgs_per_det),
+                row.delivery_batches.to_string(),
+                format!("{}/{}", row.certified, row.shard_runs),
+            ]);
+            rows.push(row);
         }
     }
     table.note(
-        "speedup: batched vs unbatched threaded sibling, in wall time — the \
-         event-driven threaded runtime's wall scales with events executed \
-         (not the virtual horizon), so coalescing channel handovers shows up \
-         directly (~2x); the simulator has one loop mode and no batch cell",
+        "batches: threaded worker handovers carrying more than one handler call — \
+         engine mechanics, 0 on the simulator, which never batches",
     );
     table.note("detection latency in virtual ticks on both backends");
     table.note(
@@ -264,14 +216,6 @@ pub fn run_e11(max_n: usize, ops_per_proc: u64) -> (Table, Vec<(E11Row, f64, f64
     (table, rows)
 }
 
-fn safe_ratio(a: f64, b: f64) -> f64 {
-    if b <= 0.0 {
-        1.0
-    } else {
-        a / b
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,7 +225,7 @@ mod tests {
         // One N=64 sweep on the simulator only is cheap enough for the
         // unit suite and pins the cell invariants: full completion,
         // measured detections, exactly one exhausted shard.
-        let spec = e11_spec(64, Backend::Sim, false, 1);
+        let spec = e11_spec(64, Backend::Sim, 1);
         let report = run_service(&spec).unwrap();
         let row = E11Row::from_report(&report);
         assert_eq!(row.shards, 4);
@@ -295,7 +239,7 @@ mod tests {
             row.certified, row.shard_runs,
             "every shard run must certify the suite online"
         );
-        let json = row.to_json(1.0, 1.0);
+        let json = row.to_json();
         assert!(json.contains("\"backend\": \"sim\""));
         assert!(json.contains("\"certified\""));
     }

@@ -213,13 +213,6 @@ pub struct ClusterSpec {
     /// Scripted erroneous suspicions `(suspector, suspect, at)` — the
     /// paper's "spontaneous" suspicions.
     pub suspicions: Vec<(ProcessId, ProcessId, u64)>,
-    /// Batched delivery fast path of the threaded legs: the router's
-    /// per-destination event coalescing (`RuntimeConfig::batch` in
-    /// `sfs-asys`). Semantically invisible to the happens-before model —
-    /// the `batch_equiv` suite in `sfs-apps` pins it — and ignored by
-    /// the simulator, which has one loop mode; the `sfs-service` layer
-    /// and experiment E11 measure its throughput effect.
-    pub batch: bool,
     /// The faulty network beneath the run, for the `*_net` legs: link
     /// faults (loss/duplication/partitions) plus the `sfs-transport` ARQ
     /// and probe parameters. `None` behaves as [`NetSpec::faultless`].
@@ -255,7 +248,6 @@ impl ClusterSpec {
             max_events: 1_000_000,
             crashes: Vec::new(),
             suspicions: Vec::new(),
-            batch: false,
             net: None,
             sink: None,
         }
@@ -273,13 +265,6 @@ impl ClusterSpec {
     /// [`ClusterSpec::try_run_net`] and friends).
     pub fn net(mut self, net: NetSpec) -> Self {
         self.net = Some(net);
-        self
-    }
-
-    /// Enables (or disables) the threaded router's batched delivery fast
-    /// path; the simulator ignores it.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.batch = on;
         self
     }
 
@@ -571,7 +556,6 @@ impl ClusterSpec {
             measure: None,
             sink: self.sink.clone(),
             registry: Some(registry.clone()),
-            batch: self.batch,
             faults: self.fault_plan::<A::Msg>(),
             max_time: self.max_time,
             max_events: self.max_events,
@@ -740,7 +724,6 @@ impl ClusterSpec {
             measure,
             sink: self.sink.clone(),
             registry: Some(registry.clone()),
-            batch: self.batch,
             faults: self.fault_plan_net::<A::Msg>(),
             max_time: self.max_time,
             max_events: self.max_events,
@@ -1017,24 +1000,6 @@ mod tests {
             .quorum(QuorumPolicy::WaitForAll)
             .validate()
             .is_ok());
-    }
-
-    #[test]
-    fn batched_spec_produces_equivalent_runs_on_sim() {
-        // Batching is the threaded router's fast path; the simulator has
-        // one loop mode, so the switch must change nothing there — not
-        // even the engine-mechanics counter.
-        let spec = |batch: bool| {
-            ClusterSpec::new(6, 2)
-                .seed(9)
-                .batched(batch)
-                .suspect(p(1), p(0), 10)
-        };
-        let plain = spec(false).try_run().expect("feasible spec");
-        let batched = spec(true).try_run().expect("feasible spec");
-        assert_eq!(plain.events(), batched.events());
-        assert_eq!(plain.stats(), batched.stats());
-        assert_eq!(batched.stats().delivery_batches, 0);
     }
 
     #[test]

@@ -29,12 +29,7 @@
 //!   (one rayon task each), health summarization, directory rebalancing,
 //!   and a [`ServiceReport`] with throughput and detection-latency
 //!   figures. Experiment E11 (`BENCH_E11.json`) is this engine swept
-//!   over N ∈ {64, 256, 1024} on both backends, the threaded one
-//!   batched and not.
-//!
-//! The batching fast path itself lives in `sfs-asys`'s threaded router
-//! (see `RuntimeConfig::batch`); this crate flips it per deployment via
-//! [`ServiceSpec::batched`] and measures the effect.
+//!   over N ∈ {64, 256, 1024} on both backends.
 
 #![warn(missing_docs)]
 

@@ -88,9 +88,6 @@ pub struct ServiceSpec {
     pub seed: u64,
     /// Execution backend for the shard groups.
     pub backend: Backend,
-    /// The threaded router's batched delivery fast path on/off; the
-    /// simulator ignores it.
-    pub batch: bool,
     /// Ops per epoch, routed over the whole key space.
     pub load: LoadProfile,
     /// Heartbeats for the shard groups (needed for crash detection).
@@ -147,7 +144,6 @@ impl ServiceSpec {
             dir: DirectorySpec::default(),
             seed: 0,
             backend: Backend::Sim,
-            batch: false,
             load: LoadProfile::closed(total as u64, 4),
             heartbeat: Some(HeartbeatConfig::default()),
             crashes: Vec::new(),
@@ -188,9 +184,10 @@ impl ServiceSpec {
         self
     }
 
-    /// Toggles the batching fast path.
-    pub fn batched(mut self, on: bool) -> Self {
-        self.batch = on;
+    /// Sets nothing: the threaded runtime batches every dispatch and the
+    /// simulator has one loop mode, so there is no switch left to set.
+    /// Kept for source compatibility with callers that still pass one.
+    pub fn batched(self, _on: bool) -> Self {
         self
     }
 
@@ -365,8 +362,6 @@ pub struct ServiceReport {
     pub shard_count: usize,
     /// Backend the shards ran on.
     pub backend: Backend,
-    /// Whether the batching fast path was on.
-    pub batch: bool,
     /// The epochs, in order.
     pub epochs: Vec<EpochOutcome>,
     /// Shards that exhausted their budget at any point in the run,
@@ -413,7 +408,8 @@ impl ServiceReport {
             .sum()
     }
 
-    /// Coalesced delivery batches across all shard runs.
+    /// Multi-call worker handovers across all shard runs (see
+    /// [`SimStats::delivery_batches`]); 0 on the simulator.
     pub fn delivery_batches(&self) -> u64 {
         self.epochs
             .iter()
@@ -600,7 +596,6 @@ pub fn run_service(spec: &ServiceSpec) -> Result<ServiceReport, ServiceError> {
         total: spec.total,
         shard_count: plan.len(),
         backend: spec.backend,
-        batch: spec.batch,
         epochs,
         exhausted,
         wall_ms: started.elapsed().as_secs_f64() * 1_000.0,
@@ -766,7 +761,6 @@ fn run_shard(
     let t = shard.t - dead.min(shard.t);
     let mut cluster = ClusterSpec::new(n, t)
         .seed(spec.seed ^ (0xE11 * (epoch + 1) + shard.id as u64) ^ salt)
-        .batched(spec.batch)
         .max_time(spec.max_time);
     if let Some(hb) = spec.heartbeat {
         cluster = cluster.heartbeat(hb);
@@ -1197,22 +1191,6 @@ mod tests {
             .map(|s| s.load.completed)
             .sum();
         assert_eq!(done2, 30, "survivors still serve the whole epoch-2 batch");
-    }
-
-    #[test]
-    fn batching_changes_no_outcome_on_sim() {
-        // Batching is the threaded router's fast path: on the simulator
-        // backend the switch is inert, so nothing observable moves and
-        // no batch is ever counted.
-        let spec = ServiceSpec::new(20, 2, 10)
-            .seed(8)
-            .max_time(800)
-            .load(LoadProfile::closed(24, 3));
-        let plain = run_service(&spec.clone().batched(false)).unwrap();
-        let batched = run_service(&spec.batched(true)).unwrap();
-        assert_eq!(plain.ops_completed(), batched.ops_completed());
-        assert_eq!(plain.messages(), batched.messages());
-        assert_eq!(batched.delivery_batches(), 0);
     }
 
     #[test]

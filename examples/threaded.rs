@@ -1,10 +1,11 @@
-//! The same protocol code on real OS threads: a live sFS cluster over
-//! crossbeam channels, with a scripted crash and heartbeat timeouts
-//! detecting it — all in *virtual* time. The event-driven router owns a
-//! timer wheel of logical deadlines and advances the virtual clock at
-//! compute speed, so this run takes milliseconds of wall time while
-//! covering a 600-tick horizon, and the crash lands at exactly tick 200
-//! on every execution.
+//! The same protocol code on real OS threads: a live sFS cluster on the
+//! threaded runtime's worker pool (one worker thread per core, each
+//! running its share of the processes) behind a router thread, with a
+//! scripted crash and heartbeat timeouts detecting it — all in *virtual*
+//! time. The event-driven router owns a timer wheel of logical deadlines
+//! and advances the virtual clock at compute speed, so this run takes
+//! milliseconds of wall time while covering a 600-tick horizon, and the
+//! crash lands at exactly tick 200 on every execution.
 //!
 //! Run with: `cargo run --example threaded`
 
@@ -17,7 +18,7 @@ use std::time::Duration;
 fn main() {
     let n = 4;
     let t = 1;
-    println!("spawning {n} sFS process threads (t = {t})...");
+    println!("spawning {n} sFS processes on the worker pool (t = {t})...");
     // Mark protocol traffic as infrastructure so the trace projects onto
     // the paper's model alphabet (see DESIGN.md §8.2). The crash is a
     // wheel entry: it fires at virtual tick 200, before any message due
