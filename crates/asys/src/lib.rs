@@ -26,6 +26,12 @@
 //! * [`net`] — a threaded runtime driving the same [`Process`] automata
 //!   on a pool of worker threads behind a router, over crossbeam channels.
 //!
+//! Both engines drive one crate-private engine core that implements the
+//! model once — channels, crashes, detections, receive filters, the link
+//! seam and the event stream — and differ only in how they schedule:
+//! [`Sim`] by its calendar queue or a [`Strategy`], the runtime by a
+//! [`TimerWheel`] on real threads.
+//!
 //! # Examples
 //!
 //! A two-process ping/pong run:
@@ -63,6 +69,7 @@
 #![warn(missing_debug_implementations)]
 
 mod calendar;
+mod engine;
 mod fault;
 mod id;
 mod latency;
@@ -79,6 +86,7 @@ mod wheel;
 
 pub mod net;
 
+pub use engine::CrashRegistry;
 pub use fault::{FaultPlan, Injection};
 pub use id::{MsgId, ProcessId, TimerId};
 pub use latency::{
@@ -88,7 +96,7 @@ pub use link::{FaultyLink, FnLink, LinkModel, LinkVerdict, PartitionSchedule, St
 pub use note::{Note, NOTE_LEADER, NOTE_QUORUM};
 pub use observe::{EventSink, EventSinkHandle, Interest, MsgClass};
 pub use process::{Action, Context, Process, ReceiveFilter};
-pub use sim::{CrashRegistry, Sim, SimBuilder, SimConfig};
+pub use sim::{Sim, SimBuilder};
 pub use strategy::{
     ChoiceTrace, EnabledStep, RandomStrategy, ReplayStrategy, ScheduleLog, StepKind, StepLog,
     Strategy, TimeOrderedStrategy,

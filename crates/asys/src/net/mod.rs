@@ -5,14 +5,16 @@
 //! deterministically; this module runs the *identical* protocol code on
 //! real concurrency — a pool of worker threads, one per available core,
 //! each owning a fixed slice of the processes, with crossbeam channels
-//! as the handovers. A central router thread serializes all effects, which
-//! both preserves per-channel FIFO order (the property the paper's sFS2d
-//! argument depends on) and lets the runtime record a single coherent
+//! as the handovers. A central router thread applies every effect through
+//! the engine core the simulator drives too — the same channels, crash
+//! and detection bookkeeping, receive filters and link seam — so channels
+//! are FIFO under any link delays (the property the paper's sFS2d
+//! argument depends on) and the runtime records a single coherent
 //! [`Trace`](crate::Trace).
 //!
 //! Time is logical, not wall-clock: the router owns a hierarchical
 //! [`TimerWheel`](crate::TimerWheel) holding every pending deadline
-//! (message deliveries, timer fires, scheduled fault injections) and
+//! (channel heads coming due, timer fires, scheduled fault injections) and
 //! advances its virtual clock straight to the next due instant whenever
 //! nothing is in flight. Each dispatch hands every busy worker one batch
 //! of its processes' due events, run back to back and answered with one
@@ -51,4 +53,5 @@
 
 mod router;
 
-pub use router::{Injector, Measure, Runtime, RuntimeConfig};
+pub use crate::engine::Measure;
+pub use router::{Injector, Runtime, RuntimeConfig};

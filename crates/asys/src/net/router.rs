@@ -2,24 +2,36 @@
 //!
 //! Processes run on a small pool of worker threads and exchange messages
 //! through a router thread, but *time* is logical: the router owns a
-//! hierarchical [`TimerWheel`] holding every pending deadline — message
-//! deliveries, timer fires, scheduled fault-plan injections — and advances
-//! its virtual clock directly to the next due instant whenever nothing is
-//! in flight. Nothing ever sleeps through empty ticks, so a run's
-//! wall-clock cost is proportional to the work it does, not to the virtual
-//! span it covers.
+//! hierarchical [`TimerWheel`] holding every pending deadline — channel
+//! heads coming due, timer fires, scheduled fault-plan injections — and
+//! advances its virtual clock directly to the next due instant whenever
+//! nothing is in flight. Nothing ever sleeps through empty ticks, so a
+//! run's wall-clock cost is proportional to the work it does, not to the
+//! virtual span it covers.
+//!
+//! # The simulator's model
+//!
+//! The router holds the engine core the simulator drives (`engine.rs`):
+//! channels, crash and detection flags, receive filters, the link seam,
+//! message numbering and the trace. It applies every reply's actions
+//! through the core and files the deadlines the core announces on its
+//! wheel. A channel has at most one head on the wheel, and its next head
+//! is filed only once that one is admitted, so channels are FIFO under any
+//! link delays, as on the simulator. What differs is the delay floor: a
+//! zero-delay link or timer lands at the instant it was issued here, one
+//! tick later on the simulator.
 //!
 //! # Workers and batches
 //!
 //! Each of the `W = available_parallelism().min(n)` workers owns the nodes
 //! `k, k + W, k + 2W, …`: their processes, rngs and timer counters. Per
-//! dispatch the router stages every admitted delivery, timer fire and
-//! external into its owner's batch, in wheel order, and hands each busy
-//! worker one batch. The worker runs the handlers back to back and answers
-//! with one reply holding each call's actions, tagged by node, in
-//! execution order. A node belongs to one worker and a worker runs its
-//! batches in the order they were sent, so per-process order and
-//! per-channel FIFO hold by construction.
+//! dispatch the router admits everything due at the instant, stages each
+//! admitted delivery, timer fire and external into its owner's batch, in
+//! admission order, and hands each busy worker one batch. The worker runs
+//! the handlers back to back and answers with one reply holding each
+//! call's actions, tagged by node, in execution order. A node belongs to
+//! one worker and a worker runs its batches in the order they were sent,
+//! so per-process order holds by construction.
 //!
 //! # Quiescence protocol
 //!
@@ -39,15 +51,14 @@
 //! follow-ups land at the same instant and are dispatched before the clock
 //! moves again; once the event budget is spent nothing more is dispatched.
 
+use crate::engine::{Classify, CrashRegistry, EngineState, Hooks, Measure, Schedule};
 use crate::fault::{FaultPlan, Injection};
-use crate::id::{MsgId, ProcessId, TimerId};
-use crate::link::{LinkModel, LinkVerdict};
+use crate::id::{ProcessId, TimerId};
+use crate::link::LinkModel;
 use crate::observe::EventSinkHandle;
-use crate::process::{Action, Context, Process, ReceiveFilter};
-use crate::sim::CrashRegistry;
+use crate::process::{Action, Context, Process};
 use crate::time::VirtualTime;
-use crate::timers::CancelledTimers;
-use crate::trace::{SimStats, StopReason, Trace, TraceEvent, TraceEventKind};
+use crate::trace::{StopReason, Trace};
 use crate::wheel::TimerWheel;
 use crossbeam::channel::{self, Receiver, Sender};
 use rand::rngs::StdRng;
@@ -56,25 +67,17 @@ use std::fmt;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Predicate marking payloads as infrastructure; the threaded mirror of
-/// `SimBuilder::classify`.
-pub type Classify<M> = Box<dyn Fn(&M) -> bool + Send>;
-
-/// Per-payload wire-byte measure; the threaded mirror of
-/// `SimBuilder::measure`.
-pub type Measure<M> = Box<dyn Fn(&M) -> u64 + Send>;
-
 /// Configuration for the threaded runtime.
 pub struct RuntimeConfig<M = ()> {
     /// Seed feeding each node's deterministic rng (node `i` uses
     /// `seed + i`). Scheduling itself is real-concurrency nondeterminism.
     pub seed: u64,
-    /// Optional faulty-network model: the threaded mirror of the
-    /// simulator's link seam. The router consults it once per send, in
-    /// send order, with its own seeded rng; verdict delays are virtual
-    /// ticks on the router's wheel, so the *same* [`LinkModel`] drives
-    /// both backends — what E10's transport-backed conformance leg relies
-    /// on. `None` delivers every message at the instant it is sent.
+    /// Optional faulty-network model: the simulator's link seam. The
+    /// router consults it once per send, in send order, with its own
+    /// seeded rng; verdict delays are virtual ticks on the router's wheel,
+    /// so the *same* [`LinkModel`] drives both backends — what E10's
+    /// transport-backed conformance leg relies on. `None` delivers every
+    /// message at the instant it is sent.
     pub link: Option<Box<dyn LinkModel + Send>>,
     /// Whether to record payload `Debug` text in the trace.
     pub record_payloads: bool,
@@ -83,36 +86,35 @@ pub struct RuntimeConfig<M = ()> {
     pub classify: Option<Classify<M>>,
     /// Optional wire-byte measure, charged to `SimStats::wire_bytes` once
     /// per send on the sender's side (duplicated and dropped copies are
-    /// the network's doing); the threaded mirror of `SimBuilder::measure`.
+    /// the network's doing); see `SimBuilder::measure`.
     pub measure: Option<Measure<M>>,
     /// Optional live crash view. When set, the router marks every crash
-    /// in it — the threaded mirror of the simulator's built-in registry,
-    /// so oracle-configured processes (which poll a
-    /// [`CrashRegistry`]) can run on real threads too.
+    /// in it — as the simulator marks its built-in registry — so
+    /// oracle-configured processes (which poll a [`CrashRegistry`]) can
+    /// run on real threads too.
     pub registry: Option<CrashRegistry>,
-    /// Optional trace-event sink (see [`crate::observe::EventSink`]); the
-    /// threaded mirror of `SimBuilder::event_sink`. Every event the
-    /// router appends to its trace is also handed, by reference, to the
-    /// sink — the live feed the streaming sFS property monitors consume.
-    /// Execution-neutral: the sink sees already-recorded events and has
-    /// no path back into scheduling.
+    /// Optional trace-event sink (see [`crate::observe::EventSink`]), as
+    /// `SimBuilder::event_sink`: every event the router emits is handed,
+    /// by reference, to the sink — the live feed the streaming sFS
+    /// property monitors consume. Execution-neutral: the sink sees
+    /// already-decided events and has no path back into scheduling.
     pub sink: Option<EventSinkHandle>,
     /// Scheduled crash/external injections, placed on the wheel at
     /// construction. Entries take the earliest insertion sequence numbers
     /// at their instants, so an injection at tick `T` is applied before
-    /// any delivery or timer due at `T` — the threaded mirror of the
-    /// simulator pushing plan entries at build time.
+    /// any delivery or timer due at `T` — as the simulator pushes plan
+    /// entries at build time.
     pub faults: FaultPlan<M>,
     /// Virtual-time horizon: the wheel never advances past it. Raw
     /// runtimes driven by hand default to [`VirtualTime::MAX`]
     /// (effectively unbounded); spec-driven runs wire their configured
     /// horizon here.
     pub max_time: VirtualTime,
-    /// Event budget: once the trace holds this many events the router
-    /// dispatches nothing more, not even work due at the current instant
-    /// (directly injected events are still recorded). The backstop that
-    /// bounds free-running systems — self-rearming heartbeats would
-    /// otherwise burn CPU forever at virtual speed.
+    /// Event budget: once this many events have been emitted no further
+    /// action is applied and the router dispatches nothing more, not even
+    /// work due at the current instant. The backstop that bounds
+    /// free-running systems — self-rearming heartbeats would otherwise
+    /// burn CPU forever at virtual speed.
     pub max_events: usize,
 }
 
@@ -155,29 +157,23 @@ enum Work<M> {
     External { payload: M },
 }
 
-/// One handover to a worker: its nodes' work at instant `at`, in wheel
-/// order.
+/// One handover to a worker: its nodes' work at instant `at`, in
+/// admission order.
 struct Batch<M> {
     at: VirtualTime,
     items: Vec<(ProcessId, Work<M>)>,
 }
 
-/// The actions one handler call issued, with their rendered payloads
-/// (empty when payload recording is off).
-type Issued<M> = (ProcessId, Vec<Action<M>>, Vec<Option<String>>);
-
 enum ToRouter<M> {
     /// A worker's one reply to one batch: every handler call's actions,
     /// tagged by node, in execution order (calls that issued nothing are
     /// left out).
-    Actions(Vec<Issued<M>>),
-    InjectExternal {
+    Actions(Vec<(ProcessId, Vec<Action<M>>)>),
+    /// A crash or stimulus injected by hand, applied at the router's
+    /// current instant.
+    Inject {
         pid: ProcessId,
-        payload: M,
-        repr: Option<String>,
-    },
-    InjectCrash {
-        pid: ProcessId,
+        injection: Injection<M>,
     },
     /// Quiescence handshake: the router answers `true` the moment it
     /// observes genuine quiescence (empty inbox, no outstanding replies,
@@ -189,32 +185,40 @@ enum ToRouter<M> {
     Shutdown,
 }
 
+/// A wheel entry: a deadline the engine core announced, or a fault-plan
+/// entry.
 enum Due<M> {
-    Deliver {
+    Head {
         from: ProcessId,
         to: ProcessId,
-        msg: MsgId,
-        payload: M,
-        repr: Option<String>,
-        infra: bool,
     },
     Fire {
         pid: ProcessId,
         id: TimerId,
     },
-    /// A scheduled fault-plan entry.
     Plan {
         pid: ProcessId,
         injection: Injection<M>,
     },
 }
 
+impl<M> Schedule for TimerWheel<Due<M>> {
+    fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
+        self.insert(at, Due::Head { from, to });
+    }
+
+    fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId) {
+        self.insert(at, Due::Fire { pid, id });
+    }
+}
+
 /// A running system of `n` processes on a pool of worker threads plus a
 /// router thread.
 ///
-/// Construct with [`Runtime::spawn`]; drive with [`Runtime::run_for`],
-/// [`Runtime::inject_external`], and [`Runtime::crash`]; finish with
-/// [`Runtime::shutdown`], which returns the recorded [`Trace`].
+/// Construct with [`Runtime::spawn`]; drive with
+/// [`Runtime::inject_external`] and [`Runtime::crash`]; wait with
+/// [`Runtime::drain`]; finish with [`Runtime::shutdown`], which returns
+/// the recorded [`Trace`].
 pub struct Runtime<M> {
     n: usize,
     to_router: Sender<ToRouter<M>>,
@@ -262,7 +266,6 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
             });
         }
         let (to_router, router_rx) = channel::unbounded::<ToRouter<M>>();
-        let record_payloads = config.record_payloads;
         let mut batch_txs = Vec::with_capacity(w);
         let workers = slices
             .into_iter()
@@ -273,7 +276,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
                 let to_router = to_router.clone();
                 std::thread::Builder::new()
                     .name(format!("worker-{k}"))
-                    .spawn(move || worker_main(n, w, nodes, rx, to_router, record_payloads))
+                    .spawn(move || worker_main(n, w, nodes, rx, to_router))
                     .expect("spawn worker thread")
             })
             .collect();
@@ -308,25 +311,14 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
     /// reached when the injection is handled; scripted injections at
     /// exact virtual times belong in [`RuntimeConfig::faults`].
     pub fn inject_external(&self, pid: ProcessId, payload: M) {
-        let repr = Some(format!("{payload:?}"));
-        let _ = self
-            .to_router
-            .send(ToRouter::InjectExternal { pid, payload, repr });
+        send_injection(&self.to_router, pid, Injection::External(payload));
     }
 
     /// Crashes `pid` permanently, at the router's current virtual
     /// instant. Scripted crashes at exact virtual times belong in
     /// [`RuntimeConfig::faults`].
     pub fn crash(&self, pid: ProcessId) {
-        let _ = self.to_router.send(ToRouter::InjectCrash { pid });
-    }
-
-    /// Lets the system run for the given wall-clock duration. The router
-    /// advances virtual time at compute speed the whole while (bounded by
-    /// [`RuntimeConfig::max_time`] and [`RuntimeConfig::max_events`]);
-    /// this is only useful to leave room for wall-clock-timed injections.
-    pub fn run_for(&self, d: Duration) {
-        std::thread::sleep(d);
+        send_injection(&self.to_router, pid, Injection::Crash);
     }
 
     /// Blocks until the system is **quiescent** — the router observed, in
@@ -377,6 +369,11 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
     }
 }
 
+/// Hands a crash or stimulus to the router; dropped after shutdown.
+fn send_injection<M>(to_router: &Sender<ToRouter<M>>, pid: ProcessId, injection: Injection<M>) {
+    let _ = to_router.send(ToRouter::Inject { pid, injection });
+}
+
 /// A cloneable handle for injecting stimuli into a running [`Runtime`]
 /// from arbitrary threads; obtained via [`Runtime::injector`]. Injections
 /// land at whatever virtual instant the router's clock has reached when
@@ -401,19 +398,16 @@ impl<M> fmt::Debug for Injector<M> {
     }
 }
 
-impl<M: Clone + fmt::Debug + Send + 'static> Injector<M> {
+impl<M> Injector<M> {
     /// Delivers an external stimulus to `pid`; see
     /// [`Runtime::inject_external`].
     pub fn inject_external(&self, pid: ProcessId, payload: M) {
-        let repr = Some(format!("{payload:?}"));
-        let _ = self
-            .to_router
-            .send(ToRouter::InjectExternal { pid, payload, repr });
+        send_injection(&self.to_router, pid, Injection::External(payload));
     }
 
     /// Crashes `pid` permanently; see [`Runtime::crash`].
     pub fn crash(&self, pid: ProcessId) {
-        let _ = self.to_router.send(ToRouter::InjectCrash { pid });
+        send_injection(&self.to_router, pid, Injection::Crash);
     }
 }
 
@@ -426,7 +420,7 @@ struct Node<M> {
     next_timer: u64,
 }
 
-impl<M: fmt::Debug> Node<M> {
+impl<M> Node<M> {
     /// Runs one handler on a fresh context and appends what it issued to
     /// `reply`.
     fn run(
@@ -434,8 +428,7 @@ impl<M: fmt::Debug> Node<M> {
         n: usize,
         at: VirtualTime,
         work: Work<M>,
-        record: bool,
-        reply: &mut Vec<Issued<M>>,
+        reply: &mut Vec<(ProcessId, Vec<Action<M>>)>,
     ) {
         let mut ctx = Context::new(self.pid, n, at, &mut self.rng, &mut self.next_timer);
         match work {
@@ -446,8 +439,7 @@ impl<M: fmt::Debug> Node<M> {
         }
         let actions = ctx.take_actions();
         if !actions.is_empty() {
-            let reprs = render_payloads(&actions, record);
-            reply.push((self.pid, actions, reprs));
+            reply.push((self.pid, actions));
         }
     }
 }
@@ -456,90 +448,41 @@ impl<M: fmt::Debug> Node<M> {
 /// reply per batch — the router's `outstanding` count, and with it the
 /// whole quiescence protocol, depends on it. Exits when the router drops
 /// its sender. Node `pid` sits at `nodes[pid / w]`.
-fn worker_main<M: fmt::Debug>(
+fn worker_main<M>(
     n: usize,
     w: usize,
     mut nodes: Vec<Node<M>>,
     rx: Receiver<Batch<M>>,
     to_router: Sender<ToRouter<M>>,
-    record_payloads: bool,
 ) {
     while let Ok(Batch { at, items }) = rx.recv() {
         let mut reply = Vec::new();
         for (pid, work) in items {
-            nodes[pid.index() / w].run(n, at, work, record_payloads, &mut reply);
+            nodes[pid.index() / w].run(n, at, work, &mut reply);
         }
         let _ = to_router.send(ToRouter::Actions(reply));
     }
 }
 
-/// `Debug`-renders the payload of each send action, or nothing at all when
-/// payload recording is off (the common case pays zero allocations here).
-fn render_payloads<M: fmt::Debug>(
-    actions: &[Action<M>],
-    record_payloads: bool,
-) -> Vec<Option<String>> {
-    if !record_payloads {
-        return Vec::new();
-    }
-    actions
-        .iter()
-        .map(|a| match a {
-            Action::Send { msg, .. } => Some(format!("{msg:?}")),
-            _ => None,
-        })
-        .collect()
-}
-
-struct Parked<M> {
-    from: ProcessId,
-    msg: MsgId,
-    payload: M,
-    repr: Option<String>,
-    infra: bool,
-}
-
 struct RouterState<M> {
-    n: usize,
-    crashed: Vec<bool>,
-    failed_flags: Vec<bool>,
-    cancelled: CancelledTimers,
-    /// Every pending deadline — deliveries, timer fires, plan injections.
+    core: EngineState<M>,
+    /// Every pending deadline — channel heads, timer fires, plan
+    /// injections.
     wheel: TimerWheel<Due<M>>,
     /// Batches handed to workers whose replies are still pending.
     outstanding: u64,
-    /// Parked [`ToRouter::WaitQuiescent`] callers, answered at the next
+    /// [`ToRouter::WaitQuiescent`] callers waiting for the next
     /// quiescence-or-stall observation.
     waiters: Vec<Sender<bool>>,
     max_time: VirtualTime,
-    max_events: usize,
-    msg_seq: Vec<u64>,
-    events: Vec<TraceEvent>,
-    stats: SimStats,
     /// One batch sender per worker; worker `k` owns the nodes `pid` with
     /// `pid % workers.len() == k`.
     workers: Vec<Sender<Batch<M>>>,
     /// Per-worker work admitted since the last `flush`, in admission order.
     staged: Vec<Vec<(ProcessId, Work<M>)>>,
-    link: Option<Box<dyn LinkModel + Send>>,
-    /// Rng feeding link-model verdicts (seeded from the config; node rngs
-    /// are independent, so link draws never perturb process behaviour).
-    link_rng: StdRng,
-    classify: Option<Classify<M>>,
-    measure: Option<Measure<M>>,
-    registry: Option<CrashRegistry>,
-    sink: Option<EventSinkHandle>,
-    filters: Vec<Option<ReceiveFilter<M>>>,
-    /// Per-channel FIFO queues of messages the receiver's filter refused,
-    /// indexed `from * n + to`.
-    parked: std::collections::HashMap<usize, std::collections::VecDeque<Parked<M>>>,
 }
 
 impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
-    fn now(&self) -> VirtualTime {
-        self.wheel.now()
-    }
-
     /// Queues one handler call for `pid`'s worker; `flush` hands it over.
     fn stage(&mut self, pid: ProcessId, work: Work<M>) {
         self.staged[pid.index() % self.workers.len()].push((pid, work));
@@ -548,13 +491,13 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
     /// Hands every busy worker its staged work as one batch at the
     /// current instant, each batch counting once toward `outstanding`.
     fn flush(&mut self) {
-        let at = self.now();
+        let at = self.core.now;
         for (tx, staged) in self.workers.iter().zip(&mut self.staged) {
             if staged.is_empty() {
                 continue;
             }
             if staged.len() > 1 {
-                self.stats.delivery_batches += 1;
+                self.core.stats.delivery_batches += 1;
             }
             self.outstanding += 1;
             let items = std::mem::take(staged);
@@ -562,303 +505,58 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
         }
     }
 
-    fn record(&mut self, kind: TraceEventKind) {
-        let seq = self.events.len();
-        let time = self.now();
-        self.events.push(TraceEvent { seq, time, kind });
-        if let Some(sink) = &self.sink {
-            sink.on_event(&self.events[seq]);
-        }
-    }
-
-    fn push(&mut self, delay_ticks: u64, due: Due<M>) {
-        let at = self.now().saturating_add(delay_ticks);
-        self.wheel.insert(at, due);
-    }
-
-    /// Marks `pid` crashed. Nothing is staged for it from here on; work
-    /// already handed to its worker still runs, and `handle_actions`
-    /// drops what it issues.
-    fn crash(&mut self, pid: ProcessId) {
-        if self.crashed[pid.index()] {
-            return;
-        }
-        self.crashed[pid.index()] = true;
-        if let Some(registry) = &self.registry {
-            registry.mark(pid);
-        }
-        self.record(TraceEventKind::Crash { pid });
-        self.stats.crashes += 1;
-        // Copies parked behind the crashed process's receive filter will
-        // never be admitted (`drain_parked_to` stops at a crashed target
-        // and the filter is frozen): consume them as messages-to-crashed
-        // now so `channels_drained()` stays exact. In-wheel deliveries to
-        // `pid` are counted one by one by `admit_due`.
-        for from in 0..self.n {
-            let ch = from * self.n + pid.index();
-            if let Some(queue) = self.parked.remove(&ch) {
-                self.stats.messages_to_crashed += queue.len() as u64;
-            }
-        }
-    }
-
-    fn handle_actions(
-        &mut self,
-        from: ProcessId,
-        actions: Vec<Action<M>>,
-        reprs: Vec<Option<String>>,
-    ) {
-        // `reprs` is either empty (payload recording off) or parallel to
-        // `actions`; pad with `None` so the two cases unify.
-        let mut reprs = reprs.into_iter();
-        for action in actions {
-            let repr = reprs.next().unwrap_or(None);
-            if self.crashed[from.index()] {
-                break;
-            }
-            match action {
-                Action::Send { to, msg } => {
-                    let seq = self.msg_seq[from.index()];
-                    self.msg_seq[from.index()] += 1;
-                    let id = MsgId::new(from, seq);
-                    let infra = self.classify.as_ref().is_some_and(|f| f(&msg));
-                    self.record(TraceEventKind::Send {
-                        from,
-                        to,
-                        msg: id,
-                        infra,
-                        payload: repr.clone(),
-                    });
-                    self.stats.messages_sent += 1;
-                    if let Some(measure) = &self.measure {
-                        self.stats.wire_bytes += measure(&msg);
-                    }
-                    // The link seam, mirroring the simulator: a LinkModel
-                    // verdict (delays in virtual ticks on the wheel) when
-                    // one is installed, else delivery at this instant.
-                    let now = self.now();
-                    let verdict = match &mut self.link {
-                        Some(link) => link.verdict(from, to, now, &mut self.link_rng),
-                        None => LinkVerdict::Deliver(0),
-                    };
-                    match verdict {
-                        LinkVerdict::Deliver(ticks) => {
-                            self.push(
-                                ticks,
-                                Due::Deliver {
-                                    from,
-                                    to,
-                                    msg: id,
-                                    payload: msg,
-                                    repr,
-                                    infra,
-                                },
-                            );
-                        }
-                        LinkVerdict::Drop => {
-                            self.stats.messages_dropped += 1;
-                        }
-                        LinkVerdict::Duplicate(t1, t2) => {
-                            self.stats.messages_duplicated += 1;
-                            for ticks in [t1, t2] {
-                                self.push(
-                                    ticks,
-                                    Due::Deliver {
-                                        from,
-                                        to,
-                                        msg: id,
-                                        payload: msg.clone(),
-                                        repr: repr.clone(),
-                                        infra,
-                                    },
-                                );
-                            }
-                        }
-                    }
-                }
-                Action::SetTimer { id, delay } => {
-                    self.push(delay, Due::Fire { pid: from, id });
-                }
-                Action::CancelTimer { id } => {
-                    self.cancelled.cancel(id);
-                }
-                Action::CrashSelf => self.crash(from),
-                Action::DeclareFailed { of } => {
-                    let flag = from.index() * self.n + of.index();
-                    if !self.failed_flags[flag] {
-                        self.failed_flags[flag] = true;
-                        self.record(TraceEventKind::Failed { by: from, of });
-                        self.stats.detections += 1;
-                    }
-                }
-                Action::Annotate(note) => self.record(TraceEventKind::Note { pid: from, note }),
-                Action::SetReceiveFilter(filter) => {
-                    self.filters[from.index()] = filter;
-                    self.drain_parked_to(from);
-                }
-                Action::ModelSend { to, msg } => {
-                    self.record(TraceEventKind::Send {
-                        from,
-                        to,
-                        msg,
-                        infra: false,
-                        payload: None,
-                    });
-                }
-                Action::ModelRecv { from: source, msg } => {
-                    self.record(TraceEventKind::Recv {
-                        by: from,
-                        from: source,
-                        msg,
-                        infra: false,
-                        payload: None,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Whether `to`'s filter currently refuses `payload`.
-    fn refused(&self, to: ProcessId, payload: &M) -> bool {
-        self.filters[to.index()]
-            .as_ref()
-            .is_some_and(|f| !f.accepts(payload))
-    }
-
-    /// After `to`'s filter changed, re-deliver parked messages in FIFO
-    /// order per channel, stopping at the first message still refused.
-    // Not a `while let`: the queue borrow must be dropped before the
-    // filter check and the record/stage below re-borrow `self`.
-    #[allow(clippy::while_let_loop)]
-    fn drain_parked_to(&mut self, to: ProcessId) {
-        for from in ProcessId::all(self.n) {
-            let ch = from.index() * self.n + to.index();
-            loop {
-                let Some(queue) = self.parked.get_mut(&ch) else {
-                    break;
-                };
-                let Some(head) = queue.front() else { break };
-                if self.crashed[to.index()] {
-                    break;
-                }
-                if self.filters[to.index()]
-                    .as_ref()
-                    .is_some_and(|f| !f.accepts(&head.payload))
-                {
-                    break;
-                }
-                let p = self
-                    .parked
-                    .get_mut(&ch)
-                    .expect("queue present")
-                    .pop_front()
-                    .expect("head");
-                self.record(TraceEventKind::Recv {
-                    by: to,
-                    from: p.from,
-                    msg: p.msg,
-                    infra: p.infra,
-                    payload: p.repr,
-                });
-                self.stats.messages_delivered += 1;
-                self.stage(
-                    to,
-                    Work::Message {
-                        from: p.from,
-                        msg: p.payload,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Records an external stimulus for `pid` and stages its handler,
-    /// unless `pid` has crashed.
-    fn external(&mut self, pid: ProcessId, payload: M, repr: Option<String>) {
-        if !self.crashed[pid.index()] {
-            self.record(TraceEventKind::External { pid, payload: repr });
+    /// Applies an injection through the core, staging the stimulus's
+    /// handler unless the target has crashed.
+    fn inject(&mut self, pid: ProcessId, injection: Injection<M>) {
+        if let Some(payload) = self.core.admit_injection(pid, injection) {
             self.stage(pid, Work::External { payload });
         }
     }
 
-    /// Admits one due wheel entry at the current instant: records its
-    /// trace event and stats and stages its handler call — or dissolves
-    /// it here (crashed target, cancelled timer, refused/parked message).
-    /// Plan entries apply inline; they hold the earliest sequence numbers
-    /// at their instant, so they precede every same-instant admission.
-    /// Admission order IS trace order.
-    fn admit_due(&mut self, due: Due<M>) {
+    /// Admits one due wheel entry through the core and stages its handler
+    /// call, unless the core dissolved it (crashed target, cancelled
+    /// timer, refused head). Plan entries hold the earliest sequence
+    /// numbers at their instant, so they precede every same-instant
+    /// admission. Admission order IS trace order.
+    fn admit(&mut self, due: Due<M>) {
         match due {
-            Due::Deliver {
-                from,
-                to,
-                msg,
-                payload,
-                repr,
-                infra,
-            } => {
-                if self.crashed[to.index()] {
-                    self.stats.messages_to_crashed += 1;
-                    return;
+            Due::Head { from, to } => {
+                if let Some(msg) = self.core.admit_head(from, to, &mut self.wheel) {
+                    self.stage(to, Work::Message { from, msg });
                 }
-                let ch = from.index() * self.n + to.index();
-                let channel_blocked = self.parked.get(&ch).is_some_and(|q| !q.is_empty());
-                if channel_blocked || self.refused(to, &payload) {
-                    // FIFO: once anything on the channel is parked, later
-                    // messages queue behind it regardless of the filter.
-                    self.parked.entry(ch).or_default().push_back(Parked {
-                        from,
-                        msg,
-                        payload,
-                        repr,
-                        infra,
-                    });
-                    return;
-                }
-                self.record(TraceEventKind::Recv {
-                    by: to,
-                    from,
-                    msg,
-                    infra,
-                    payload: repr,
-                });
-                self.stats.messages_delivered += 1;
-                self.stage(to, Work::Message { from, msg: payload });
             }
             Due::Fire { pid, id } => {
-                if self.cancelled.take(id) || self.crashed[pid.index()] {
-                    return;
+                if self.core.admit_timer(pid, id) {
+                    self.stage(pid, Work::Timer { id });
                 }
-                self.record(TraceEventKind::TimerFired { pid, timer: id });
-                self.stats.timers_fired += 1;
-                self.stage(pid, Work::Timer { id });
             }
-            Due::Plan { pid, injection } => match injection {
-                Injection::Crash => self.crash(pid),
-                Injection::External(payload) => {
-                    let repr = Some(format!("{payload:?}"));
-                    self.external(pid, payload, repr);
-                }
-            },
+            Due::Plan { pid, injection } => self.inject(pid, injection),
         }
     }
 
-    /// Admits everything due at `at` (the current instant or the next
-    /// deadline), in wheel (deadline, seq) order; returns whether
-    /// anything was due.
+    /// Advances the wheel to `at` and admits everything due by then, in
+    /// wheel (deadline, seq) order — including the channel heads those
+    /// admissions file at the instant, so a channel's same-instant backlog
+    /// goes out in one batch. Returns whether anything was due.
     fn dispatch(&mut self, at: VirtualTime) -> bool {
-        let due = self.wheel.advance_to(at);
-        let any = !due.is_empty();
-        for (_, item) in due {
-            self.admit_due(item);
+        let mut any = false;
+        loop {
+            let due = self.wheel.advance_to(at);
+            self.core.now = self.wheel.now();
+            if due.is_empty() {
+                return any;
+            }
+            any = true;
+            for (_, item) in due {
+                self.admit(item);
+            }
         }
-        any
     }
 
     /// Whether the wheel may keep advancing: the horizon is ahead and the
     /// event budget is not spent.
     fn may_advance_to(&self, d: VirtualTime) -> bool {
-        d <= self.max_time && self.events.len() < self.max_events
+        d <= self.max_time && !self.core.budget_spent()
     }
 
     /// Answers every parked drain caller with the current judgement.
@@ -874,12 +572,11 @@ impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
             ToRouter::Actions(reply) => {
                 debug_assert!(self.outstanding > 0);
                 self.outstanding -= 1;
-                for (from, actions, reprs) in reply {
-                    self.handle_actions(from, actions, reprs);
+                for (from, actions) in reply {
+                    self.core.apply(from, actions, &mut self.wheel);
                 }
             }
-            ToRouter::InjectExternal { pid, payload, repr } => self.external(pid, payload, repr),
-            ToRouter::InjectCrash { pid } => self.crash(pid),
+            ToRouter::Inject { pid, injection } => self.inject(pid, injection),
             ToRouter::WaitQuiescent { reply } => self.waiters.push(reply),
             ToRouter::Shutdown => return true,
         }
@@ -893,30 +590,28 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
     rx: Receiver<ToRouter<M>>,
     workers: Vec<Sender<Batch<M>>>,
 ) -> Trace {
+    let hooks = Hooks {
+        link: config.link.map(|link| link as Box<dyn LinkModel>),
+        classify: config.classify,
+        measure: config.measure,
+        sink: config.sink,
+        registry: config.registry.unwrap_or_else(|| CrashRegistry::new(n)),
+        record_payloads: config.record_payloads,
+        max_events: config.max_events,
+    };
+    // Link verdicts draw from their own seeded rng: node rngs are
+    // independent, so link draws never perturb process behaviour.
+    let rng = StdRng::seed_from_u64(config.seed ^ 0x11AC_C01D);
     let mut state = RouterState {
-        n,
-        crashed: vec![false; n],
-        failed_flags: vec![false; n * n],
-        cancelled: CancelledTimers::new(),
+        core: EngineState::new(n, 0, rng, hooks),
         wheel: TimerWheel::new(),
         outstanding: 0,
         waiters: Vec::new(),
         max_time: config.max_time,
-        max_events: config.max_events,
-        msg_seq: vec![0; n],
-        events: Vec::new(),
-        stats: SimStats::default(),
         staged: workers.iter().map(|_| Vec::new()).collect(),
         workers,
-        link: config.link,
-        link_rng: StdRng::seed_from_u64(config.seed ^ 0x11AC_C01D),
-        classify: config.classify,
-        measure: config.measure,
-        registry: config.registry,
-        sink: config.sink,
-        filters: (0..n).map(|_| None).collect(),
-        parked: std::collections::HashMap::new(),
     };
+    state.core.start_recording();
     // Plan entries go on the wheel before anything else so they hold the
     // earliest insertion seqs at their instants: an injection at tick T is
     // applied before any delivery or timer due at T.
@@ -959,8 +654,8 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
         // 2. Admit everything due at the current instant (delay-zero
         // follow-ups from the replies just drained land here) unless the
         // event budget is spent, then hand each busy worker its batch.
-        let now = state.now();
-        let admitted = state.events.len() < state.max_events && state.dispatch(now);
+        let now = state.core.now;
+        let admitted = !state.core.budget_spent() && state.dispatch(now);
         state.flush();
         if admitted {
             continue;
@@ -979,31 +674,32 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
                 state.flush();
             }
             next => {
-                // Genuinely quiescent (nothing scheduled at all) or
-                // stalled (deadlines beyond the horizon / event budget
-                // spent). Either way the run cannot progress on its own:
-                // answer drain callers and park until an injection or
-                // shutdown arrives.
-                state.notify_waiters(next.is_none());
+                // Genuinely quiescent (nothing scheduled at all, and no
+                // action dropped at the budget) or stalled (deadlines
+                // beyond the horizon / event budget spent). Either way the
+                // run cannot progress on its own: answer drain callers and
+                // park until an injection or shutdown arrives.
+                let quiescent = next.is_none() && !state.core.budget_spent();
+                state.notify_waiters(quiescent);
                 shutdown = rx.recv().map_or(true, |msg| state.handle(msg));
             }
         }
     }
-    let end = state.now();
-    let all_crashed = state.crashed.iter().all(|&c| c);
-    // Work staged but never handed over is still pending work.
+    // Work staged but never handed over is still pending work; the stop
+    // reasons are judged in the simulator's order.
     let idle = state.outstanding == 0 && state.staged.iter().all(Vec::is_empty);
-    let stop = if all_crashed {
+    let stop = if state.core.budget_spent() {
+        StopReason::MaxEvents
+    } else if state.core.all_crashed() {
         StopReason::AllCrashed
     } else if state.wheel.is_empty() && idle {
         StopReason::Quiescent
-    } else if state.events.len() >= state.max_events {
-        StopReason::MaxEvents
     } else {
         StopReason::MaxTime
     };
+    let events = state.core.recorder.take().unwrap_or_default();
     // Dropping the state drops the batch senders: every worker returns.
-    Trace::from_parts(n, state.events, stop, end, state.stats)
+    Trace::from_parts(n, events, stop, state.core.now, state.core.stats)
 }
 
 #[cfg(test)]
@@ -1011,6 +707,7 @@ mod tests {
     use super::*;
     use crate::latency::FixedLatency;
     use crate::process::Process;
+    use crate::trace::TraceEventKind;
     use std::sync::{Arc, Mutex};
 
     #[derive(Clone, Debug)]
@@ -1077,10 +774,13 @@ mod tests {
                 ctx.set_timer(10);
             }
         }
-        let rt = Runtime::spawn(2, RuntimeConfig::default(), |_| Box::new(Chatter));
-        rt.run_for(Duration::from_millis(50));
+        let config = RuntimeConfig {
+            max_time: VirtualTime::from_ticks(200),
+            ..RuntimeConfig::default()
+        };
+        let rt = Runtime::spawn(2, config, |_| Box::new(Chatter));
         rt.crash(ProcessId::new(1));
-        rt.run_for(Duration::from_millis(100));
+        assert!(!rt.drain(Duration::from_secs(5)), "chatter never quiesces");
         let trace = rt.shutdown();
         let crash_seq = trace
             .events()
@@ -1097,6 +797,40 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn router_keeps_channel_fifo_under_random_latency() {
+        // 200 sends on one channel over a 1–10 tick link: the link draws
+        // each copy's delay independently, and the channel still hands
+        // them over in send order.
+        struct Burst;
+        impl Process<u32> for Burst {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                if ctx.id().index() == 0 {
+                    for k in 0..200 {
+                        ctx.send(ProcessId::new(1), k);
+                    }
+                }
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: ProcessId, _: u32) {}
+        }
+        let config = RuntimeConfig {
+            link: Some(Box::new(crate::latency::UniformLatency::new(1, 10))),
+            ..RuntimeConfig::default()
+        };
+        let rt = Runtime::spawn(2, config, |_| Box::new(Burst));
+        assert!(rt.drain(Duration::from_secs(5)), "must quiesce");
+        let trace = rt.shutdown();
+        let received: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Recv { msg, .. } => Some(msg.seq()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(received, (0..200).collect::<Vec<u64>>());
     }
 
     #[test]
@@ -1345,7 +1079,7 @@ mod tests {
         });
         assert!(!registry.is_crashed(ProcessId::new(1)));
         rt.crash(ProcessId::new(1));
-        rt.run_for(Duration::from_millis(100));
+        assert!(rt.drain(Duration::from_secs(5)), "must quiesce");
         let trace = rt.shutdown();
         assert!(trace.crashed().contains(&ProcessId::new(1)));
         assert!(registry.is_crashed(ProcessId::new(1)));
@@ -1588,8 +1322,7 @@ mod tests {
 
     #[test]
     fn router_link_model_drops_and_duplicates() {
-        use crate::link::{FnLink, LinkVerdict};
-        use rand::rngs::StdRng;
+        use crate::link::{FnLink, LinkVerdict as Verdict};
 
         // Scripted verdicts, mirroring the sim test: drop the 1st send,
         // duplicate the 2nd, deliver the rest.
@@ -1612,9 +1345,9 @@ mod tests {
             link: Some(Box::new(FnLink(move |_, _, _, _: &mut StdRng| {
                 k += 1;
                 match k {
-                    1 => LinkVerdict::Drop,
-                    2 => LinkVerdict::Duplicate(1, 2),
-                    _ => LinkVerdict::Deliver(1),
+                    1 => Verdict::Drop,
+                    2 => Verdict::Duplicate(1, 2),
+                    _ => Verdict::Deliver(1),
                 }
             }))),
             ..RuntimeConfig::default()
@@ -1648,7 +1381,7 @@ mod tests {
         }
         let rt = Runtime::spawn(2, RuntimeConfig::default(), |_| Box::new(Reactor));
         rt.inject_external(ProcessId::new(0), Msg::Ping);
-        rt.run_for(Duration::from_millis(100));
+        assert!(rt.drain(Duration::from_secs(5)), "must quiesce");
         let trace = rt.shutdown();
         assert_eq!(
             trace.detections(),

@@ -14,11 +14,15 @@
 //!   bookkeeping and drives the timeout *mechanism* the paper assumes for
 //!   FS1, nothing more.
 //!
-//! Every run is fully determined by `(processes, latency model, fault
-//! plan, seed)` — plus, in scheduled mode, the [`Strategy`]'s choice
-//! sequence — and produces a [`Trace`] consumed by the history and
-//! property-checking crates. Every event goes through one `emit` path:
-//! it is numbered, offered to the attached
+//! The model itself — channels, crashes, detections, receive filters,
+//! the link seam and the one `emit` path every event takes — is the
+//! engine core the threaded runtime drives too (`engine.rs`); this module
+//! is the simulator's scheduling around it: the processes, the event
+//! queue, the run loops and the strategy seam. Every run is fully
+//! determined by `(processes, latency model, fault plan, seed)` — plus,
+//! in scheduled mode, the [`Strategy`]'s choice sequence — and produces a
+//! [`Trace`] consumed by the history and property-checking crates. Every
+//! event is numbered, offered to the attached
 //! [`EventSink`](crate::observe::EventSink), and kept only when a trace
 //! recorder is installed — [`Sim::run`] installs one,
 //! [`Sim::run_unrecorded`] runs the same loop without it for callers
@@ -43,130 +47,18 @@
 //!   (experiment E9).
 
 use crate::calendar::Calendar;
+use crate::engine::{CrashRegistry, EngineState, Hooks, Schedule};
 use crate::fault::{FaultPlan, Injection};
-use crate::id::{MsgId, ProcessId, TimerId};
-use crate::latency::LatencyModel;
-use crate::link::{LinkModel, LinkVerdict};
+use crate::id::{ProcessId, TimerId};
+use crate::link::LinkModel;
 use crate::observe::EventSinkHandle;
-use crate::process::{Action, Context, Process, ReceiveFilter};
+use crate::process::{Context, Process};
 use crate::strategy::{EnabledStep, ScheduleLog, StepKind, StepLog, Strategy, TimeOrderedStrategy};
 use crate::time::VirtualTime;
-use crate::timers::CancelledTimers;
-use crate::trace::{RunSummary, SimStats, StopReason, Trace, TraceEvent, TraceEventKind};
+use crate::trace::{RunSummary, StopReason, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
-/// Tuning knobs for one simulated run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimConfig {
-    /// Seed for all randomness in the run (latency draws, process rng).
-    pub seed: u64,
-    /// Virtual-time horizon; the run stops with [`StopReason::MaxTime`]
-    /// when the next event would occur strictly after this time.
-    pub max_time: VirtualTime,
-    /// Event budget; the run stops with [`StopReason::MaxEvents`] once
-    /// this many events have been emitted.
-    pub max_events: usize,
-    /// Whether to record `Debug` renderings of message payloads in the
-    /// trace (costs memory on long runs).
-    pub record_payloads: bool,
-    /// Scheduling-decision budget for **scheduled** runs (see
-    /// [`Sim::run_scheduled`]); the run stops with
-    /// [`StopReason::MaxSteps`] once this many steps have executed. This
-    /// is the schedule explorer's depth bound. Ignored by the default
-    /// time-ordered loop.
-    pub max_steps: usize,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            seed: 0,
-            max_time: VirtualTime::from_ticks(1_000_000),
-            max_events: 1_000_000,
-            record_payloads: false,
-            max_steps: usize::MAX,
-        }
-    }
-}
-
-/// Live view of which processes have crashed, shared with oracle-style
-/// detectors that model a *perfect* failure detector (used to produce
-/// reference fail-stop runs; impossible to implement for real, per
-/// Theorem 1 — hence "oracle").
-///
-/// Thread-safe so that oracle-configured processes can also run on the
-/// threaded runtime. Crash flags are per-process atomics, so oracle
-/// detectors polling inside the simulator's run loop pay one relaxed-ish
-/// load instead of a mutex round trip per query.
-#[derive(Debug, Clone, Default)]
-pub struct CrashRegistry {
-    inner: Arc<[AtomicBool]>,
-}
-
-impl CrashRegistry {
-    /// An all-alive registry for `n` processes. The simulator creates one
-    /// per run automatically; the threaded runtime takes one via
-    /// `RuntimeConfig::registry` so oracle-configured processes can run on
-    /// real threads too.
-    pub fn new(n: usize) -> Self {
-        Self::with_capacity(n)
-    }
-
-    fn with_capacity(n: usize) -> Self {
-        CrashRegistry {
-            inner: (0..n).map(|_| AtomicBool::new(false)).collect(),
-        }
-    }
-
-    pub(crate) fn mark(&self, pid: ProcessId) {
-        if let Some(flag) = self.inner.get(pid.index()) {
-            flag.store(true, Ordering::Release);
-        }
-    }
-
-    /// Whether `pid` has crashed so far in the run.
-    pub fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.inner
-            .get(pid.index())
-            .is_some_and(|flag| flag.load(Ordering::Acquire))
-    }
-
-    /// All processes crashed so far, without allocating: the hot-path
-    /// variant of [`CrashRegistry::crashed`] for detector scans that run
-    /// every poll interval.
-    pub fn iter_crashed(&self) -> impl Iterator<Item = ProcessId> + '_ {
-        self.inner
-            .iter()
-            .enumerate()
-            .filter_map(|(i, flag)| flag.load(Ordering::Acquire).then_some(ProcessId::new(i)))
-    }
-
-    /// Visits every crashed process, without allocating. Equivalent to
-    /// `iter_crashed().for_each(f)`; kept as a named entry point so
-    /// detector code reads as a scan, not a collection.
-    pub fn for_each_crashed(&self, f: impl FnMut(ProcessId)) {
-        self.iter_crashed().for_each(f);
-    }
-
-    /// All processes crashed so far, as a fresh vector. Prefer
-    /// [`CrashRegistry::iter_crashed`] in per-step/per-poll paths: this
-    /// variant allocates on every call.
-    pub fn crashed(&self) -> Vec<ProcessId> {
-        self.iter_crashed().collect()
-    }
-}
-
-struct InFlight<M> {
-    msg: MsgId,
-    payload: M,
-    deliver_at: VirtualTime,
-    infra: bool,
-}
 
 /// What a queue entry does when it comes due. Process ids are stored
 /// narrow and the rare injection payload lives in a side table
@@ -182,6 +74,10 @@ fn pid(narrow: u32) -> ProcessId {
     ProcessId::new(narrow as usize)
 }
 
+fn narrow(pid: ProcessId) -> u32 {
+    pid.index() as u32
+}
+
 #[derive(Debug, Clone, Copy)]
 struct QueueEntry {
     at: VirtualTime,
@@ -189,64 +85,71 @@ struct QueueEntry {
     pending: Pending,
 }
 
-/// Predicate marking payloads as infrastructure; see [`SimBuilder::classify`].
-type Classifier<M> = Box<dyn Fn(&M) -> bool>;
+/// The simulator's pending steps, numbered in creation order: the
+/// calendar queue of the time-ordered loop, or the scheduled loop's
+/// working set once a scheduled run starts.
+struct Queue {
+    calendar: Calendar<Pending>,
+    /// The scheduled loop's working set, in creation order.
+    pending: Vec<QueueEntry>,
+    /// Whether pushes go to `pending` (scheduled loop) instead of the
+    /// calendar.
+    scheduled: bool,
+    order: u64,
+}
 
-/// Per-payload wire-byte measure; see [`SimBuilder::measure`].
-type Measure<M> = Box<dyn Fn(&M) -> u64>;
+impl Queue {
+    fn push(&mut self, at: VirtualTime, pending: Pending) {
+        let order = self.order;
+        self.order += 1;
+        if self.scheduled {
+            self.pending.push(QueueEntry { at, order, pending });
+        } else {
+            self.calendar.push(at, order, pending);
+        }
+    }
+}
+
+impl Schedule for Queue {
+    fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
+        let (from, to) = (narrow(from), narrow(to));
+        self.push(at, Pending::Deliver { from, to });
+    }
+
+    fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId) {
+        self.push(
+            at,
+            Pending::Timer {
+                pid: narrow(pid),
+                id,
+            },
+        );
+    }
+}
 
 /// The simulation engine. Construct via [`SimBuilder`].
 pub struct Sim<M> {
     n: usize,
     processes: Vec<Box<dyn Process<M>>>,
-    crashed: Vec<bool>,
-    /// Processes that have not crashed.
-    live: usize,
-    channels: Vec<VecDeque<InFlight<M>>>,
-    queue: Calendar<Pending>,
+    core: EngineState<M>,
+    queue: Queue,
     /// Payloads of the fault plan's injections, taken when they fire.
     injections: Vec<Option<Injection<M>>>,
-    cancelled: CancelledTimers,
-    filters: Vec<Option<ReceiveFilter<M>>>,
-    /// Per-channel flag: the head was refused by the receiver's filter and
-    /// the channel therefore has no pending queue entry.
-    parked: Vec<bool>,
-    link: Box<dyn LinkModel>,
-    classifier: Option<Classifier<M>>,
-    measure: Option<Measure<M>>,
-    sink: Option<EventSinkHandle>,
-    registry: CrashRegistry,
-    rng: StdRng,
-    now: VirtualTime,
-    order: u64,
     next_timer: u64,
-    msg_seq: Vec<u64>,
-    /// Events emitted so far; the next event's `seq`.
-    emitted: usize,
-    /// The trace recorder: the emitted events, kept only on a recorded
-    /// run ([`Sim::run`], [`Sim::run_scheduled`]).
-    recorder: Option<Vec<TraceEvent>>,
-    stats: SimStats,
-    failed_flags: Vec<bool>,
-    config: SimConfig,
+    max_time: VirtualTime,
+    max_steps: usize,
     /// Installed scheduling strategy; `None` selects the time-ordered
     /// loop.
     strategy: Option<Box<dyn Strategy>>,
-    /// Pending steps in creation order — the scheduled loop's working set
-    /// (the queue is drained into it when a scheduled run starts).
-    pending: Vec<QueueEntry>,
-    /// Whether `push_entry` should append to `pending` (scheduled loop
-    /// running) instead of the queue.
-    scheduled: bool,
 }
 
 impl<M> fmt::Debug for Sim<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sim")
             .field("n", &self.n)
-            .field("now", &self.now)
-            .field("events", &self.emitted)
-            .field("pending", &self.queue.len())
+            .field("now", &self.core.now)
+            .field("events", &self.core.emitted)
+            .field("pending", &self.queue.calendar.len())
             .finish_non_exhaustive()
     }
 }
@@ -254,13 +157,11 @@ impl<M> fmt::Debug for Sim<M> {
 /// Builder for [`Sim`]; see [`Sim::builder`].
 pub struct SimBuilder<M> {
     n: usize,
-    config: SimConfig,
-    link: Box<dyn LinkModel>,
-    classifier: Option<Classifier<M>>,
-    measure: Option<Measure<M>>,
-    sink: Option<EventSinkHandle>,
+    seed: u64,
+    max_time: VirtualTime,
+    max_steps: usize,
+    hooks: Hooks<M>,
     plan: FaultPlan<M>,
-    registry: CrashRegistry,
     strategy: Option<Box<dyn Strategy>>,
 }
 
@@ -273,57 +174,52 @@ impl<M> fmt::Debug for SimBuilder<M> {
 }
 
 impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
-    /// Sets the run configuration.
-    pub fn config(mut self, config: SimConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Sets the seed (shorthand for mutating [`SimConfig::seed`]).
+    /// Sets the seed for all randomness in the run (link draws and the
+    /// processes' rng).
     pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
+        self.seed = seed;
         self
     }
 
-    /// Sets the virtual-time horizon.
+    /// Sets the virtual-time horizon: the run stops with
+    /// [`StopReason::MaxTime`] when the next event would occur strictly
+    /// after it.
     pub fn max_time(mut self, t: VirtualTime) -> Self {
-        self.config.max_time = t;
+        self.max_time = t;
         self
     }
 
-    /// Sets the event budget.
+    /// Sets the event budget: the run stops with
+    /// [`StopReason::MaxEvents`] once this many events have been emitted.
     pub fn max_events(mut self, max: usize) -> Self {
-        self.config.max_events = max;
+        self.hooks.max_events = max;
         self
     }
 
-    /// Records message payload `Debug` text into the trace.
+    /// Records message payload `Debug` text into the trace (costs memory
+    /// on long runs).
     pub fn record_payloads(mut self, on: bool) -> Self {
-        self.config.record_payloads = on;
+        self.hooks.record_payloads = on;
         self
     }
 
-    /// Sets the scheduled-mode step budget (shorthand for mutating
-    /// [`SimConfig::max_steps`]).
+    /// Sets the scheduling-decision budget of **scheduled** runs (see
+    /// [`Sim::run_scheduled`]): the run stops with
+    /// [`StopReason::MaxSteps`] once this many steps have executed — the
+    /// schedule explorer's depth bound. Ignored by the time-ordered loop.
     pub fn max_steps(mut self, max: usize) -> Self {
-        self.config.max_steps = max;
+        self.max_steps = max;
         self
     }
 
-    /// Sets the latency model (the asynchrony adversary). Every latency
-    /// model is a loss-free [`LinkModel`]; use [`SimBuilder::link`] for a
-    /// faulty network.
-    pub fn latency(mut self, model: impl LatencyModel + 'static) -> Self {
-        self.link = Box::new(model);
-        self
-    }
-
-    /// Sets the link model (the faulty-network adversary): per-message
-    /// verdicts of deliver/drop/duplicate, e.g. a
+    /// Sets the link model: a latency model (the asynchrony adversary;
+    /// every [`LatencyModel`](crate::latency::LatencyModel) is a loss-free
+    /// link) or a faulty network with per-message verdicts of
+    /// deliver/drop/duplicate, e.g. a
     /// [`FaultyLink`](crate::link::FaultyLink) with loss, duplication,
     /// and a partition schedule.
     pub fn link(mut self, model: impl LinkModel + 'static) -> Self {
-        self.link = Box::new(model);
+        self.hooks.link = Some(Box::new(model));
         self
     }
 
@@ -347,19 +243,20 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
     /// model), `false` as a model-level application message. The flag is
     /// recorded on every send/receive trace event so that histories can
     /// be projected onto the model alphabet.
-    pub fn classify(mut self, f: impl Fn(&M) -> bool + 'static) -> Self {
-        self.classifier = Some(Box::new(f));
+    pub fn classify(mut self, f: impl Fn(&M) -> bool + Send + 'static) -> Self {
+        self.hooks.classify = Some(Box::new(f));
         self
     }
 
     /// Installs a wire-byte measure: the number of bytes sending this
     /// payload would put on a real wire (e.g. `sfs_wire::frame::wire_cost`).
-    /// Charged to [`SimStats::wire_bytes`] once per send, on the sender's
-    /// side — duplicated and dropped copies are the network's doing, not
-    /// the protocol's spend — which makes simulated byte budgets directly
-    /// comparable to the UDP backend's datagram accounting.
-    pub fn measure(mut self, f: impl Fn(&M) -> u64 + 'static) -> Self {
-        self.measure = Some(Box::new(f));
+    /// Charged to [`SimStats::wire_bytes`](crate::SimStats::wire_bytes)
+    /// once per send, on the sender's side — duplicated and dropped copies
+    /// are the network's doing, not the protocol's spend — which makes
+    /// simulated byte budgets directly comparable to the UDP backend's
+    /// datagram accounting.
+    pub fn measure(mut self, f: impl Fn(&M) -> u64 + Send + 'static) -> Self {
+        self.hooks.measure = Some(Box::new(f));
         self
     }
 
@@ -371,58 +268,48 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
     /// the clock, or the queue, so a monitored run is byte-identical to a
     /// bare one.
     pub fn event_sink(mut self, sink: EventSinkHandle) -> Self {
-        self.sink = Some(sink);
+        self.hooks.sink = Some(sink);
         self
     }
 
     /// The crash registry for this run, for wiring oracle detectors into
     /// process constructors before the sim is built.
     pub fn crash_registry(&self) -> CrashRegistry {
-        self.registry.clone()
+        self.hooks.registry.clone()
     }
 
     /// Finalizes the simulator with one process per id, built by `make`.
-    pub fn build<F>(self, mut make: F) -> Sim<M>
+    pub fn build<F>(self, make: F) -> Sim<M>
     where
         F: FnMut(ProcessId) -> Box<dyn Process<M>>,
     {
         let n = self.n;
-        let processes: Vec<_> = ProcessId::all(n).map(&mut make).collect();
         let mut sim = Sim {
             n,
-            processes,
-            crashed: vec![false; n],
-            live: n,
-            channels: (0..n * n).map(|_| VecDeque::new()).collect(),
-            queue: Calendar::new(),
+            processes: ProcessId::all(n).map(make).collect(),
+            core: EngineState::new(n, 1, StdRng::seed_from_u64(self.seed), self.hooks),
+            queue: Queue {
+                calendar: Calendar::new(),
+                pending: Vec::new(),
+                scheduled: false,
+                order: 0,
+            },
             injections: Vec::new(),
-            cancelled: CancelledTimers::new(),
-            filters: (0..n).map(|_| None).collect(),
-            parked: vec![false; n * n],
-            link: self.link,
-            classifier: self.classifier,
-            measure: self.measure,
-            sink: self.sink,
-            registry: self.registry,
-            rng: StdRng::seed_from_u64(self.config.seed),
-            now: VirtualTime::ZERO,
-            order: 0,
             next_timer: 0,
-            msg_seq: vec![0; n],
-            emitted: 0,
-            recorder: None,
-            stats: SimStats::default(),
-            failed_flags: vec![false; n * n],
-            config: self.config,
+            max_time: self.max_time,
+            max_steps: self.max_steps,
             strategy: self.strategy,
-            pending: Vec::new(),
-            scheduled: false,
         };
         for (time, pid, injection) in self.plan.into_items() {
             let slot = sim.injections.len() as u32;
             sim.injections.push(Some(injection));
-            let pid = pid.index() as u32;
-            sim.push_entry(time, Pending::Inject { pid, slot });
+            sim.queue.push(
+                time,
+                Pending::Inject {
+                    pid: narrow(pid),
+                    slot,
+                },
+            );
         }
         sim
     }
@@ -442,13 +329,19 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         );
         SimBuilder {
             n,
-            config: SimConfig::default(),
-            link: Box::new(crate::latency::UniformLatency::new(1, 10)),
-            classifier: None,
-            measure: None,
-            sink: None,
+            seed: 0,
+            max_time: VirtualTime::from_ticks(1_000_000),
+            max_steps: usize::MAX,
+            hooks: Hooks {
+                link: Some(Box::new(crate::latency::UniformLatency::new(1, 10))),
+                classify: None,
+                measure: None,
+                sink: None,
+                registry: CrashRegistry::new(n),
+                record_payloads: false,
+                max_events: 1_000_000,
+            },
             plan: FaultPlan::new(),
-            registry: CrashRegistry::with_capacity(n),
             strategy: None,
         }
     }
@@ -460,12 +353,12 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
 
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
-        self.now
+        self.core.now
     }
 
     /// The live crash view shared with oracle detectors.
     pub fn crash_registry(&self) -> CrashRegistry {
-        self.registry.clone()
+        self.core.registry().clone()
     }
 
     /// Installs (or replaces) the scheduling strategy after construction.
@@ -476,244 +369,23 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     }
 
     /// Overrides the scheduled-mode step budget after construction (see
-    /// [`SimConfig::max_steps`]); the explorer's per-schedule depth bound.
+    /// [`SimBuilder::max_steps`]); the explorer's per-schedule depth bound.
     pub fn set_max_steps(&mut self, max: usize) {
-        self.config.max_steps = max;
+        self.max_steps = max;
     }
 
-    fn push_entry(&mut self, at: VirtualTime, pending: Pending) {
-        let order = self.order;
-        self.order += 1;
-        if self.scheduled {
-            self.pending.push(QueueEntry { at, order, pending });
-        } else {
-            self.queue.push(at, order, pending);
-        }
-    }
-
-    fn push_deliver(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
-        let (from, to) = (from.index() as u32, to.index() as u32);
-        self.push_entry(at, Pending::Deliver { from, to });
-    }
-
-    fn channel_index(&self, from: ProcessId, to: ProcessId) -> usize {
-        from.index() * self.n + to.index()
-    }
-
-    /// The one path every event takes: numbered, offered to the sink,
-    /// and — on a recorded run — kept by the trace recorder.
-    fn emit(&mut self, kind: TraceEventKind) {
-        let event = TraceEvent {
-            seq: self.emitted,
-            time: self.now,
-            kind,
-        };
-        self.emitted += 1;
-        if let Some(sink) = &self.sink {
-            sink.on_event(&event);
-        }
-        if let Some(recorder) = &mut self.recorder {
-            recorder.push(event);
-        }
-    }
-
-    fn payload_repr(&self, payload: &M) -> Option<String> {
-        self.config.record_payloads.then(|| format!("{payload:?}"))
-    }
-
-    /// Runs the process callback `f` for `pid` and applies resulting
-    /// actions. Returns `false` if the process crashed during the batch.
+    /// Runs the process callback `f` for `pid` and applies the actions it
+    /// issued.
     fn dispatch<F>(&mut self, pid: ProcessId, f: F)
     where
         F: FnOnce(&mut dyn Process<M>, &mut Context<'_, M>),
     {
-        debug_assert!(!self.crashed[pid.index()]);
-        let mut ctx = Context::new(pid, self.n, self.now, &mut self.rng, &mut self.next_timer);
-        // Temporarily move the process out to sidestep aliasing with &mut self.
-        let mut process = std::mem::replace(
-            &mut self.processes[pid.index()],
-            Box::new(InertProcess) as Box<dyn Process<M>>,
-        );
-        f(process.as_mut(), &mut ctx);
+        debug_assert!(!self.core.is_crashed(pid));
+        let core = &mut self.core;
+        let mut ctx = Context::new(pid, self.n, core.now, &mut core.rng, &mut self.next_timer);
+        f(self.processes[pid.index()].as_mut(), &mut ctx);
         let actions = ctx.take_actions();
-        self.processes[pid.index()] = process;
-        self.apply_actions(pid, actions);
-    }
-
-    fn apply_actions(&mut self, pid: ProcessId, actions: Vec<Action<M>>) {
-        for action in actions {
-            if self.crashed[pid.index()] {
-                // The paper's crash event is final: once `crash_i` is true
-                // the state of `i` does not change further, so any actions
-                // queued after CrashSelf in the same callback are void.
-                break;
-            }
-            if self.emitted >= self.config.max_events {
-                // Event budget exhausted mid-batch: the run is stopping,
-                // and the rest of the batch falls outside the emitted
-                // prefix. Discarding it keeps the trace, the stats
-                // counters, the channels, and the crash registry all
-                // describing the same prefix (the run-loop top will break
-                // with `MaxEvents` before processing anything further).
-                break;
-            }
-            match action {
-                Action::Send { to, msg } => self.do_send(pid, to, msg),
-                Action::SetTimer { id, delay } => {
-                    let at = self.now + delay.max(1);
-                    let pid = pid.index() as u32;
-                    self.push_entry(at, Pending::Timer { pid, id });
-                }
-                Action::CancelTimer { id } => {
-                    self.cancelled.cancel(id);
-                }
-                Action::CrashSelf => self.do_crash(pid),
-                Action::DeclareFailed { of } => self.do_declare_failed(pid, of),
-                Action::Annotate(note) => {
-                    self.emit(TraceEventKind::Note { pid, note });
-                }
-                Action::SetReceiveFilter(filter) => {
-                    self.filters[pid.index()] = filter;
-                    self.unpark_channels_to(pid);
-                }
-                Action::ModelSend { to, msg } => {
-                    self.emit(TraceEventKind::Send {
-                        from: pid,
-                        to,
-                        msg,
-                        infra: false,
-                        payload: None,
-                    });
-                }
-                Action::ModelRecv { from, msg } => {
-                    self.emit(TraceEventKind::Recv {
-                        by: pid,
-                        from,
-                        msg,
-                        infra: false,
-                        payload: None,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Re-schedules delivery attempts for parked channels into `to` after
-    /// its receive filter changed.
-    fn unpark_channels_to(&mut self, to: ProcessId) {
-        let n = self.n;
-        for from in 0..n {
-            let ch = from * n + to.index();
-            if !self.parked[ch] {
-                continue;
-            }
-            self.parked[ch] = false;
-            if let Some(head) = self.channels[ch].front() {
-                let at = head.deliver_at.max(self.now);
-                self.push_deliver(at, ProcessId::new(from), to);
-            }
-        }
-    }
-
-    fn do_send(&mut self, from: ProcessId, to: ProcessId, payload: M) {
-        let seq = self.msg_seq[from.index()];
-        self.msg_seq[from.index()] += 1;
-        let msg = MsgId::new(from, seq);
-        let repr = self.payload_repr(&payload);
-        let infra = self.classifier.as_ref().is_some_and(|f| f(&payload));
-        self.emit(TraceEventKind::Send {
-            from,
-            to,
-            msg,
-            infra,
-            payload: repr,
-        });
-        self.stats.messages_sent += 1;
-        if let Some(measure) = &self.measure {
-            self.stats.wire_bytes += measure(&payload);
-        }
-        match self.link.verdict(from, to, self.now, &mut self.rng) {
-            LinkVerdict::Deliver(delay) => self.enqueue(from, to, msg, payload, delay, infra),
-            LinkVerdict::Drop => {
-                // The network loses the message: the send is recorded (it
-                // happened), but no copy enters the channel. Reliability
-                // above this point is the transport layer's job.
-                self.stats.messages_dropped += 1;
-            }
-            LinkVerdict::Duplicate(d1, d2) => {
-                self.stats.messages_duplicated += 1;
-                self.enqueue(from, to, msg, payload.clone(), d1, infra);
-                self.enqueue(from, to, msg, payload, d2, infra);
-            }
-        }
-    }
-
-    /// Appends one in-flight copy to channel `from -> to`, scheduling a
-    /// delivery attempt if the channel was idle.
-    fn enqueue(
-        &mut self,
-        from: ProcessId,
-        to: ProcessId,
-        msg: MsgId,
-        payload: M,
-        delay: u64,
-        infra: bool,
-    ) {
-        let deliver_at = self.now.saturating_add(delay.max(1));
-        let ch = self.channel_index(from, to);
-        let was_empty = self.channels[ch].is_empty();
-        self.channels[ch].push_back(InFlight {
-            msg,
-            payload,
-            deliver_at,
-            infra,
-        });
-        if was_empty {
-            self.push_deliver(deliver_at, from, to);
-        }
-    }
-
-    fn do_crash(&mut self, pid: ProcessId) {
-        if self.crashed[pid.index()] {
-            return;
-        }
-        self.crashed[pid.index()] = true;
-        self.live -= 1;
-        self.registry.mark(pid);
-        self.emit(TraceEventKind::Crash { pid });
-        self.stats.crashes += 1;
-        // Channels parked behind the crashed process's receive filter
-        // have no scheduled delivery attempt left, and the filter that
-        // refused them can never change again: consume their copies as
-        // messages-to-crashed here, or `channels_drained()` would report
-        // a genuinely finished run as undrained. (Non-parked channels
-        // into `pid` keep their pending delivery entries and are counted
-        // one by one through the normal path.)
-        for from in 0..self.n {
-            let ch = from * self.n + pid.index();
-            if self.parked[ch] {
-                self.parked[ch] = false;
-                self.stats.messages_to_crashed += self.channels[ch].len() as u64;
-                self.channels[ch].clear();
-            }
-        }
-    }
-
-    fn do_declare_failed(&mut self, by: ProcessId, of: ProcessId) {
-        let flag = by.index() * self.n + of.index();
-        if self.failed_flags[flag] {
-            // failed_i(j) is a stable boolean in the paper: it becomes true
-            // once; re-declarations are idempotent.
-            return;
-        }
-        self.failed_flags[flag] = true;
-        self.emit(TraceEventKind::Failed { by, of });
-        self.stats.detections += 1;
-    }
-
-    /// Whether `by` has declared `of` failed so far.
-    pub fn has_detected(&self, by: ProcessId, of: ProcessId) -> bool {
-        self.failed_flags[by.index() * self.n + of.index()]
+        self.core.apply(pid, actions, &mut self.queue);
     }
 
     /// Runs the simulation to completion and returns the trace.
@@ -723,14 +395,14 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// [`Sim::run_scheduled`], and the schedule log is discarded; without
     /// one it runs the default time-ordered loop.
     pub fn run(mut self) -> Trace {
-        self.start_recording();
+        self.core.start_recording();
         let (summary, _) = self.execute();
         self.into_trace(summary)
     }
 
     /// Runs the simulation to completion **without building a trace**:
     /// the same loop and the same events as [`Sim::run`] — every event is
-    /// numbered, counted against [`SimConfig::max_events`] and offered to
+    /// numbered, counted against [`SimBuilder::max_events`] and offered to
     /// the attached [`EventSink`](crate::observe::EventSink) — but none is
     /// retained. For callers that fold the run through a sink and would
     /// drop the trace anyway (the service's shard runs); what they get
@@ -760,23 +432,13 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     pub fn run_scheduled(mut self) -> (Trace, ScheduleLog) {
         self.strategy
             .get_or_insert_with(|| Box::new(TimeOrderedStrategy));
-        self.start_recording();
+        self.core.start_recording();
         let (summary, log) = self.execute();
         (self.into_trace(summary), log)
     }
 
-    /// Installs the trace recorder, pre-sized from the configuration:
-    /// enough for a few protocol rounds (Θ(n²) messages each) without
-    /// reallocating, clamped by the event budget so short-budget runs
-    /// allocate no more than they may record, and capped so a generous
-    /// default budget does not reserve hundreds of megabytes up front.
-    fn start_recording(&mut self) {
-        let rounds = (self.n * self.n * 8).clamp(256, 1 << 14);
-        self.recorder = Some(Vec::with_capacity(self.config.max_events.min(rounds)));
-    }
-
     fn into_trace(mut self, run: RunSummary) -> Trace {
-        let events = self.recorder.take().unwrap_or_default();
+        let events = self.core.recorder.take().unwrap_or_default();
         debug_assert_eq!(events.len(), run.events);
         Trace::from_parts(self.n, events, run.stop, run.end_time, run.stats)
     }
@@ -788,15 +450,16 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             // Route all further pushes into the scheduled working set and
             // move the construction-time entries (the fault plan) over,
             // restoring creation order.
-            self.scheduled = true;
-            while let Some((at, order, pending)) = self.queue.pop() {
-                self.pending.push(QueueEntry { at, order, pending });
+            let queue = &mut self.queue;
+            queue.scheduled = true;
+            while let Some((at, order, pending)) = queue.calendar.pop() {
+                queue.pending.push(QueueEntry { at, order, pending });
             }
-            self.pending.sort_by_key(|e| e.order);
+            queue.pending.sort_by_key(|e| e.order);
         }
         // on_start for every process, in id order, at time zero.
         for pid in ProcessId::all(self.n) {
-            if !self.crashed[pid.index()] {
+            if !self.core.is_crashed(pid) {
                 self.dispatch(pid, |p, ctx| p.on_start(ctx));
             }
         }
@@ -807,20 +470,20 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         };
         let summary = RunSummary {
             stop,
-            end_time: self.now,
-            stats: self.stats,
-            events: self.emitted,
+            end_time: self.core.now,
+            stats: self.core.stats,
+            events: self.core.emitted,
         };
         (summary, log)
     }
 
     /// Why the run must stop before taking another step, if it must.
-    /// `apply_actions` stops emitting mid-batch at the event budget, so
+    /// The core stops applying actions mid-batch at the event budget, so
     /// the emitted events are an exact prefix there.
     fn finished(&self) -> Option<StopReason> {
-        if self.emitted >= self.config.max_events {
+        if self.core.budget_spent() {
             Some(StopReason::MaxEvents)
-        } else if self.live == 0 {
+        } else if self.core.all_crashed() {
             Some(StopReason::AllCrashed)
         } else {
             None
@@ -832,13 +495,13 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             if let Some(stop) = self.finished() {
                 return stop;
             }
-            let Some((at, _, pending)) = self.queue.pop() else {
+            let Some((at, _, pending)) = self.queue.calendar.pop() else {
                 return StopReason::Quiescent;
             };
-            if at > self.config.max_time {
+            if at > self.max_time {
                 return StopReason::MaxTime;
             }
-            self.now = at;
+            self.core.now = at;
             self.step(pending);
         }
     }
@@ -852,14 +515,14 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             if let Some(stop) = self.finished() {
                 return stop;
             }
-            if self.pending.is_empty() {
+            if self.queue.pending.is_empty() {
                 return StopReason::Quiescent;
             }
             // The step budget is checked after the terminal conditions so
             // that replaying a run under `max_steps = choices.len()`
             // reproduces its stop reason (a quiescent recording stays
             // Quiescent, a truncated one stays truncated).
-            if log.steps.len() >= self.config.max_steps {
+            if log.steps.len() >= self.max_steps {
                 return StopReason::MaxSteps;
             }
             let enabled = self.enabled_steps();
@@ -869,7 +532,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 "strategy chose step {chosen} of {}",
                 enabled.len()
             );
-            let entry = self.pending.remove(chosen);
+            let entry = self.queue.pending.remove(chosen);
             // Every consumed decision is logged — including the one that
             // trips the horizon below — so a replay of `log.choices()`
             // consumes the same choices and stops identically.
@@ -877,13 +540,13 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 enabled,
                 chosen: chosen as u32,
             });
-            if entry.at > self.config.max_time {
+            if entry.at > self.max_time {
                 return StopReason::MaxTime;
             }
             // Time only ever advances: an adversarially re-ordered step
             // executes at the latest of its own ready time and the
             // current clock, mirroring an adversary that withheld it.
-            self.now = self.now.max(entry.at);
+            self.core.now = self.core.now.max(entry.at);
             self.step(entry.pending);
         }
     }
@@ -892,34 +555,25 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// time-ordered and the scheduled loop.
     fn step(&mut self, pending: Pending) {
         match pending {
-            Pending::Deliver { from, to } => self.deliver(pid(from), pid(to)),
+            Pending::Deliver { from, to } => {
+                let (from, to) = (pid(from), pid(to));
+                if let Some(msg) = self.core.admit_head(from, to, &mut self.queue) {
+                    self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
+                }
+            }
             Pending::Timer { pid: owner, id } => {
                 let owner = pid(owner);
-                if !self.cancelled.take(id) && !self.crashed[owner.index()] {
-                    self.emit(TraceEventKind::TimerFired {
-                        pid: owner,
-                        timer: id,
-                    });
-                    self.stats.timers_fired += 1;
+                if self.core.admit_timer(owner, id) {
                     self.dispatch(owner, |p, ctx| p.on_timer(ctx, id));
                 }
             }
             Pending::Inject { pid: target, slot } => {
                 let target = pid(target);
-                let injection = self.injections[slot as usize].take();
-                if self.crashed[target.index()] {
-                    return;
-                }
-                match injection.expect("an injection fires once") {
-                    Injection::Crash => self.do_crash(target),
-                    Injection::External(payload) => {
-                        let repr = self.payload_repr(&payload);
-                        self.emit(TraceEventKind::External {
-                            pid: target,
-                            payload: repr,
-                        });
-                        self.dispatch(target, |p, ctx| p.on_external(ctx, payload));
-                    }
+                let injection = self.injections[slot as usize]
+                    .take()
+                    .expect("an injection fires once");
+                if let Some(payload) = self.core.admit_injection(target, injection) {
+                    self.dispatch(target, |p, ctx| p.on_external(ctx, payload));
                 }
             }
         }
@@ -929,7 +583,9 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// per pending step, in creation order, annotated with the no-op flag
     /// (see [`EnabledStep::noop`]).
     fn enabled_steps(&self) -> Vec<EnabledStep> {
-        self.pending
+        let crashed = |p: u32| self.core.is_crashed(pid(p));
+        self.queue
+            .pending
             .iter()
             .map(|e| {
                 let (kind, noop) = match e.pending {
@@ -938,19 +594,18 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                             from: pid(from),
                             to: pid(to),
                         },
-                        self.crashed[to as usize],
+                        crashed(to),
                     ),
                     Pending::Timer { pid: owner, id } => (
                         StepKind::Timer {
                             pid: pid(owner),
                             timer: id,
                         },
-                        self.crashed[owner as usize] || self.cancelled.is_cancelled(id),
+                        crashed(owner) || self.core.is_cancelled(id),
                     ),
-                    Pending::Inject { pid: target, .. } => (
-                        StepKind::Inject { pid: pid(target) },
-                        self.crashed[target as usize],
-                    ),
+                    Pending::Inject { pid: target, .. } => {
+                        (StepKind::Inject { pid: pid(target) }, crashed(target))
+                    }
                 };
                 EnabledStep {
                     kind,
@@ -961,63 +616,14 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             })
             .collect()
     }
-
-    fn deliver(&mut self, from: ProcessId, to: ProcessId) {
-        let ch = self.channel_index(from, to);
-        // A live receiver may refuse the head message via its filter: the
-        // message stays at the head of the channel (unreceived, per the
-        // paper's model) and the channel parks until the filter changes.
-        if !self.crashed[to.index()] {
-            if let Some(filter) = &self.filters[to.index()] {
-                let head = self.channels[ch]
-                    .front()
-                    .expect("delivery scheduled for empty channel: engine invariant broken");
-                if !filter.accepts(&head.payload) {
-                    self.parked[ch] = true;
-                    return;
-                }
-            }
-        }
-        let in_flight = self.channels[ch]
-            .pop_front()
-            .expect("delivery scheduled for empty channel: engine invariant broken");
-        // Schedule the next head, if any, preserving FIFO: it cannot be
-        // delivered before the message ahead of it was.
-        if let Some(next) = self.channels[ch].front() {
-            let at = next.deliver_at.max(self.now);
-            self.push_deliver(at, from, to);
-        }
-        if self.crashed[to.index()] {
-            // The channel does not lose the message; the crashed process
-            // simply never executes a receive event for it.
-            self.stats.messages_to_crashed += 1;
-            return;
-        }
-        let repr = self.payload_repr(&in_flight.payload);
-        self.emit(TraceEventKind::Recv {
-            by: to,
-            from,
-            msg: in_flight.msg,
-            infra: in_flight.infra,
-            payload: repr,
-        });
-        self.stats.messages_delivered += 1;
-        self.dispatch(to, |p, ctx| p.on_message(ctx, from, in_flight.payload));
-    }
-}
-
-/// Placeholder swapped in while a real process is borrowed for dispatch.
-struct InertProcess;
-
-impl<M> Process<M> for InertProcess {
-    fn on_start(&mut self, _: &mut Context<'_, M>) {}
-    fn on_message(&mut self, _: &mut Context<'_, M>, _: ProcessId, _: M) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::latency::{FixedLatency, OverrideLatency, UniformLatency};
+    use crate::process::ReceiveFilter;
+    use crate::trace::TraceEventKind;
 
     /// Floods `count` messages to a sink on start; sink records nothing.
     struct Flooder {
@@ -1050,7 +656,7 @@ mod tests {
     fn fifo_trace(seed: u64) -> Trace {
         let sim = Sim::<u32>::builder(2)
             .seed(seed)
-            .latency(UniformLatency::new(1, 50))
+            .link(UniformLatency::new(1, 50))
             .build(|pid| {
                 if pid.index() == 0 {
                     Box::new(Flooder {
@@ -1115,7 +721,7 @@ mod tests {
         // for events the trace does not contain).
         let sim = Sim::<u32>::builder(2)
             .max_events(5)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .build(|pid| {
                 if pid.index() == 0 {
                     Box::new(Flooder {
@@ -1156,7 +762,7 @@ mod tests {
     fn no_events_after_crash() {
         let sim = Sim::<u32>::builder(2)
             .seed(3)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .build(|pid| {
                 if pid.index() == 0 {
                     Box::new(Flooder {
@@ -1191,7 +797,7 @@ mod tests {
     fn injected_crash_halts_process_at_time() {
         let plan = FaultPlan::new().crash_at(ProcessId::new(0), VirtualTime::from_ticks(1));
         let sim = Sim::<u32>::builder(2)
-            .latency(FixedLatency(10))
+            .link(FixedLatency(10))
             .faults(plan)
             .build(|pid| {
                 if pid.index() == 0 {
@@ -1257,7 +863,7 @@ mod tests {
             crate::latency::NEVER,
         );
         let sim = Sim::<u32>::builder(3)
-            .latency(model)
+            .link(model)
             .max_time(VirtualTime::from_ticks(1_000))
             .build(|pid| {
                 if pid.index() == 0 {
@@ -1376,15 +982,13 @@ mod tests {
             }
             fn on_message(&mut self, _: &mut Context<'_, u32>, _: ProcessId, _: u32) {}
         }
-        let sim = Sim::<u32>::builder(2)
-            .latency(FixedLatency(1))
-            .build(|pid| {
-                if pid.index() == 0 {
-                    Box::new(SendOddThenEven)
-                } else {
-                    Box::new(Picky { seen: Vec::new() })
-                }
-            });
+        let sim = Sim::<u32>::builder(2).link(FixedLatency(1)).build(|pid| {
+            if pid.index() == 0 {
+                Box::new(SendOddThenEven)
+            } else {
+                Box::new(Picky { seen: Vec::new() })
+            }
+        });
         let trace = sim.run();
         assert_eq!(trace.stop_reason(), StopReason::Quiescent);
         assert_eq!(
@@ -1417,15 +1021,13 @@ mod tests {
                 ctx.send(ProcessId::new(1), 100);
             }
         }
-        let sim = Sim::<u32>::builder(3)
-            .latency(FixedLatency(1))
-            .build(|pid| {
-                if pid.index() == 1 {
-                    Box::new(Picky { seen: Vec::new() })
-                } else {
-                    Box::new(Script(pid.index()))
-                }
-            });
+        let sim = Sim::<u32>::builder(3).link(FixedLatency(1)).build(|pid| {
+            if pid.index() == 1 {
+                Box::new(Picky { seen: Vec::new() })
+            } else {
+                Box::new(Script(pid.index()))
+            }
+        });
         let trace = sim.run();
         assert_eq!(trace.stop_reason(), StopReason::Quiescent);
         let recvs: Vec<u64> = trace
@@ -1462,7 +1064,6 @@ mod tests {
 
     #[test]
     fn parked_messages_to_a_crashed_receiver_count_as_consumed() {
-        use crate::process::ReceiveFilter;
         // p1 refuses everything, so p0's two messages park their channel
         // (no pending delivery attempt remains); p1 then crashes. The
         // parked copies must be consumed as messages_to_crashed — the
@@ -1477,7 +1078,7 @@ mod tests {
         }
         let plan = FaultPlan::new().crash_at(ProcessId::new(1), VirtualTime::from_ticks(20));
         let sim = Sim::<u32>::builder(2)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .faults(plan)
             .build(|pid| {
                 if pid.index() == 0 {
@@ -1543,7 +1144,6 @@ mod tests {
     #[test]
     fn duplicated_parked_copies_at_a_crashed_receiver_still_balance() {
         use crate::link::FaultyLink;
-        use crate::process::ReceiveFilter;
         // Duplicate verdict -> two parked copies -> receiver crashes.
         // Both copies are consumed at the crash:
         // sent + duplicated == to_crashed.
@@ -1580,7 +1180,7 @@ mod tests {
 
     #[test]
     fn link_model_drops_and_duplicates_at_send_time() {
-        use crate::link::{FnLink, LinkVerdict};
+        use crate::link::{FnLink, LinkVerdict as Verdict};
 
         // Scripted verdicts: drop the 1st send, duplicate the 2nd,
         // deliver the 3rd — the sim must count and deliver accordingly.
@@ -1588,9 +1188,9 @@ mod tests {
         let link = FnLink(move |_, _, _, _: &mut StdRng| {
             k += 1;
             match k {
-                1 => LinkVerdict::Drop,
-                2 => LinkVerdict::Duplicate(1, 2),
-                _ => LinkVerdict::Deliver(1),
+                1 => Verdict::Drop,
+                2 => Verdict::Duplicate(1, 2),
+                _ => Verdict::Deliver(1),
             }
         });
         let sim = Sim::<u32>::builder(2).link(link).build(|pid| {

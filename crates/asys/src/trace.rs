@@ -135,10 +135,10 @@ pub enum StopReason {
     MaxTime,
     /// The configured event budget was exhausted.
     MaxEvents,
-    /// The scheduled-mode step budget ([`SimConfig::max_steps`]) was
+    /// The scheduled-mode step budget ([`SimBuilder::max_steps`]) was
     /// exhausted — the schedule explorer's depth bound.
     ///
-    /// [`SimConfig::max_steps`]: crate::sim::SimConfig::max_steps
+    /// [`SimBuilder::max_steps`]: crate::sim::SimBuilder::max_steps
     MaxSteps,
     /// Every process has crashed ("total failure" in the sense of \[Ske85\]).
     AllCrashed,

@@ -44,7 +44,7 @@ impl Process<u32> for Relay {
 fn scripted_run(n: usize, plans: Vec<Vec<usize>>, seed: u64, lat_max: u64) -> Trace {
     let sim = Sim::<u32>::builder(n)
         .seed(seed)
-        .latency(UniformLatency::new(1, lat_max.max(1)))
+        .link(UniformLatency::new(1, lat_max.max(1)))
         .build(|pid| {
             Box::new(Scripted {
                 plan: plans[pid.index()].clone(),

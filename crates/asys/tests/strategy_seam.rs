@@ -45,7 +45,7 @@ impl Process<u32> for Churn {
 fn builder(seed: u64) -> SimBuilder<u32> {
     Sim::<u32>::builder(3)
         .seed(seed)
-        .latency(UniformLatency::new(1, 20))
+        .link(UniformLatency::new(1, 20))
         .faults(FaultPlan::new().crash_at(ProcessId::new(0), VirtualTime::from_ticks(40)))
 }
 
@@ -112,13 +112,13 @@ fn adversarial_schedules_reach_states_time_order_does_not() {
     // one channel for many steps; assert that some seed produces an
     // event order the time-ordered schedule never shows.
     let time_ordered = builder(5)
-        .latency(FixedLatency(3))
+        .link(FixedLatency(3))
         .build(|_| Box::new(Churn { hops: 4 }))
         .run();
     let mut diverged = false;
     for seed in 0..10 {
         let (t, _) = builder(5)
-            .latency(FixedLatency(3))
+            .link(FixedLatency(3))
             .strategy(RandomStrategy::new(seed))
             .build(|_| Box::new(Churn { hops: 4 }))
             .run_scheduled();

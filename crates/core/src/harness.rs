@@ -10,10 +10,11 @@ use crate::config::{HeartbeatConfig, SfsConfig};
 use crate::msg::{Control, SfsMsg};
 use crate::protocol::SfsProcess;
 use crate::quorum::{QuorumError, QuorumPolicy};
-use sfs_asys::net::{Runtime, RuntimeConfig};
+use sfs_asys::net::{Measure, Runtime, RuntimeConfig};
 use sfs_asys::{
     CrashRegistry, EventSinkHandle, FaultPlan, FaultyLink, LatencyError, LinkModel,
-    PartitionSchedule, ProcessId, Sim, StormSchedule, Trace, UniformLatency, VirtualTime,
+    PartitionSchedule, Process, ProcessId, Sim, SimBuilder, StormSchedule, Trace, UniformLatency,
+    VirtualTime,
 };
 use sfs_transport::{
     AdaptiveConfig, ArqConfig, ProbeConfig, Reliable, TransportError, TransportMsg,
@@ -432,6 +433,68 @@ impl ClusterSpec {
         self.fault_plan_wrapped(SfsMsg::Control)
     }
 
+    /// The §5 automaton this spec describes, around `app`.
+    fn sfs_process<A: Application>(&self, registry: &CrashRegistry, app: A) -> SfsProcess<A> {
+        SfsProcess::new(self.sfs_config(registry), app)
+            .expect("validate() already admitted this shape")
+    }
+
+    /// The one simulator build path: validates the spec and configures a
+    /// builder with its seed, bounds, fault plan, classifier and sink.
+    /// The caller installs the link and builds the processes.
+    fn sim_builder<M: Clone + fmt::Debug + 'static>(
+        &self,
+        plan: FaultPlan<M>,
+        classify: impl Fn(&M) -> bool + Send + 'static,
+    ) -> Result<SimBuilder<M>, SpecError> {
+        self.validate()?;
+        let builder = Sim::builder(self.n)
+            .seed(self.seed)
+            .max_time(self.max_time)
+            .max_events(self.max_events)
+            .classify(classify)
+            .faults(plan);
+        Ok(match &self.sink {
+            Some(sink) => builder.event_sink(sink.clone()),
+            None => builder,
+        })
+    }
+
+    /// The one threaded run path: spawns the runtime with the spec's
+    /// seed, bounds and sink, `link`/`classify`/`measure` on the router and
+    /// every process built by `make` against a shared [`CrashRegistry`]
+    /// the router marks, then drains for at most `settle` and shuts down.
+    fn run_on_threads<M, F>(
+        &self,
+        link: Option<Box<dyn LinkModel + Send>>,
+        plan: FaultPlan<M>,
+        classify: impl Fn(&M) -> bool + Send + 'static,
+        measure: Option<Measure<M>>,
+        settle: Duration,
+        mut make: F,
+    ) -> (Trace, bool)
+    where
+        M: Clone + fmt::Debug + Send + 'static,
+        F: FnMut(ProcessId, &CrashRegistry) -> Box<dyn Process<M> + Send>,
+    {
+        let registry = CrashRegistry::new(self.n);
+        let config = RuntimeConfig {
+            seed: self.seed,
+            link,
+            record_payloads: false,
+            classify: Some(Box::new(classify)),
+            measure,
+            sink: self.sink.clone(),
+            registry: Some(registry.clone()),
+            faults: plan,
+            max_time: self.max_time,
+            max_events: self.max_events,
+        };
+        let rt = Runtime::spawn(self.n, config, |pid| make(pid, &registry));
+        let quiesced = rt.drain(settle);
+        (rt.shutdown(), quiesced)
+    }
+
     /// Runs the cluster on the simulator with [`NullApp`] on every
     /// process and the spec's uniform latency model.
     ///
@@ -479,28 +542,14 @@ impl ClusterSpec {
         A: Application,
         F: FnMut(ProcessId) -> A,
     {
-        self.validate()?;
-        let builder = Sim::<SfsMsg<A::Msg>>::builder(self.n)
-            .seed(self.seed)
-            .max_time(self.max_time)
-            .max_events(self.max_events)
-            .link(latency)
-            // Obituaries and heartbeats are the detector's own mechanism,
-            // beneath the paper's formal model; only App messages are
-            // model-level events.
-            .classify(|m: &SfsMsg<A::Msg>| !m.is_app())
-            .faults(self.fault_plan());
-        let builder = match &self.sink {
-            Some(sink) => builder.event_sink(sink.clone()),
-            None => builder,
-        };
+        // Obituaries and heartbeats are the detector's own mechanism,
+        // beneath the paper's formal model; only App messages are
+        // model-level events.
+        let builder = self
+            .sim_builder(self.fault_plan(), |m: &SfsMsg<A::Msg>| !m.is_app())?
+            .link(latency);
         let registry = builder.crash_registry();
-        Ok(builder.build(|pid| {
-            let config = self.sfs_config(&registry);
-            let process = SfsProcess::new(config, make_app(pid))
-                .expect("validate() already admitted this shape");
-            Box::new(process)
-        }))
+        Ok(builder.build(|pid| Box::new(self.sfs_process(&registry, make_app(pid)))))
     }
 
     /// Runs the cluster on the **threaded runtime** — identical protocol
@@ -547,28 +596,14 @@ impl ClusterSpec {
         F: FnMut(ProcessId) -> A,
     {
         self.validate()?;
-        let registry = CrashRegistry::new(self.n);
-        let config = RuntimeConfig {
-            seed: self.seed,
-            link: None,
-            record_payloads: false,
-            classify: Some(Box::new(|m: &SfsMsg<A::Msg>| !m.is_app())),
-            measure: None,
-            sink: self.sink.clone(),
-            registry: Some(registry.clone()),
-            faults: self.fault_plan::<A::Msg>(),
-            max_time: self.max_time,
-            max_events: self.max_events,
-        };
-        let spec = self.clone();
-        let rt = Runtime::spawn(self.n, config, move |pid| {
-            let config = spec.sfs_config(&registry);
-            let process = SfsProcess::new(config, make_app(pid))
-                .expect("validate() already admitted this shape");
-            Box::new(process)
-        });
-        let quiesced = rt.drain(settle);
-        Ok((rt.shutdown(), quiesced))
+        Ok(self.run_on_threads(
+            None,
+            self.fault_plan(),
+            |m: &SfsMsg<A::Msg>| !m.is_app(),
+            None,
+            settle,
+            |pid, registry| Box::new(self.sfs_process(registry, make_app(pid))),
+        ))
     }
 
     // ---- the faulty-network (transport-backed) legs ----------------------
@@ -591,10 +626,8 @@ impl ClusterSpec {
         registry: &CrashRegistry,
         app: A,
     ) -> Reliable<SfsProcess<A>, SfsMsg<A::Msg>> {
-        let process = SfsProcess::new(self.sfs_config(registry), app)
-            .expect("validate() already admitted this shape");
-        let mut wrapped =
-            Reliable::new(process, net.arq).classify(|m: &SfsMsg<A::Msg>| !m.is_app());
+        let mut wrapped = Reliable::new(self.sfs_process(registry, app), net.arq)
+            .classify(|m: &SfsMsg<A::Msg>| !m.is_app());
         if let Some(probe) = net.probe {
             wrapped = wrapped.suspicion(probe, |peer| {
                 SfsMsg::Control(Control::Suspect { suspect: peer })
@@ -635,26 +668,14 @@ impl ClusterSpec {
         A: Application,
         F: FnMut(ProcessId) -> A,
         G: FnOnce(
-            sfs_asys::SimBuilder<TransportMsg<SfsMsg<A::Msg>>>,
-        ) -> sfs_asys::SimBuilder<TransportMsg<SfsMsg<A::Msg>>>,
+            SimBuilder<TransportMsg<SfsMsg<A::Msg>>>,
+        ) -> SimBuilder<TransportMsg<SfsMsg<A::Msg>>>,
     {
-        self.validate()?;
+        // Every wire frame is transport infrastructure; the model alphabet
+        // is reconstructed from the wrapper's logical events.
+        let builder = self.sim_builder(self.fault_plan_net(), |_| true)?;
         let net = self.net.clone().unwrap_or_default();
-        let link = self.link_model()?;
-        let builder = Sim::<TransportMsg<SfsMsg<A::Msg>>>::builder(self.n)
-            .seed(self.seed)
-            .max_time(self.max_time)
-            .max_events(self.max_events)
-            .link(link)
-            // Every wire frame is transport infrastructure; the model
-            // alphabet is reconstructed from the wrapper's logical events.
-            .classify(|_| true)
-            .faults(self.fault_plan_net());
-        let builder = match &self.sink {
-            Some(sink) => builder.event_sink(sink.clone()),
-            None => builder,
-        };
-        let builder = tune(builder);
+        let builder = tune(builder.link(self.link_model()?));
         let registry = builder.crash_registry();
         Ok(builder.build(|pid| Box::new(self.wrap_process(&net, &registry, make_app(pid)))))
     }
@@ -704,7 +725,7 @@ impl ClusterSpec {
     /// [`SimStats::wire_bytes`](sfs_asys::SimStats).
     pub(crate) fn run_threaded_net_with<A, F>(
         &self,
-        measure: Option<sfs_asys::net::Measure<TransportMsg<SfsMsg<A::Msg>>>>,
+        measure: Option<Measure<TransportMsg<SfsMsg<A::Msg>>>>,
         mut make_app: F,
         settle: Duration,
     ) -> Result<(Trace, bool), SpecError>
@@ -715,25 +736,14 @@ impl ClusterSpec {
     {
         self.validate()?;
         let net = self.net.clone().unwrap_or_default();
-        let registry = CrashRegistry::new(self.n);
-        let config = RuntimeConfig {
-            seed: self.seed,
-            link: Some(Box::new(self.link_model()?)),
-            record_payloads: false,
-            classify: Some(Box::new(|_: &TransportMsg<SfsMsg<A::Msg>>| true)),
+        Ok(self.run_on_threads(
+            Some(Box::new(self.link_model()?)),
+            self.fault_plan_net(),
+            |_: &TransportMsg<SfsMsg<A::Msg>>| true,
             measure,
-            sink: self.sink.clone(),
-            registry: Some(registry.clone()),
-            faults: self.fault_plan_net::<A::Msg>(),
-            max_time: self.max_time,
-            max_events: self.max_events,
-        };
-        let spec = self.clone();
-        let rt = Runtime::spawn(self.n, config, move |pid| {
-            Box::new(spec.wrap_process(&net, &registry, make_app(pid)))
-        });
-        let quiesced = rt.drain(settle);
-        Ok((rt.shutdown(), quiesced))
+            settle,
+            |pid, registry| Box::new(self.wrap_process(&net, registry, make_app(pid))),
+        ))
     }
 }
 

@@ -302,13 +302,13 @@ mod tests {
 
     fn star(n: usize) -> Sim<u8> {
         Sim::<u8>::builder(n)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .build(|_| Box::new(Star))
     }
 
     fn star_plus(n: usize) -> Sim<u8> {
         Sim::<u8>::builder(n)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .build(|_| Box::new(StarPlus))
     }
 

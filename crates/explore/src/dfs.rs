@@ -452,7 +452,7 @@ mod tests {
     }
 
     fn star(n: usize) -> Sim<u8> {
-        Sim::<u8>::builder(n).latency(FixedLatency(1)).build(|_| {
+        Sim::<u8>::builder(n).link(FixedLatency(1)).build(|_| {
             Box::new(OneShot {
                 target: ProcessId::new(n - 1),
             })
@@ -502,7 +502,7 @@ mod tests {
 
     fn pairs() -> Sim<u8> {
         Sim::<u8>::builder(4)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .build(|_| Box::new(Pairs))
     }
 

@@ -65,7 +65,7 @@
 //! }
 //!
 //! let build = || Sim::<&'static str>::builder(2)
-//!     .latency(FixedLatency(1))
+//!     .link(FixedLatency(1))
 //!     .build(|_| Box::new(Hello));
 //! let mut all_ok = true;
 //! let stats = explore(&ExploreConfig::default(), build, |run| {

@@ -270,7 +270,7 @@ mod tests {
 
     fn sys(n: usize) -> Sim<u8> {
         Sim::<u8>::builder(n)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .build(move |_| Box::new(Trigger { n }))
     }
 

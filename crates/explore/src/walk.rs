@@ -92,7 +92,7 @@ mod tests {
 
     fn sim() -> Sim<u8> {
         Sim::<u8>::builder(3)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .build(|_| Box::new(Chat))
     }
 

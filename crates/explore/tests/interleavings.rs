@@ -19,7 +19,7 @@ impl Process<u8> for PingPeer {
 
 fn two_process() -> Sim<u8> {
     Sim::<u8>::builder(2)
-        .latency(FixedLatency(1))
+        .link(FixedLatency(1))
         .build(|_| Box::new(PingPeer))
 }
 
@@ -66,7 +66,7 @@ impl Process<u8> for Mesh {
 
 fn mesh() -> Sim<u8> {
     Sim::<u8>::builder(3)
-        .latency(FixedLatency(1))
+        .link(FixedLatency(1))
         .build(|_| Box::new(Mesh))
 }
 
@@ -115,7 +115,7 @@ impl Process<u8> for Flood {
 
 fn crashy() -> Sim<u8> {
     Sim::<u8>::builder(2)
-        .latency(FixedLatency(1))
+        .link(FixedLatency(1))
         .faults(FaultPlan::new().crash_at(ProcessId::new(1), VirtualTime::from_ticks(50)))
         .build(|_| Box::new(Flood))
 }

@@ -1277,7 +1277,7 @@ mod tests {
         };
         let sim = Sim::<TransportMsg<u32>>::builder(2)
             .seed(1)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .classify(|_| true)
             .build(move |pid| {
                 if pid.index() == 0 {
@@ -1357,7 +1357,7 @@ mod tests {
         }
         let sim = Sim::<TransportMsg<u32>>::builder(3)
             .seed(2)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .classify(|_| true)
             .build(|pid| match pid.index() {
                 0 => Box::new(Reliable::new(S0, ArqConfig::default()))
@@ -1406,7 +1406,7 @@ mod tests {
         let plan = sfs_asys::FaultPlan::new().crash_at(p(1), VirtualTime::from_ticks(50));
         let sim = Sim::<TransportMsg<Msg>>::builder(2)
             .seed(4)
-            .latency(FixedLatency(1))
+            .link(FixedLatency(1))
             .max_time(VirtualTime::from_ticks(2_000))
             .classify(|_| true)
             .faults(plan)
