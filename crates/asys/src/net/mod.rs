@@ -10,7 +10,8 @@
 //! and detection bookkeeping, receive filters and link seam — so channels
 //! are FIFO under any link delays (the property the paper's sFS2d
 //! argument depends on) and the runtime records a single coherent
-//! [`Trace`](crate::Trace).
+//! [`Trace`](crate::Trace) — or, with `RuntimeConfig::record` off, feeds
+//! the same events to its sink and builds none.
 //!
 //! Time is logical, not wall-clock: the router owns a hierarchical
 //! [`TimerWheel`](crate::TimerWheel) holding every pending deadline

@@ -13,7 +13,8 @@
 //!
 //! The router holds the engine core the simulator drives (`engine.rs`):
 //! channels, crash and detection flags, receive filters, the link seam,
-//! message numbering and the trace. It applies every reply's actions
+//! message numbering and — when [`RuntimeConfig::record`] is on — the
+//! trace recorder. It applies every reply's actions
 //! through the core and files the deadlines the core announces on its
 //! wheel. A channel has at most one head on the wheel, and its next head
 //! is filed only once that one is admitted, so channels are FIFO under any
@@ -58,7 +59,7 @@ use crate::link::LinkModel;
 use crate::observe::EventSinkHandle;
 use crate::process::{Action, Context, Process};
 use crate::time::VirtualTime;
-use crate::trace::{StopReason, Trace};
+use crate::trace::{RunSummary, StopReason, Trace, TraceEvent};
 use crate::wheel::TimerWheel;
 use crossbeam::channel::{self, Receiver, Sender};
 use rand::rngs::StdRng;
@@ -79,8 +80,14 @@ pub struct RuntimeConfig<M = ()> {
     /// transport-backed conformance leg relies on. `None` delivers every
     /// message at the instant it is sent.
     pub link: Option<Box<dyn LinkModel + Send>>,
-    /// Whether to record payload `Debug` text in the trace.
-    pub record_payloads: bool,
+    /// Whether the router keeps a trace. On (the default), every emitted
+    /// event is kept and [`Runtime::shutdown`] returns them as a
+    /// [`Trace`]. Off, no trace is ever built: every event is still
+    /// numbered, counted against [`RuntimeConfig::max_events`] and
+    /// offered to [`RuntimeConfig::sink`], and the run ends through
+    /// [`Runtime::shutdown_unrecorded`], the runtime's twin of
+    /// `Sim::run_unrecorded`. Payload `Debug` text is never rendered.
+    pub record: bool,
     /// Optional classifier marking payloads as infrastructure (`true`)
     /// vs model-level application messages; see `SimBuilder::classify`.
     pub classify: Option<Classify<M>>,
@@ -123,7 +130,7 @@ impl<M> Default for RuntimeConfig<M> {
         RuntimeConfig {
             seed: 0,
             link: None,
-            record_payloads: false,
+            record: true,
             classify: None,
             measure: None,
             registry: None,
@@ -140,7 +147,7 @@ impl<M> fmt::Debug for RuntimeConfig<M> {
         f.debug_struct("RuntimeConfig")
             .field("seed", &self.seed)
             .field("has_link", &self.link.is_some())
-            .field("record_payloads", &self.record_payloads)
+            .field("record", &self.record)
             .field("has_sink", &self.sink.is_some())
             .field("faults", &self.faults.len())
             .field("max_time", &self.max_time)
@@ -218,13 +225,18 @@ impl<M> Schedule for TimerWheel<Due<M>> {
 /// Construct with [`Runtime::spawn`]; drive with
 /// [`Runtime::inject_external`] and [`Runtime::crash`]; wait with
 /// [`Runtime::drain`]; finish with [`Runtime::shutdown`], which returns
-/// the recorded [`Trace`].
+/// the recorded [`Trace`], or — when [`RuntimeConfig::record`] is off —
+/// with [`Runtime::shutdown_unrecorded`], which returns how the run ended.
 pub struct Runtime<M> {
     n: usize,
     to_router: Sender<ToRouter<M>>,
-    router: Option<JoinHandle<Trace>>,
+    router: Option<JoinHandle<RouterExit>>,
     workers: Vec<JoinHandle<()>>,
 }
+
+/// What the router thread hands back: how the run ended, and the events
+/// when it recorded them.
+type RouterExit = (RunSummary, Option<Vec<TraceEvent>>);
 
 impl<M> fmt::Debug for Runtime<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -350,11 +362,33 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
     ///
     /// # Panics
     ///
-    /// Panics if the router thread or a worker thread (that is, a process
-    /// handler) panicked.
-    pub fn shutdown(mut self) -> Trace {
+    /// Panics if the runtime was spawned with [`RuntimeConfig::record`]
+    /// off — it built no trace and ends through
+    /// [`Runtime::shutdown_unrecorded`] — or if the router thread or a
+    /// worker thread (that is, a process handler) panicked.
+    pub fn shutdown(self) -> Trace {
+        let n = self.n;
+        let (run, events) = self.stop();
+        let events = events.expect("an unrecorded runtime ends with `shutdown_unrecorded`");
+        Trace::from_parts(n, events, run.stop, run.end_time, run.stats)
+    }
+
+    /// Stops all threads and returns how the run ended — everything
+    /// [`Runtime::shutdown`]'s trace carries but the events, which went
+    /// only to [`RuntimeConfig::sink`]. The end of a runtime spawned with
+    /// [`RuntimeConfig::record`] off, as `Sim::run_unrecorded` is the
+    /// simulator's; a recorded runtime's events are discarded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the router thread or a worker thread panicked.
+    pub fn shutdown_unrecorded(self) -> RunSummary {
+        self.stop().0
+    }
+
+    fn stop(mut self) -> RouterExit {
         let _ = self.to_router.send(ToRouter::Shutdown);
-        let trace = self
+        let exit = self
             .router
             .take()
             .expect("router already joined")
@@ -365,7 +399,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
         for worker in self.workers.drain(..) {
             worker.join().expect("a process handler panicked");
         }
-        trace
+        exit
     }
 }
 
@@ -589,14 +623,14 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
     config: RuntimeConfig<M>,
     rx: Receiver<ToRouter<M>>,
     workers: Vec<Sender<Batch<M>>>,
-) -> Trace {
+) -> RouterExit {
     let hooks = Hooks {
         link: config.link.map(|link| link as Box<dyn LinkModel>),
         classify: config.classify,
         measure: config.measure,
         sink: config.sink,
         registry: config.registry.unwrap_or_else(|| CrashRegistry::new(n)),
-        record_payloads: config.record_payloads,
+        record_payloads: false,
         max_events: config.max_events,
     };
     // Link verdicts draw from their own seeded rng: node rngs are
@@ -611,7 +645,9 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
         staged: workers.iter().map(|_| Vec::new()).collect(),
         workers,
     };
-    state.core.start_recording();
+    if config.record {
+        state.core.start_recording();
+    }
     // Plan entries go on the wheel before anything else so they hold the
     // earliest insertion seqs at their instants: an injection at tick T is
     // applied before any delivery or timer due at T.
@@ -697,9 +733,14 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
     } else {
         StopReason::MaxTime
     };
-    let events = state.core.recorder.take().unwrap_or_default();
+    let run = RunSummary {
+        stop,
+        end_time: state.core.now,
+        stats: state.core.stats,
+        events: state.core.emitted,
+    };
     // Dropping the state drops the batch senders: every worker returns.
-    Trace::from_parts(n, events, stop, state.core.now, state.core.stats)
+    (run, state.core.recorder.take())
 }
 
 #[cfg(test)]

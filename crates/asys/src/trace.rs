@@ -199,7 +199,8 @@ pub struct SimStats {
 /// How a run that kept no trace ended: everything a [`Trace`] carries
 /// except the events themselves, which went only to the attached
 /// [`EventSink`](crate::observe::EventSink). Returned by
-/// [`Sim::run_unrecorded`](crate::sim::Sim::run_unrecorded).
+/// [`Sim::run_unrecorded`](crate::sim::Sim::run_unrecorded) and
+/// [`Runtime::shutdown_unrecorded`](crate::net::Runtime::shutdown_unrecorded).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunSummary {
     /// Why the run stopped.

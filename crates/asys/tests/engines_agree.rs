@@ -12,13 +12,19 @@
 //! unparking at the timer, copies consumed at a crash, plan entries
 //! preceding same-instant deliveries and the classifier and measure hooks
 //! all take part.
+//!
+//! The runtime with its recorder off must end the same relay the same
+//! way: the summary it returns equals the recorded run's, and its sink is
+//! offered every event the recorded run kept.
 
 use sfs_asys::net::{Runtime, RuntimeConfig};
 use sfs_asys::{
-    Context, FaultPlan, FixedLatency, Process, ProcessId, ReceiveFilter, Sim, TimerId, Trace,
-    TraceEventKind, VirtualTime,
+    Context, EventSink, EventSinkHandle, FaultPlan, FixedLatency, Interest, Process, ProcessId,
+    ReceiveFilter, Sim, TimerId, Trace, TraceEvent, TraceEventKind, VirtualTime,
 };
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Ticks every copy spends on the link.
@@ -94,12 +100,15 @@ fn on_sim(n: usize) -> Trace {
         .run()
 }
 
-fn on_runtime(n: usize) -> Trace {
+/// The relay on the runtime, settled and not yet shut down.
+fn settled_runtime(n: usize, record: bool, sink: Option<EventSinkHandle>) -> Runtime<u32> {
     let config = RuntimeConfig {
         link: Some(Box::new(FixedLatency(DELAY))),
+        record,
         faults: plan(n),
         classify: Some(Box::new(infra)),
         measure: Some(Box::new(wire_cost)),
+        sink,
         ..RuntimeConfig::default()
     };
     let rt = Runtime::spawn(n, config, |_| Box::new(Relay));
@@ -107,7 +116,38 @@ fn on_runtime(n: usize) -> Trace {
         rt.drain(Duration::from_secs(10)),
         "n={n}: relay must settle"
     );
-    rt.shutdown()
+    rt
+}
+
+fn on_runtime(n: usize) -> Trace {
+    settled_runtime(n, true, None).shutdown()
+}
+
+/// Counts every event it is offered.
+#[derive(Default)]
+struct Count(AtomicUsize);
+
+impl EventSink for Count {
+    fn on_event(&self, _: &TraceEvent) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn interest(&self) -> Interest {
+        Interest::ALL
+    }
+}
+
+impl Count {
+    /// A fresh counter and a sink handle feeding it.
+    fn attached() -> (Arc<Count>, Option<EventSinkHandle>) {
+        let count = Arc::new(Count::default());
+        let handle = EventSinkHandle::new(count.clone());
+        (count, Some(handle))
+    }
+
+    fn seen(&self) -> usize {
+        self.0.load(Ordering::Relaxed)
+    }
 }
 
 /// Every channel's received messages (id and class), sorted.
@@ -171,5 +211,26 @@ fn simulator_and_runtime_agree_on_a_relay() {
         assert_eq!(s.crashes, 1);
         assert!(s.timers_fired > 0 && s.wire_bytes > 0, "n={n}: {s:?}");
         assert!(received(&sim).values().flatten().any(|&(_, infra)| infra));
+    }
+}
+
+#[test]
+fn an_unrecorded_runtime_ends_as_the_recorded_one() {
+    // With `record` off the router builds no trace, yet every event is
+    // still numbered and offered to the sink: the summary it ends with
+    // must be the recorded run's, event count included.
+    for n in [1, 2, 3, 5, 17] {
+        let (kept, sink) = Count::attached();
+        let trace = settled_runtime(n, true, sink).shutdown();
+        let (unkept, sink) = Count::attached();
+        let run = settled_runtime(n, false, sink).shutdown_unrecorded();
+        let (mut s, mut t) = (trace.stats(), run.stats);
+        (s.delivery_batches, t.delivery_batches) = (0, 0);
+        assert_eq!(s, t, "n={n}");
+        assert_eq!(run.stop, trace.stop_reason(), "n={n}");
+        assert_eq!(run.end_time, trace.end_time(), "n={n}");
+        assert_eq!(run.events, trace.events().len(), "n={n}");
+        assert_eq!(kept.seen(), trace.events().len(), "n={n}");
+        assert_eq!(unkept.seen(), run.events, "n={n}");
     }
 }

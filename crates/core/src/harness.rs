@@ -13,8 +13,8 @@ use crate::quorum::{QuorumError, QuorumPolicy};
 use sfs_asys::net::{Measure, Runtime, RuntimeConfig};
 use sfs_asys::{
     CrashRegistry, EventSinkHandle, FaultPlan, FaultyLink, LatencyError, LinkModel,
-    PartitionSchedule, Process, ProcessId, Sim, SimBuilder, StormSchedule, Trace, UniformLatency,
-    VirtualTime,
+    PartitionSchedule, Process, ProcessId, RunSummary, Sim, SimBuilder, StormSchedule, Trace,
+    UniformLatency, VirtualTime,
 };
 use sfs_transport::{
     AdaptiveConfig, ArqConfig, ProbeConfig, Reliable, TransportError, TransportMsg,
@@ -231,6 +231,9 @@ pub struct ClusterSpec {
     /// default) costs nothing.
     pub sink: Option<EventSinkHandle>,
 }
+
+/// A threaded run drained but not yet shut down, and whether it quiesced.
+type Drained<M> = (Runtime<M>, bool);
 
 impl ClusterSpec {
     /// A quiescence-friendly spec: no heartbeats, moderate random latency.
@@ -461,18 +464,22 @@ impl ClusterSpec {
     }
 
     /// The one threaded run path: spawns the runtime with the spec's
-    /// seed, bounds and sink, `link`/`classify`/`measure` on the router and
-    /// every process built by `make` against a shared [`CrashRegistry`]
-    /// the router marks, then drains for at most `settle` and shuts down.
+    /// seed, bounds and sink, `link`/`classify`/`measure` on the router,
+    /// a trace recorder when `record` is set, and every process built by
+    /// `make` against a shared [`CrashRegistry`] the router marks, then
+    /// drains for at most `settle`. Returns the drained runtime, for the
+    /// caller to shut down as it was spawned, and whether it quiesced.
+    #[allow(clippy::too_many_arguments)]
     fn run_on_threads<M, F>(
         &self,
         link: Option<Box<dyn LinkModel + Send>>,
         plan: FaultPlan<M>,
         classify: impl Fn(&M) -> bool + Send + 'static,
         measure: Option<Measure<M>>,
+        record: bool,
         settle: Duration,
         mut make: F,
-    ) -> (Trace, bool)
+    ) -> Drained<M>
     where
         M: Clone + fmt::Debug + Send + 'static,
         F: FnMut(ProcessId, &CrashRegistry) -> Box<dyn Process<M> + Send>,
@@ -481,7 +488,7 @@ impl ClusterSpec {
         let config = RuntimeConfig {
             seed: self.seed,
             link,
-            record_payloads: false,
+            record,
             classify: Some(Box::new(classify)),
             measure,
             sink: self.sink.clone(),
@@ -492,7 +499,7 @@ impl ClusterSpec {
         };
         let rt = Runtime::spawn(self.n, config, |pid| make(pid, &registry));
         let quiesced = rt.drain(settle);
-        (rt.shutdown(), quiesced)
+        (rt, quiesced)
     }
 
     /// Runs the cluster on the simulator with [`NullApp`] on every
@@ -587,9 +594,60 @@ impl ClusterSpec {
     /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
     pub fn try_run_threaded<A, F>(
         &self,
-        mut make_app: F,
+        make_app: F,
         settle: Duration,
     ) -> Result<(Trace, bool), SpecError>
+    where
+        A: Application + Send + 'static,
+        A::Msg: Send,
+        F: FnMut(ProcessId) -> A,
+    {
+        let (rt, quiesced) = self.threaded(true, make_app, settle)?;
+        Ok((rt.shutdown(), quiesced))
+    }
+
+    /// Runs the cluster on the threaded runtime **without recording a
+    /// trace**: the bare leg of [`ClusterSpec::try_run_threaded`], or —
+    /// when [`ClusterSpec::net`] is set — the transport-backed leg of
+    /// [`ClusterSpec::try_run_threaded_net`]. Every event still reaches
+    /// the spec's sink; what comes back is how the run ended and whether
+    /// it quiesced. The threaded twin of
+    /// [`Sim::run_unrecorded`](sfs_asys::Sim::run_unrecorded), for
+    /// callers that fold the run through the sink and keep no trace.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
+    pub fn try_run_threaded_unrecorded<A, F>(
+        &self,
+        make_app: F,
+        settle: Duration,
+    ) -> Result<(RunSummary, bool), SpecError>
+    where
+        A: Application + Send + 'static,
+        A::Msg: Send,
+        F: FnMut(ProcessId) -> A,
+    {
+        Ok(match self.net {
+            None => {
+                let (rt, quiesced) = self.threaded(false, make_app, settle)?;
+                (rt.shutdown_unrecorded(), quiesced)
+            }
+            Some(_) => {
+                let (rt, quiesced) = self.threaded_net(None, false, make_app, settle)?;
+                (rt.shutdown_unrecorded(), quiesced)
+            }
+        })
+    }
+
+    /// The bare threaded leg, spawned and drained: the §5 automaton on
+    /// the router's reliable channels.
+    fn threaded<A, F>(
+        &self,
+        record: bool,
+        mut make_app: F,
+        settle: Duration,
+    ) -> Result<Drained<SfsMsg<A::Msg>>, SpecError>
     where
         A: Application + Send + 'static,
         A::Msg: Send,
@@ -601,6 +659,7 @@ impl ClusterSpec {
             self.fault_plan(),
             |m: &SfsMsg<A::Msg>| !m.is_app(),
             None,
+            record,
             settle,
             |pid, registry| Box::new(self.sfs_process(registry, make_app(pid))),
         ))
@@ -715,20 +774,22 @@ impl ClusterSpec {
         A::Msg: Send,
         F: FnMut(ProcessId) -> A,
     {
-        self.run_threaded_net_with(None, make_app, settle)
+        let (rt, quiesced) = self.threaded_net(None, true, make_app, settle)?;
+        Ok((rt.shutdown(), quiesced))
     }
 
-    /// [`ClusterSpec::try_run_threaded_net`] with an optional wire-byte
-    /// measure on the router's send seam, the threaded mirror of the
-    /// simulator's `SimBuilder::measure` tuning: every sent frame is
-    /// charged `measure(frame)` bytes to
+    /// The transport-backed threaded leg, spawned and drained, with an
+    /// optional wire-byte measure on the router's send seam — the
+    /// threaded mirror of the simulator's `SimBuilder::measure` tuning:
+    /// every sent frame is charged `measure(frame)` bytes to
     /// [`SimStats::wire_bytes`](sfs_asys::SimStats).
-    pub(crate) fn run_threaded_net_with<A, F>(
+    pub(crate) fn threaded_net<A, F>(
         &self,
         measure: Option<Measure<TransportMsg<SfsMsg<A::Msg>>>>,
+        record: bool,
         mut make_app: F,
         settle: Duration,
-    ) -> Result<(Trace, bool), SpecError>
+    ) -> Result<Drained<TransportMsg<SfsMsg<A::Msg>>>, SpecError>
     where
         A: Application + Send + 'static,
         A::Msg: Send,
@@ -741,6 +802,7 @@ impl ClusterSpec {
             self.fault_plan_net(),
             |_: &TransportMsg<SfsMsg<A::Msg>>| true,
             measure,
+            record,
             settle,
             |pid, registry| Box::new(self.wrap_process(&net, registry, make_app(pid))),
         ))

@@ -601,13 +601,15 @@ impl ClusterSpec {
         &self,
         settle: std::time::Duration,
     ) -> Result<(Trace, bool), SpecError> {
-        self.run_threaded_net_with(
+        let (rt, quiesced) = self.threaded_net(
             Some(Box::new(|m: &TransportMsg<SfsMsg<()>>| {
                 sfs_wire::wire_cost(m)
             })),
+            true,
             |_| NullApp,
             settle,
-        )
+        )?;
+        Ok((rt.shutdown(), quiesced))
     }
 }
 

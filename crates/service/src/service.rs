@@ -33,7 +33,7 @@
 //! crashes and detections (under 1 % of a heartbeat-driven run) and rides
 //! the run's event sink on both backends, next to the online monitor and
 //! the watermarks; [`ServiceSpec::keep_traces`] only decides whether the
-//! trace is kept — off, the simulator **never builds one**.
+//! trace is kept — off, **neither backend ever builds one**.
 
 use crate::directory::{Directory, DirectoryError, DirectorySpec, RoutingTable, ShardReport};
 use crate::load::{LoadFold, LoadGenApp, LoadOutcome, LoadProfile};
@@ -41,7 +41,7 @@ use crate::plan::{plan_shards, PlanError, ShardId, ShardPlan, ShardSpec};
 use rayon::prelude::*;
 use sfs::{ClusterSpec, HeartbeatConfig, NetSpec, QuorumError, SpecError};
 use sfs_asys::{
-    EventSink, EventSinkHandle, Interest, ProcessId, Sim, SimStats, Trace, TraceEvent,
+    EventSink, EventSinkHandle, Interest, ProcessId, RunSummary, Sim, SimStats, Trace, TraceEvent,
     TraceEventKind, UniformLatency, VirtualTime,
 };
 use sfs_chaos::{ChaosPlan, ChaosSpec, ShardChaos};
@@ -105,9 +105,10 @@ pub struct ServiceSpec {
     pub chaos: Option<ChaosSpec>,
     /// Carry each shard run's full trace on its [`ShardOutcome`] (for
     /// downstream certification of the sFS properties). Off by default
-    /// to keep large sweeps lean — **off: no trace is built on the
-    /// simulator** (the threaded runtime's is dropped). The outcome is
-    /// folded live from the run's event sink either way.
+    /// to keep large sweeps lean — **off: no trace is ever built**, on
+    /// either backend (`Sim::run_unrecorded`, or a runtime spawned with
+    /// `RuntimeConfig::record` off). The outcome is folded live from the
+    /// run's event sink either way.
     pub keep_traces: bool,
     /// Certify the sFS suite **online**: attach a streaming
     /// [`SfsMonitor`] to every shard run (O(n + active failures) state,
@@ -307,8 +308,9 @@ pub struct ShardOutcome {
     pub load: LoadOutcome,
     /// Engine counters for the run.
     pub stats: SimStats,
-    /// Events the engine emitted (`trace.events().len()` when the trace
-    /// is kept).
+    /// Events the engine emitted, counted by the engine whether or not
+    /// it recorded them: the run's `RunSummary::events` when no trace was
+    /// built, `trace.events().len()` when the trace is kept.
     pub events: u64,
     /// Distinct members detected failed during the run.
     pub detected: usize,
@@ -489,7 +491,10 @@ impl ServiceReport {
     }
 
     /// The 99th-percentile op latency in ticks, from the log-bucket
-    /// histogram (E11's and E13's `op p99` column).
+    /// histogram (E11's and E13's `op p99` column). A 0 that cannot move
+    /// on the bare threaded backend: its shard runs have no link, so
+    /// every delivery lands at the instant it is sent and an op completes
+    /// at the instant it is issued. E11 prints its threaded cells as `-`.
     pub fn op_p99(&self) -> u64 {
         self.op_latency_hist().p99()
     }
@@ -497,11 +502,12 @@ impl ServiceReport {
     /// Total serving time in ticks, summed over shard runs: each shard's
     /// first-issue → last-completion window. Both backends run the same
     /// virtual clock, so the figure measures the *serving* path in
-    /// logical time, independent of wall-clock drain budgets. On the
-    /// bare threaded backend it is degenerate (0): deliveries have zero
-    /// virtual delay there, so the message-driven closed loop plays out
-    /// within a single virtual instant — use wall time for threaded
-    /// serving cost instead.
+    /// logical time, independent of wall-clock drain budgets. A 0 that
+    /// cannot move on the bare threaded backend under a closed loop: its
+    /// shard runs have no link, so every delivery lands at the instant it
+    /// is sent and the whole loop plays out within one virtual instant.
+    /// E11 prints its threaded cells as `-`; use wall time for threaded
+    /// serving cost.
     pub fn serving_ticks(&self) -> u64 {
         self.epochs
             .iter()
@@ -841,12 +847,14 @@ fn run_shard(
         (Some(net), Backend::Sim) => {
             run_sim(cluster.net(net).try_build_net_with(|b| b, make_app)?, keep)
         }
+        // On threads too, only a kept trace is recorded.
+        (None, Backend::Threaded) if keep => kept(cluster.try_run_threaded(make_app, SETTLE)?.0),
+        (Some(net), Backend::Threaded) if keep => {
+            kept(cluster.net(net).try_run_threaded_net(make_app, SETTLE)?.0)
+        }
         (net, Backend::Threaded) => {
-            let trace = match net {
-                None => cluster.try_run_threaded(make_app, SETTLE)?.0,
-                Some(net) => cluster.net(net).try_run_threaded_net(make_app, SETTLE)?.0,
-            };
-            (trace.stats(), trace.events().len(), keep.then_some(trace))
+            let cluster = ClusterSpec { net, ..cluster };
+            unkept(cluster.try_run_threaded_unrecorded(make_app, SETTLE)?.0)
         }
     };
     let mut fold = fold.0.lock().expect("shard fold poisoned");
@@ -865,12 +873,20 @@ fn run_sim<M: Clone + fmt::Debug + 'static>(
     keep: bool,
 ) -> (SimStats, usize, Option<Trace>) {
     if keep {
-        let trace = sim.run();
-        (trace.stats(), trace.events().len(), Some(trace))
+        kept(sim.run())
     } else {
-        let run = sim.run_unrecorded();
-        (run.stats, run.events, None)
+        unkept(sim.run_unrecorded())
     }
+}
+
+/// A recorded shard run's counters, event count and trace.
+fn kept(trace: Trace) -> (SimStats, usize, Option<Trace>) {
+    (trace.stats(), trace.events().len(), Some(trace))
+}
+
+/// An unrecorded shard run's counters and event count; no trace.
+fn unkept(run: RunSummary) -> (SimStats, usize, Option<Trace>) {
+    (run.stats, run.events, None)
 }
 
 /// The flight-dump label of one shard run's watermarks: every input that
