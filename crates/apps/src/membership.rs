@@ -105,7 +105,7 @@ pub fn view_log(trace: &Trace) -> Vec<(ProcessId, Vec<String>)> {
         ProcessId::all(trace.n()).map(|p| (p, Vec::new())).collect();
     for (_, pid, note) in trace.notes_with_key(NOTE_VIEW) {
         if let Note::KeyVal { val, .. } = note {
-            per_process[pid.index()].1.push(val.clone());
+            per_process[pid.index()].1.push(val.to_string());
         }
     }
     per_process

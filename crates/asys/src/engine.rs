@@ -30,12 +30,14 @@ use crate::id::{MsgId, ProcessId, TimerId};
 use crate::link::{LinkModel, LinkVerdict};
 use crate::observe::EventSinkHandle;
 use crate::process::{Action, ReceiveFilter};
+use crate::text::Text;
 use crate::time::VirtualTime;
 use crate::timers::CancelledTimers;
 use crate::trace::{SimStats, TraceEvent, TraceEventKind};
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::fmt;
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -164,7 +166,8 @@ pub(crate) struct EngineState<M> {
     /// Per channel: the head was refused by the receiver's filter, so no
     /// head deadline is outstanding until the filter changes.
     parked: Vec<bool>,
-    msg_seq: Vec<u64>,
+    /// Per source: the sequence its next message gets.
+    msg_seq: Vec<u32>,
     pub(crate) stats: SimStats,
     /// Events emitted so far; the next event's `seq`.
     pub(crate) emitted: usize,
@@ -229,6 +232,12 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
 
     /// The one path every event takes: numbered, offered to the sink,
     /// and — when a recorder is installed — kept.
+    ///
+    /// Inlined so that each caller builds the event in place. As a call
+    /// it copied the caller's freshly stored `kind` with wide loads that
+    /// straddle the narrow stores of its 4-byte ids and flag bytes: a
+    /// store-forwarding stall on every event, recorded or not.
+    #[inline(always)]
     fn emit(&mut self, kind: TraceEventKind) {
         let event = TraceEvent {
             seq: self.emitted,
@@ -244,8 +253,10 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         }
     }
 
-    fn repr(&self, payload: &M) -> Option<String> {
-        self.hooks.record_payloads.then(|| format!("{payload:?}"))
+    fn repr(&self, payload: &M) -> Option<Text> {
+        self.hooks
+            .record_payloads
+            .then(|| Text::render(format_args!("{payload:?}")))
     }
 
     /// When something issued now with `delay` comes due, at the floor.
@@ -255,7 +266,13 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
 
     /// Applies the actions one handler call of `pid` issued, in order.
     pub(crate) fn apply(&mut self, pid: ProcessId, actions: Vec<Action<M>>, s: &mut impl Schedule) {
-        for action in actions {
+        // Internal iteration reads each action once, straight from the
+        // buffer. A `for` loop moves it out through an `Option` first, and
+        // where the payload shares the action's tag word (a payload at
+        // least as large as every other variant) moving the payload on
+        // re-reads that fresh copy across its store boundaries: a
+        // store-forwarding stall on every send.
+        let _ = actions.into_iter().try_for_each(|action| {
             // The paper's crash event is final: once `crash_i` is true the
             // state of `i` does not change further, so actions queued after
             // CrashSelf are void. At the event budget the run is stopping
@@ -263,7 +280,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
             // dropping it keeps the trace, the counters, the channels and
             // the registry all describing the same prefix.
             if self.crashed[pid.index()] || self.budget_spent() {
-                break;
+                return ControlFlow::Break(());
             }
             match action {
                 Action::Send { to, msg } => self.send(pid, to, msg, s),
@@ -291,7 +308,8 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
                     payload: None,
                 }),
             }
-        }
+            ControlFlow::Continue(())
+        });
     }
 
     /// Announces the heads of the channels into `to` that its previous
@@ -308,8 +326,16 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
     }
 
     fn send(&mut self, from: ProcessId, to: ProcessId, payload: M, s: &mut impl Schedule) {
-        let msg = MsgId::new(from, self.msg_seq[from.index()]);
-        self.msg_seq[from.index()] += 1;
+        let seq = self.msg_seq[from.index()];
+        let Some(next) = seq.checked_add(1) else {
+            // `from` has numbered every sequence a MsgId holds but the
+            // last, which would leave the counter nowhere to go: the run
+            // ends here, as at the event budget, rather than reuse an id.
+            self.hooks.max_events = self.emitted;
+            return;
+        };
+        self.msg_seq[from.index()] = next;
+        let msg = MsgId::new(from, u64::from(seq));
         let infra = self.hooks.classify.as_ref().is_some_and(|f| f(&payload));
         self.emit(TraceEventKind::Send {
             from,
@@ -472,5 +498,49 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
                 Some(payload)
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::process::{Context, Process};
+    use crate::sim::Sim;
+    use crate::trace::{StopReason, TraceEventKind};
+    use crate::ProcessId;
+
+    /// Sends three messages to `p1` on start.
+    struct Burst;
+
+    impl Process<u8> for Burst {
+        fn on_start(&mut self, ctx: &mut Context<'_, u8>) {
+            if ctx.id().index() == 0 {
+                for k in 0..3 {
+                    ctx.send(ProcessId::new(1), k);
+                }
+            }
+        }
+        fn on_message(&mut self, _: &mut Context<'_, u8>, _: ProcessId, _: u8) {}
+    }
+
+    #[test]
+    fn the_send_that_would_exhaust_a_sequence_ends_the_run_as_the_budget_does() {
+        let mut sim = Sim::<u8>::builder(2).build(|_| Box::new(Burst));
+        sim.core_mut().msg_seq[0] = u32::MAX - 1;
+        let trace = sim.run();
+        assert_eq!(trace.stop_reason(), StopReason::MaxEvents);
+        let sends: Vec<u64> = trace
+            .events()
+            .iter()
+            .filter_map(|e| match e.kind {
+                TraceEventKind::Send { msg, .. } => Some(msg.seq()),
+                _ => None,
+            })
+            .collect();
+        // Sequence u32::MAX - 1 is the last one handed out: the next send
+        // would leave the counter nowhere to go, so neither it nor the
+        // third is applied and no id is reused.
+        assert_eq!(sends, vec![u64::from(u32::MAX - 1)]);
+        assert_eq!(trace.stats().messages_sent, 1);
+        assert_eq!(trace.events().len(), 1);
     }
 }

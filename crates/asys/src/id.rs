@@ -11,7 +11,9 @@ use std::fmt;
 /// Identity of a process in the system `P = {0, 1, ..., n-1}`.
 ///
 /// The paper numbers processes from 1; we use zero-based indices so ids can
-/// directly index per-process tables.
+/// directly index per-process tables. The index is stored in 32 bits (so a
+/// recorded event carries each id in four bytes): a system holds at most
+/// 2³² processes, indices `0 ..= u32::MAX`. The API speaks `usize`.
 ///
 /// # Examples
 ///
@@ -23,17 +25,26 @@ use std::fmt;
 /// assert_eq!(p.to_string(), "p3");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct ProcessId(usize);
+pub struct ProcessId(u32);
 
 impl ProcessId {
     /// Creates a process id from a zero-based index.
+    ///
+    /// # Panics
+    ///
+    /// If `index` exceeds `u32::MAX`. Ids read from outside the program
+    /// are range-checked where they enter (the wire codec, the trace JSON
+    /// reader) and never reach this panic.
+    #[inline]
     pub const fn new(index: usize) -> Self {
-        ProcessId(index)
+        assert!(index <= u32::MAX as usize, "process index exceeds u32::MAX");
+        ProcessId(index as u32)
     }
 
     /// Returns the zero-based index of this process.
+    #[inline]
     pub const fn index(self) -> usize {
-        self.0
+        self.0 as usize
     }
 
     /// Iterates over all process ids of an `n`-process system, in order.
@@ -47,7 +58,7 @@ impl ProcessId {
     /// assert_eq!(all[2], ProcessId::new(2));
     /// ```
     pub fn all(n: usize) -> impl Iterator<Item = ProcessId> + Clone {
-        (0..n).map(ProcessId)
+        (0..n).map(ProcessId::new)
     }
 }
 
@@ -57,14 +68,20 @@ impl fmt::Display for ProcessId {
     }
 }
 
+/// Same as [`ProcessId::new`], panics included.
 impl From<usize> for ProcessId {
     fn from(index: usize) -> Self {
-        ProcessId(index)
+        ProcessId::new(index)
     }
 }
 
 /// Globally unique message identity: sender plus a per-sender sequence
 /// number, mirroring the paper's uniqueness construction.
+///
+/// Both halves are stored in 32 bits, eight bytes in all: a process
+/// numbers at most 2³² messages, sequences `0 ..= u32::MAX`. The engines
+/// never wrap the counter — the send that would need sequence `u32::MAX`
+/// ends the run as the event budget does — and the API speaks `u64`.
 ///
 /// # Examples
 ///
@@ -78,24 +95,37 @@ impl From<usize> for ProcessId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct MsgId {
     source: ProcessId,
-    seq: u64,
+    seq: u32,
 }
 
 impl MsgId {
     /// Creates a message id from its source process and per-source sequence
     /// number.
+    ///
+    /// # Panics
+    ///
+    /// If `seq` exceeds `u32::MAX`. Sequences read from outside the
+    /// program are range-checked where they enter (the wire codec, the
+    /// trace JSON reader) and never reach this panic.
+    #[inline]
     pub const fn new(source: ProcessId, seq: u64) -> Self {
-        MsgId { source, seq }
+        assert!(seq <= u32::MAX as u64, "message sequence exceeds u32::MAX");
+        MsgId {
+            source,
+            seq: seq as u32,
+        }
     }
 
     /// The process that sent the message.
+    #[inline]
     pub const fn source(self) -> ProcessId {
         self.source
     }
 
     /// The per-source sequence number.
+    #[inline]
     pub const fn seq(self) -> u64 {
-        self.seq
+        self.seq as u64
     }
 }
 

@@ -79,6 +79,7 @@ pub mod observe;
 mod process;
 mod sim;
 pub mod strategy;
+mod text;
 mod time;
 mod timers;
 mod trace;
@@ -101,6 +102,7 @@ pub use strategy::{
     ChoiceTrace, EnabledStep, RandomStrategy, ReplayStrategy, ScheduleLog, StepKind, StepLog,
     Strategy, TimeOrderedStrategy,
 };
+pub use text::Text;
 pub use time::VirtualTime;
 pub use trace::{RunSummary, SimStats, StopReason, Trace, TraceEvent, TraceEventKind};
 pub use wheel::{TimerWheel, WheelEntryId};

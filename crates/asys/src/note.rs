@@ -8,6 +8,7 @@
 //! on.
 
 use crate::id::ProcessId;
+use crate::text::Text;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -21,6 +22,13 @@ pub const NOTE_LEADER: &str = "leader";
 
 /// A structured, execution-neutral annotation attached to the trace by a
 /// process.
+///
+/// 24 bytes, so that it fits a 32-byte [`TraceEventKind`] beside its
+/// process id: keys and values are one-word [`Text`] of any length, the
+/// process set is boxed, and the set holds ids in the 32-bit range of
+/// [`ProcessId`].
+///
+/// [`TraceEventKind`]: crate::TraceEventKind
 ///
 /// # Examples
 ///
@@ -39,34 +47,34 @@ pub enum Note {
     /// A free-form key/value fact, e.g. `leader = p0`.
     KeyVal {
         /// Annotation kind.
-        key: String,
+        key: Text,
         /// Annotation payload.
-        val: String,
+        val: Text,
     },
     /// A fact about a set of processes, e.g. the quorum set supporting the
     /// detection of `about`.
     ProcessSet {
         /// Annotation kind (see [`NOTE_QUORUM`]).
-        key: String,
+        key: Text,
         /// The process the set is about, if any (e.g. the suspect).
         about: Option<ProcessId>,
-        /// The set itself, sorted ascending.
-        set: Vec<ProcessId>,
+        /// The set itself, sorted ascending; boxed to keep the note small.
+        set: Box<Vec<ProcessId>>,
     },
 }
 
 impl Note {
-    /// Creates a key/value note.
-    pub fn key_val(key: impl Into<String>, val: impl fmt::Display) -> Self {
+    /// Creates a key/value note, rendering `val` with its `Display`.
+    pub fn key_val(key: impl Into<Text>, val: impl fmt::Display) -> Self {
         Note::KeyVal {
             key: key.into(),
-            val: val.to_string(),
+            val: Text::render(format_args!("{val}")),
         }
     }
 
     /// Creates a process-set note; the set is sorted for determinism.
     pub fn process_set(
-        key: impl Into<String>,
+        key: impl Into<Text>,
         about: Option<ProcessId>,
         mut set: Vec<ProcessId>,
     ) -> Self {
@@ -75,7 +83,7 @@ impl Note {
         Note::ProcessSet {
             key: key.into(),
             about,
-            set,
+            set: Box::new(set),
         }
     }
 
@@ -122,7 +130,7 @@ mod tests {
         );
         match n {
             Note::ProcessSet { set, .. } => {
-                assert_eq!(set, vec![ProcessId::new(0), ProcessId::new(2)]);
+                assert_eq!(*set, vec![ProcessId::new(0), ProcessId::new(2)]);
             }
             _ => panic!("wrong variant"),
         }

@@ -60,22 +60,14 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
 
-/// What a queue entry does when it comes due. Process ids are stored
-/// narrow and the rare injection payload lives in a side table
+/// What a queue entry does when it comes due. Process ids are four
+/// bytes and the rare injection payload lives in a side table
 /// ([`Sim::injections`]), so an entry is 16 bytes whatever `M` is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Pending {
-    Deliver { from: u32, to: u32 },
-    Timer { pid: u32, id: TimerId },
-    Inject { pid: u32, slot: u32 },
-}
-
-fn pid(narrow: u32) -> ProcessId {
-    ProcessId::new(narrow as usize)
-}
-
-fn narrow(pid: ProcessId) -> u32 {
-    pid.index() as u32
+    Deliver { from: ProcessId, to: ProcessId },
+    Timer { pid: ProcessId, id: TimerId },
+    Inject { pid: ProcessId, slot: u32 },
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -112,18 +104,11 @@ impl Queue {
 
 impl Schedule for Queue {
     fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
-        let (from, to) = (narrow(from), narrow(to));
         self.push(at, Pending::Deliver { from, to });
     }
 
     fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId) {
-        self.push(
-            at,
-            Pending::Timer {
-                pid: narrow(pid),
-                id,
-            },
-        );
+        self.push(at, Pending::Timer { pid, id });
     }
 }
 
@@ -303,13 +288,7 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
         for (time, pid, injection) in self.plan.into_items() {
             let slot = sim.injections.len() as u32;
             sim.injections.push(Some(injection));
-            sim.queue.push(
-                time,
-                Pending::Inject {
-                    pid: narrow(pid),
-                    slot,
-                },
-            );
+            sim.queue.push(time, Pending::Inject { pid, slot });
         }
         sim
     }
@@ -323,10 +302,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// Panics if `n == 0` (or does not fit 32 bits).
     pub fn builder(n: usize) -> SimBuilder<M> {
         assert!(n > 0, "a system needs at least one process");
-        assert!(
-            u32::try_from(n).is_ok(),
-            "process ids are 32-bit in the queue"
-        );
+        assert!(u32::try_from(n).is_ok(), "process ids are 32-bit");
         SimBuilder {
             n,
             seed: 0,
@@ -386,6 +362,12 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         f(self.processes[pid.index()].as_mut(), &mut ctx);
         let actions = ctx.take_actions();
         self.core.apply(pid, actions, &mut self.queue);
+    }
+
+    /// The engine core, for tests that preset its state.
+    #[cfg(test)]
+    pub(crate) fn core_mut(&mut self) -> &mut EngineState<M> {
+        &mut self.core
     }
 
     /// Runs the simulation to completion and returns the trace.
@@ -556,19 +538,16 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     fn step(&mut self, pending: Pending) {
         match pending {
             Pending::Deliver { from, to } => {
-                let (from, to) = (pid(from), pid(to));
                 if let Some(msg) = self.core.admit_head(from, to, &mut self.queue) {
                     self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
                 }
             }
             Pending::Timer { pid: owner, id } => {
-                let owner = pid(owner);
                 if self.core.admit_timer(owner, id) {
                     self.dispatch(owner, |p, ctx| p.on_timer(ctx, id));
                 }
             }
             Pending::Inject { pid: target, slot } => {
-                let target = pid(target);
                 let injection = self.injections[slot as usize]
                     .take()
                     .expect("an injection fires once");
@@ -583,28 +562,22 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// per pending step, in creation order, annotated with the no-op flag
     /// (see [`EnabledStep::noop`]).
     fn enabled_steps(&self) -> Vec<EnabledStep> {
-        let crashed = |p: u32| self.core.is_crashed(pid(p));
+        let crashed = |p| self.core.is_crashed(p);
         self.queue
             .pending
             .iter()
             .map(|e| {
                 let (kind, noop) = match e.pending {
-                    Pending::Deliver { from, to } => (
-                        StepKind::Deliver {
-                            from: pid(from),
-                            to: pid(to),
-                        },
-                        crashed(to),
-                    ),
+                    Pending::Deliver { from, to } => (StepKind::Deliver { from, to }, crashed(to)),
                     Pending::Timer { pid: owner, id } => (
                         StepKind::Timer {
-                            pid: pid(owner),
+                            pid: owner,
                             timer: id,
                         },
                         crashed(owner) || self.core.is_cancelled(id),
                     ),
                     Pending::Inject { pid: target, .. } => {
-                        (StepKind::Inject { pid: pid(target) }, crashed(target))
+                        (StepKind::Inject { pid: target }, crashed(target))
                     }
                 };
                 EnabledStep {

@@ -9,11 +9,16 @@
 
 use crate::id::{MsgId, ProcessId, TimerId};
 use crate::note::Note;
+use crate::text::Text;
 use crate::time::VirtualTime;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// The kind of a recorded trace event.
+/// The kind of a recorded trace event: 32 bytes, a tag byte and the
+/// largest variant, [`TraceEventKind::Note`] (a 4-byte process id beside a
+/// 24-byte [`Note`]). `Send` and `Recv` carry 25 bytes beside the tag: two
+/// 4-byte ids, an 8-byte [`MsgId`], the flag and a one-word [`Text`]
+/// payload.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum TraceEventKind {
     /// Process `from` appended message `msg` to channel `C_{from,to}`.
@@ -29,7 +34,7 @@ pub enum TraceEventKind {
         /// `SimBuilder::classify`.
         infra: bool,
         /// `Debug` rendering of the payload, when payload recording is on.
-        payload: Option<String>,
+        payload: Option<Text>,
     },
     /// Process `by` removed message `msg` from the head of `C_{from,by}`.
     Recv {
@@ -43,7 +48,7 @@ pub enum TraceEventKind {
         /// mirrors the flag recorded at the send.
         infra: bool,
         /// `Debug` rendering of the payload, when payload recording is on.
-        payload: Option<String>,
+        payload: Option<Text>,
     },
     /// `crash_pid`: the process halted permanently.
     Crash {
@@ -71,7 +76,7 @@ pub enum TraceEventKind {
         /// Target of the injection.
         pid: ProcessId,
         /// `Debug` rendering of the payload, when payload recording is on.
-        payload: Option<String>,
+        payload: Option<Text>,
     },
     /// A protocol annotation; never affects execution.
     Note {
@@ -98,7 +103,11 @@ impl TraceEventKind {
     }
 }
 
-/// One recorded event, with its position and virtual timestamp.
+/// One recorded event, with its position and virtual timestamp: 48 bytes,
+/// `seq` and `time` eight each and a 32-byte [`TraceEventKind`]. Process
+/// ids and message sequences inside it are 32-bit (see [`ProcessId`] and
+/// [`MsgId`]), which bounds the system, not the run: `seq` and `time`
+/// stay 64-bit because a long run may pass 2³² events or ticks.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceEvent {
     /// Zero-based position in the trace; unique and dense.
@@ -396,6 +405,23 @@ mod tests {
             VirtualTime::from_ticks(4),
             SimStats::default(),
         )
+    }
+
+    #[test]
+    fn recorded_event_layout_is_pinned() {
+        use std::mem::size_of;
+        // TraceEventKind::Note bounds the size: a process id beside a
+        // 24-byte Note (a one-word key and either a one-word value or an
+        // optional id and a boxed set).
+        assert!(size_of::<TraceEvent>() <= 48, "{}", size_of::<TraceEvent>());
+        assert!(
+            size_of::<TraceEventKind>() <= 32,
+            "{}",
+            size_of::<TraceEventKind>()
+        );
+        assert_eq!(size_of::<Note>(), 24);
+        assert_eq!(size_of::<MsgId>(), 8);
+        assert_eq!(size_of::<ProcessId>(), 4);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 use sfs_asys::net::{Runtime, RuntimeConfig};
 use sfs_asys::{
     Context, EventSink, EventSinkHandle, FaultPlan, FixedLatency, Interest, Process, ProcessId,
-    ReceiveFilter, Sim, TimerId, Trace, TraceEvent, TraceEventKind, VirtualTime,
+    ReceiveFilter, Sim, Text, TimerId, Trace, TraceEvent, TraceEventKind, VirtualTime,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -174,7 +174,7 @@ fn received(trace: &Trace) -> BTreeMap<(ProcessId, ProcessId), Vec<(u64, bool)>>
     channels
 }
 
-fn externals(trace: &Trace) -> Vec<Option<String>> {
+fn externals(trace: &Trace) -> Vec<Option<Text>> {
     trace
         .events()
         .iter()

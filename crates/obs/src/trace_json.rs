@@ -9,14 +9,15 @@
 //! deliberately simple because the vendored serde is a no-op stand-in.
 //!
 //! Numbers are written as exact integers; the parser stores them as
-//! `f64`, so identifiers round-trip exactly up to 2^53 — far beyond any
-//! value a real run produces.
+//! `f64`, so numbers round-trip exactly up to 2^53 — far beyond any
+//! value a real run produces. A process index or message sequence beyond
+//! the 32 bits a [`ProcessId`] or [`MsgId`] holds is an `Err`.
 //!
 //! [`Registry::ingest_trace`]: crate::Registry::ingest_trace
 
 use crate::json::{self, Json};
 use sfs_asys::{
-    MsgId, Note, ProcessId, SimStats, StopReason, TimerId, Trace, TraceEvent, TraceEventKind,
+    MsgId, Note, ProcessId, SimStats, StopReason, Text, TimerId, Trace, TraceEvent, TraceEventKind,
     VirtualTime,
 };
 use std::fmt::Write as _;
@@ -42,7 +43,7 @@ fn stop_parse(label: &str) -> Result<StopReason, String> {
     })
 }
 
-fn write_opt_str(out: &mut String, s: &Option<String>) {
+fn write_opt_str(out: &mut String, s: &Option<Text>) {
     match s {
         Some(s) => json::write_str(out, s),
         None => out.push_str("null"),
@@ -172,12 +173,30 @@ fn field_u64(obj: &Json, key: &str) -> Result<u64, String> {
         .ok_or_else(|| format!("missing/invalid numeric field {key:?}"))
 }
 
-fn field_pid(obj: &Json, key: &str) -> Result<ProcessId, String> {
-    Ok(ProcessId::new(field_u64(obj, key)? as usize))
+/// A process index as a [`ProcessId`], refusing one beyond its 32 bits.
+fn pid(index: u64, key: &str) -> Result<ProcessId, String> {
+    u32::try_from(index)
+        .map(|i| ProcessId::new(i as usize))
+        .map_err(|_| format!("process index {index} in {key:?} exceeds u32::MAX"))
 }
 
-fn field_opt_str(obj: &Json, key: &str) -> Option<String> {
-    obj.get(key).and_then(Json::as_str).map(str::to_owned)
+fn field_pid(obj: &Json, key: &str) -> Result<ProcessId, String> {
+    pid(field_u64(obj, key)?, key)
+}
+
+/// The message id in `src` / `mseq`, refusing a sequence beyond 32 bits.
+fn field_msg(obj: &Json) -> Result<MsgId, String> {
+    let seq = field_u64(obj, "mseq")?;
+    if seq > u64::from(u32::MAX) {
+        return Err(format!("message sequence {seq} exceeds u32::MAX"));
+    }
+    Ok(MsgId::new(field_pid(obj, "src")?, seq))
+}
+
+fn field_opt_str(obj: &Json, key: &str) -> Option<Text> {
+    obj.get(key)
+        .and_then(Json::as_str)
+        .map(|s| Text::from(s.to_owned()))
 }
 
 /// Parses a trace previously written by [`trace_to_json`].
@@ -215,14 +234,14 @@ pub fn trace_from_json(text: &str) -> Result<Trace, String> {
             "send" => TraceEventKind::Send {
                 from: field_pid(ev, "from")?,
                 to: field_pid(ev, "to")?,
-                msg: MsgId::new(field_pid(ev, "src")?, field_u64(ev, "mseq")?),
+                msg: field_msg(ev)?,
                 infra: ev.get("infra").and_then(Json::as_bool).unwrap_or(false),
                 payload: field_opt_str(ev, "payload"),
             },
             "recv" => TraceEventKind::Recv {
                 by: field_pid(ev, "by")?,
                 from: field_pid(ev, "from")?,
-                msg: MsgId::new(field_pid(ev, "src")?, field_u64(ev, "mseq")?),
+                msg: field_msg(ev)?,
                 infra: ev.get("infra").and_then(Json::as_bool).unwrap_or(false),
                 payload: field_opt_str(ev, "payload"),
             },
@@ -243,10 +262,10 @@ pub fn trace_from_json(text: &str) -> Result<Trace, String> {
             },
             "note" => TraceEventKind::Note {
                 pid: field_pid(ev, "pid")?,
-                note: Note::key_val(
-                    field_opt_str(ev, "key").ok_or("note without key")?,
-                    field_opt_str(ev, "val").ok_or("note without val")?,
-                ),
+                note: Note::KeyVal {
+                    key: field_opt_str(ev, "key").ok_or("note without key")?,
+                    val: field_opt_str(ev, "val").ok_or("note without val")?,
+                },
             },
             "noteset" => {
                 let set = ev
@@ -254,14 +273,14 @@ pub fn trace_from_json(text: &str) -> Result<Trace, String> {
                     .and_then(Json::as_arr)
                     .ok_or("noteset without set")?
                     .iter()
-                    .map(|p| p.as_u64().map(|v| ProcessId::new(v as usize)))
-                    .collect::<Option<Vec<_>>>()
-                    .ok_or("non-numeric pid in noteset")?;
+                    .map(|p| pid(p.as_u64().ok_or("non-numeric pid in noteset")?, "set"))
+                    .collect::<Result<Vec<_>, String>>()?;
                 let about = match ev.get("about") {
                     Some(Json::Null) | None => None,
-                    Some(v) => Some(ProcessId::new(
-                        v.as_u64().ok_or("non-numeric about in noteset")? as usize,
-                    )),
+                    Some(v) => Some(pid(
+                        v.as_u64().ok_or("non-numeric about in noteset")?,
+                        "about",
+                    )?),
                 };
                 TraceEventKind::Note {
                     pid: field_pid(ev, "pid")?,
@@ -371,6 +390,53 @@ mod tests {
         assert_eq!(back.events(), trace.events());
         // And a second serialization is byte-identical.
         assert_eq!(trace_to_json(&back), text);
+    }
+
+    #[test]
+    fn ids_beyond_32_bits_are_errors_not_panics() {
+        let (p0, p1) = (ProcessId::new(0), ProcessId::new(1));
+        let events = vec![
+            TraceEvent {
+                seq: 0,
+                time: VirtualTime::from_ticks(1),
+                kind: TraceEventKind::Send {
+                    from: p0,
+                    to: p1,
+                    msg: MsgId::new(p0, u64::from(u32::MAX)),
+                    infra: false,
+                    payload: None,
+                },
+            },
+            TraceEvent {
+                seq: 1,
+                time: VirtualTime::from_ticks(2),
+                kind: TraceEventKind::Note {
+                    pid: p1,
+                    note: Note::process_set("set", Some(p0), vec![p1]),
+                },
+            },
+        ];
+        let trace = Trace::from_parts(
+            2,
+            events,
+            StopReason::Quiescent,
+            VirtualTime::from_ticks(2),
+            SimStats::default(),
+        );
+        let text = trace_to_json(&trace);
+        assert_eq!(trace_from_json(&text).unwrap().events(), trace.events());
+        let big = (1u64 << 32).to_string();
+        for (field, with) in [
+            ("\"from\":0", format!("\"from\":{big}")),
+            ("\"src\":0", format!("\"src\":{big}")),
+            ("\"mseq\":4294967295", format!("\"mseq\":{big}")),
+            ("\"about\":0", format!("\"about\":{big}")),
+            ("\"set\":[1]", format!("\"set\":[{big}]")),
+        ] {
+            assert!(text.contains(field), "{field} not in {text}");
+            let err = trace_from_json(&text.replacen(field, &with, 1)).unwrap_err();
+            assert!(err.contains("exceeds u32::MAX"), "{field}: {err}");
+        }
     }
 
     #[test]

@@ -414,7 +414,7 @@ impl Directory {
                 continue;
             };
             let table = RoutingTable::parse(val)
-                .ok_or_else(|| DirectoryError::Diverged("<unparseable>".into(), val.clone()))?;
+                .ok_or_else(|| DirectoryError::Diverged("<unparseable>".into(), val.to_string()))?;
             match &decided {
                 None => decided = Some(table),
                 Some(prev) if *prev == table => {}

@@ -445,9 +445,10 @@ impl WireCodec for ProcessId {
     fn encode(&self, w: &mut WireWriter) {
         w.u64(self.index() as u64);
     }
+    /// A `u64` on the wire; an index beyond the id's 32 bits is refused.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        usize::try_from(r.u64()?)
-            .map(ProcessId::new)
+        u32::try_from(r.u64()?)
+            .map(|index| ProcessId::new(index as usize))
             .map_err(|_| WireError::BadValue { what: "ProcessId" })
     }
 }
@@ -457,10 +458,12 @@ impl WireCodec for MsgId {
         self.source().encode(w);
         w.u64(self.seq());
     }
+    /// Two `u64`s on the wire; a source or a sequence beyond 32 bits is
+    /// refused.
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let source = ProcessId::decode(r)?;
-        let seq = r.u64()?;
-        Ok(MsgId::new(source, seq))
+        let seq = u32::try_from(r.u64()?).map_err(|_| WireError::BadValue { what: "MsgId" })?;
+        Ok(MsgId::new(source, u64::from(seq)))
     }
 }
 
@@ -598,6 +601,36 @@ mod tests {
             let back = TransportMsg::<u32>::from_wire_bytes(&bytes).unwrap();
             assert_eq!(&back, m);
         }
+    }
+
+    #[test]
+    fn ids_beyond_32_bits_are_bad_values() {
+        let frame = |words: &[u64]| {
+            let mut w = WireWriter::new();
+            words.iter().for_each(|&v| w.u64(v));
+            w.into_bytes()
+        };
+        let top = u64::from(u32::MAX);
+        assert_eq!(
+            ProcessId::from_wire_bytes(&frame(&[top])).unwrap(),
+            ProcessId::new(u32::MAX as usize)
+        );
+        assert_eq!(
+            ProcessId::from_wire_bytes(&frame(&[top + 1])).unwrap_err(),
+            WireError::BadValue { what: "ProcessId" }
+        );
+        assert_eq!(
+            MsgId::from_wire_bytes(&frame(&[3, top])).unwrap(),
+            MsgId::new(ProcessId::new(3), top)
+        );
+        assert_eq!(
+            MsgId::from_wire_bytes(&frame(&[3, top + 1])).unwrap_err(),
+            WireError::BadValue { what: "MsgId" }
+        );
+        assert_eq!(
+            MsgId::from_wire_bytes(&frame(&[top + 1, 0])).unwrap_err(),
+            WireError::BadValue { what: "ProcessId" }
+        );
     }
 
     #[test]

@@ -226,18 +226,26 @@ impl WireCodec for WireEvent {
     }
 
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        // The parent turns the sequence into a `MsgId`, which holds 32
+        // bits: a larger one is refused here, not at that conversion.
+        let msg_seq = |r: &mut WireReader<'_>| match r.u64()? {
+            seq if seq <= u64::from(u32::MAX) => Ok(seq),
+            _ => Err(WireError::BadValue {
+                what: "WireEvent seq",
+            }),
+        };
         let lamport = r.u64()?;
         let kind = match r.u8()? {
             EV_SEND => WireEventKind::Send {
                 to: r.u16()?,
                 src: r.u16()?,
-                seq: r.u64()?,
+                seq: msg_seq(r)?,
                 infra: r.bool()?,
             },
             EV_RECV => WireEventKind::Recv {
                 from: r.u16()?,
                 src: r.u16()?,
-                seq: r.u64()?,
+                seq: msg_seq(r)?,
                 infra: r.bool()?,
             },
             EV_CRASH => WireEventKind::Crash,
@@ -560,6 +568,23 @@ mod tests {
             NodeToParent::from_wire_bytes(&dump.to_wire_bytes()).unwrap(),
             dump
         );
+        for seq in [u64::from(u32::MAX) + 1, u64::MAX] {
+            let event = WireEvent {
+                lamport: 3,
+                kind: WireEventKind::Recv {
+                    from: 1,
+                    src: 1,
+                    seq,
+                    infra: false,
+                },
+            };
+            assert_eq!(
+                WireEvent::from_wire_bytes(&event.to_wire_bytes()).unwrap_err(),
+                WireError::BadValue {
+                    what: "WireEvent seq"
+                }
+            );
+        }
     }
 
     #[test]

@@ -231,9 +231,12 @@ where
                 }
                 Action::Annotate(note) => {
                     let kind = match note {
-                        Note::KeyVal { key, val } => WireEventKind::NoteKv { key, val },
+                        Note::KeyVal { key, val } => WireEventKind::NoteKv {
+                            key: key.to_string(),
+                            val: val.to_string(),
+                        },
                         Note::ProcessSet { key, about, set } => WireEventKind::NoteSet {
-                            key,
+                            key: key.to_string(),
                             about: about.map(|p| p.index() as u16),
                             set: set.iter().map(|p| p.index() as u16).collect(),
                         },

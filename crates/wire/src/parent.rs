@@ -314,14 +314,17 @@ fn assemble(n: usize, dumps: &[NodeDump], quiesced: bool) -> Trace {
                 },
                 WireEventKind::NoteKv { key, val } => TraceEventKind::Note {
                     pid: p,
-                    note: Note::key_val(key.clone(), val.clone()),
+                    note: Note::KeyVal {
+                        key: key.clone().into(),
+                        val: val.clone().into(),
+                    },
                 },
                 WireEventKind::NoteSet { key, about, set } => TraceEventKind::Note {
                     pid: p,
                     note: Note::ProcessSet {
-                        key: key.clone(),
+                        key: key.clone().into(),
                         about: about.map(|a| ProcessId::new(a as usize)),
-                        set: set.iter().map(|&s| ProcessId::new(s as usize)).collect(),
+                        set: Box::new(set.iter().map(|&s| ProcessId::new(s as usize)).collect()),
                     },
                 },
             };
