@@ -1,8 +1,9 @@
 //! The engine core: the paper's §2 model, written once.
 //!
-//! Both engines — the simulator ([`Sim`](crate::Sim)) and the threaded
-//! runtime ([`net::Runtime`](crate::net::Runtime)) — drive one
-//! [`EngineState`] and keep only their own scheduling loop. The core owns
+//! Every engine — the simulator ([`Sim`](crate::Sim)), the threaded
+//! runtime ([`net::Runtime`](crate::net::Runtime)) and the one-process
+//! [`Host`](crate::Host) the UDP node wraps — drives one [`EngineState`]
+//! and keeps only its own scheduling loop. The core owns
 //! everything an event may change: crash and detection flags, the receive
 //! filters, the reliable FIFO channel `C_{i,j}` of every ordered pair (a
 //! queue of in-flight copies plus a parked flag), message numbering, the
@@ -23,7 +24,18 @@
 //!
 //! Each engine passes its delay floor at construction: the simulator
 //! delivers and fires no earlier than one tick after the cause, the
-//! runtime at the same instant when the link or the timer says zero.
+//! runtime and a host at the same instant when the link or the timer says
+//! zero.
+//!
+//! A host's peers live in other OS processes, so [`Schedule`] has two
+//! edges more, which the in-process engines leave at their no-op
+//! defaults: after the link's verdict a copy for a process elsewhere
+//! leaves through [`Schedule::egress`] instead of joining a local
+//! channel, and [`EngineState::ingress`] puts a copy that arrived from
+//! elsewhere on its channel under the sender's id. A host's owner also
+//! waits on real time for an empty wheel, so it drops a cancelled timer
+//! at once ([`Schedule::timer_cancelled`]); the in-process engines leave
+//! it to dissolve when it comes due.
 
 use crate::fault::Injection;
 use crate::id::{MsgId, ProcessId, TimerId};
@@ -34,6 +46,7 @@ use crate::text::Text;
 use crate::time::VirtualTime;
 use crate::timers::CancelledTimers;
 use crate::trace::{SimStats, TraceEvent, TraceEventKind};
+use crate::wheel::TimerWheel;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::fmt;
@@ -113,12 +126,57 @@ impl CrashRegistry {
     }
 }
 
-/// Where an engine files the deadlines the core announces.
-pub(crate) trait Schedule {
+/// Where an engine files the deadlines the core announces, and — for a
+/// [`Host`](crate::Host), whose peers live in other OS processes — where
+/// copies for those peers leave.
+pub(crate) trait Schedule<M> {
     /// The head of channel `from -> to` comes due at `at`.
     fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId);
     /// Timer `id`, armed by `pid`, comes due at `at`.
     fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId);
+    /// Timer `id` was cancelled. The core dissolves it when it comes due
+    /// either way; a host, whose owner waits on real time for an empty
+    /// wheel, drops it now.
+    #[inline(always)]
+    fn timer_cancelled(&mut self, _id: TimerId) {}
+    /// Whether channels into `to` end in this OS process. Both in-process
+    /// engines hold every process, so the default is a constant the
+    /// compiler folds away.
+    #[inline(always)]
+    fn is_local(&self, _to: ProcessId) -> bool {
+        true
+    }
+    /// The egress edge: a copy the link let through, for a receiver that
+    /// [`is_local`](Schedule::is_local) says lives elsewhere, due there at
+    /// `at`. Never called when every receiver is local.
+    fn egress(&mut self, _to: ProcessId, _msg: MsgId, _at: VirtualTime, _payload: M) {}
+}
+
+/// A deadline the core announced, or a fault-plan entry: what the
+/// runtime's and a host's timer wheels hold.
+pub(crate) enum Due<M> {
+    Head {
+        from: ProcessId,
+        to: ProcessId,
+    },
+    Fire {
+        pid: ProcessId,
+        id: TimerId,
+    },
+    Plan {
+        pid: ProcessId,
+        injection: Injection<M>,
+    },
+}
+
+impl<M> Schedule<M> for TimerWheel<Due<M>> {
+    fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
+        self.insert(at, Due::Head { from, to });
+    }
+
+    fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId) {
+        self.insert(at, Due::Fire { pid, id });
+    }
 }
 
 /// What a run plugs into the core: the network, the observers and the
@@ -265,7 +323,12 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
     }
 
     /// Applies the actions one handler call of `pid` issued, in order.
-    pub(crate) fn apply(&mut self, pid: ProcessId, actions: Vec<Action<M>>, s: &mut impl Schedule) {
+    pub(crate) fn apply(
+        &mut self,
+        pid: ProcessId,
+        actions: Vec<Action<M>>,
+        s: &mut impl Schedule<M>,
+    ) {
         // Internal iteration reads each action once, straight from the
         // buffer. A `for` loop moves it out through an `Option` first, and
         // where the payload shares the action's tag word (a payload at
@@ -285,7 +348,10 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
             match action {
                 Action::Send { to, msg } => self.send(pid, to, msg, s),
                 Action::SetTimer { id, delay } => s.timer_due(self.deadline(delay), pid, id),
-                Action::CancelTimer { id } => self.cancelled.cancel(id),
+                Action::CancelTimer { id } => {
+                    self.cancelled.cancel(id);
+                    s.timer_cancelled(id);
+                }
                 Action::CrashSelf => self.crash(pid),
                 Action::DeclareFailed { of } => self.declare_failed(pid, of),
                 Action::Annotate(note) => self.emit(TraceEventKind::Note { pid, note }),
@@ -314,7 +380,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
 
     /// Announces the heads of the channels into `to` that its previous
     /// filter parked.
-    fn unpark_to(&mut self, to: ProcessId, s: &mut impl Schedule) {
+    fn unpark_to(&mut self, to: ProcessId, s: &mut impl Schedule<M>) {
         for from in ProcessId::all(self.n) {
             let ch = from.index() * self.n + to.index();
             if std::mem::take(&mut self.parked[ch]) {
@@ -325,7 +391,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         }
     }
 
-    fn send(&mut self, from: ProcessId, to: ProcessId, payload: M, s: &mut impl Schedule) {
+    fn send(&mut self, from: ProcessId, to: ProcessId, payload: M, s: &mut impl Schedule<M>) {
         let seq = self.msg_seq[from.index()];
         let Some(next) = seq.checked_add(1) else {
             // `from` has numbered every sequence a MsgId holds but the
@@ -359,17 +425,50 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
             None => LinkVerdict::Deliver(0),
         };
         match verdict {
-            LinkVerdict::Deliver(d) => self.enqueue(from, to, copy(payload, self.deadline(d)), s),
+            LinkVerdict::Deliver(d) => self.put(from, to, copy(payload, self.deadline(d)), s),
             // The network loses the message: the send happened, but no
             // copy enters the channel. Reliability above this point is the
             // transport layer's job.
             LinkVerdict::Drop => self.stats.messages_dropped += 1,
             LinkVerdict::Duplicate(d1, d2) => {
                 self.stats.messages_duplicated += 1;
-                self.enqueue(from, to, copy(payload.clone(), self.deadline(d1)), s);
-                self.enqueue(from, to, copy(payload, self.deadline(d2)), s);
+                self.put(from, to, copy(payload.clone(), self.deadline(d1)), s);
+                self.put(from, to, copy(payload, self.deadline(d2)), s);
             }
         }
+    }
+
+    /// Puts one copy the link let through on its way: onto the local
+    /// channel `from -> to`, or out through the egress edge when `to`
+    /// lives in another OS process.
+    #[inline(always)]
+    fn put(&mut self, from: ProcessId, to: ProcessId, copy: InFlight<M>, s: &mut impl Schedule<M>) {
+        if s.is_local(to) {
+            self.enqueue(from, to, copy, s);
+        } else {
+            s.egress(to, copy.msg, copy.deliver_at, copy.payload);
+        }
+    }
+
+    /// The ingress edge: a copy another OS process sent to `to` joins
+    /// channel `msg.source() -> to` at the current instant, under the
+    /// sender's id. From here on it is the core's like any local copy:
+    /// parked by a filter, consumed at a crash, counted once admitted.
+    pub(crate) fn ingress(
+        &mut self,
+        to: ProcessId,
+        msg: MsgId,
+        payload: M,
+        s: &mut impl Schedule<M>,
+    ) {
+        let infra = self.hooks.classify.as_ref().is_some_and(|f| f(&payload));
+        let copy = InFlight {
+            msg,
+            payload,
+            deliver_at: self.now,
+            infra,
+        };
+        self.enqueue(msg.source(), to, copy, s);
     }
 
     /// Appends one copy to channel `from -> to`, announcing it as the head
@@ -379,7 +478,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         from: ProcessId,
         to: ProcessId,
         copy: InFlight<M>,
-        s: &mut impl Schedule,
+        s: &mut impl Schedule<M>,
     ) {
         let queue = &mut self.channels[from.index() * self.n + to.index()];
         if queue.is_empty() {
@@ -429,7 +528,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         &mut self,
         from: ProcessId,
         to: ProcessId,
-        s: &mut impl Schedule,
+        s: &mut impl Schedule<M>,
     ) -> Option<M> {
         let ch = from.index() * self.n + to.index();
         let queue = &mut self.channels[ch];

@@ -24,13 +24,17 @@
 //! * [`Trace`] — the total order of observed events, consumed by the
 //!   `sfs-history` and `sfs-tlogic` crates;
 //! * [`net`] — a threaded runtime driving the same [`Process`] automata
-//!   on a pool of worker threads behind a router, over crossbeam channels.
+//!   on a pool of worker threads behind a router, over crossbeam channels;
+//! * [`Host`] — one process of a system spread over OS processes, with no
+//!   threads and no I/O: its owner supplies the clock and carries the
+//!   copies between hosts (the UDP backend's node is a socket loop
+//!   around one).
 //!
-//! Both engines drive one crate-private engine core that implements the
+//! All three drive one crate-private engine core that implements the
 //! model once — channels, crashes, detections, receive filters, the link
 //! seam and the event stream — and differ only in how they schedule:
 //! [`Sim`] by its calendar queue or a [`Strategy`], the runtime by a
-//! [`TimerWheel`] on real threads.
+//! [`TimerWheel`] on real threads, a host by a wheel its owner advances.
 //!
 //! # Examples
 //!
@@ -71,6 +75,7 @@
 mod calendar;
 mod engine;
 mod fault;
+mod host;
 mod id;
 mod latency;
 mod link;
@@ -89,6 +94,7 @@ pub mod net;
 
 pub use engine::CrashRegistry;
 pub use fault::{FaultPlan, Injection};
+pub use host::{Egress, Host};
 pub use id::{MsgId, ProcessId, TimerId};
 pub use latency::{
     FixedLatency, FnLatency, LatencyError, LatencyModel, OverrideLatency, UniformLatency, NEVER,

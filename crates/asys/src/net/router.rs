@@ -52,7 +52,7 @@
 //! follow-ups land at the same instant and are dispatched before the clock
 //! moves again; once the event budget is spent nothing more is dispatched.
 
-use crate::engine::{Classify, CrashRegistry, EngineState, Hooks, Measure, Schedule};
+use crate::engine::{Classify, CrashRegistry, Due, EngineState, Hooks, Measure};
 use crate::fault::{FaultPlan, Injection};
 use crate::id::{ProcessId, TimerId};
 use crate::link::LinkModel;
@@ -142,6 +142,37 @@ impl<M> Default for RuntimeConfig<M> {
     }
 }
 
+impl<M: Clone + fmt::Debug> RuntimeConfig<M> {
+    /// The rng node `pid`'s handlers draw from: seeded `seed + pid`.
+    pub(crate) fn node_rng(&self, pid: ProcessId) -> StdRng {
+        StdRng::seed_from_u64(self.seed.wrapping_add(pid.index() as u64))
+    }
+
+    /// The engine core this configuration describes for `n` processes,
+    /// at the runtime's delay floor of zero and recording when `record`
+    /// is on, and the two things its owner's wheel holds instead: the
+    /// fault plan and the horizon.
+    pub(crate) fn into_core(self, n: usize) -> (EngineState<M>, FaultPlan<M>, VirtualTime) {
+        let hooks = Hooks {
+            link: self.link.map(|link| link as Box<dyn LinkModel>),
+            classify: self.classify,
+            measure: self.measure,
+            sink: self.sink,
+            registry: self.registry.unwrap_or_else(|| CrashRegistry::new(n)),
+            record_payloads: false,
+            max_events: self.max_events,
+        };
+        // Link verdicts draw from their own seeded rng: node rngs are
+        // independent, so link draws never perturb process behaviour.
+        let rng = StdRng::seed_from_u64(self.seed ^ 0x11AC_C01D);
+        let mut core = EngineState::new(n, 0, rng, hooks);
+        if self.record {
+            core.start_recording();
+        }
+        (core, self.faults, self.max_time)
+    }
+}
+
 impl<M> fmt::Debug for RuntimeConfig<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RuntimeConfig")
@@ -190,33 +221,6 @@ enum ToRouter<M> {
         reply: Sender<bool>,
     },
     Shutdown,
-}
-
-/// A wheel entry: a deadline the engine core announced, or a fault-plan
-/// entry.
-enum Due<M> {
-    Head {
-        from: ProcessId,
-        to: ProcessId,
-    },
-    Fire {
-        pid: ProcessId,
-        id: TimerId,
-    },
-    Plan {
-        pid: ProcessId,
-        injection: Injection<M>,
-    },
-}
-
-impl<M> Schedule for TimerWheel<Due<M>> {
-    fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
-        self.insert(at, Due::Head { from, to });
-    }
-
-    fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId) {
-        self.insert(at, Due::Fire { pid, id });
-    }
 }
 
 /// A running system of `n` processes on a pool of worker threads plus a
@@ -272,7 +276,7 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
             slices[pid.index() % w].push(Node {
                 pid,
                 process: make(pid),
-                rng: StdRng::seed_from_u64(config.seed.wrapping_add(pid.index() as u64)),
+                rng: config.node_rng(pid),
                 // Namespace timer ids by process so they are globally unique.
                 next_timer: (pid.index() as u64) << 40,
             });
@@ -624,34 +628,20 @@ fn router_main<M: Clone + fmt::Debug + Send + 'static>(
     rx: Receiver<ToRouter<M>>,
     workers: Vec<Sender<Batch<M>>>,
 ) -> RouterExit {
-    let hooks = Hooks {
-        link: config.link.map(|link| link as Box<dyn LinkModel>),
-        classify: config.classify,
-        measure: config.measure,
-        sink: config.sink,
-        registry: config.registry.unwrap_or_else(|| CrashRegistry::new(n)),
-        record_payloads: false,
-        max_events: config.max_events,
-    };
-    // Link verdicts draw from their own seeded rng: node rngs are
-    // independent, so link draws never perturb process behaviour.
-    let rng = StdRng::seed_from_u64(config.seed ^ 0x11AC_C01D);
+    let (core, faults, max_time) = config.into_core(n);
     let mut state = RouterState {
-        core: EngineState::new(n, 0, rng, hooks),
+        core,
         wheel: TimerWheel::new(),
         outstanding: 0,
         waiters: Vec::new(),
-        max_time: config.max_time,
+        max_time,
         staged: workers.iter().map(|_| Vec::new()).collect(),
         workers,
     };
-    if config.record {
-        state.core.start_recording();
-    }
     // Plan entries go on the wheel before anything else so they hold the
     // earliest insertion seqs at their instants: an injection at tick T is
     // applied before any delivery or timer due at T.
-    for (at, pid, injection) in config.faults.into_items() {
+    for (at, pid, injection) in faults.into_items() {
         state.wheel.insert(at, Due::Plan { pid, injection });
     }
     // As on the simulator, every `on_start` takes effect before the first

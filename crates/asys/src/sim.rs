@@ -102,7 +102,7 @@ impl Queue {
     }
 }
 
-impl Schedule for Queue {
+impl<M> Schedule<M> for Queue {
     fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
         self.push(at, Pending::Deliver { from, to });
     }

@@ -205,6 +205,25 @@ pub struct SimStats {
     pub wire_bytes: u64,
 }
 
+/// Counter-wise sum: the counters of a system whose processes ran on
+/// separate [`Host`](crate::Host)s are the sum of the hosts' counters.
+impl std::iter::Sum for SimStats {
+    fn sum<I: Iterator<Item = SimStats>>(iter: I) -> SimStats {
+        iter.fold(SimStats::default(), |a, b| SimStats {
+            messages_sent: a.messages_sent + b.messages_sent,
+            messages_delivered: a.messages_delivered + b.messages_delivered,
+            messages_to_crashed: a.messages_to_crashed + b.messages_to_crashed,
+            messages_dropped: a.messages_dropped + b.messages_dropped,
+            messages_duplicated: a.messages_duplicated + b.messages_duplicated,
+            timers_fired: a.timers_fired + b.timers_fired,
+            crashes: a.crashes + b.crashes,
+            detections: a.detections + b.detections,
+            delivery_batches: a.delivery_batches + b.delivery_batches,
+            wire_bytes: a.wire_bytes + b.wire_bytes,
+        })
+    }
+}
+
 /// How a run that kept no trace ended: everything a [`Trace`] carries
 /// except the events themselves, which went only to the attached
 /// [`EventSink`](crate::observe::EventSink). Returned by

@@ -16,11 +16,17 @@
 //! The runtime with its recorder off must end the same relay the same
 //! way: the summary it returns equals the recorded run's, and its sink is
 //! offered every event the recorded run kept.
+//!
+//! Spread over one [`Host`] per process, as the UDP backend runs it, the
+//! relay must end the same way too: the test carries each copy a host
+//! egresses to its receiver's host at the instant the link delay says,
+//! on one virtual clock, and the hosts' counters sum to the simulator's.
 
 use sfs_asys::net::{Runtime, RuntimeConfig};
 use sfs_asys::{
-    Context, EventSink, EventSinkHandle, FaultPlan, FixedLatency, Interest, Process, ProcessId,
-    ReceiveFilter, Sim, Text, TimerId, Trace, TraceEvent, TraceEventKind, VirtualTime,
+    Context, Egress, EventSink, EventSinkHandle, FaultPlan, FixedLatency, Host, Interest, Process,
+    ProcessId, ReceiveFilter, Sim, SimStats, Text, TimerId, Trace, TraceEvent, TraceEventKind,
+    VirtualTime,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -100,9 +106,9 @@ fn on_sim(n: usize) -> Trace {
         .run()
 }
 
-/// The relay on the runtime, settled and not yet shut down.
-fn settled_runtime(n: usize, record: bool, sink: Option<EventSinkHandle>) -> Runtime<u32> {
-    let config = RuntimeConfig {
+/// The relay's configuration on the runtime and on hosts.
+fn config(n: usize, record: bool, sink: Option<EventSinkHandle>) -> RuntimeConfig<u32> {
+    RuntimeConfig {
         link: Some(Box::new(FixedLatency(DELAY))),
         record,
         faults: plan(n),
@@ -110,8 +116,12 @@ fn settled_runtime(n: usize, record: bool, sink: Option<EventSinkHandle>) -> Run
         measure: Some(Box::new(wire_cost)),
         sink,
         ..RuntimeConfig::default()
-    };
-    let rt = Runtime::spawn(n, config, |_| Box::new(Relay));
+    }
+}
+
+/// The relay on the runtime, settled and not yet shut down.
+fn settled_runtime(n: usize, record: bool, sink: Option<EventSinkHandle>) -> Runtime<u32> {
+    let rt = Runtime::spawn(n, config(n, record, sink), |_| Box::new(Relay));
     assert!(
         rt.drain(Duration::from_secs(10)),
         "n={n}: relay must settle"
@@ -121,6 +131,34 @@ fn settled_runtime(n: usize, record: bool, sink: Option<EventSinkHandle>) -> Run
 
 fn on_runtime(n: usize) -> Trace {
     settled_runtime(n, true, None).shutdown()
+}
+
+/// The relay on one host per process, run until nothing is due on any
+/// host and no copy is in transit. Each instant, every host is advanced
+/// to it first; the copies due then join their channels next, and are
+/// received on the following turn at the same instant.
+fn on_hosts(n: usize) -> Vec<Host<u32>> {
+    let mut hosts: Vec<Host<u32>> = ProcessId::all(n)
+        .map(|me| Host::start(me, n, config(n, true, None), Box::new(Relay)))
+        .collect();
+    let mut transit: Vec<Egress<u32>> = hosts.iter_mut().flat_map(Host::egress).collect();
+    while let Some(now) = hosts
+        .iter()
+        .filter_map(Host::next_deadline)
+        .chain(transit.iter().map(|copy| copy.at))
+        .min()
+    {
+        for host in &mut hosts {
+            host.advance_to(now);
+            transit.extend(host.egress());
+        }
+        let (due, later) = transit.into_iter().partition(|copy| copy.at <= now);
+        transit = later;
+        for copy in due {
+            assert!(hosts[copy.to.index()].ingress(copy.msg, copy.payload));
+        }
+    }
+    hosts
 }
 
 /// Counts every event it is offered.
@@ -151,9 +189,11 @@ impl Count {
 }
 
 /// Every channel's received messages (id and class), sorted.
-fn received(trace: &Trace) -> BTreeMap<(ProcessId, ProcessId), Vec<(u64, bool)>> {
+fn received<'a>(
+    events: impl IntoIterator<Item = &'a TraceEvent>,
+) -> BTreeMap<(ProcessId, ProcessId), Vec<(u64, bool)>> {
     let mut channels: BTreeMap<_, Vec<_>> = BTreeMap::new();
-    for e in trace.events() {
+    for e in events {
         if let TraceEventKind::Recv {
             by,
             from,
@@ -194,7 +234,7 @@ fn simulator_and_runtime_agree_on_a_relay() {
         // How the router batched its handovers is its own business.
         (s.delivery_batches, t.delivery_batches) = (0, 0);
         assert_eq!(s, t, "n={n}\nsim:\n{}", sim.to_pretty_string());
-        assert_eq!(received(&sim), received(&threaded), "n={n}");
+        assert_eq!(received(sim.events()), received(threaded.events()), "n={n}");
         assert_eq!(sim.stop_reason(), threaded.stop_reason(), "n={n}");
         assert!(
             sim.channels_drained() && threaded.channels_drained(),
@@ -210,7 +250,10 @@ fn simulator_and_runtime_agree_on_a_relay() {
         }
         assert_eq!(s.crashes, 1);
         assert!(s.timers_fired > 0 && s.wire_bytes > 0, "n={n}: {s:?}");
-        assert!(received(&sim).values().flatten().any(|&(_, infra)| infra));
+        assert!(received(sim.events())
+            .values()
+            .flatten()
+            .any(|&(_, infra)| infra));
     }
 }
 
@@ -232,5 +275,29 @@ fn an_unrecorded_runtime_ends_as_the_recorded_one() {
         assert_eq!(run.events, trace.events().len(), "n={n}");
         assert_eq!(kept.seen(), trace.events().len(), "n={n}");
         assert_eq!(unkept.seen(), run.events, "n={n}");
+    }
+}
+
+#[test]
+fn the_simulator_and_one_host_per_process_agree_on_a_relay() {
+    for n in [1, 2, 3, 5, 17] {
+        let sim = on_sim(n);
+        let hosts = on_hosts(n);
+        let mut s = sim.stats();
+        let mut h: SimStats = hosts.iter().map(Host::stats).sum();
+        (s.delivery_batches, h.delivery_batches) = (0, 0);
+        assert_eq!(s, h, "n={n}\nsim:\n{}", sim.to_pretty_string());
+        assert_eq!(
+            received(sim.events()),
+            received(hosts.iter().flat_map(Host::events)),
+            "n={n}"
+        );
+        // Each host recorded only its own process's events.
+        for host in &hosts {
+            assert!(host.events().iter().all(|e| e.kind.process() == host.me()));
+        }
+        if n > 1 {
+            assert!(h.messages_to_crashed > 0, "n={n}: {h:?}");
+        }
     }
 }

@@ -12,8 +12,7 @@
 //!    ARQ transport leg, and (when the node binary is present) the UDP
 //!    backend, folding every engine into one merged [`RunReport`]
 //!    (`OBS_FOUR_ENGINES.json`): each leg's trace through
-//!    `Registry::ingest_trace`, its counters through `ingest_stats` (the
-//!    UDP leg's through `ingest_node_status`). Set
+//!    `Registry::ingest_trace`, its counters through `ingest_stats`. Set
 //!    `SFS_OBS_SMOKE_REQUIRE_UDP=1` to make a missing node binary fatal
 //!    (CI does).
 //! 3. **Chrome trace export**: converts the observed sim run to Chrome
@@ -159,19 +158,14 @@ fn main() {
     let mut engines = 3;
     match sfs::udp_node_binary() {
         Ok(_) => {
-            let udp_reg = Registry::for_shard("udp", 0);
-            let run = common_spec(seed)
+            let (trace, quiesced) = common_spec(seed)
                 .net(NetSpec::faultless())
-                .try_run_udp_full(Duration::from_secs(20))
+                .try_run_udp(Duration::from_secs(20))
                 .unwrap_or_else(|e| fail(&format!("udp leg: {e}")));
-            if !run.quiesced {
+            if !quiesced {
                 fail("udp leg did not quiesce");
             }
-            // The UDP engine's counters arrive as per-node Status-frame
-            // ledgers, not through an in-process sink.
-            udp_reg.ingest_node_status(&run.node_status);
-            udp_reg.ingest_trace(&run.trace);
-            merged.merge(&udp_reg.report());
+            merged.merge(&leg_report("udp", &trace));
             engines = 4;
         }
         Err(e) if std::env::var_os("SFS_OBS_SMOKE_REQUIRE_UDP").is_some() => {

@@ -679,7 +679,7 @@ impl ClusterSpec {
     /// classification (only `App` messages are model-level) and — when
     /// the [`NetSpec`] enables probing — endogenous suspicion wired to
     /// `Control::Suspect`.
-    fn wrap_process<A: Application>(
+    pub(crate) fn wrap_process<A: Application>(
         &self,
         net: &NetSpec,
         registry: &CrashRegistry,

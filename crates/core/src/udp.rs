@@ -13,21 +13,20 @@
 //!
 //! Two [`ClusterSpec`] features cannot cross a process boundary and are
 //! rejected with typed errors rather than silently ignored: oracle
-//! detection (the [`CrashRegistry`](sfs_asys::CrashRegistry) is shared
-//! memory) and partition/storm schedules (the wire shim models i.i.d.
-//! loss and duplication only).
+//! detection (the [`CrashRegistry`] is shared memory) and partition/storm
+//! schedules (a node's link models i.i.d. loss and duplication only).
 
 use crate::app::NullApp;
-use crate::config::DetectionMode;
-use crate::harness::{ClusterSpec, ModeSpec, SpecError};
+use crate::config::HeartbeatConfig;
+use crate::harness::{ClusterSpec, ModeSpec, NetSpec, SpecError};
 use crate::msg::{Control, SfsMsg};
 use crate::protocol::SfsProcess;
 use crate::quorum::QuorumPolicy;
-use sfs_asys::{ProcessId, Trace};
+use sfs_asys::{CrashRegistry, ProcessId, Trace};
 use sfs_transport::{AdaptiveConfig, ArqConfig, ProbeConfig, Reliable, TransportMsg};
 use sfs_wire::{
-    run_cluster, run_node, ClusterConfig, NodeConfig, NodeFault, ShimConfig, WireCodec, WireError,
-    WireReader, WireWriter, ENV_CTRL_ADDR,
+    run_cluster, run_node, ClusterConfig, NodeConfig, NodeFault, WireCodec, WireError, WireReader,
+    WireWriter, ENV_CTRL_ADDR,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -167,7 +166,7 @@ impl<M: WireCodec> WireCodec for SfsMsg<M> {
 /// rejects it before any blob is built, and the decoder refuses its tag.
 #[derive(Debug, Clone, PartialEq)]
 pub struct UdpNodeSpec {
-    /// The generic wire-backend knobs (identity, seed, tick, shim).
+    /// The generic wire-backend knobs (identity, seed, tick, link faults).
     pub node: NodeConfig,
     /// Failure bound `t`.
     pub t: u64,
@@ -298,52 +297,45 @@ impl WireCodec for UdpNodeSpec {
     }
 }
 
-// The heartbeat triple travels as (interval, (timeout, check_every)) to
-// reuse the tuple codec; this impl-free detour keeps WireCodec out of
-// the public HeartbeatConfig API.
 impl UdpNodeSpec {
-    /// The transport-wrapped protocol process this blob describes — the
-    /// node-side mirror of the harness's `wrap_process`, specialised to
-    /// [`NullApp`] (the UDP backend is a detector-conformance leg, not
-    /// an application platform).
+    /// The transport-wrapped protocol process this blob describes, built
+    /// by the one constructor every other backend's net leg uses
+    /// ([`ClusterSpec`]'s), specialised to [`NullApp`] (the UDP backend is
+    /// a detector-conformance leg, not an application platform).
     ///
     /// # Errors
     ///
-    /// A human-readable message when the shape is infeasible (quorum
-    /// arithmetic) — the parent validated it, so this only fires on a
-    /// corrupted blob.
-    pub fn build_process(&self) -> Result<Reliable<SfsProcess<NullApp>, SfsMsg<()>>, String> {
-        let mode = match self.mode {
-            ModeSpec::SfsOneRound => DetectionMode::SfsOneRound,
-            ModeSpec::Unilateral => DetectionMode::Unilateral,
-            ModeSpec::CheapBroadcast => DetectionMode::CheapBroadcast,
-            ModeSpec::Oracle => return Err(UdpError::OracleUnsupported.to_string()),
+    /// [`UdpError::OracleUnsupported`] for oracle mode, and whatever
+    /// [`ClusterSpec::validate`] reports for an infeasible shape — the
+    /// parent validated it, so either only fires on a corrupted blob.
+    pub fn build_process(&self) -> Result<Reliable<SfsProcess<NullApp>, SfsMsg<()>>, SpecError> {
+        if self.mode == ModeSpec::Oracle {
+            return Err(UdpError::OracleUnsupported.into());
+        }
+        let n = usize::from(self.node.n);
+        let net = NetSpec {
+            arq: self.arq,
+            probe: self.probe,
+            adaptive: self.adaptive,
+            ..NetSpec::default()
         };
-        let heartbeat =
-            self.heartbeat.map(
-                |(interval, timeout, check_every)| crate::config::HeartbeatConfig {
+        let spec = ClusterSpec {
+            mode: self.mode,
+            quorum: self.quorum,
+            heartbeat: self
+                .heartbeat
+                .map(|(interval, timeout, check_every)| HeartbeatConfig {
                     interval,
                     timeout,
                     check_every,
-                },
-            );
-        let config = crate::config::SfsConfig::new(self.node.n as usize, self.t as usize)
-            .mode(mode)
-            .quorum(self.quorum)
-            .heartbeat(heartbeat)
-            .gate_app_messages(self.gate_app_messages)
-            .crash_on_own_obituary(self.crash_on_own_obituary);
-        let process = SfsProcess::new(config, NullApp).map_err(|e| e.to_string())?;
-        let mut wrapped = Reliable::new(process, self.arq).classify(|m: &SfsMsg<()>| !m.is_app());
-        if let Some(probe) = self.probe {
-            wrapped = wrapped.suspicion(probe, |peer| {
-                SfsMsg::Control(Control::Suspect { suspect: peer })
-            });
-        }
-        if let Some(adaptive) = self.adaptive {
-            wrapped = wrapped.adaptive(adaptive);
-        }
-        Ok(wrapped)
+                }),
+            gate_app_messages: self.gate_app_messages,
+            crash_on_own_obituary: self.crash_on_own_obituary,
+            net: Some(net.clone()),
+            ..ClusterSpec::new(n, self.t as usize)
+        };
+        spec.validate()?;
+        Ok(spec.wrap_process(&net, &CrashRegistry::new(n), NullApp))
     }
 }
 
@@ -424,7 +416,7 @@ pub fn udp_node_main() -> Result<(), String> {
     let spec = UdpNodeSpec::from_wire_bytes(&bytes)
         .map_err(|e| format!("{ENV_NODE_SPEC} does not decode: {e}"))?;
     let ctrl = env::var(ENV_CTRL_ADDR).map_err(|_| format!("{ENV_CTRL_ADDR} is not set"))?;
-    let process = spec.build_process()?;
+    let process = spec.build_process().map_err(|e| e.to_string())?;
     run_node(
         &spec.node,
         ctrl.as_str(),
@@ -441,8 +433,8 @@ pub fn udp_node_main() -> Result<(), String> {
 
 /// SplitMix-style per-node seed derivation: distinct, deterministic
 /// streams from one spec seed.
-fn node_seed(seed: u64, me: usize, salt: u64) -> u64 {
-    let mut z = seed ^ salt ^ (me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+fn node_seed(seed: u64, me: usize) -> u64 {
+    let mut z = seed ^ (me as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
@@ -450,8 +442,8 @@ fn node_seed(seed: u64, me: usize, salt: u64) -> u64 {
 
 impl ClusterSpec {
     /// Runs the cluster on the **UDP backend**: one OS process per node,
-    /// real localhost datagrams, the spec's loss/duplication mapped onto
-    /// each node's deterministic wire shim, and the spec's scripted
+    /// real localhost datagrams, the spec's loss/duplication on each
+    /// node's seeded link, and the spec's scripted
     /// crashes and suspicions delivered over the control channel. Waits
     /// up to `settle` wall clock for the outstanding-count quiescence
     /// handshake to confirm, then returns the Lamport-merged [`Trace`]
@@ -477,9 +469,7 @@ impl ClusterSpec {
 
     /// [`ClusterSpec::try_run_udp`] returning the full
     /// [`UdpRun`](sfs_wire::UdpRun) — trace, quiescence verdict, and each
-    /// node's final [`NodeStatus`](sfs_wire::NodeStatus) wire accounting
-    /// (the per-node, per-message-class counters `sfs-obs` folds into a
-    /// `RunReport`).
+    /// node's final [`NodeStatus`](sfs_wire::NodeStatus).
     ///
     /// When the control channel misses quiescence and the run ends at its
     /// deadline ([`MaxTime`](sfs_asys::StopReason::MaxTime)), a flight
@@ -508,18 +498,14 @@ impl ClusterSpec {
 
         let mut commands = Vec::with_capacity(self.n);
         for me in 0..self.n {
-            let shim = (net.loss > 0.0 || net.duplicate > 0.0).then(|| ShimConfig {
-                seed: node_seed(self.seed, me, 0xA5A5_5A5A_0000_0001),
-                drop_p: net.loss,
-                dup_p: net.duplicate,
-            });
             let spec = UdpNodeSpec {
                 node: NodeConfig {
                     me: me as u16,
                     n: self.n as u16,
-                    seed: node_seed(self.seed, me, 0),
+                    seed: node_seed(self.seed, me),
                     tick_micros: UDP_TICK_MICROS,
-                    shim,
+                    loss: net.loss,
+                    duplicate: net.duplicate,
                 },
                 t: self.t as u64,
                 mode: self.mode,
@@ -654,11 +640,8 @@ mod tests {
                 n: 5,
                 seed: 77,
                 tick_micros: 1_000,
-                shim: Some(ShimConfig {
-                    seed: 9,
-                    drop_p: 0.05,
-                    dup_p: 0.01,
-                }),
+                loss: 0.05,
+                duplicate: 0.01,
             },
             t: 2,
             mode: ModeSpec::SfsOneRound,
@@ -685,7 +668,8 @@ mod tests {
                 n: 3,
                 seed: 0,
                 tick_micros: 1_000,
-                shim: None,
+                loss: 0.0,
+                duplicate: 0.0,
             },
             t: 1,
             mode: ModeSpec::Oracle,
@@ -716,6 +700,51 @@ mod tests {
     }
 
     #[test]
+    fn a_corrupt_node_spec_fails_before_the_node_says_hello() {
+        let spec = UdpNodeSpec {
+            node: NodeConfig {
+                me: 1,
+                n: 3,
+                seed: 4,
+                tick_micros: 1_000,
+                loss: 0.05,
+                duplicate: 0.0,
+            },
+            t: 1,
+            mode: ModeSpec::SfsOneRound,
+            quorum: QuorumPolicy::WaitForAll,
+            heartbeat: None,
+            gate_app_messages: true,
+            crash_on_own_obituary: true,
+            arq: ArqConfig::default(),
+            probe: None,
+            adaptive: None,
+        };
+        let blob = spec.to_wire_bytes();
+        let truncated = blob[..blob.len() - 1].to_vec();
+        // The mode tag follows the node config and `t`; the loss
+        // probability's sign bit is the last bit of its eight bytes.
+        let at_mode = spec.node.to_wire_bytes().len() + 8;
+        let mut mode_flipped = blob.clone();
+        mode_flipped[at_mode] ^= 0x80;
+        let mut loss_flipped = blob.clone();
+        loss_flipped[27] ^= 0x80;
+        let parent = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        parent.set_nonblocking(true).unwrap();
+        env::set_var(ENV_CTRL_ADDR, parent.local_addr().unwrap().to_string());
+        for bad in [truncated, mode_flipped, loss_flipped] {
+            env::set_var(ENV_NODE_SPEC, to_hex(&bad));
+            let why = udp_node_main().unwrap_err();
+            assert!(why.contains("does not decode"), "{why}");
+        }
+        // No node connected to the parent.
+        assert_eq!(
+            parent.accept().unwrap_err().kind(),
+            std::io::ErrorKind::WouldBlock
+        );
+    }
+
+    #[test]
     fn hex_codec_round_trips_and_rejects_noise() {
         assert_eq!(
             from_hex(&to_hex(&[0x00, 0xff, 0x5a])).unwrap(),
@@ -728,8 +757,7 @@ mod tests {
 
     #[test]
     fn per_node_seeds_are_distinct() {
-        let seeds: std::collections::HashSet<u64> =
-            (0..64).map(|me| node_seed(42, me, 0)).collect();
+        let seeds: std::collections::HashSet<u64> = (0..64).map(|me| node_seed(42, me)).collect();
         assert_eq!(seeds.len(), 64);
     }
 }

@@ -62,7 +62,7 @@ fn suspicion_detects_and_kills_over_real_sockets() {
 fn arq_recovers_shim_loss_on_the_wire() {
     // 5% deterministic wire loss plus duplication: the ARQ layer must
     // still deliver the obituary round, and the ledger must balance
-    // (shim-withheld copies are accounted, not lost).
+    // (copies the link withheld are accounted, not lost).
     let spec = ClusterSpec::new(3, 1)
         .seed(23)
         .suspect(p(2), p(0), 5)

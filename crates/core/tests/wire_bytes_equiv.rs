@@ -3,7 +3,7 @@
 //! threaded router's measured leg, and the UDP backend's real-datagram
 //! ledgers must all charge bytes with **one ruler** —
 //! `sfs_wire::wire_cost`, the real encoded frame size, one full frame
-//! per engine-level send regardless of shim verdicts or ARQ
+//! per engine-level send regardless of link verdicts or ARQ
 //! retransmissions.
 //!
 //! The in-process engines are deterministic on a fixed-latency faultless
@@ -68,7 +68,7 @@ fn udp_ledgers_match_the_simulated_total() {
         .try_run_udp_full(Duration::from_secs(20))
         .expect("udp leg");
     assert!(run.quiesced, "udp run did not quiesce");
-    let udp_total: u64 = run.node_status.iter().map(|s| s.wire_bytes).sum();
+    let udp_total: u64 = run.node_status.iter().map(|s| s.stats.wire_bytes).sum();
     assert_eq!(
         sim.stats().wire_bytes,
         udp_total,

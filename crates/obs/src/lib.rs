@@ -14,8 +14,7 @@
 //! detections and notes, and the service's shard fold ([`TraceIngest`]
 //! behind it) notes, crashes and detections. Engine counters come from
 //! the run's [`SimStats`](sfs_asys::SimStats) ([`Registry::ingest_stats`])
-//! or, on the UDP backend, the per-node status ledgers
-//! ([`Registry::ingest_node_status`]).
+//! on all four engines.
 //!
 //! # Execution neutrality
 //!
@@ -72,9 +71,9 @@ pub mod metrics {
     pub const SENT: &str = "sent";
     /// Counter: messages admitted to a live process.
     pub const DELIVERED: &str = "delivered";
-    /// Counter: copies withheld by the link/shim.
+    /// Counter: copies withheld by the link.
     pub const DROPPED: &str = "dropped";
-    /// Counter: extra copies minted by the link/shim.
+    /// Counter: extra copies minted by the link.
     pub const DUPLICATED: &str = "duplicated";
     /// Counter: messages consumed at a crashed receiver.
     pub const TO_CRASHED: &str = "to_crashed";

@@ -10,8 +10,8 @@
 //! log-bucket histograms merge element-wise.
 //!
 //! A registry is not itself a sink. Counts come from the run's
-//! [`SimStats`] ([`Registry::ingest_stats`]) or the UDP backend's node
-//! ledgers ([`Registry::ingest_node_status`]); transport metrics —
+//! [`SimStats`] ([`Registry::ingest_stats`]) on every engine; transport
+//! metrics —
 //! retransmission bursts, RTO evolution, false suspicions, suspicion and
 //! detection latency — are re-derived by a [`TraceIngest`] fold from the
 //! execution-neutral annotations those layers leave in the event stream,
@@ -172,7 +172,8 @@ impl Registry {
 
     /// Folds an engine's run counters into whole-run counters (node 0,
     /// no message class): the one source of message, timer, crash and
-    /// detection counts on the simulator and the threaded runtime.
+    /// detection counts on every engine, the UDP backend included (its
+    /// trace's counters are its nodes' summed).
     pub fn ingest_stats(&self, stats: &SimStats) {
         for (name, value) in [
             (metrics::SENT, stats.messages_sent),
@@ -186,36 +187,6 @@ impl Registry {
             (metrics::DETECTIONS, stats.detections),
         ] {
             self.add(0, MsgClass::None, name, value);
-        }
-    }
-
-    /// Folds the UDP backend's per-node wire accounting — the
-    /// [`NodeStatus`](sfs_wire::NodeStatus) counters piggybacked on the
-    /// control protocol's Status/Dump frames — into this registry, with
-    /// the app/infra message-class split the node loop tracks per send
-    /// and per delivery.
-    pub fn ingest_node_status(&self, statuses: &[sfs_wire::NodeStatus]) {
-        for (pid, s) in statuses.iter().enumerate() {
-            let node = pid as u32;
-            self.add(node, MsgClass::App, metrics::SENT, s.app_sent);
-            self.add(
-                node,
-                MsgClass::Infra,
-                metrics::SENT,
-                s.sent.saturating_sub(s.app_sent),
-            );
-            self.add(node, MsgClass::App, metrics::DELIVERED, s.app_delivered);
-            self.add(
-                node,
-                MsgClass::Infra,
-                metrics::DELIVERED,
-                s.delivered.saturating_sub(s.app_delivered),
-            );
-            self.add(node, MsgClass::None, metrics::DROPPED, s.dropped);
-            self.add(node, MsgClass::None, metrics::DUPLICATED, s.duplicated);
-            self.add(node, MsgClass::None, metrics::TO_CRASHED, s.to_crashed);
-            self.add(node, MsgClass::None, metrics::WIRE_BYTES, s.wire_bytes);
-            self.add(node, MsgClass::None, metrics::CRASHES, u64::from(s.halted));
         }
     }
 

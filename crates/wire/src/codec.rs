@@ -10,7 +10,7 @@
 //! length prefixes are validated against the bytes actually present
 //! before any allocation.
 
-use sfs_asys::{MsgId, ProcessId, VirtualTime};
+use sfs_asys::{MsgId, Note, ProcessId, SimStats, Text, TimerId, TraceEventKind, VirtualTime};
 use sfs_transport::TransportMsg;
 use std::fmt;
 
@@ -473,6 +473,168 @@ impl WireCodec for VirtualTime {
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(VirtualTime::from_ticks(r.u64()?))
+    }
+}
+
+impl WireCodec for SimStats {
+    fn encode(&self, w: &mut WireWriter) {
+        for v in [
+            self.messages_sent,
+            self.messages_delivered,
+            self.messages_to_crashed,
+            self.messages_dropped,
+            self.messages_duplicated,
+            self.timers_fired,
+            self.crashes,
+            self.detections,
+            self.delivery_batches,
+            self.wire_bytes,
+        ] {
+            w.u64(v);
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(SimStats {
+            messages_sent: r.u64()?,
+            messages_delivered: r.u64()?,
+            messages_to_crashed: r.u64()?,
+            messages_dropped: r.u64()?,
+            messages_duplicated: r.u64()?,
+            timers_fired: r.u64()?,
+            crashes: r.u64()?,
+            detections: r.u64()?,
+            delivery_batches: r.u64()?,
+            wire_bytes: r.u64()?,
+        })
+    }
+}
+
+const EV_SEND: u8 = 0;
+const EV_RECV: u8 = 1;
+const EV_CRASH: u8 = 2;
+const EV_FAILED: u8 = 3;
+const EV_TIMER: u8 = 4;
+const EV_EXTERNAL: u8 = 5;
+const EV_NOTE: u8 = 6;
+
+/// A recorded event as a node dumps it: its process, then every other
+/// field but the rendered payloads, which a node never records — they
+/// decode as `None`. Process ids and message ids keep their fail-closed
+/// decoders: a pid or a sequence beyond 32 bits is a
+/// [`WireError::BadValue`].
+impl WireCodec for TraceEventKind {
+    fn encode(&self, w: &mut WireWriter) {
+        let tag = match self {
+            TraceEventKind::Send { .. } => EV_SEND,
+            TraceEventKind::Recv { .. } => EV_RECV,
+            TraceEventKind::Crash { .. } => EV_CRASH,
+            TraceEventKind::Failed { .. } => EV_FAILED,
+            TraceEventKind::TimerFired { .. } => EV_TIMER,
+            TraceEventKind::External { .. } => EV_EXTERNAL,
+            TraceEventKind::Note { .. } => EV_NOTE,
+        };
+        w.u8(tag);
+        self.process().encode(w);
+        match self {
+            TraceEventKind::Send {
+                to: peer,
+                msg,
+                infra,
+                ..
+            }
+            | TraceEventKind::Recv {
+                from: peer,
+                msg,
+                infra,
+                ..
+            } => {
+                peer.encode(w);
+                msg.encode(w);
+                w.bool(*infra);
+            }
+            TraceEventKind::Failed { of, .. } => of.encode(w),
+            TraceEventKind::TimerFired { timer, .. } => w.u64(timer.raw()),
+            TraceEventKind::Note { note, .. } => note.encode(w),
+            TraceEventKind::Crash { .. } | TraceEventKind::External { .. } => {}
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let tag = r.u8()?;
+        let pid = ProcessId::decode(r)?;
+        Ok(match tag {
+            EV_SEND => TraceEventKind::Send {
+                from: pid,
+                to: ProcessId::decode(r)?,
+                msg: MsgId::decode(r)?,
+                infra: r.bool()?,
+                payload: None,
+            },
+            EV_RECV => TraceEventKind::Recv {
+                by: pid,
+                from: ProcessId::decode(r)?,
+                msg: MsgId::decode(r)?,
+                infra: r.bool()?,
+                payload: None,
+            },
+            EV_CRASH => TraceEventKind::Crash { pid },
+            EV_FAILED => TraceEventKind::Failed {
+                by: pid,
+                of: ProcessId::decode(r)?,
+            },
+            EV_TIMER => TraceEventKind::TimerFired {
+                pid,
+                timer: TimerId::new(r.u64()?),
+            },
+            EV_EXTERNAL => TraceEventKind::External { pid, payload: None },
+            EV_NOTE => TraceEventKind::Note {
+                pid,
+                note: Note::decode(r)?,
+            },
+            tag => {
+                return Err(WireError::UnknownTag {
+                    what: "TraceEventKind",
+                    tag,
+                })
+            }
+        })
+    }
+}
+
+const NOTE_KV: u8 = 0;
+const NOTE_SET: u8 = 1;
+
+impl WireCodec for Note {
+    fn encode(&self, w: &mut WireWriter) {
+        match self {
+            Note::KeyVal { key, val } => {
+                w.u8(NOTE_KV);
+                w.bytes(key.as_bytes());
+                w.bytes(val.as_bytes());
+            }
+            Note::ProcessSet { key, about, set } => {
+                w.u8(NOTE_SET);
+                w.bytes(key.as_bytes());
+                about.encode(w);
+                set.encode(w);
+            }
+        }
+    }
+
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let text = |r: &mut WireReader<'_>| String::decode(r).map(Text::from);
+        match r.u8()? {
+            NOTE_KV => Ok(Note::KeyVal {
+                key: text(r)?,
+                val: text(r)?,
+            }),
+            NOTE_SET => Ok(Note::ProcessSet {
+                key: text(r)?,
+                about: Option::decode(r)?,
+                set: Box::new(Vec::decode(r)?),
+            }),
+            tag => Err(WireError::UnknownTag { what: "Note", tag }),
+        }
     }
 }
 

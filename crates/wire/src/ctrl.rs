@@ -17,287 +17,60 @@
 //! bounded by [`MAX_CTRL_MSG`].
 
 use crate::codec::{WireCodec, WireError, WireReader, WireWriter};
+use sfs_asys::{SimStats, TraceEventKind};
 use std::io::{self, Read, Write};
 
 /// Upper bound on one control message (the event dump dominates).
 pub const MAX_CTRL_MSG: usize = 64 << 20;
 
-/// Aggregate wire accounting of one node, for the quiescence handshake
-/// and the assembled trace's [`SimStats`](sfs_asys::SimStats).
+/// One node's accounting, for the quiescence handshake and the
+/// assembled trace: its host's counters, summed over nodes into the
+/// trace's [`SimStats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NodeStatus {
-    /// Send actions executed (the engine's `messages_sent`).
-    pub sent: u64,
-    /// Datagrams withheld by the fault shim or failed sends.
-    pub dropped: u64,
-    /// Extra copies transmitted by the fault shim.
-    pub duplicated: u64,
-    /// Datagrams admitted to the live process.
-    pub delivered: u64,
-    /// Datagrams consumed after this node halted.
-    pub to_crashed: u64,
-    /// Sender-paid frame bytes: one full frame per send, regardless of
-    /// the shim's verdict (matching `SimStats::wire_bytes`).
-    pub wire_bytes: u64,
-    /// Of [`NodeStatus::sent`], the sends carrying application
-    /// (model-level) payloads; the rest are infrastructure. This is the
-    /// message-class split the `sfs-obs` registry keys on, piggybacked on
-    /// the Status frames the quiescence handshake already exchanges.
-    pub app_sent: u64,
-    /// Of [`NodeStatus::delivered`], the application-payload deliveries.
-    pub app_delivered: u64,
-    /// No armed timers and no pending scripted injections remain.
+    /// The host's counters. A datagram the kernel refused to send counts
+    /// in `messages_dropped`, as a copy the network lost.
+    pub stats: SimStats,
+    /// Nothing is due on the host: no channel head, timer or scripted
+    /// injection waits on its wheel.
     pub idle: bool,
-    /// The node has crashed (and now only drains its socket).
+    /// The node has crashed (and now only consumes what arrives).
     pub halted: bool,
-}
-
-impl NodeStatus {
-    /// Copies put on a channel by this node's sends.
-    pub fn offered(&self) -> u64 {
-        self.sent + self.duplicated
-    }
-
-    /// Copies conclusively consumed (delivered, discarded at a crashed
-    /// node, or dropped before transmission).
-    pub fn consumed(&self) -> u64 {
-        self.delivered + self.to_crashed + self.dropped
-    }
 }
 
 impl WireCodec for NodeStatus {
     fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.sent);
-        w.u64(self.dropped);
-        w.u64(self.duplicated);
-        w.u64(self.delivered);
-        w.u64(self.to_crashed);
-        w.u64(self.wire_bytes);
-        w.u64(self.app_sent);
-        w.u64(self.app_delivered);
+        self.stats.encode(w);
         w.bool(self.idle);
         w.bool(self.halted);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(NodeStatus {
-            sent: r.u64()?,
-            dropped: r.u64()?,
-            duplicated: r.u64()?,
-            delivered: r.u64()?,
-            to_crashed: r.u64()?,
-            wire_bytes: r.u64()?,
-            app_sent: r.u64()?,
-            app_delivered: r.u64()?,
+            stats: SimStats::decode(r)?,
             idle: r.bool()?,
             halted: r.bool()?,
         })
     }
 }
 
-/// One event a node recorded, stamped with its Lamport clock; the
-/// parent merges all nodes' events into one causally consistent
-/// [`Trace`](sfs_asys::Trace) ordered by `(lamport, node, local index)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireEvent {
-    /// The recording node's Lamport clock at the event.
-    pub lamport: u64,
-    /// What happened.
-    pub kind: WireEventKind,
-}
-
-/// The node-side event alphabet, mirroring
-/// [`TraceEventKind`](sfs_asys::TraceEventKind) without payloads.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum WireEventKind {
-    /// A send by this node: datagram-level (infra) or model-level.
-    Send {
-        /// Destination process index.
-        to: u16,
-        /// Message-id source (the sender for datagrams; the layer's
-        /// allocation for model events).
-        src: u16,
-        /// Message-id sequence.
-        seq: u64,
-        /// Infrastructure flag, as the engines record it.
-        infra: bool,
-    },
-    /// A receive by this node.
-    Recv {
-        /// Logical sender.
-        from: u16,
-        /// Message-id source.
-        src: u16,
-        /// Message-id sequence.
-        seq: u64,
-        /// Infrastructure flag.
-        infra: bool,
-    },
-    /// This node halted permanently.
-    Crash,
-    /// This node detected the failure of process `of`.
-    Failed {
-        /// The detected process.
-        of: u16,
-    },
-    /// A timer fired on this node.
-    TimerFired {
-        /// Raw timer id.
-        timer: u64,
-    },
-    /// A scripted environment injection was delivered to this node.
-    External,
-    /// A key/value protocol annotation.
-    NoteKv {
-        /// Annotation key.
-        key: String,
-        /// Annotation value.
-        val: String,
-    },
-    /// A process-set protocol annotation (e.g. a detection quorum).
-    NoteSet {
-        /// Annotation key.
-        key: String,
-        /// The process the set is about, if any.
-        about: Option<u16>,
-        /// The set members.
-        set: Vec<u16>,
-    },
-}
-
-const EV_SEND: u8 = 0;
-const EV_RECV: u8 = 1;
-const EV_CRASH: u8 = 2;
-const EV_FAILED: u8 = 3;
-const EV_TIMER: u8 = 4;
-const EV_EXTERNAL: u8 = 5;
-const EV_NOTE_KV: u8 = 6;
-const EV_NOTE_SET: u8 = 7;
-
-impl WireCodec for WireEvent {
-    fn encode(&self, w: &mut WireWriter) {
-        w.u64(self.lamport);
-        match &self.kind {
-            WireEventKind::Send {
-                to,
-                src,
-                seq,
-                infra,
-            } => {
-                w.u8(EV_SEND);
-                w.u16(*to);
-                w.u16(*src);
-                w.u64(*seq);
-                w.bool(*infra);
-            }
-            WireEventKind::Recv {
-                from,
-                src,
-                seq,
-                infra,
-            } => {
-                w.u8(EV_RECV);
-                w.u16(*from);
-                w.u16(*src);
-                w.u64(*seq);
-                w.bool(*infra);
-            }
-            WireEventKind::Crash => w.u8(EV_CRASH),
-            WireEventKind::Failed { of } => {
-                w.u8(EV_FAILED);
-                w.u16(*of);
-            }
-            WireEventKind::TimerFired { timer } => {
-                w.u8(EV_TIMER);
-                w.u64(*timer);
-            }
-            WireEventKind::External => w.u8(EV_EXTERNAL),
-            WireEventKind::NoteKv { key, val } => {
-                w.u8(EV_NOTE_KV);
-                key.encode(w);
-                val.encode(w);
-            }
-            WireEventKind::NoteSet { key, about, set } => {
-                w.u8(EV_NOTE_SET);
-                key.encode(w);
-                about.encode(w);
-                set.encode(w);
-            }
-        }
-    }
-
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        // The parent turns the sequence into a `MsgId`, which holds 32
-        // bits: a larger one is refused here, not at that conversion.
-        let msg_seq = |r: &mut WireReader<'_>| match r.u64()? {
-            seq if seq <= u64::from(u32::MAX) => Ok(seq),
-            _ => Err(WireError::BadValue {
-                what: "WireEvent seq",
-            }),
-        };
-        let lamport = r.u64()?;
-        let kind = match r.u8()? {
-            EV_SEND => WireEventKind::Send {
-                to: r.u16()?,
-                src: r.u16()?,
-                seq: msg_seq(r)?,
-                infra: r.bool()?,
-            },
-            EV_RECV => WireEventKind::Recv {
-                from: r.u16()?,
-                src: r.u16()?,
-                seq: msg_seq(r)?,
-                infra: r.bool()?,
-            },
-            EV_CRASH => WireEventKind::Crash,
-            EV_FAILED => WireEventKind::Failed { of: r.u16()? },
-            EV_TIMER => WireEventKind::TimerFired { timer: r.u64()? },
-            EV_EXTERNAL => WireEventKind::External,
-            EV_NOTE_KV => WireEventKind::NoteKv {
-                key: String::decode(r)?,
-                val: String::decode(r)?,
-            },
-            EV_NOTE_SET => WireEventKind::NoteSet {
-                key: String::decode(r)?,
-                about: Option::<u16>::decode(r)?,
-                set: Vec::<u16>::decode(r)?,
-            },
-            tag => {
-                return Err(WireError::UnknownTag {
-                    what: "WireEvent",
-                    tag,
-                })
-            }
-        };
-        Ok(WireEvent { lamport, kind })
-    }
-}
-
 /// The node's final report, sent in response to [`ParentToNode::Stop`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeDump {
-    /// Every recorded event, in local order.
-    pub events: Vec<WireEvent>,
-    /// Final wire accounting.
+    /// Every recorded event, in local order, under its Lamport stamp.
+    pub events: Vec<(u64, TraceEventKind)>,
+    /// Final accounting.
     pub status: NodeStatus,
-    /// Timer firings delivered to the process.
-    pub timers_fired: u64,
-    /// Failure detections this node declared.
-    pub detections: u64,
 }
 
 impl WireCodec for NodeDump {
     fn encode(&self, w: &mut WireWriter) {
         self.events.encode(w);
         self.status.encode(w);
-        w.u64(self.timers_fired);
-        w.u64(self.detections);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         Ok(NodeDump {
             events: Vec::decode(r)?,
             status: NodeStatus::decode(r)?,
-            timers_fired: r.u64()?,
-            detections: r.u64()?,
         })
     }
 }
@@ -514,6 +287,7 @@ impl CtrlBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfs_asys::{MsgId, ProcessId};
 
     #[test]
     fn control_messages_round_trip() {
@@ -535,56 +309,53 @@ mod tests {
                 m
             );
         }
+        let p = ProcessId::new;
+        let failed = TraceEventKind::Failed { by: p(0), of: p(2) };
         let dump = NodeToParent::Dump(NodeDump {
-            events: vec![
-                WireEvent {
-                    lamport: 3,
-                    kind: WireEventKind::Send {
-                        to: 1,
-                        src: 0,
-                        seq: 7,
-                        infra: true,
-                    },
-                },
-                WireEvent {
-                    lamport: 4,
-                    kind: WireEventKind::NoteSet {
-                        key: "quorum".into(),
-                        about: Some(2),
-                        set: vec![0, 1],
-                    },
-                },
-            ],
+            events: vec![(4, failed), (5, TraceEventKind::Crash { pid: p(0) })],
             status: NodeStatus {
-                sent: 5,
-                delivered: 4,
+                stats: SimStats {
+                    messages_sent: 5,
+                    detections: 1,
+                    ..SimStats::default()
+                },
                 idle: true,
-                ..NodeStatus::default()
+                halted: true,
             },
-            timers_fired: 2,
-            detections: 1,
         });
         assert_eq!(
             NodeToParent::from_wire_bytes(&dump.to_wire_bytes()).unwrap(),
             dump
         );
-        for seq in [u64::from(u32::MAX) + 1, u64::MAX] {
-            let event = WireEvent {
-                lamport: 3,
-                kind: WireEventKind::Recv {
-                    from: 1,
-                    src: 1,
-                    seq,
-                    infra: false,
-                },
+        // The parent turns each event into a trace event as it stands, so
+        // a pid or a sequence that a 32-bit id cannot hold is refused here.
+        let recv = |by: u64, seq: u64| {
+            let msg = MsgId::new(p(1), 0);
+            let (from, infra, payload) = (p(1), false, None);
+            let event = TraceEventKind::Recv {
+                by: p(0),
+                from,
+                msg,
+                infra,
+                payload,
             };
+            // Tag, receiver, sender, message source, message sequence.
+            let mut bytes = event.to_wire_bytes();
+            bytes[1..9].copy_from_slice(&by.to_le_bytes());
+            bytes[25..33].copy_from_slice(&seq.to_le_bytes());
+            bytes
+        };
+        assert!(TraceEventKind::from_wire_bytes(&recv(0, u64::from(u32::MAX))).is_ok());
+        for seq in [u64::from(u32::MAX) + 1, u64::MAX] {
             assert_eq!(
-                WireEvent::from_wire_bytes(&event.to_wire_bytes()).unwrap_err(),
-                WireError::BadValue {
-                    what: "WireEvent seq"
-                }
+                TraceEventKind::from_wire_bytes(&recv(0, seq)).unwrap_err(),
+                WireError::BadValue { what: "MsgId" }
             );
         }
+        assert_eq!(
+            TraceEventKind::from_wire_bytes(&recv(u64::from(u32::MAX) + 1, 0)).unwrap_err(),
+            WireError::BadValue { what: "ProcessId" }
+        );
     }
 
     #[test]

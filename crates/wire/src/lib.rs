@@ -6,7 +6,7 @@
 //! ladder: each [`Process`](sfs_asys::Process) runs in its **own OS
 //! process** and talks to its peers over **real localhost UDP sockets**,
 //! with the ARQ transport recovering real kernel loss and reordering on
-//! top of an optional deterministic fault shim.
+//! top of the loss and duplication the node's seeded link adds.
 //!
 //! The crate has two halves:
 //!
@@ -17,16 +17,19 @@
 //!   [`WireError`]s and never panics or over-reads on truncated,
 //!   oversized, or bit-flipped input — adversarial bytes are a fact of
 //!   real sockets.
-//! * **Backend** ([`node`], [`parent`], [`ctrl`], [`shim`]) — the
-//!   multi-process runtime. The parent ([`run_cluster`]) spawns one
-//!   child per node, barriers on their `Hello`s, scripts crashes and
-//!   external suspicions over a TCP control channel, and then drives the
-//!   outstanding-count quiescence handshake (Poll/Status rounds with a
-//!   global ledger-balance check) before collecting per-node event dumps
-//!   and assembling them — via Lamport-clock merge — into the same
-//!   [`Trace`](sfs_asys::Trace) type every other engine produces. That
-//!   is what lets the E10 conformance harness treat `net:udp` as just an
-//!   eighth backend whose traces must sit inside the simulator envelope.
+//! * **Backend** ([`node`], [`parent`], [`ctrl`]) — the multi-process
+//!   runtime. Each node is an I/O shell around one
+//!   [`Host`](sfs_asys::Host), the engine core every other engine drives
+//!   too, so the §2 model is not written again here. The parent
+//!   ([`run_cluster`]) spawns one child per node, barriers on their
+//!   `Hello`s, scripts crashes and external suspicions over a TCP control
+//!   channel, and then drives the outstanding-count quiescence handshake
+//!   (Poll/Status rounds with a global ledger-balance check) before
+//!   collecting per-node event dumps and assembling them — via
+//!   Lamport-clock merge — into the same [`Trace`](sfs_asys::Trace) type
+//!   every other engine produces. That is what lets the E10 conformance
+//!   harness treat `net:udp` as just an eighth backend whose traces must
+//!   sit inside the simulator envelope.
 //!
 //! What is deliberately *not* here: any dependency on the protocol
 //! crates above `sfs-transport`. The node loop is generic over the
@@ -40,11 +43,9 @@ pub mod ctrl;
 pub mod frame;
 pub mod node;
 pub mod parent;
-pub mod shim;
 
 pub use codec::{WireCodec, WireError, WireReader, WireWriter};
-pub use ctrl::{NodeDump, NodeStatus, NodeToParent, ParentToNode, WireEvent, WireEventKind};
+pub use ctrl::{NodeDump, NodeStatus, NodeToParent, ParentToNode};
 pub use frame::{decode_frame, encode_frame, wire_cost, FrameHeader, HEADER_LEN, MAGIC, VERSION};
 pub use node::{run_node, NodeConfig};
 pub use parent::{run_cluster, ClusterConfig, NodeFault, UdpRun, ENV_CTRL_ADDR};
-pub use shim::{FaultShim, ShimConfig, ShimVerdict};

@@ -17,13 +17,8 @@
 //! then degrades to safety-only checks instead of reporting a fake
 //! quiescence.
 
-use crate::ctrl::{
-    read_msg, write_msg, NodeDump, NodeStatus, NodeToParent, ParentToNode, WireEventKind,
-};
-use sfs_asys::{
-    MsgId, Note, ProcessId, SimStats, StopReason, TimerId, Trace, TraceEvent, TraceEventKind,
-    VirtualTime,
-};
+use crate::ctrl::{read_msg, write_msg, NodeDump, NodeStatus, NodeToParent, ParentToNode};
+use sfs_asys::{SimStats, StopReason, Trace, TraceEvent, TraceEventKind, VirtualTime};
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::process::{Child, Command, Stdio};
@@ -85,10 +80,8 @@ pub struct UdpRun {
     /// Whether the run reached confirmed quiescence within the settle
     /// budget (mirrors the threaded runtime's drain handshake result).
     pub quiesced: bool,
-    /// Each node's final wire accounting, indexed by process — the
-    /// per-node, per-message-class counters the `sfs-obs` registry folds
-    /// into a `RunReport`, piggybacked on the same Status/Dump frames
-    /// the control protocol already carries.
+    /// Each node's final accounting, indexed by process; the trace's
+    /// counters are their sum.
     pub node_status: Vec<NodeStatus>,
 }
 
@@ -222,10 +215,11 @@ pub fn run_cluster(
                 _ => return Err(protocol_err("expected Status")),
             }
         }
-        let offered: u64 = round.iter().map(NodeStatus::offered).sum();
-        let consumed: u64 = round.iter().map(NodeStatus::consumed).sum();
+        let total: SimStats = round.iter().map(|s| s.stats).sum();
+        let balanced = total.messages_sent + total.messages_duplicated
+            == total.messages_delivered + total.messages_to_crashed + total.messages_dropped;
         let idle = round.iter().all(|s| s.idle);
-        if idle && offered == consumed && prev.as_deref() == Some(&round[..]) {
+        if idle && balanced && prev.as_deref() == Some(&round[..]) {
             quiesced = true;
             break;
         }
@@ -236,8 +230,12 @@ pub fn run_cluster(
     let mut dumps: Vec<NodeDump> = Vec::with_capacity(config.n);
     for link in &mut links {
         write_msg(&mut link.stream, &ParentToNode::Stop)?;
+        let pid = dumps.len();
         match read_msg::<NodeToParent, _>(&mut link.stream)? {
-            NodeToParent::Dump(d) => dumps.push(d),
+            NodeToParent::Dump(d) if d.events.iter().all(|(_, e)| e.process().index() == pid) => {
+                dumps.push(d);
+            }
+            NodeToParent::Dump(_) => return Err(protocol_err("a dump holds another node's event")),
             _ => return Err(protocol_err("expected Dump")),
         }
     }
@@ -268,70 +266,18 @@ fn protocol_err(what: &str) -> io::Error {
 
 /// Merges per-node event dumps into one trace, ordered by
 /// `(lamport, node, local index)` — a deterministic linearisation
-/// consistent with causality, timestamped in Lamport ticks.
+/// consistent with causality, timestamped in Lamport ticks — with the
+/// nodes' counters summed.
 fn assemble(n: usize, dumps: &[NodeDump], quiesced: bool) -> Trace {
-    let mut merged: Vec<(u64, usize, usize, TraceEventKind)> = Vec::new();
-    for (pid, dump) in dumps.iter().enumerate() {
-        let p = ProcessId::new(pid);
-        for (idx, ev) in dump.events.iter().enumerate() {
-            let kind = match &ev.kind {
-                WireEventKind::Send {
-                    to,
-                    src,
-                    seq,
-                    infra,
-                } => TraceEventKind::Send {
-                    from: p,
-                    to: ProcessId::new(*to as usize),
-                    msg: MsgId::new(ProcessId::new(*src as usize), *seq),
-                    infra: *infra,
-                    payload: None,
-                },
-                WireEventKind::Recv {
-                    from,
-                    src,
-                    seq,
-                    infra,
-                } => TraceEventKind::Recv {
-                    by: p,
-                    from: ProcessId::new(*from as usize),
-                    msg: MsgId::new(ProcessId::new(*src as usize), *seq),
-                    infra: *infra,
-                    payload: None,
-                },
-                WireEventKind::Crash => TraceEventKind::Crash { pid: p },
-                WireEventKind::Failed { of } => TraceEventKind::Failed {
-                    by: p,
-                    of: ProcessId::new(*of as usize),
-                },
-                WireEventKind::TimerFired { timer } => TraceEventKind::TimerFired {
-                    pid: p,
-                    timer: TimerId::new(*timer),
-                },
-                WireEventKind::External => TraceEventKind::External {
-                    pid: p,
-                    payload: None,
-                },
-                WireEventKind::NoteKv { key, val } => TraceEventKind::Note {
-                    pid: p,
-                    note: Note::KeyVal {
-                        key: key.clone().into(),
-                        val: val.clone().into(),
-                    },
-                },
-                WireEventKind::NoteSet { key, about, set } => TraceEventKind::Note {
-                    pid: p,
-                    note: Note::ProcessSet {
-                        key: key.clone().into(),
-                        about: about.map(|a| ProcessId::new(a as usize)),
-                        set: Box::new(set.iter().map(|&s| ProcessId::new(s as usize)).collect()),
-                    },
-                },
-            };
-            merged.push((ev.lamport, pid, idx, kind));
-        }
-    }
-    merged.sort_by_key(|a| (a.0, a.1, a.2));
+    let mut merged: Vec<(u64, usize, usize, &TraceEventKind)> = dumps
+        .iter()
+        .enumerate()
+        .flat_map(|(pid, dump)| {
+            (dump.events.iter().enumerate())
+                .map(move |(idx, (lamport, kind))| (*lamport, pid, idx, kind))
+        })
+        .collect();
+    merged.sort_by_key(|&(lamport, pid, idx, _)| (lamport, pid, idx));
     let end_time = VirtualTime::from_ticks(merged.last().map_or(0, |e| e.0));
     let events = merged
         .into_iter()
@@ -339,21 +285,10 @@ fn assemble(n: usize, dumps: &[NodeDump], quiesced: bool) -> Trace {
         .map(|(seq, (lamport, _, _, kind))| TraceEvent {
             seq,
             time: VirtualTime::from_ticks(lamport),
-            kind,
+            kind: kind.clone(),
         })
         .collect();
-    let mut stats = SimStats::default();
-    for dump in dumps {
-        stats.messages_sent += dump.status.sent;
-        stats.messages_delivered += dump.status.delivered;
-        stats.messages_to_crashed += dump.status.to_crashed;
-        stats.messages_dropped += dump.status.dropped;
-        stats.messages_duplicated += dump.status.duplicated;
-        stats.wire_bytes += dump.status.wire_bytes;
-        stats.timers_fired += dump.timers_fired;
-        stats.detections += dump.detections;
-        stats.crashes += u64::from(dump.status.halted);
-    }
+    let stats = dumps.iter().map(|d| d.status.stats).sum();
     let stop = if quiesced {
         StopReason::Quiescent
     } else {
@@ -365,55 +300,48 @@ fn assemble(n: usize, dumps: &[NodeDump], quiesced: bool) -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ctrl::WireEvent;
+    use sfs_asys::{MsgId, ProcessId, TimerId};
 
-    fn dump_with(events: Vec<WireEvent>, status: NodeStatus) -> NodeDump {
-        NodeDump {
-            events,
-            status,
-            timers_fired: 0,
-            detections: 0,
-        }
+    fn dump_with(events: Vec<(u64, TraceEventKind)>, stats: SimStats) -> NodeDump {
+        let status = NodeStatus {
+            stats,
+            ..NodeStatus::default()
+        };
+        NodeDump { events, status }
     }
 
     #[test]
     fn assemble_orders_by_lamport_then_node() {
-        let d0 = dump_with(
-            vec![WireEvent {
-                lamport: 2,
-                kind: WireEventKind::Send {
-                    to: 1,
-                    src: 0,
-                    seq: 0,
-                    infra: true,
-                },
-            }],
-            NodeStatus {
-                sent: 1,
-                ..NodeStatus::default()
-            },
-        );
-        let d1 = dump_with(
-            vec![
-                WireEvent {
-                    lamport: 1,
-                    kind: WireEventKind::TimerFired { timer: 0 },
-                },
-                WireEvent {
-                    lamport: 3,
-                    kind: WireEventKind::Recv {
-                        from: 0,
-                        src: 0,
-                        seq: 0,
-                        infra: true,
-                    },
-                },
-            ],
-            NodeStatus {
-                delivered: 1,
-                ..NodeStatus::default()
-            },
-        );
+        let (from, to) = (ProcessId::new(0), ProcessId::new(1));
+        let (msg, infra, payload) = (MsgId::new(from, 0), true, None);
+        let sent = SimStats {
+            messages_sent: 1,
+            ..SimStats::default()
+        };
+        let send = TraceEventKind::Send {
+            from,
+            to,
+            msg,
+            infra,
+            payload: payload.clone(),
+        };
+        let delivered = SimStats {
+            messages_delivered: 1,
+            ..SimStats::default()
+        };
+        let timer = TraceEventKind::TimerFired {
+            pid: to,
+            timer: TimerId::new(0),
+        };
+        let recv = TraceEventKind::Recv {
+            by: to,
+            from,
+            msg,
+            infra,
+            payload,
+        };
+        let d0 = dump_with(vec![(2, send)], sent);
+        let d1 = dump_with(vec![(1, timer), (3, recv)], delivered);
         let trace = assemble(2, &[d0, d1], true);
         assert_eq!(trace.stop_reason(), StopReason::Quiescent);
         assert_eq!(trace.end_time(), VirtualTime::from_ticks(3));
@@ -430,35 +358,27 @@ mod tests {
 
     #[test]
     fn assemble_totals_the_ledger_and_flags_incomplete_runs() {
-        let d0 = dump_with(
-            Vec::new(),
-            NodeStatus {
-                sent: 3,
-                dropped: 1,
-                duplicated: 1,
-                wire_bytes: 120,
-                halted: true,
-                ..NodeStatus::default()
-            },
-        );
-        let d1 = dump_with(
-            Vec::new(),
-            NodeStatus {
-                delivered: 2,
-                to_crashed: 1,
-                ..NodeStatus::default()
-            },
-        );
-        let trace = assemble(2, &[d0, d1], false);
+        let s0 = SimStats {
+            messages_sent: 3,
+            messages_dropped: 1,
+            messages_duplicated: 1,
+            wire_bytes: 120,
+            crashes: 1,
+            ..SimStats::default()
+        };
+        let s1 = SimStats {
+            messages_delivered: 2,
+            messages_to_crashed: 1,
+            timers_fired: 4,
+            detections: 1,
+            ..SimStats::default()
+        };
+        let dumps = [dump_with(Vec::new(), s0), dump_with(Vec::new(), s1)];
+        let trace = assemble(2, &dumps, false);
         assert_eq!(trace.stop_reason(), StopReason::MaxTime);
-        let stats = trace.stats();
-        assert_eq!(stats.messages_sent, 3);
-        assert_eq!(stats.messages_dropped, 1);
-        assert_eq!(stats.messages_duplicated, 1);
-        assert_eq!(stats.messages_delivered, 2);
-        assert_eq!(stats.messages_to_crashed, 1);
-        assert_eq!(stats.wire_bytes, 120);
-        assert_eq!(stats.crashes, 1);
+        assert_eq!(trace.stats(), [s0, s1].into_iter().sum());
+        assert_eq!(trace.stats().messages_sent, 3);
+        assert_eq!(trace.stats().messages_to_crashed, 1);
         assert!(trace.channels_drained());
     }
 }

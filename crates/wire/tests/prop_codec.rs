@@ -6,6 +6,7 @@
 //! panic, never a read past the buffer.
 
 use proptest::prelude::*;
+use sfs_asys::{MsgId, Note, ProcessId, TimerId, TraceEventKind};
 use sfs_transport::TransportMsg;
 use sfs_wire::{decode_frame, encode_frame, FrameHeader, WireCodec, WireError, MAGIC, VERSION};
 
@@ -35,7 +36,60 @@ fn arb_header() -> impl Strategy<Value = FrameHeader> {
     })
 }
 
+/// Every event a node can dump, payloads unrendered as a node records
+/// them.
+fn arb_event() -> impl Strategy<Value = TraceEventKind> {
+    let pid = || any::<u32>().prop_map(|i| ProcessId::new(i as usize));
+    let msg = (pid(), any::<u32>()).prop_map(|(src, seq)| MsgId::new(src, u64::from(seq)));
+    let set = prop::collection::vec(pid(), 0..8);
+    let note = prop_oneof![
+        (any::<u64>(), any::<u64>()).prop_map(|(k, v)| Note::key_val(k.to_string(), v)),
+        (
+            any::<u64>(),
+            prop_oneof![Just(None), pid().prop_map(Some)],
+            set
+        )
+            .prop_map(|(k, about, set)| Note::process_set(k.to_string(), about, set)),
+    ];
+    prop_oneof![
+        (pid(), pid(), msg.clone(), any::<bool>()).prop_map(|(from, to, msg, infra)| {
+            TraceEventKind::Send {
+                from,
+                to,
+                msg,
+                infra,
+                payload: None,
+            }
+        }),
+        (pid(), pid(), msg, any::<bool>()).prop_map(|(by, from, msg, infra)| {
+            TraceEventKind::Recv {
+                by,
+                from,
+                msg,
+                infra,
+                payload: None,
+            }
+        }),
+        pid().prop_map(|pid| TraceEventKind::Crash { pid }),
+        (pid(), pid()).prop_map(|(by, of)| TraceEventKind::Failed { by, of }),
+        (pid(), any::<u64>()).prop_map(|(pid, raw)| TraceEventKind::TimerFired {
+            pid,
+            timer: TimerId::new(raw),
+        }),
+        pid().prop_map(|pid| TraceEventKind::External { pid, payload: None }),
+        (pid(), note).prop_map(|(pid, note)| TraceEventKind::Note { pid, note }),
+    ]
+}
+
 proptest! {
+    /// A node's dump carries its events exactly: every kind, every
+    /// 32-bit id, every note round-trips under its Lamport stamp.
+    #[test]
+    fn dumped_events_round_trip(events in prop::collection::vec((any::<u64>(), arb_event()), 0..16)) {
+        let back = Vec::<(u64, TraceEventKind)>::from_wire_bytes(&events.to_wire_bytes());
+        prop_assert_eq!(back.unwrap(), events);
+    }
+
     /// Frames round-trip exactly: header and message survive
     /// encode/decode for every variant and every header value.
     #[test]
