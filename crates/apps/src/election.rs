@@ -182,7 +182,7 @@ pub fn analyze_election(trace: &Trace) -> ElectionOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs::{ClusterSpec, ModeSpec};
+    use sfs::{Backend, ClusterSpec, Instruments, ModeSpec};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -193,15 +193,17 @@ mod tests {
             .mode(mode)
             .seed(seed)
             .suspect(p(1), p(0), 10) // p1 falsely suspects the leader
-            .try_run_apps(|_| ElectionApp::new())
+            .run(Backend::Sim, Instruments::default(), |_| ElectionApp::new())
             .expect("feasible spec")
+            .into_trace()
     }
 
     #[test]
     fn initial_leader_is_p0() {
         let trace = ClusterSpec::new(4, 1)
-            .try_run_apps(|_| ElectionApp::new())
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| ElectionApp::new())
+            .expect("feasible spec")
+            .into_trace();
         let outcome = analyze_election(&trace);
         assert_eq!(outcome.claims.len(), 1);
         assert_eq!(outcome.claims[0].1, p(0));

@@ -131,7 +131,7 @@ pub fn check_convergence(trace: &Trace) -> Result<(), (ProcessId, ProcessId)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs::ClusterSpec;
+    use sfs::{Backend, ClusterSpec, Instruments};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -142,8 +142,11 @@ mod tests {
         let trace = ClusterSpec::new(5, 2)
             .seed(11)
             .suspect(p(3), p(4), 10)
-            .try_run_apps(|_| MembershipApp::new())
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                MembershipApp::new()
+            })
+            .expect("feasible spec")
+            .into_trace();
         check_convergence(&trace).expect("survivor views diverged");
         let logs = view_log(&trace);
         // Survivors installed exactly two views: full membership, then
@@ -165,8 +168,11 @@ mod tests {
                 .seed(seed)
                 .suspect(p(1), p(0), 10)
                 .suspect(p(2), p(5), 12)
-                .try_run_apps(|_| MembershipApp::new())
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| {
+                    MembershipApp::new()
+                })
+                .expect("feasible spec")
+                .into_trace();
             check_convergence(&trace)
                 .unwrap_or_else(|(a, b)| panic!("seed {seed}: {a} and {b} diverged"));
         }
@@ -177,8 +183,11 @@ mod tests {
         let trace = ClusterSpec::new(4, 1)
             .seed(3)
             .suspect(p(1), p(2), 10)
-            .try_run_apps(|_| MembershipApp::new())
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                MembershipApp::new()
+            })
+            .expect("feasible spec")
+            .into_trace();
         for (pid, views) in view_log(&trace) {
             for (i, v) in views.iter().enumerate() {
                 assert!(v.starts_with(&format!("v{i}")), "{pid}: {views:?}");

@@ -30,7 +30,10 @@
 //! `⌊n(t-1)/t⌋ + 1`, no victim can complete its round and the attack
 //! fails — the bound is tight.
 
-use sfs::{ClusterSpec, ModeSpec, NetSpec, NullApp, ProbeConfig, QuorumPolicy, SfsMsg};
+use sfs::{
+    Backend, ClusterSpec, Instruments, ModeSpec, NetSpec, NullApp, ProbeConfig, QuorumPolicy,
+    SfsMsg,
+};
 use sfs_asys::{
     ChoiceTrace, FixedLatency, OverrideLatency, PartitionSchedule, ProcessId, Sim, Trace,
     VirtualTime,
@@ -401,7 +404,6 @@ impl ExploreInstance {
     /// spec's latency model, so a fixed one keeps `at` annotations tame.
     fn build(&self) -> Sim<SfsMsg<()>> {
         self.spec
-            .clone()
             .try_build_with_latency(FixedLatency(1), |_| NullApp)
             .expect("explored instance is feasible")
     }
@@ -622,13 +624,6 @@ pub struct ConformanceConfig {
     /// note) when the `sfs-udp-node` binary is not built, so library
     /// test runs stay self-contained.
     pub udp_runs: usize,
-    /// Wall-clock drain timeout per threaded run, in milliseconds.
-    /// Purely an upper bound on waiting: the event-driven runtime
-    /// answers as soon as the run quiesces or stalls at its bounds.
-    /// UDP runs, whose ticks are real milliseconds, wait at least 5 s
-    /// regardless (the handshake returns as soon as quiescence is
-    /// confirmed, so the floor costs nothing on healthy runs).
-    pub settle_ms: u64,
     /// Base seed for the random-strategy runs.
     pub seed: u64,
     /// Budgets for minimizing the reference exploration's witnesses.
@@ -642,7 +637,6 @@ impl Default for ConformanceConfig {
             threaded_runs: 2,
             transport_runs: 2,
             udp_runs: 0,
-            settle_ms: 250,
             seed: 1,
             shrink: ShrinkConfig::default(),
         }
@@ -769,20 +763,12 @@ impl ExploreOutcome {
     }
 }
 
-impl ExploreInstance {
-    /// Runs the cluster on the event-driven threaded runtime — the
-    /// spec's scripted injections ride the router's timer wheel and fire
-    /// at their exact virtual ticks — and reports the trace plus whether
-    /// the run was maximal. Maximality comes from the runtime's drain
-    /// handshake (every forwarded event fully dispatched, nothing
-    /// pending) — not from trace-level accounting, which cannot see an
-    /// event whose handler was still running at shutdown.
-    pub fn run_threaded(&self, settle: Duration) -> (Trace, bool) {
-        self.spec
-            .try_run_threaded(|_| NullApp, settle)
-            .expect("explored instance is feasible")
-    }
+/// Wall-clock bound on one `net:udp` conformance run. Its ticks are real
+/// milliseconds; the handshake returns as soon as quiescence is
+/// confirmed, so the bound costs nothing on healthy runs.
+const UDP_SETTLE: Duration = Duration::from_secs(5);
 
+impl ExploreInstance {
     /// The full differential-conformance check of this instance: explores
     /// the schedule space into a reference [`Envelope`], then drives the
     /// other backends through the [`DifferentialOracle`]:
@@ -824,8 +810,16 @@ impl ExploreInstance {
         let mut backends = Vec::new();
         let mut replay_checks = 0usize;
         let mut replay_report = BackendReport::new("replay");
-        let mut check_recorded = |report: &mut BackendReport, run: ScheduleRun| {
-            let complete = run.trace.stop_reason().is_complete();
+        // Runs a scheduled simulator recorded, checks the run against the
+        // envelope, and replays its recording strictly.
+        let mut check_recorded = |report: &mut BackendReport, sim: Sim<SfsMsg<()>>| {
+            let (trace, log) = sim.run_scheduled();
+            let complete = trace.stop_reason().is_complete();
+            let run = ScheduleRun {
+                trace,
+                choices: log.choices(),
+                truncated: !complete,
+            };
             report.absorb_run(complete, oracle.check(report.backend, &run.trace, complete));
             replay_checks += 1;
             replay_report.absorb_run(
@@ -836,143 +830,76 @@ impl ExploreInstance {
             );
         };
 
-        // Backend 1: the default engine's schedule, recorded.
+        // Backend 1: the default engine's schedule.
         let mut time_ordered = BackendReport::new("sim:time-ordered");
-        {
-            let mut sim = self.build();
-            sim.set_strategy(sfs_asys::TimeOrderedStrategy);
-            let (trace, log) = sim.run_scheduled();
-            let truncated = !trace.stop_reason().is_complete();
-            check_recorded(
-                &mut time_ordered,
-                ScheduleRun {
-                    trace,
-                    choices: log.choices(),
-                    truncated,
-                },
-            );
-        }
+        let mut sim = self.build();
+        sim.set_strategy(sfs_asys::TimeOrderedStrategy);
+        check_recorded(&mut time_ordered, sim);
 
         // Backend 2: seeded random schedulers.
         let mut random = BackendReport::new("sim:random");
         for i in 0..config.random_runs {
             let mut sim = self.build();
-            sim.set_strategy(sfs_asys::RandomStrategy::new(
-                config.seed.wrapping_add(i as u64),
-            ));
-            let (trace, log) = sim.run_scheduled();
-            let truncated = !trace.stop_reason().is_complete();
-            check_recorded(
-                &mut random,
-                ScheduleRun {
-                    trace,
-                    choices: log.choices(),
-                    truncated,
-                },
-            );
+            let seed = config.seed.wrapping_add(i as u64);
+            sim.set_strategy(sfs_asys::RandomStrategy::new(seed));
+            check_recorded(&mut random, sim);
         }
         backends.push(time_ordered);
         backends.push(random);
         backends.push(replay_report);
 
-        // Backend 3: real concurrency on the event-driven runtime.
-        let mut threaded = BackendReport::new("threaded:event");
-        for _ in 0..config.threaded_runs {
-            let (trace, complete) = self.run_threaded(Duration::from_millis(config.settle_ms));
-            threaded.absorb_run(complete, oracle.check("threaded:event", &trace, complete));
-        }
-        backends.push(threaded);
-
-        // Backend 3b: real concurrency *and* the emulated transport at
-        // once — the ARQ-wrapped processes over the threaded router's
-        // loss-free link seam. Its model-level history must land in the
-        // same bare envelope.
-        let mut threaded_net = BackendReport::new("threaded:event+net");
-        for _ in 0..config.threaded_runs {
-            let (trace, complete) = self
-                .spec
-                .clone()
-                .net(NetSpec::faultless())
-                .try_run_threaded_net(|_| NullApp, Duration::from_millis(config.settle_ms))
-                .expect("explored instance is feasible");
-            threaded_net.absorb_run(
-                complete,
-                oracle.check("threaded:event+net", &trace, complete),
-            );
-        }
-        backends.push(threaded_net);
-
-        // Backend 4: the transport-backed leg — the same instance with
-        // its channels *emulated* (ARQ over a loss-free faulty link)
-        // rather than assumed. Its model-level history must land in the
+        // Backends 4–7 of the list above, one row each: (label, engine,
+        // network, runs, fresh seeds). `None` as the engine is the
+        // multi-process UDP leg; the network alone picks each engine's
+        // leg. The transport and UDP rows run seeds `seed..seed + runs`;
+        // the threaded rows reuse the instance's own seed, real
+        // concurrency varying the schedule. Every row's model-level history must land in the
         // bare exploration's envelope: same class set, same verdict
-        // bounds. This is what pins "the transport earns the §2 channel
-        // axioms" differentially rather than axiomatically.
-        let mut transport = BackendReport::new("sim:transport");
-        for i in 0..config.transport_runs {
-            let trace = self
-                .spec
-                .clone()
-                .seed(config.seed.wrapping_add(i as u64))
-                .net(NetSpec::faultless())
-                .try_run_net(|_| NullApp)
-                .expect("explored instance is feasible");
-            let complete = trace.stop_reason().is_complete();
-            transport.absorb_run(complete, oracle.check("sim:transport", &trace, complete));
-        }
-        backends.push(transport);
-
-        // Backend 5: the transport-backed leg again, with adaptive
-        // timeouts. Jacobson RTO estimation and learned suspicion
-        // thresholds must be model-invisible on the loss-free link, so
-        // the adaptive run's history lands in the same bare envelope.
-        let mut adaptive = BackendReport::new("sim:transport-adaptive");
-        for i in 0..config.transport_runs {
-            let trace = self
-                .spec
-                .clone()
-                .seed(config.seed.wrapping_add(i as u64))
-                .net(NetSpec::faultless().adaptive(sfs::AdaptiveConfig::default()))
-                .try_run_net(|_| NullApp)
-                .expect("explored instance is feasible");
-            let complete = trace.stop_reason().is_complete();
-            adaptive.absorb_run(
-                complete,
-                oracle.check("sim:transport-adaptive", &trace, complete),
-            );
-        }
-        backends.push(adaptive);
-
-        // Backend 6: bytes on a real wire — every process its own OS
-        // process, every frame a real localhost datagram. Real-kernel
-        // nondeterminism (scheduling, socket buffering) replaces the
-        // seeded strategies; the Lamport-merged trace must still land in
-        // the reference envelope. A missing node binary downgrades the
-        // column to a skip so `cargo test` without `--bins` still passes.
-        let mut udp = BackendReport::new("net:udp");
-        let udp_settle = Duration::from_millis(config.settle_ms.max(5_000));
-        for i in 0..config.udp_runs {
-            if let Err(e) = sfs::udp_node_binary() {
-                eprintln!("net:udp: skipping remaining runs ({e})");
-                break;
-            }
-            match self
-                .spec
-                .clone()
-                .seed(config.seed.wrapping_add(i as u64))
-                .net(NetSpec::faultless())
-                .try_run_udp(udp_settle)
-            {
-                Ok((trace, complete)) => {
-                    udp.absorb_run(complete, oracle.check("net:udp", &trace, complete));
+        // bounds — which pins differentially, not axiomatically, that
+        // the transport earns the §2 channel axioms, that adaptive
+        // timeouts are model-invisible on a loss-free link, and that the
+        // threaded router and the real wire keep the causal order.
+        let faultless = NetSpec::faultless();
+        let adaptive = NetSpec::faultless().adaptive(sfs::AdaptiveConfig::default());
+        #[rustfmt::skip]
+        let rows = [
+            ("threaded:event",         Some(Backend::Threaded), None,             config.threaded_runs,  false),
+            ("threaded:event+net",     Some(Backend::Threaded), Some(&faultless), config.threaded_runs,  false),
+            ("sim:transport",          Some(Backend::Sim),      Some(&faultless), config.transport_runs, true),
+            ("sim:transport-adaptive", Some(Backend::Sim),      Some(&adaptive),  config.transport_runs, true),
+            ("net:udp",                None,                    Some(&faultless), config.udp_runs,       true),
+        ];
+        for (label, engine, net, runs, fresh_seeds) in rows {
+            let mut report = BackendReport::new(label);
+            for i in 0..runs {
+                let mut spec = self.spec.clone();
+                spec.net = net.cloned();
+                if fresh_seeds {
+                    spec.seed = config.seed.wrapping_add(i as u64);
                 }
-                Err(e) => {
-                    eprintln!("net:udp: run {i} failed to execute ({e})");
-                    break;
-                }
+                let (trace, complete) = match engine {
+                    Some(backend) => {
+                        let out = spec
+                            .run(backend, Instruments::default(), |_| NullApp)
+                            .expect("explored instance is feasible");
+                        (out.trace.expect("recorded"), out.quiesced)
+                    }
+                    // Real-kernel nondeterminism replaces the seeded
+                    // strategies. A missing node binary downgrades the
+                    // row to a skip so `cargo test` without `--bins`
+                    // still passes.
+                    None => match spec.try_run_udp(UDP_SETTLE) {
+                        Ok(run) => (run.trace, run.quiesced),
+                        Err(e) => {
+                            eprintln!("{label}: skipping runs {i}.. ({e})");
+                            break;
+                        }
+                    },
+                };
+                report.absorb_run(complete, oracle.check(label, &trace, complete));
             }
+            backends.push(report);
         }
-        backends.push(udp);
 
         // Minimize every reference witness.
         let shrunk = reference
@@ -1337,7 +1264,6 @@ mod tests {
             // depends on a separately built binary, so the cheap budget
             // leaves it to the dedicated `udp_backend` integration tests.
             udp_runs: 0,
-            settle_ms: 250,
             seed: 7,
             shrink: ShrinkConfig {
                 max_replays: 2048,

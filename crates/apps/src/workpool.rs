@@ -211,7 +211,7 @@ pub fn analyze_workpool(trace: &Trace) -> WorkPoolOutcome {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs::ClusterSpec;
+    use sfs::{Backend, ClusterSpec, Instruments};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -221,8 +221,11 @@ mod tests {
     fn all_tasks_complete_without_failures() {
         let trace = ClusterSpec::new(4, 1)
             .seed(2)
-            .try_run_apps(|_| WorkPoolApp::new(12))
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                WorkPoolApp::new(12)
+            })
+            .expect("feasible spec")
+            .into_trace();
         let outcome = analyze_workpool(&trace);
         assert_eq!(outcome.tasks_executed.len(), 12);
         assert_eq!(
@@ -238,8 +241,11 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(0), p(3), 30)
-                .try_run_apps(|_| WorkPoolApp::new(10))
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| {
+                    WorkPoolApp::new(10)
+                })
+                .expect("feasible spec")
+                .into_trace();
             let outcome = analyze_workpool(&trace);
             assert_eq!(
                 outcome.tasks_executed.len(),
@@ -257,8 +263,11 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(2), p(0), 25) // kill the coordinator mid-stream
-                .try_run_apps(|_| WorkPoolApp::new(10))
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| {
+                    WorkPoolApp::new(10)
+                })
+                .expect("feasible spec")
+                .into_trace();
             let outcome = analyze_workpool(&trace);
             assert_eq!(outcome.tasks_executed.len(), 10, "seed {seed}: lost tasks");
             assert!(outcome.all_done_observed, "seed {seed}");
@@ -272,8 +281,11 @@ mod tests {
                 .seed(seed)
                 .suspect(p(2), p(0), 25)
                 .suspect(p(3), p(1), 40)
-                .try_run_apps(|_| WorkPoolApp::new(8))
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| {
+                    WorkPoolApp::new(8)
+                })
+                .expect("feasible spec")
+                .into_trace();
             let outcome = analyze_workpool(&trace);
             assert_eq!(outcome.tasks_executed.len(), 8, "seed {seed}: lost tasks");
         }
@@ -290,8 +302,11 @@ mod tests {
                 .seed(seed)
                 .latency(1, 200)
                 .suspect(p(0), p(1), 5)
-                .try_run_apps(|_| WorkPoolApp::new(10))
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| {
+                    WorkPoolApp::new(10)
+                })
+                .expect("feasible spec")
+                .into_trace();
             let outcome = analyze_workpool(&trace);
             assert_eq!(outcome.tasks_executed.len(), 10, "seed {seed}");
             if outcome.total_executions > 10 {

@@ -8,10 +8,9 @@
 //! "batching is invisible to the HB model" claim. The simulator has one
 //! loop mode and never batches, so there is nothing to compare there.
 
-use sfs::{ClusterSpec, NetSpec, NullApp};
+use sfs::{Backend, ClusterSpec, Instruments, NetSpec, NullApp};
 use sfs_apps::scenarios::{ConformanceConfig, ExploreInstance};
 use sfs_asys::ProcessId;
-use std::time::Duration;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -43,7 +42,6 @@ fn batching_preserves_the_hb_class_of_detection_rounds() {
         random_runs: 0,
         threaded_runs: 4,
         transport_runs: 0,
-        settle_ms: 2_000,
         ..ConformanceConfig::default()
     };
     for (label, spec) in instances {
@@ -65,10 +63,11 @@ fn batching_preserves_the_hb_class_of_detection_rounds() {
     }
     // The pin has teeth only if the router really coalesced: the same
     // spec the `threaded:event+net` leg just ran must report batches.
-    let (trace, quiesced) = within_bound
+    let run = within_bound
         .net(NetSpec::faultless())
-        .try_run_threaded_net(|_| NullApp, Duration::from_secs(2))
+        .run(Backend::Threaded, Instruments::default(), |_| NullApp)
         .expect("feasible spec");
+    let (trace, quiesced) = (run.trace.expect("recorded"), run.quiesced);
     assert!(quiesced, "{}", trace.to_pretty_string());
     assert!(
         trace.stats().delivery_batches > 0,

@@ -4,10 +4,9 @@
 //! scheduler differs — which is exactly what the paper's Theorem 5
 //! says no process may be able to observe.
 
-use sfs::{ClusterSpec, ModeSpec};
+use sfs::{Backend, ClusterSpec, Instruments, ModeSpec};
 use sfs_apps::election::{analyze_election, ElectionApp};
 use sfs_asys::ProcessId;
-use std::time::Duration;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -25,8 +24,9 @@ fn spec(mode: ModeSpec, seed: u64) -> ClusterSpec {
 fn sim_leadership_transfers_without_fs_impossible_observations() {
     for seed in 0..10 {
         let trace = spec(ModeSpec::SfsOneRound, seed)
-            .try_run_apps(|_| ElectionApp::new())
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| ElectionApp::new())
+            .expect("feasible spec")
+            .into_trace();
         let outcome = analyze_election(&trace);
         assert_eq!(
             outcome.observed_anomalies, 0,
@@ -46,9 +46,11 @@ fn threaded_leadership_transfers_without_fs_impossible_observations() {
     // by its own obituary, leadership must still transfer, and no process
     // may observe anything a fail-stop run could not produce.
     let trace = spec(ModeSpec::SfsOneRound, 3)
-        .try_run_threaded(|_| ElectionApp::new(), Duration::from_millis(400))
+        .run(Backend::Threaded, Instruments::default(), |_| {
+            ElectionApp::new()
+        })
         .expect("feasible spec")
-        .0;
+        .into_trace();
     assert_eq!(
         trace.crashed(),
         vec![p(0)],
@@ -78,9 +80,11 @@ fn threaded_unilateral_detection_leaks_split_brain_evidence() {
     let mut anomaly_seen = false;
     for seed in 0..5 {
         let trace = spec(ModeSpec::Unilateral, seed)
-            .try_run_threaded(|_| ElectionApp::new(), Duration::from_millis(300))
+            .run(Backend::Threaded, Instruments::default(), |_| {
+                ElectionApp::new()
+            })
             .expect("feasible spec")
-            .0;
+            .into_trace();
         assert!(trace.crashed().is_empty(), "unilateral mode kills no one");
         if analyze_election(&trace).observed_anomalies > 0 {
             anomaly_seen = true;

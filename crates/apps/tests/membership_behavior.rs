@@ -4,10 +4,9 @@
 //! convergence only relies on FS1 + sFS2a — properties the detector
 //! provides identically on either runtime.
 
-use sfs::ClusterSpec;
+use sfs::{Backend, ClusterSpec, Instruments};
 use sfs_apps::membership::{check_convergence, view_log, MembershipApp};
 use sfs_asys::ProcessId;
-use std::time::Duration;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -20,8 +19,11 @@ fn sim_views_converge_across_seeds_and_orders() {
             .seed(seed)
             .suspect(p(1), p(0), 10)
             .suspect(p(2), p(5), 12)
-            .try_run_apps(|_| MembershipApp::new())
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                MembershipApp::new()
+            })
+            .expect("feasible spec")
+            .into_trace();
         check_convergence(&trace)
             .unwrap_or_else(|(a, b)| panic!("seed {seed}: views of {a} and {b} diverged"));
         // Survivors end on the 4-member view.
@@ -42,9 +44,11 @@ fn sim_views_converge_across_seeds_and_orders() {
 fn threaded_views_converge() {
     let trace = ClusterSpec::new(5, 2)
         .suspect(p(3), p(4), 10)
-        .try_run_threaded(|_| MembershipApp::new(), Duration::from_millis(400))
+        .run(Backend::Threaded, Instruments::default(), |_| {
+            MembershipApp::new()
+        })
         .expect("feasible spec")
-        .0;
+        .into_trace();
     assert_eq!(trace.crashed(), vec![p(4)], "{}", trace.to_pretty_string());
     check_convergence(&trace).unwrap_or_else(|(a, b)| {
         panic!(
@@ -68,9 +72,11 @@ fn threaded_two_failures_still_converge() {
     let trace = ClusterSpec::new(6, 2)
         .suspect(p(1), p(0), 10)
         .suspect(p(2), p(5), 25)
-        .try_run_threaded(|_| MembershipApp::new(), Duration::from_millis(500))
+        .run(Backend::Threaded, Instruments::default(), |_| {
+            MembershipApp::new()
+        })
         .expect("feasible spec")
-        .0;
+        .into_trace();
     let crashed = trace.crashed();
     assert!(
         crashed.contains(&p(0)) && crashed.contains(&p(5)),

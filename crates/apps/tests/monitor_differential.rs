@@ -39,8 +39,7 @@ fn differential(n: usize, spec: &ClusterSpec, max_schedules: usize) -> (usize, u
     explore(
         &config,
         || {
-            spec.clone()
-                .try_build_with_latency(FixedLatency(1), |_| NullApp)
+            spec.try_build_with_latency(FixedLatency(1), |_| NullApp)
                 .expect("feasible spec")
         },
         |run| {

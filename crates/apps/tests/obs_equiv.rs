@@ -16,7 +16,7 @@
 //! traces are **byte-identical** under JSON serialization, not merely in
 //! the same HB class.
 
-use sfs::{ClusterSpec, NetSpec, NullApp};
+use sfs::{Backend, ClusterSpec, Instruments, NetSpec, NullApp};
 use sfs_apps::workpool::WorkPoolApp;
 use sfs_asys::{ProcessId, Trace, TraceEvent};
 use sfs_explore::class_fingerprint;
@@ -29,7 +29,6 @@ use sfs_obs::{
 };
 use sfs_tlogic::properties;
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -65,10 +64,9 @@ fn sim(spec: ClusterSpec) -> Trace {
 }
 
 fn threaded(spec: ClusterSpec) -> Trace {
-    let (trace, _) = spec
-        .try_run_threaded(|_| NullApp, Duration::from_millis(400))
-        .expect("threaded run");
-    trace
+    spec.run(Backend::Threaded, Instruments::default(), |_| NullApp)
+        .expect("threaded run")
+        .into_trace()
 }
 
 fn transport(spec: ClusterSpec) -> Trace {
@@ -143,8 +141,11 @@ fn obs_is_byte_invisible_under_an_app_workload() {
             .max_time(20_000);
         let obs = Observers::new(5, WatermarkConfig::default());
         let (bare, observed) = bare_and_observed(spec, obs.sink(), |s| {
-            s.try_run_apps(|_| WorkPoolApp::new(6))
-                .expect("feasible spec")
+            s.run(Backend::Sim, Instruments::default(), |_| {
+                WorkPoolApp::new(6)
+            })
+            .expect("feasible spec")
+            .into_trace()
         });
         assert!(bare.stop_reason().is_complete(), "seed {seed}");
         assert_eq!(

@@ -13,7 +13,7 @@
 //! model. Any future change that renumbers, reorders, or double-releases
 //! payloads fails here.
 
-use sfs::{AdaptiveConfig, ClusterSpec, NetSpec, NullApp};
+use sfs::{AdaptiveConfig, Backend, ClusterSpec, Instruments, NetSpec, NullApp};
 use sfs_apps::workpool::WorkPoolApp;
 use sfs_asys::ProcessId;
 use sfs_explore::class_fingerprint;
@@ -73,8 +73,11 @@ fn transport_is_hb_invisible_under_an_app_workload() {
             .max_time(20_000);
         let bare = spec
             .clone()
-            .try_run_apps(|_| WorkPoolApp::new(6))
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                WorkPoolApp::new(6)
+            })
+            .expect("feasible spec")
+            .into_trace();
         let wrapped = spec
             .net(NetSpec::faultless())
             .try_run_net(|_| WorkPoolApp::new(6))
@@ -139,8 +142,11 @@ fn adaptive_transport_is_hb_invisible_under_an_app_workload() {
             .max_time(20_000);
         let bare = spec
             .clone()
-            .try_run_apps(|_| WorkPoolApp::new(6))
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                WorkPoolApp::new(6)
+            })
+            .expect("feasible spec")
+            .into_trace();
         let wrapped = spec
             .net(NetSpec::faultless().adaptive(AdaptiveConfig::default()))
             .try_run_net(|_| WorkPoolApp::new(6))

@@ -3,10 +3,9 @@
 //! concurrency — because reassignment only relies on sFS2a ("a detected
 //! worker is really dead"), which holds on either runtime.
 
-use sfs::ClusterSpec;
+use sfs::{Backend, ClusterSpec, Instruments};
 use sfs_apps::workpool::{analyze_workpool, WorkPoolApp};
 use sfs_asys::ProcessId;
-use std::time::Duration;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
@@ -20,8 +19,11 @@ fn sim_worker_and_coordinator_failures_lose_nothing() {
             .seed(seed)
             .suspect(p(2), p(0), 25) // coordinator
             .suspect(p(3), p(4), 40) // worker
-            .try_run_apps(|_| WorkPoolApp::new(12))
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                WorkPoolApp::new(12)
+            })
+            .expect("feasible spec")
+            .into_trace();
         let outcome = analyze_workpool(&trace);
         assert_eq!(
             outcome.tasks_executed.len(),
@@ -39,9 +41,11 @@ fn sim_worker_and_coordinator_failures_lose_nothing() {
 #[test]
 fn threaded_pool_completes_all_tasks() {
     let trace = ClusterSpec::new(4, 1)
-        .try_run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(400))
+        .run(Backend::Threaded, Instruments::default(), |_| {
+            WorkPoolApp::new(10)
+        })
         .expect("feasible spec")
-        .0;
+        .into_trace();
     let outcome = analyze_workpool(&trace);
     assert_eq!(
         outcome.tasks_executed.len(),
@@ -60,9 +64,11 @@ fn threaded_pool_completes_all_tasks() {
 fn threaded_worker_failure_reassigns_its_tasks() {
     let trace = ClusterSpec::new(5, 2)
         .suspect(p(0), p(3), 30)
-        .try_run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(500))
+        .run(Backend::Threaded, Instruments::default(), |_| {
+            WorkPoolApp::new(10)
+        })
         .expect("feasible spec")
-        .0;
+        .into_trace();
     assert_eq!(trace.crashed(), vec![p(3)], "{}", trace.to_pretty_string());
     let outcome = analyze_workpool(&trace);
     assert_eq!(
@@ -78,9 +84,11 @@ fn threaded_worker_failure_reassigns_its_tasks() {
 fn threaded_coordinator_failover_hands_over() {
     let trace = ClusterSpec::new(5, 2)
         .suspect(p(2), p(0), 30)
-        .try_run_threaded(|_| WorkPoolApp::new(10), Duration::from_millis(500))
+        .run(Backend::Threaded, Instruments::default(), |_| {
+            WorkPoolApp::new(10)
+        })
         .expect("feasible spec")
-        .0;
+        .into_trace();
     assert_eq!(trace.crashed(), vec![p(0)], "{}", trace.to_pretty_string());
     let outcome = analyze_workpool(&trace);
     assert_eq!(

@@ -49,7 +49,6 @@ fn main() {
                     threaded_runs: 0,
                     transport_runs: 0,
                     udp_runs: 2,
-                    settle_ms: 300, // UDP runs are floored to 5 s internally
                     seed: 0xD0 + i as u64,
                     ..ConformanceConfig::default()
                 });

@@ -28,7 +28,7 @@
 //!
 //! Artifacts land in `SFS_BENCH_OUT` (default `.`).
 
-use sfs::{ClusterSpec, HeartbeatConfig, NetSpec, NullApp};
+use sfs::{Backend, ClusterSpec, HeartbeatConfig, Instruments, NetSpec, NullApp};
 use sfs_asys::ProcessId;
 use sfs_explore::class_fingerprint;
 use sfs_history::History;
@@ -36,7 +36,7 @@ use sfs_obs::{
     metrics, AnomalyWatermarks, EventSinkHandle, FlightRecorder, Json, Registry, RunReport,
     SfsMonitor,
 };
-use sfs_service::{plan_shards, run_service, Backend, LoadProfile, ServiceSpec};
+use sfs_service::{plan_shards, run_service, LoadProfile, ServiceSpec};
 use std::path::PathBuf;
 use std::time::Duration;
 
@@ -144,9 +144,9 @@ fn main() {
 
     let thr_obs_trace = common_spec(seed)
         .event_sink(production_fanout("obs-smoke-threaded"))
-        .try_run_threaded(|_| NullApp, Duration::from_millis(500))
+        .run(Backend::Threaded, Instruments::default(), |_| NullApp)
         .unwrap_or_else(|e| fail(&format!("threaded leg: {e}")))
-        .0;
+        .into_trace();
     merged.merge(&leg_report("threaded", &thr_obs_trace));
 
     let net_trace = common_spec(seed)
@@ -158,14 +158,14 @@ fn main() {
     let mut engines = 3;
     match sfs::udp_node_binary() {
         Ok(_) => {
-            let (trace, quiesced) = common_spec(seed)
+            let run = common_spec(seed)
                 .net(NetSpec::faultless())
                 .try_run_udp(Duration::from_secs(20))
                 .unwrap_or_else(|e| fail(&format!("udp leg: {e}")));
-            if !quiesced {
+            if !run.quiesced {
                 fail("udp leg did not quiesce");
             }
-            merged.merge(&leg_report("udp", &trace));
+            merged.merge(&leg_report("udp", &run.trace));
             engines = 4;
         }
         Err(e) if std::env::var_os("SFS_OBS_SMOKE_REQUIRE_UDP").is_some() => {
@@ -218,9 +218,9 @@ fn main() {
         fail("the observers changed the simulator's trace bytes");
     }
     let bare_thr = common_spec(seed)
-        .try_run_threaded(|_| NullApp, Duration::from_millis(500))
+        .run(Backend::Threaded, Instruments::default(), |_| NullApp)
         .unwrap_or_else(|e| fail(&format!("bare threaded leg: {e}")))
-        .0;
+        .into_trace();
     let (fp_bare, fp_obs) = (
         class_fingerprint(&History::from_trace(&bare_thr)),
         class_fingerprint(&History::from_trace(&thr_obs_trace)),

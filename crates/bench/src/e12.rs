@@ -256,11 +256,11 @@ pub fn e12_udp_bytes(scenario: &NetScenario, n: usize, t: usize, seeds: u64) -> 
     let runs = seeds.clamp(1, 2);
     let mut total = 0u64;
     for seed in 0..runs {
-        let (trace, _) = scenario
+        let run = scenario
             .spec(n, t, 0xE12 ^ seed)
             .try_run_udp(std::time::Duration::from_secs(10))
             .ok()?;
-        total += trace.stats().wire_bytes;
+        total += run.trace.stats().wire_bytes;
     }
     Some(total as f64 / runs as f64)
 }

@@ -11,7 +11,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 use sfs::quorum::{is_feasible, max_tolerable, min_quorum};
-use sfs::{AppApi, Application, ClusterSpec, HeartbeatConfig, ModeSpec, QuorumPolicy};
+use sfs::{
+    AppApi, Application, Backend, ClusterSpec, HeartbeatConfig, Instruments, ModeSpec, QuorumPolicy,
+};
 use sfs_apps::election::{analyze_election, ElectionApp};
 use sfs_apps::last_to_fail::{recover_last_to_fail, true_last_to_fail, Recovery};
 use sfs_apps::scenarios::{
@@ -88,7 +90,10 @@ pub fn random_sfs_run(n: usize, t: usize, variant: E1Variant, seed: u64) -> Trac
         let at = rng.gen_range(5..50);
         spec = spec.suspect(ProcessId::new(by), ProcessId::new(v), at);
     }
-    let trace = spec.try_run_apps(|_| GossipApp).expect("feasible spec");
+    let trace = spec
+        .run(Backend::Sim, Instruments::default(), |_| GossipApp)
+        .expect("feasible spec")
+        .into_trace();
     note_trace(&trace);
     trace
 }
@@ -576,8 +581,9 @@ pub fn run_e7(seeds: u64) -> Table {
                 .mode(mode)
                 .seed(seed)
                 .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-                .try_run_apps(|_| ElectionApp::new())
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| ElectionApp::new())
+                .expect("feasible spec")
+                .into_trace();
             note_trace(&trace);
             let outcome = analyze_election(&trace);
             (
@@ -1019,7 +1025,6 @@ fn e10_conformance_config(seed: u64) -> ConformanceConfig {
         // column (wall-clock ticks), and one run per instance across the
         // whole E9 family set is already a broad sweep.
         udp_runs: 1,
-        settle_ms: 300,
         seed,
         ..ConformanceConfig::default()
     }
@@ -1294,7 +1299,6 @@ mod tests {
             random_runs: 1,
             threaded_runs: 2,
             transport_runs: 1,
-            settle_ms: 2_000,
             seed: 0x7E57,
             ..ConformanceConfig::default()
         };

@@ -3,7 +3,9 @@
 //! Experiments, tests, and examples all need the same shape of run: `n`
 //! processes under some [`DetectionMode`], a latency model, a fault plan
 //! (crashes and forced suspicions), and a trace out. [`ClusterSpec`]
-//! packages that.
+//! packages that, and [`ClusterSpec::run`] executes it on either
+//! in-process engine ([`Backend`]), over bare channels or — when
+//! [`ClusterSpec::net`] is set — over the `sfs-transport` ARQ layer.
 
 use crate::app::{Application, NullApp};
 use crate::config::{HeartbeatConfig, SfsConfig};
@@ -24,7 +26,7 @@ use std::time::Duration;
 
 /// Why a [`ClusterSpec`] is rejected before anything runs: the union of
 /// the quorum-arithmetic errors (Corollary 8) and the latency/link
-/// configuration errors, so every `try_*` runner reports one typed error.
+/// configuration errors, so every runner reports one typed error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SpecError {
     /// The quorum policy cannot make progress for `(n, t)`.
@@ -36,6 +38,9 @@ pub enum SpecError {
     Transport(TransportError),
     /// The spec cannot run (or failed to run) on the UDP backend.
     Udp(crate::udp::UdpError),
+    /// A wire-byte measure was asked of a run with no [`ClusterSpec::net`]:
+    /// bare channels send no transport frames to measure.
+    MeasureWithoutNet,
 }
 
 impl fmt::Display for SpecError {
@@ -45,6 +50,10 @@ impl fmt::Display for SpecError {
             SpecError::Latency(e) => write!(f, "{e}"),
             SpecError::Transport(e) => write!(f, "{e}"),
             SpecError::Udp(e) => write!(f, "{e}"),
+            SpecError::MeasureWithoutNet => write!(
+                f,
+                "a wire-byte measure needs transport frames; set ClusterSpec::net"
+            ),
         }
     }
 }
@@ -76,9 +85,8 @@ impl From<crate::udp::UdpError> for SpecError {
 }
 
 /// Declarative description of the network beneath one cluster run: the
-/// faulty-link parameters plus whether the `sfs-transport` ARQ layer is
-/// interposed to earn the §2 channel axioms back. The harness leg next
-/// to [`ClusterSpec::try_build_with_latency`]; see [`ClusterSpec::net`].
+/// faulty-link parameters plus the `sfs-transport` ARQ layer interposed to
+/// earn the §2 channel axioms back; see [`ClusterSpec::net`].
 #[derive(Debug, Clone)]
 pub struct NetSpec {
     /// I.i.d. per-message loss probability.
@@ -214,11 +222,15 @@ pub struct ClusterSpec {
     /// Scripted erroneous suspicions `(suspector, suspect, at)` — the
     /// paper's "spontaneous" suspicions.
     pub suspicions: Vec<(ProcessId, ProcessId, u64)>,
-    /// The faulty network beneath the run, for the `*_net` legs: link
-    /// faults (loss/duplication/partitions) plus the `sfs-transport` ARQ
-    /// and probe parameters. `None` behaves as [`NetSpec::faultless`].
-    /// Ignored by the bare (`try_run`/`try_run_threaded`/...) legs, which
-    /// assume the §2 channel axioms directly.
+    /// The network beneath the run, and the one thing that picks its leg.
+    /// `None`: the bare leg — the §5 automaton on channels that assume
+    /// the §2 axioms directly. `Some`: the transport-backed leg — the
+    /// automaton inside the `sfs-transport` ARQ layer, over a link with
+    /// the described faults (loss/duplication/partitions/storms) and the
+    /// ARQ, probe and adaptive parameters. [`ClusterSpec::try_run_net`],
+    /// [`ClusterSpec::try_run_net_measured`] and
+    /// [`ClusterSpec::try_build_net_with`] always take the transport leg
+    /// and read `None` as [`NetSpec::faultless`].
     pub net: Option<NetSpec>,
     /// Trace-event sink threaded into whichever engine the spec runs on:
     /// every event an engine appends to its trace is also handed, live,
@@ -232,8 +244,129 @@ pub struct ClusterSpec {
     pub sink: Option<EventSinkHandle>,
 }
 
-/// A threaded run drained but not yet shut down, and whether it quiesced.
-type Drained<M> = (Runtime<M>, bool);
+/// Which in-process engine executes a [`ClusterSpec::run`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Backend {
+    /// The deterministic discrete-event simulator (virtual time).
+    Sim,
+    /// The event-driven threaded runtime: real OS threads on a virtual
+    /// clock, advancing straight to the next due deadline.
+    Threaded,
+}
+
+impl Backend {
+    /// Every backend, in declaration order.
+    pub const ALL: [Backend; 2] = [Backend::Sim, Backend::Threaded];
+}
+
+impl fmt::Display for Backend {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Backend::Sim => "sim",
+            Backend::Threaded => "threaded",
+        })
+    }
+}
+
+/// What a caller asks of one [`ClusterSpec::run`] beyond the spec itself.
+/// The default records a trace and measures nothing.
+pub struct Instruments<M> {
+    /// Keep a trace ([`RunOutcome::trace`]). Off, neither engine builds
+    /// one: every event still reaches [`ClusterSpec::sink`], and the run
+    /// reports only its [`RunSummary`].
+    pub record: bool,
+    /// A wire-byte measure over the transport leg's frames (e.g.
+    /// `sfs_wire::wire_cost`): every sent frame is charged `measure(frame)` bytes to
+    /// [`SimStats::wire_bytes`](sfs_asys::SimStats). Needs
+    /// [`ClusterSpec::net`]; on a bare spec the run is refused with
+    /// [`SpecError::MeasureWithoutNet`].
+    pub measure: Option<Measure<TransportMsg<SfsMsg<M>>>>,
+}
+
+impl<M> Default for Instruments<M> {
+    fn default() -> Self {
+        Instruments {
+            record: true,
+            measure: None,
+        }
+    }
+}
+
+impl<M> fmt::Debug for Instruments<M> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Instruments")
+            .field("record", &self.record)
+            .field("measure", &self.measure.is_some())
+            .finish()
+    }
+}
+
+/// How one [`ClusterSpec::run`] ended.
+#[derive(Debug, Clone)]
+pub struct RunOutcome {
+    /// Why and when the run stopped, its counters and its event count.
+    pub summary: RunSummary,
+    /// The trace, when [`Instruments::record`] was on.
+    pub trace: Option<Trace>,
+    /// Whether the run was maximal. On the simulator: it stopped
+    /// [complete](sfs_asys::StopReason::is_complete). On threads: the
+    /// runtime's drain handshake ([`Runtime::drain`]) saw it quiesce —
+    /// every forwarded event fully dispatched, nothing pending — so no
+    /// recorded receive is missing its handler's effects.
+    pub quiesced: bool,
+}
+
+impl RunOutcome {
+    /// The outcome of a run that kept `trace`, its summary read off it.
+    fn recorded(trace: Trace, quiesced: bool) -> Self {
+        RunOutcome {
+            summary: RunSummary {
+                stop: trace.stop_reason(),
+                end_time: trace.end_time(),
+                stats: trace.stats(),
+                events: trace.events().len(),
+            },
+            trace: Some(trace),
+            quiesced,
+        }
+    }
+
+    /// The outcome of a run that kept no trace.
+    fn unrecorded(summary: RunSummary, quiesced: bool) -> Self {
+        RunOutcome {
+            summary,
+            trace: None,
+            quiesced,
+        }
+    }
+
+    /// Runs a built simulator, recorded or not.
+    fn of_sim<M: Clone + fmt::Debug + 'static>(sim: Sim<M>, record: bool) -> Self {
+        let out = if record {
+            RunOutcome::recorded(sim.run(), false)
+        } else {
+            RunOutcome::unrecorded(sim.run_unrecorded(), false)
+        };
+        RunOutcome {
+            quiesced: out.summary.stop.is_complete(),
+            ..out
+        }
+    }
+
+    /// The recorded trace.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run was not recorded ([`Instruments::record`] off).
+    pub fn into_trace(self) -> Trace {
+        self.trace.expect("a recorded run carries its trace")
+    }
+}
+
+/// Wall-clock bound on waiting for a threaded run to quiesce or stall.
+/// The runtime answers the drain as soon as either happens, so this only
+/// guards against a hang; it paces nothing.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(10);
 
 impl ClusterSpec {
     /// A quiescence-friendly spec: no heartbeats, moderate random latency.
@@ -265,8 +398,8 @@ impl ClusterSpec {
         self
     }
 
-    /// Installs the network description for the `*_net` legs (see
-    /// [`ClusterSpec::try_run_net`] and friends).
+    /// Installs the network description, which puts the run on the
+    /// transport-backed leg (see [`ClusterSpec::net`]).
     pub fn net(mut self, net: NetSpec) -> Self {
         self.net = Some(net);
         self
@@ -279,8 +412,8 @@ impl ClusterSpec {
     /// latency bounds must form a real interval
     /// ([`UniformLatency::try_new`]).
     ///
-    /// Every `try_*` runner calls this first, so infeasible shapes
-    /// surface as typed [`SpecError`]s instead of panics.
+    /// Every runner calls this first, so infeasible shapes surface as
+    /// typed [`SpecError`]s instead of panics.
     ///
     /// # Errors
     ///
@@ -463,47 +596,133 @@ impl ClusterSpec {
         })
     }
 
-    /// The one threaded run path: spawns the runtime with the spec's
-    /// seed, bounds and sink, `link`/`classify`/`measure` on the router,
-    /// a trace recorder when `record` is set, and every process built by
-    /// `make` against a shared [`CrashRegistry`] the router marks, then
-    /// drains for at most `settle`. Returns the drained runtime, for the
-    /// caller to shut down as it was spawned, and whether it quiesced.
-    #[allow(clippy::too_many_arguments)]
-    fn run_on_threads<M, F>(
+    /// Runs the cluster with an application per process, on `backend`,
+    /// and reports how it ended. [`ClusterSpec::net`] alone picks the
+    /// leg: `None` runs the §5 automaton on bare channels, `Some` runs it
+    /// inside the `sfs-transport` ARQ layer over the described faulty
+    /// link. `instruments` says whether to keep a trace and whether to
+    /// measure wire bytes.
+    ///
+    /// On [`Backend::Threaded`] the same protocol code runs on real OS
+    /// threads on the event-driven virtual clock. The spec's scripted
+    /// crashes and suspicions ride the router's timer wheel and fire at
+    /// their exact virtual ticks (before any message due at the same
+    /// instant); the runtime gets the simulator's infrastructure
+    /// classifier (so histories project identically), a
+    /// [`CrashRegistry`] the router marks (so [`ModeSpec::Oracle`] works
+    /// on threads too), and the spec's `max_time`/`max_events` bounds.
+    /// Heartbeat and oracle configurations re-arm timers forever: they
+    /// run to those bounds at compute speed and report
+    /// [`RunOutcome::quiesced`] `false`.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`ClusterSpec::validate`] reports, and
+    /// [`SpecError::MeasureWithoutNet`] for a measure on a bare spec.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use sfs::{Backend, ClusterSpec, Instruments, NetSpec, NullApp};
+    /// use sfs_asys::ProcessId;
+    ///
+    /// let bare = ClusterSpec::new(4, 1).suspect(ProcessId::new(1), ProcessId::new(0), 10);
+    /// let wrapped = bare.clone().net(NetSpec::faultless());
+    /// for backend in Backend::ALL {
+    ///     for spec in [&bare, &wrapped] {
+    ///         let out = spec.run(backend, Instruments::default(), |_| NullApp).unwrap();
+    ///         assert!(out.quiesced);
+    ///         assert_eq!(out.into_trace().crashed(), vec![ProcessId::new(0)]);
+    ///     }
+    /// }
+    /// ```
+    pub fn run<A, F>(
         &self,
-        link: Option<Box<dyn LinkModel + Send>>,
-        plan: FaultPlan<M>,
-        classify: impl Fn(&M) -> bool + Send + 'static,
-        measure: Option<Measure<M>>,
-        record: bool,
-        settle: Duration,
-        mut make: F,
-    ) -> Drained<M>
+        backend: Backend,
+        instruments: Instruments<A::Msg>,
+        mut make_app: F,
+    ) -> Result<RunOutcome, SpecError>
+    where
+        A: Application + Send + 'static,
+        A::Msg: Send,
+        F: FnMut(ProcessId) -> A,
+    {
+        self.validate()?;
+        let Instruments { record, measure } = instruments;
+        Ok(match (backend, &self.net) {
+            (_, None) if measure.is_some() => return Err(SpecError::MeasureWithoutNet),
+            (Backend::Sim, None) => RunOutcome::of_sim(
+                self.try_build_with_latency(self.latency_model()?, make_app)?,
+                record,
+            ),
+            (Backend::Sim, Some(_)) => {
+                let sim = self.try_build_net_with(
+                    |b| match measure {
+                        Some(measure) => b.measure(measure),
+                        None => b,
+                    },
+                    make_app,
+                )?;
+                RunOutcome::of_sim(sim, record)
+            }
+            (Backend::Threaded, None) => self.on_threads(
+                RuntimeConfig {
+                    record,
+                    classify: Some(Box::new(|m: &SfsMsg<A::Msg>| !m.is_app())),
+                    faults: self.fault_plan(),
+                    ..RuntimeConfig::default()
+                },
+                |pid, registry| Box::new(self.sfs_process(registry, make_app(pid))),
+            ),
+            (Backend::Threaded, Some(net)) => self.on_threads(
+                RuntimeConfig {
+                    record,
+                    link: Some(Box::new(self.link_model()?)),
+                    classify: Some(Box::new(|_: &TransportMsg<SfsMsg<A::Msg>>| true)),
+                    measure,
+                    faults: self.fault_plan_net(),
+                    ..RuntimeConfig::default()
+                },
+                |pid, registry| Box::new(self.wrap_process(net, registry, make_app(pid))),
+            ),
+        })
+    }
+
+    /// The threaded arm of [`ClusterSpec::run`]: completes `config` with
+    /// the spec's seed, bounds and sink and a [`CrashRegistry`] the router
+    /// marks, spawns every process `make` builds against that registry,
+    /// drains, and shuts down as `config.record` asks.
+    fn on_threads<M>(
+        &self,
+        config: RuntimeConfig<M>,
+        mut make: impl FnMut(ProcessId, &CrashRegistry) -> Box<dyn Process<M> + Send>,
+    ) -> RunOutcome
     where
         M: Clone + fmt::Debug + Send + 'static,
-        F: FnMut(ProcessId, &CrashRegistry) -> Box<dyn Process<M> + Send>,
     {
         let registry = CrashRegistry::new(self.n);
+        let record = config.record;
         let config = RuntimeConfig {
             seed: self.seed,
-            link,
-            record,
-            classify: Some(Box::new(classify)),
-            measure,
             sink: self.sink.clone(),
             registry: Some(registry.clone()),
-            faults: plan,
             max_time: self.max_time,
             max_events: self.max_events,
+            ..config
         };
         let rt = Runtime::spawn(self.n, config, |pid| make(pid, &registry));
-        let quiesced = rt.drain(settle);
-        (rt, quiesced)
+        let quiesced = rt.drain(DRAIN_TIMEOUT);
+        if record {
+            RunOutcome::recorded(rt.shutdown(), quiesced)
+        } else {
+            RunOutcome::unrecorded(rt.shutdown_unrecorded(), quiesced)
+        }
     }
 
     /// Runs the cluster on the simulator with [`NullApp`] on every
-    /// process and the spec's uniform latency model.
+    /// process and returns its trace: [`ClusterSpec::run`] on
+    /// [`Backend::Sim`], recorded, so a set [`ClusterSpec::net`] puts it
+    /// on the transport leg.
     ///
     /// # Errors
     ///
@@ -511,21 +730,9 @@ impl ClusterSpec {
     /// infeasible shapes (`n = 0`, or `n ≤ t²` under the fixed minimum
     /// quorum) come back as typed errors, never panics.
     pub fn try_run(self) -> Result<Trace, SpecError> {
-        self.try_run_apps(|_| NullApp)
-    }
-
-    /// Runs the cluster on the simulator with an application per process.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_run_apps<A, F>(self, make_app: F) -> Result<Trace, SpecError>
-    where
-        A: Application,
-        F: FnMut(ProcessId) -> A,
-    {
-        let latency = self.latency_model()?;
-        Ok(self.try_build_with_latency(latency, make_app)?.run())
+        Ok(self
+            .run(Backend::Sim, Instruments::default(), |_| NullApp)?
+            .into_trace())
     }
 
     /// Builds the cluster's simulator **without running it**, over a
@@ -534,14 +741,13 @@ impl ClusterSpec {
     /// experiment; `.run()` on the result runs it). Also the hook for
     /// schedule exploration: the `sfs-explore` crate re-executes the
     /// same cluster under every schedule its search prescribes, so it
-    /// needs a fresh, un-run [`Sim`] per execution (the spec is `Clone`;
-    /// clone it once per build).
+    /// needs a fresh, un-run [`Sim`] per execution.
     ///
     /// # Errors
     ///
     /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
     pub fn try_build_with_latency<A, F>(
-        self,
+        &self,
         latency: impl LinkModel + 'static,
         mut make_app: F,
     ) -> Result<Sim<SfsMsg<A::Msg>>, SpecError>
@@ -557,112 +763,6 @@ impl ClusterSpec {
             .link(latency);
         let registry = builder.crash_registry();
         Ok(builder.build(|pid| Box::new(self.sfs_process(&registry, make_app(pid)))))
-    }
-
-    /// Runs the cluster on the **threaded runtime** — identical protocol
-    /// code on real OS threads, on the event-driven virtual clock — and
-    /// reports whether the system **quiesced** before shutdown, via the
-    /// runtime's drain handshake ([`Runtime::drain`]): every forwarded
-    /// event fully dispatched, no pending deliveries, timers, or
-    /// scheduled injections. A `true` means the trace is maximal — no
-    /// recorded receive is missing its handler's effects — and matches a
-    /// [`Quiescent`](sfs_asys::StopReason::Quiescent) stop reason on the
-    /// trace, exactly as on the simulator. Heartbeat and oracle
-    /// configurations re-arm timers forever and thus never quiesce: they
-    /// run to the spec's `max_time` horizon (or `max_events` budget) at
-    /// compute speed and the drain reports `false`. The `settle`
-    /// duration is only a wall-clock upper bound on waiting for either
-    /// outcome, not a pacing parameter.
-    ///
-    /// The spec's scripted crashes and suspicions are seeded onto the
-    /// router's timer wheel at spawn, so they fire at their exact
-    /// virtual ticks (before any message due at the same instant). The
-    /// runtime gets the same infrastructure classifier as the simulator
-    /// build (so histories project identically), a [`CrashRegistry`] the
-    /// router marks (which makes [`ModeSpec::Oracle`] work on threads
-    /// too), and the spec's `max_time`/`max_events` bounds — the same
-    /// horizon the simulator honours, meaningful on threads because the
-    /// router's clock is logical, not wall-clock.
-    ///
-    /// This is the third execution backend next to
-    /// [`ClusterSpec::try_run`] (deterministic simulation) and the
-    /// explorer's scheduled re-execution; the conformance harness in
-    /// `sfs-apps` cross-checks all three.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_run_threaded<A, F>(
-        &self,
-        make_app: F,
-        settle: Duration,
-    ) -> Result<(Trace, bool), SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        let (rt, quiesced) = self.threaded(true, make_app, settle)?;
-        Ok((rt.shutdown(), quiesced))
-    }
-
-    /// Runs the cluster on the threaded runtime **without recording a
-    /// trace**: the bare leg of [`ClusterSpec::try_run_threaded`], or —
-    /// when [`ClusterSpec::net`] is set — the transport-backed leg of
-    /// [`ClusterSpec::try_run_threaded_net`]. Every event still reaches
-    /// the spec's sink; what comes back is how the run ended and whether
-    /// it quiesced. The threaded twin of
-    /// [`Sim::run_unrecorded`](sfs_asys::Sim::run_unrecorded), for
-    /// callers that fold the run through the sink and keep no trace.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_run_threaded_unrecorded<A, F>(
-        &self,
-        make_app: F,
-        settle: Duration,
-    ) -> Result<(RunSummary, bool), SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        Ok(match self.net {
-            None => {
-                let (rt, quiesced) = self.threaded(false, make_app, settle)?;
-                (rt.shutdown_unrecorded(), quiesced)
-            }
-            Some(_) => {
-                let (rt, quiesced) = self.threaded_net(None, false, make_app, settle)?;
-                (rt.shutdown_unrecorded(), quiesced)
-            }
-        })
-    }
-
-    /// The bare threaded leg, spawned and drained: the §5 automaton on
-    /// the router's reliable channels.
-    fn threaded<A, F>(
-        &self,
-        record: bool,
-        mut make_app: F,
-        settle: Duration,
-    ) -> Result<Drained<SfsMsg<A::Msg>>, SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.validate()?;
-        Ok(self.run_on_threads(
-            None,
-            self.fault_plan(),
-            |m: &SfsMsg<A::Msg>| !m.is_app(),
-            None,
-            record,
-            settle,
-            |pid, registry| Box::new(self.sfs_process(registry, make_app(pid))),
-        ))
     }
 
     // ---- the faulty-network (transport-backed) legs ----------------------
@@ -712,8 +812,7 @@ impl ClusterSpec {
     /// [`SimBuilder`](sfs_asys::SimBuilder) right before processes are
     /// constructed, for instrumentation the spec itself does not model —
     /// e.g. the wire-byte measure behind
-    /// [`ClusterSpec::try_run_net_measured`](crate::udp); pass `|b| b`
-    /// for none.
+    /// [`ClusterSpec::try_run_net_measured`]; pass `|b| b` for none.
     ///
     /// # Errors
     ///
@@ -751,61 +850,6 @@ impl ClusterSpec {
         F: FnMut(ProcessId) -> A,
     {
         Ok(self.try_build_net_with(|b| b, make_app)?.run())
-    }
-
-    /// Runs the transport-backed cluster on the **threaded runtime** —
-    /// the same ARQ-wrapped processes on real OS threads, with the
-    /// spec's [`NetSpec`] driving the router's link seam on the virtual
-    /// clock (link-verdict delays are wheel deadlines) and the scripted
-    /// crashes and suspicions firing at their exact virtual ticks — and
-    /// reports whether the run quiesced: the net-leg mirror of
-    /// [`ClusterSpec::try_run_threaded`].
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_run_threaded_net<A, F>(
-        &self,
-        make_app: F,
-        settle: Duration,
-    ) -> Result<(Trace, bool), SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        let (rt, quiesced) = self.threaded_net(None, true, make_app, settle)?;
-        Ok((rt.shutdown(), quiesced))
-    }
-
-    /// The transport-backed threaded leg, spawned and drained, with an
-    /// optional wire-byte measure on the router's send seam — the
-    /// threaded mirror of the simulator's `SimBuilder::measure` tuning:
-    /// every sent frame is charged `measure(frame)` bytes to
-    /// [`SimStats::wire_bytes`](sfs_asys::SimStats).
-    pub(crate) fn threaded_net<A, F>(
-        &self,
-        measure: Option<Measure<TransportMsg<SfsMsg<A::Msg>>>>,
-        record: bool,
-        mut make_app: F,
-        settle: Duration,
-    ) -> Result<Drained<TransportMsg<SfsMsg<A::Msg>>>, SpecError>
-    where
-        A: Application + Send + 'static,
-        A::Msg: Send,
-        F: FnMut(ProcessId) -> A,
-    {
-        self.validate()?;
-        let net = self.net.clone().unwrap_or_default();
-        Ok(self.run_on_threads(
-            Some(Box::new(self.link_model()?)),
-            self.fault_plan_net(),
-            |_: &TransportMsg<SfsMsg<A::Msg>>| true,
-            measure,
-            record,
-            settle,
-            |pid, registry| Box::new(self.wrap_process(&net, registry, make_app(pid))),
-        ))
     }
 }
 
@@ -917,9 +961,9 @@ mod tests {
         // suspicion must detect-and-kill p0 exactly as in the simulator.
         let trace = ClusterSpec::new(4, 1)
             .suspect(p(1), p(0), 10)
-            .try_run_threaded(|_| NullApp, Duration::from_millis(300))
+            .run(Backend::Threaded, Instruments::default(), |_| NullApp)
             .expect("feasible spec")
-            .0;
+            .into_trace();
         assert_eq!(trace.crashed(), vec![p(0)], "{}", trace.to_pretty_string());
         assert!(trace.channels_drained(), "{}", trace.to_pretty_string());
         let h = History::from_trace(&trace);
@@ -936,13 +980,14 @@ mod tests {
         // busy well past the crash so the ordering claim has teeth.
         use sfs_asys::TraceEventKind;
 
-        let (trace, _quiesced) = ClusterSpec::new(4, 1)
+        let trace = ClusterSpec::new(4, 1)
             .heartbeat(HeartbeatConfig::default())
             .crash(p(2), 40)
             .max_time(200)
             .seed(7)
-            .try_run_threaded(|_| NullApp, Duration::from_secs(10))
-            .expect("feasible spec");
+            .run(Backend::Threaded, Instruments::default(), |_| NullApp)
+            .expect("feasible spec")
+            .into_trace();
         let crash = trace
             .events()
             .iter()
@@ -972,12 +1017,14 @@ mod tests {
 
     #[test]
     fn threaded_oracle_mode_detects_via_the_shared_registry() {
+        // Oracle polls re-arm forever, so the run ends at its horizon.
         let trace = ClusterSpec::new(3, 1)
             .mode(ModeSpec::Oracle)
             .crash(p(2), 20)
-            .try_run_threaded(|_| NullApp, Duration::from_millis(400))
+            .max_time(1_000)
+            .run(Backend::Threaded, Instruments::default(), |_| NullApp)
             .expect("feasible spec")
-            .0;
+            .into_trace();
         let detectors: std::collections::BTreeSet<_> = trace
             .detections()
             .into_iter()
@@ -1008,12 +1055,13 @@ mod tests {
             })
         );
         // Every fallible entry point reports the same typed error.
-        assert!(ClusterSpec::new(9, 3).try_run_apps(|_| NullApp).is_err());
+        for backend in Backend::ALL {
+            assert!(ClusterSpec::new(9, 3)
+                .run(backend, Instruments::default(), |_| NullApp)
+                .is_err());
+        }
         assert!(ClusterSpec::new(9, 3)
             .try_build_with_latency(UniformLatency::new(1, 10), |_| NullApp)
-            .is_err());
-        assert!(ClusterSpec::new(9, 3)
-            .try_run_threaded(|_| NullApp, Duration::from_millis(10))
             .is_err());
         // The empty system is its own error, caught before any engine
         // (whose constructors assert n > 0) can panic.
@@ -1163,11 +1211,12 @@ mod tests {
 
     #[test]
     fn net_leg_runs_on_the_threaded_backend() {
-        let (trace, _quiesced) = ClusterSpec::new(4, 1)
+        let trace = ClusterSpec::new(4, 1)
             .suspect(p(1), p(0), 10)
             .net(NetSpec::faultless())
-            .try_run_threaded_net(|_| NullApp, Duration::from_millis(400))
-            .expect("feasible spec");
+            .run(Backend::Threaded, Instruments::default(), |_| NullApp)
+            .expect("feasible spec")
+            .into_trace();
         assert_eq!(trace.crashed(), vec![p(0)], "{}", trace.to_pretty_string());
         let h = History::from_trace(&trace);
         assert!(h.validate().is_ok(), "{}", h.to_pretty_string());

@@ -34,8 +34,9 @@
 //!   comparator detectors (unilateral, §6 cheap-broadcast, oracle);
 //! * [`SfsProcess`] — the protocol automaton;
 //! * [`Application`] / [`AppApi`] — the fail-stop programming interface;
-//! * [`ClusterSpec`] — one-call simulated clusters for tests and
-//!   experiments.
+//! * [`ClusterSpec`] — one-call clusters for tests and experiments:
+//!   [`ClusterSpec::run`] on either [`Backend`], bare or over the
+//!   transport, with [`Instruments`] saying what to keep.
 //!
 //! # Examples
 //!
@@ -73,7 +74,7 @@ pub mod udp;
 
 pub use app::{AppApi, Application, NullApp};
 pub use config::{DetectionMode, HeartbeatConfig, SfsConfig};
-pub use harness::{ClusterSpec, ModeSpec, NetSpec, SpecError};
+pub use harness::{Backend, ClusterSpec, Instruments, ModeSpec, NetSpec, RunOutcome, SpecError};
 pub use udp::{udp_node_binary, udp_node_main, UdpError, UdpNodeSpec};
 // Re-exported so harness users can parameterize a `NetSpec` without
 // depending on `sfs-transport` directly.

@@ -6,10 +6,12 @@
 //! `sfs-wire` backend: it gives the sFS wire alphabet a byte encoding
 //! ([`WireCodec`] for [`SfsMsg`] and [`Control`]), packages everything a
 //! spawned node needs into a [`UdpNodeSpec`] blob passed through the
-//! environment, and exposes [`ClusterSpec::try_run_udp`] — the eighth
-//! execution backend, producing the same [`Trace`] type as all the
-//! others so the conformance oracle can compare it against the simulator
-//! envelope.
+//! environment, and exposes [`ClusterSpec::try_run_udp`] — the
+//! multi-process execution backend, producing the same [`Trace`] type as
+//! the in-process engines so the conformance oracle can compare it
+//! against the simulator envelope. It is its own entry, not a
+//! [`Backend`](crate::Backend): its traces are in Lamport ticks and its
+//! settle time is real wall clock.
 //!
 //! Two [`ClusterSpec`] features cannot cross a process boundary and are
 //! rejected with typed errors rather than silently ignored: oracle
@@ -25,8 +27,8 @@ use crate::quorum::QuorumPolicy;
 use sfs_asys::{CrashRegistry, ProcessId, Trace};
 use sfs_transport::{AdaptiveConfig, ArqConfig, ProbeConfig, Reliable, TransportMsg};
 use sfs_wire::{
-    run_cluster, run_node, ClusterConfig, NodeConfig, NodeFault, WireCodec, WireError, WireReader,
-    WireWriter, ENV_CTRL_ADDR,
+    run_cluster, run_node, wire_cost, ClusterConfig, NodeConfig, NodeFault, UdpRun, WireCodec,
+    WireError, WireReader, WireWriter, ENV_CTRL_ADDR,
 };
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -446,30 +448,15 @@ impl ClusterSpec {
     /// node's seeded link, and the spec's scripted
     /// crashes and suspicions delivered over the control channel. Waits
     /// up to `settle` wall clock for the outstanding-count quiescence
-    /// handshake to confirm, then returns the Lamport-merged [`Trace`]
-    /// and the quiescence verdict — the same contract as
-    /// [`ClusterSpec::try_run_threaded`].
+    /// handshake to confirm, then returns the [`UdpRun`]: the
+    /// Lamport-merged [`Trace`], the quiescence verdict (as
+    /// [`RunOutcome::quiesced`](crate::RunOutcome) on threads), and each
+    /// node's final [`NodeStatus`](sfs_wire::NodeStatus).
     ///
     /// Trace timestamps are Lamport ticks, not the spec's virtual-time
     /// ticks: causal order is exact, durations are not comparable to the
     /// simulator's. The conformance oracle therefore checks the UDP
     /// column on order-sensitive, duration-insensitive properties.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports, plus
-    /// [`UdpError::OracleUnsupported`] for [`ModeSpec::Oracle`],
-    /// [`UdpError::Unsupported`] for partition/storm schedules, and
-    /// [`UdpError::NodeBinary`]/[`UdpError::Io`] for spawn and socket
-    /// failures.
-    pub fn try_run_udp(&self, settle: Duration) -> Result<(Trace, bool), SpecError> {
-        let run = self.try_run_udp_full(settle)?;
-        Ok((run.trace, run.quiesced))
-    }
-
-    /// [`ClusterSpec::try_run_udp`] returning the full
-    /// [`UdpRun`](sfs_wire::UdpRun) — trace, quiescence verdict, and each
-    /// node's final [`NodeStatus`](sfs_wire::NodeStatus).
     ///
     /// When the control channel misses quiescence and the run ends at its
     /// deadline ([`MaxTime`](sfs_asys::StopReason::MaxTime)), a flight
@@ -478,8 +465,12 @@ impl ClusterSpec {
     ///
     /// # Errors
     ///
-    /// As [`ClusterSpec::try_run_udp`].
-    pub fn try_run_udp_full(&self, settle: Duration) -> Result<sfs_wire::UdpRun, SpecError> {
+    /// Whatever [`ClusterSpec::validate`] reports, plus
+    /// [`UdpError::OracleUnsupported`] for [`ModeSpec::Oracle`],
+    /// [`UdpError::Unsupported`] for partition/storm schedules, and
+    /// [`UdpError::NodeBinary`]/[`UdpError::Io`] for spawn and socket
+    /// failures.
+    pub fn try_run_udp(&self, settle: Duration) -> Result<UdpRun, SpecError> {
         self.validate()?;
         if matches!(self.mode, ModeSpec::Oracle) {
             return Err(UdpError::OracleUnsupported.into());
@@ -560,42 +551,19 @@ impl ClusterSpec {
     /// datagram size ([`sfs_wire::wire_cost`]) to
     /// [`SimStats::wire_bytes`](sfs_asys::SimStats), making simulated
     /// byte budgets (E12's bytes-per-detection) directly comparable to
-    /// the UDP backend's datagram accounting.
+    /// the UDP backend's datagram accounting. On threads the same ruler
+    /// goes in [`Instruments::measure`](crate::Instruments::measure).
     ///
     /// # Errors
     ///
     /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
     pub fn try_run_net_measured(&self) -> Result<Trace, SpecError> {
-        self.validate()?;
-        let sim = self.try_build_net_with(
-            |b| b.measure(|m: &TransportMsg<SfsMsg<()>>| sfs_wire::wire_cost(m)),
-            |_| NullApp,
-        )?;
-        Ok(sim.run())
-    }
-
-    /// The threaded-runtime twin of
-    /// [`ClusterSpec::try_run_net_measured`]: the same wire-byte measure
-    /// ([`sfs_wire::wire_cost`]) on the router's send seam, so all three
-    /// in-process engines account bytes with one ruler. Returns the trace
-    /// and whether the run quiesced.
-    ///
-    /// # Errors
-    ///
-    /// Whatever [`ClusterSpec::validate`] reports ([`SpecError`]).
-    pub fn try_run_threaded_net_measured(
-        &self,
-        settle: std::time::Duration,
-    ) -> Result<(Trace, bool), SpecError> {
-        let (rt, quiesced) = self.threaded_net(
-            Some(Box::new(|m: &TransportMsg<SfsMsg<()>>| {
-                sfs_wire::wire_cost(m)
-            })),
-            true,
-            |_| NullApp,
-            settle,
-        )?;
-        Ok((rt.shutdown(), quiesced))
+        Ok(self
+            .try_build_net_with(
+                |b| b.measure(wire_cost::<TransportMsg<SfsMsg<()>>>),
+                |_| NullApp,
+            )?
+            .run())
     }
 }
 

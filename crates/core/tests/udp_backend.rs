@@ -19,7 +19,8 @@ fn p(i: usize) -> ProcessId {
 
 fn udp(spec: &ClusterSpec, settle: Duration) -> (sfs_asys::Trace, bool) {
     std::env::set_var(sfs::udp::ENV_NODE_BIN, NODE_BIN);
-    spec.try_run_udp(settle).expect("UDP run failed")
+    let run = spec.try_run_udp(settle).expect("UDP run failed");
+    (run.trace, run.quiesced)
 }
 
 #[test]
@@ -95,5 +96,30 @@ fn unsupported_shapes_are_rejected_before_spawning() {
     assert_eq!(
         partitioned,
         SpecError::Udp(UdpError::Unsupported("partition schedules"))
+    );
+
+    let stormy = ClusterSpec::new(3, 1)
+        .net(
+            NetSpec::faultless().storms(sfs_asys::StormSchedule::new().surge_links(
+                sfs_asys::VirtualTime::from_ticks(1),
+                sfs_asys::VirtualTime::from_ticks(10),
+                &[(p(0), p(1))],
+                5,
+            )),
+        )
+        .try_run_udp(Duration::from_millis(10))
+        .unwrap_err();
+    assert_eq!(
+        stormy,
+        SpecError::Udp(UdpError::Unsupported("storm schedules"))
+    );
+
+    // Node ids travel as 16 bits.
+    let oversized = ClusterSpec::new(usize::from(u16::MAX) + 1, 1)
+        .try_run_udp(Duration::from_millis(10))
+        .unwrap_err();
+    assert_eq!(
+        oversized,
+        SpecError::Udp(UdpError::Unsupported("more than 65535 nodes"))
     );
 }

@@ -13,8 +13,9 @@
 //! construction, so the pin worth having is against the *simulated*
 //! total: same sends, same encoder, same bytes.
 
-use sfs::{ClusterSpec, NetSpec};
+use sfs::{Backend, ClusterSpec, Instruments, NetSpec, NullApp, SfsMsg, TransportMsg};
 use sfs_asys::ProcessId;
+use sfs_wire::wire_cost;
 use std::time::Duration;
 
 const NODE_BIN: &str = env!("CARGO_BIN_EXE_sfs-udp-node");
@@ -37,11 +38,21 @@ fn spec(seed: u64) -> ClusterSpec {
 fn sim_and_threaded_charge_identical_wire_bytes() {
     for seed in [11u64, 23, 47] {
         let sim = spec(seed).try_run_net_measured().expect("sim leg");
-        let (threaded, quiesced) = spec(seed)
-            .try_run_threaded_net_measured(Duration::from_millis(500))
+        let threaded = spec(seed)
+            .run(
+                Backend::Threaded,
+                Instruments {
+                    measure: Some(Box::new(wire_cost::<TransportMsg<SfsMsg<()>>>)),
+                    ..Instruments::default()
+                },
+                |_| NullApp,
+            )
             .expect("threaded leg");
-        assert!(quiesced, "seed {seed}: threaded run did not quiesce");
-        let (a, b) = (sim.stats(), threaded.stats());
+        assert!(
+            threaded.quiesced,
+            "seed {seed}: threaded run did not quiesce"
+        );
+        let (a, b) = (sim.stats(), threaded.summary.stats);
         assert!(a.wire_bytes > 0, "seed {seed}: sim charged nothing");
         assert_eq!(
             a.wire_bytes, b.wire_bytes,
@@ -65,7 +76,7 @@ fn udp_ledgers_match_the_simulated_total() {
     let seed = 11u64;
     let sim = spec(seed).try_run_net_measured().expect("sim leg");
     let run = spec(seed)
-        .try_run_udp_full(Duration::from_secs(20))
+        .try_run_udp(Duration::from_secs(20))
         .expect("udp leg");
     assert!(run.quiesced, "udp run did not quiesce");
     let udp_total: u64 = run.node_status.iter().map(|s| s.stats.wire_bytes).sum();

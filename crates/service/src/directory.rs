@@ -19,7 +19,7 @@
 
 use crate::plan::ShardId;
 use serde::{Deserialize, Serialize};
-use sfs::{AppApi, Application, ClusterSpec, QuorumError, SpecError};
+use sfs::{AppApi, Application, Backend, ClusterSpec, Instruments, QuorumError, SpecError};
 use sfs_asys::{Note, ProcessId};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -406,8 +406,11 @@ impl Directory {
                 .collect()
         };
         let shard_count = reports.len();
-        let trace =
-            cluster.try_run_apps(|pid| DirectoryApp::new(epoch, shard_count, home_of(pid)))?;
+        let trace = cluster
+            .run(Backend::Sim, Instruments::default(), |pid| {
+                DirectoryApp::new(epoch, shard_count, home_of(pid))
+            })?
+            .into_trace();
         let mut decided: Option<RoutingTable> = None;
         for (_, _, note) in trace.notes_with_key(NOTE_DIR_TABLE) {
             let Note::KeyVal { val, .. } = note else {

@@ -47,7 +47,10 @@ pub use load::{
     NOTE_OP_DONE, NOTE_OP_EXEC, NOTE_OP_ISSUED, SPAN_LOAD,
 };
 pub use plan::{plan_shards, PlanError, ShardId, ShardPlan, ShardSpec};
+// The engine choice is the harness's; re-exported so a `ServiceSpec`
+// can name it without depending on `sfs` directly.
 pub use service::{
-    nearest_rank, percentile, run_service, Backend, EpochOutcome, ServiceError, ServiceReport,
-    ServiceSpec, ShardOutcome,
+    nearest_rank, percentile, run_service, EpochOutcome, ServiceError, ServiceReport, ServiceSpec,
+    ShardOutcome,
 };
+pub use sfs::Backend;

@@ -432,7 +432,7 @@ impl LoadFold {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfs::ClusterSpec;
+    use sfs::{Backend, ClusterSpec, Instruments};
 
     fn p(i: usize) -> ProcessId {
         ProcessId::new(i)
@@ -442,8 +442,11 @@ mod tests {
     fn closed_loop_completes_all_ops() {
         let trace = ClusterSpec::new(5, 2)
             .seed(4)
-            .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(20, 4)))
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                LoadGenApp::new(LoadProfile::closed(20, 4))
+            })
+            .expect("feasible spec")
+            .into_trace();
         let out = analyze_load(&trace);
         assert_eq!(out.completed, 20, "{}", trace.to_pretty_string());
         assert!(out.complete);
@@ -455,8 +458,11 @@ mod tests {
     fn open_loop_completes_all_ops_at_rate() {
         let trace = ClusterSpec::new(5, 2)
             .seed(8)
-            .try_run_apps(|_| LoadGenApp::new(LoadProfile::open(24, 5, 3)))
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                LoadGenApp::new(LoadProfile::open(24, 5, 3))
+            })
+            .expect("feasible spec")
+            .into_trace();
         let out = analyze_load(&trace);
         assert_eq!(out.completed, 24, "{}", trace.to_pretty_string());
         assert!(out.complete);
@@ -472,8 +478,11 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(0), p(3), 30)
-                .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(16, 4)))
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| {
+                    LoadGenApp::new(LoadProfile::closed(16, 4))
+                })
+                .expect("feasible spec")
+                .into_trace();
             let out = analyze_load(&trace);
             assert_eq!(
                 out.completed,
@@ -491,8 +500,11 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(2), p(0), 25)
-                .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(16, 4)))
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| {
+                    LoadGenApp::new(LoadProfile::closed(16, 4))
+                })
+                .expect("feasible spec")
+                .into_trace();
             let out = analyze_load(&trace);
             assert_eq!(
                 out.completed,
@@ -509,8 +521,11 @@ mod tests {
             let trace = ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(p(1), p(0), 20)
-                .try_run_apps(|_| LoadGenApp::new(LoadProfile::open(12, 4, 2)))
-                .expect("feasible spec");
+                .run(Backend::Sim, Instruments::default(), |_| {
+                    LoadGenApp::new(LoadProfile::open(12, 4, 2))
+                })
+                .expect("feasible spec")
+                .into_trace();
             let out = analyze_load(&trace);
             assert_eq!(
                 out.completed,
@@ -524,8 +539,11 @@ mod tests {
     #[test]
     fn zero_ops_is_immediately_quiescent() {
         let trace = ClusterSpec::new(3, 1)
-            .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(0, 4)))
-            .expect("feasible spec");
+            .run(Backend::Sim, Instruments::default(), |_| {
+                LoadGenApp::new(LoadProfile::closed(0, 4))
+            })
+            .expect("feasible spec")
+            .into_trace();
         let out = analyze_load(&trace);
         assert_eq!(out.issued, 0);
         assert_eq!(out.completed, 0);

@@ -39,10 +39,12 @@ use crate::directory::{Directory, DirectoryError, DirectorySpec, RoutingTable, S
 use crate::load::{LoadFold, LoadGenApp, LoadOutcome, LoadProfile};
 use crate::plan::{plan_shards, PlanError, ShardId, ShardPlan, ShardSpec};
 use rayon::prelude::*;
-use sfs::{ClusterSpec, HeartbeatConfig, NetSpec, QuorumError, SpecError};
+use sfs::{
+    Backend, ClusterSpec, HeartbeatConfig, Instruments, NetSpec, QuorumError, RunOutcome, SpecError,
+};
 use sfs_asys::{
-    EventSink, EventSinkHandle, Interest, ProcessId, RunSummary, Sim, SimStats, Trace, TraceEvent,
-    TraceEventKind, UniformLatency, VirtualTime,
+    EventSink, EventSinkHandle, Interest, ProcessId, SimStats, Trace, TraceEvent, TraceEventKind,
+    VirtualTime,
 };
 use sfs_chaos::{ChaosPlan, ChaosSpec, ShardChaos};
 use sfs_obs::{
@@ -52,26 +54,7 @@ use sfs_obs::{
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
-
-/// Which engine executes the shard groups.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Backend {
-    /// The deterministic discrete-event simulator (virtual time).
-    Sim,
-    /// The event-driven threaded runtime: real OS threads on a virtual
-    /// clock, advancing straight to the next due deadline.
-    Threaded,
-}
-
-impl fmt::Display for Backend {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Backend::Sim => "sim",
-            Backend::Threaded => "threaded",
-        })
-    }
-}
+use std::time::Instant;
 
 /// Declarative description of one sharded service deployment.
 #[derive(Debug, Clone)]
@@ -740,12 +723,6 @@ fn run_epoch(
     })
 }
 
-/// Threaded-backend drain budget per shard run. Purely an upper bound on
-/// *waiting*: the event-driven runtime answers the drain as soon as the
-/// shard quiesces or stalls at its horizon/event budget, so a generous
-/// value costs nothing on healthy runs and only caps truly wedged ones.
-const SETTLE: Duration = Duration::from_secs(5);
-
 /// Runs one shard group for one epoch on the spec's backend. `dead`
 /// members from earlier epochs are gone for good: the group runs as its
 /// `n - dead` survivors with the remaining budget `t - dead` (always
@@ -828,65 +805,27 @@ fn run_shard(
     if let Some((recorder, wm)) = &watermarks {
         sinks.extend([recorder.handle(), wm.handle()]);
     }
+    // A faulty-net deployment runs each shard group transport-backed, its
+    // channels emulated by the ARQ layer over the described link instead
+    // of assumed reliable. Only a kept trace is recorded, on either
+    // backend.
+    cluster.net = net;
     let cluster = cluster.event_sink(EventSinkHandle::fanout(sinks));
     let profile = LoadProfile {
         mode: spec.load.mode,
         ops,
     };
-    let make_app = |_| LoadGenApp::new(profile);
-    let keep = spec.keep_traces;
-    let (stats, events, trace) = match (net, spec.backend) {
-        (None, Backend::Sim) => {
-            let latency = UniformLatency::try_new(cluster.latency.0, cluster.latency.1)
-                .map_err(SpecError::from)?;
-            run_sim(cluster.try_build_with_latency(latency, make_app)?, keep)
-        }
-        // Faulty-net deployment: the shard group runs transport-backed,
-        // its channels emulated by the ARQ layer over the described link
-        // instead of assumed reliable.
-        (Some(net), Backend::Sim) => {
-            run_sim(cluster.net(net).try_build_net_with(|b| b, make_app)?, keep)
-        }
-        // On threads too, only a kept trace is recorded.
-        (None, Backend::Threaded) if keep => kept(cluster.try_run_threaded(make_app, SETTLE)?.0),
-        (Some(net), Backend::Threaded) if keep => {
-            kept(cluster.net(net).try_run_threaded_net(make_app, SETTLE)?.0)
-        }
-        (net, Backend::Threaded) => {
-            let cluster = ClusterSpec { net, ..cluster };
-            unkept(cluster.try_run_threaded_unrecorded(make_app, SETTLE)?.0)
-        }
+    let instruments = Instruments {
+        record: spec.keep_traces,
+        ..Instruments::default()
     };
+    let run = cluster.run(spec.backend, instruments, |_| LoadGenApp::new(profile))?;
     let mut fold = fold.0.lock().expect("shard fold poisoned");
-    let mut out = fold.finish(n, ops, stats, events, monitor.as_deref());
-    out.trace = trace;
+    let mut out = fold.finish(n, ops, run, monitor.as_deref());
     if let Some((_, wm)) = &watermarks {
         out.watermark_trips = wm.trips();
     }
     Ok(out)
-}
-
-/// Runs a built simulator: `keep` records the trace, otherwise none is
-/// built. Returns the run's counters, its event count and the trace.
-fn run_sim<M: Clone + fmt::Debug + 'static>(
-    sim: Sim<M>,
-    keep: bool,
-) -> (SimStats, usize, Option<Trace>) {
-    if keep {
-        kept(sim.run())
-    } else {
-        unkept(sim.run_unrecorded())
-    }
-}
-
-/// A recorded shard run's counters, event count and trace.
-fn kept(trace: Trace) -> (SimStats, usize, Option<Trace>) {
-    (trace.stats(), trace.events().len(), Some(trace))
-}
-
-/// An unrecorded shard run's counters and event count; no trace.
-fn unkept(run: RunSummary) -> (SimStats, usize, Option<Trace>) {
-    (run.stats, run.events, None)
 }
 
 /// The flight-dump label of one shard run's watermarks: every input that
@@ -946,15 +885,16 @@ impl ShardFold {
     }
 
     /// Closes the fold with what only the finished run knows: its
-    /// counters, its event count and the monitor's verdicts.
+    /// counters, its event count, its trace if kept, and the monitor's
+    /// verdicts.
     fn finish(
         &mut self,
         n: usize,
         ops: u64,
-        stats: SimStats,
-        events: usize,
+        run: RunOutcome,
         monitor: Option<&SfsMonitor>,
     ) -> ShardOutcome {
+        let stats = run.summary.stats;
         let load = self.load.finish();
         let registry = &self.registry;
         for &l in &load.op_latencies {
@@ -972,11 +912,11 @@ impl ShardFold {
             ops_routed: ops,
             load,
             stats,
-            events: events as u64,
+            events: run.summary.events as u64,
             detected: self.detected.len(),
             detection_latencies: std::mem::take(&mut self.latencies),
             obs: registry.report(),
-            trace: None,
+            trace: run.trace,
             // Liveness clauses are judged with all obligations due
             // (`complete = true`): a shard run's horizon is its discharge
             // deadline — transport-backed groups under probes never

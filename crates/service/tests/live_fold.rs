@@ -9,15 +9,15 @@
 //! thread — equals its `&Trace` entry point on the same run, and that the
 //! sinks are called for a small, exactly countable share of the events.
 
-use sfs::{ClusterSpec, HeartbeatConfig, NetSpec, ProbeConfig};
+use sfs::{Backend, ClusterSpec, HeartbeatConfig, Instruments, NetSpec, ProbeConfig};
 use sfs_asys::{EventSink, EventSinkHandle, Interest, ProcessId, SimStats, TraceEvent};
 use sfs_chaos::ChaosSpec;
 use sfs_history::History;
 use sfs_obs::{metrics, MsgClass, Registry, SfsMonitor, TraceIngest};
 use sfs_service::load::LoadFold;
 use sfs_service::{
-    analyze_load, plan_shards, run_service, Backend, LoadGenApp, LoadProfile, ServiceReport,
-    ServiceSpec, ShardOutcome,
+    analyze_load, plan_shards, run_service, LoadGenApp, LoadProfile, ServiceReport, ServiceSpec,
+    ShardOutcome,
 };
 use std::sync::{Arc, Mutex};
 
@@ -234,8 +234,11 @@ fn the_monitor_sees_under_a_tenth_of_an_e11_shard_run() {
         .crash(ProcessId::new(1), 55)
         .max_time(600)
         .event_sink(monitor.handle())
-        .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(64, 8)))
-        .expect("16 > 2²");
+        .run(Backend::Sim, Instruments::default(), |_| {
+            LoadGenApp::new(LoadProfile::closed(64, 8))
+        })
+        .expect("16 > 2²")
+        .into_trace();
     let calls = monitor.events_seen();
     assert_eq!(calls, History::from_trace(&trace).len() as u64);
     assert!(calls > 0);

@@ -22,8 +22,9 @@ fn run_one(label: &str, mode: ModeSpec, seed: u64) {
         .mode(mode)
         .seed(seed)
         .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-        .try_run_apps(|_| ElectionApp::new())
-        .expect("feasible spec");
+        .run(Backend::Sim, Instruments::default(), |_| ElectionApp::new())
+        .expect("feasible spec")
+        .into_trace();
     let outcome = analyze_election(&trace);
     println!("== {label} ==");
     println!(
@@ -69,8 +70,9 @@ fn main() {
             &ClusterSpec::new(5, 2)
                 .seed(seed)
                 .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-                .try_run_apps(|_| ElectionApp::new())
-                .expect("feasible spec"),
+                .run(Backend::Sim, Instruments::default(), |_| ElectionApp::new())
+                .expect("feasible spec")
+                .into_trace(),
         );
         sfs_anomalies += sfs.observed_anomalies;
         sfs_two_leader_windows += usize::from(sfs.max_concurrent_leaders >= 2);
@@ -79,8 +81,9 @@ fn main() {
                 .mode(ModeSpec::Unilateral)
                 .seed(seed)
                 .suspect(ProcessId::new(1), ProcessId::new(0), 10)
-                .try_run_apps(|_| ElectionApp::new())
-                .expect("feasible spec"),
+                .run(Backend::Sim, Instruments::default(), |_| ElectionApp::new())
+                .expect("feasible spec")
+                .into_trace(),
         );
         uni_anomalies += uni.observed_anomalies;
     }

@@ -14,8 +14,11 @@ fn main() {
         .seed(9)
         .suspect(ProcessId::new(1), ProcessId::new(0), 10)
         .suspect(ProcessId::new(2), ProcessId::new(5), 60)
-        .try_run_apps(|_| MembershipApp::new())
-        .expect("feasible spec");
+        .run(Backend::Sim, Instruments::default(), |_| {
+            MembershipApp::new()
+        })
+        .expect("feasible spec")
+        .into_trace();
 
     println!("view installations per process:");
     for (pid, views) in view_log(&trace) {

@@ -15,8 +15,11 @@ fn main() {
         .latency(1, 40)
         .suspect(ProcessId::new(2), ProcessId::new(0), 30) // kill the coordinator
         .suspect(ProcessId::new(3), ProcessId::new(1), 50) // then kill a worker
-        .try_run_apps(|_| WorkPoolApp::new(tasks))
-        .expect("feasible spec");
+        .run(Backend::Sim, Instruments::default(), |_| {
+            WorkPoolApp::new(tasks)
+        })
+        .expect("feasible spec")
+        .into_trace();
 
     let outcome = analyze_workpool(&trace);
     println!("tasks:            {tasks}");

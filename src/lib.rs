@@ -56,8 +56,8 @@ pub use sfs;
 /// One-line import for the common API surface.
 pub mod prelude {
     pub use sfs::{
-        AppApi, Application, ClusterSpec, DetectionMode, HeartbeatConfig, ModeSpec, NullApp,
-        QuorumPolicy, SfsConfig, SfsMsg, SfsProcess,
+        AppApi, Application, Backend, ClusterSpec, DetectionMode, HeartbeatConfig, Instruments,
+        ModeSpec, NullApp, QuorumPolicy, RunOutcome, SfsConfig, SfsMsg, SfsProcess,
     };
     pub use sfs_asys::{
         FaultPlan, LatencyModel, Note, Process, ProcessId, Sim, StopReason, Trace, UniformLatency,
@@ -67,8 +67,6 @@ pub mod prelude {
     pub use sfs_history::{
         rearrange_by_swaps, rearrange_to_fs, Event, FailedBefore, HappensBefore, History,
     };
-    pub use sfs_service::{
-        plan_shards, run_service, Backend, LoadProfile, ServiceReport, ServiceSpec,
-    };
+    pub use sfs_service::{plan_shards, run_service, LoadProfile, ServiceReport, ServiceSpec};
     pub use sfs_tlogic::{properties, Formula, PropertyReport, Verdict};
 }

@@ -88,8 +88,11 @@ fn e11_shaped_shard_run_keeps_its_order() {
         .crash(ProcessId::new(0), 40)
         .crash(ProcessId::new(1), 55)
         .max_time(600)
-        .try_run_apps(|_| LoadGenApp::new(LoadProfile::closed(64, 8)))
-        .expect("16 > 2²");
+        .run(Backend::Sim, Instruments::default(), |_| {
+            LoadGenApp::new(LoadProfile::closed(64, 8))
+        })
+        .expect("16 > 2²")
+        .into_trace();
     assert_eq!(trace.crashed().len(), 2);
     assert_eq!(trace_hash(&trace), E11_SHARD_RUN);
 }
