@@ -783,7 +783,7 @@ impl ExploreInstance {
     /// 4. `threaded:event` — `threaded_runs` executions on real OS
     ///    threads under the event-driven virtual clock;
     /// 5. `threaded:event+net` — `threaded_runs` threaded executions
-    ///    over the router's link seam (ARQ-wrapped processes on a
+    ///    over the runtime's link seam (ARQ-wrapped processes on a
     ///    loss-free [`NetSpec`]), so real concurrency and the emulated
     ///    transport are exercised *together*;
     /// 6. `sim:transport` / `sim:transport-adaptive` — the simulated
@@ -858,7 +858,7 @@ impl ExploreInstance {
         // bounds — which pins differentially, not axiomatically, that
         // the transport earns the §2 channel axioms, that adaptive
         // timeouts are model-invisible on a loss-free link, and that the
-        // threaded router and the real wire keep the causal order.
+        // threaded runtime and the real wire keep the causal order.
         let faultless = NetSpec::faultless();
         let adaptive = NetSpec::faultless().adaptive(sfs::AdaptiveConfig::default());
         #[rustfmt::skip]

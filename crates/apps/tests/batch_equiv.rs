@@ -1,6 +1,7 @@
 //! Trace equivalence of batched delivery, on the engine that actually
-//! coalesces: the threaded router regroups the events of one instant per
-//! worker, which reorders execution *across* processes. Running the
+//! coalesces: each round of the threaded runtime runs every process's due
+//! work as one batch and orders the round's events by process, which
+//! reorders execution *across* processes. Running the
 //! bounded E9 instances must still land every threaded run — bare and
 //! over the link seam — in the **happens-before envelope** the
 //! exhaustive exploration of the same instance establishes (class
@@ -61,7 +62,7 @@ fn batching_preserves_the_hb_class_of_detection_rounds() {
             );
         }
     }
-    // The pin has teeth only if the router really coalesced: the same
+    // The pin has teeth only if the runtime really coalesced: the same
     // spec the `threaded:event+net` leg just ran must report batches.
     let run = within_bound
         .net(NetSpec::faultless())

@@ -174,7 +174,7 @@ fn obs_is_hb_invisible_on_the_threaded_runtime() {
             History::from_trace(&bare).to_pretty_string(),
             History::from_trace(&observed).to_pretty_string(),
         );
-        obs.assert_live(&format!("seed {seed}: the threaded router"));
+        obs.assert_live(&format!("seed {seed}: the threaded runtime"));
     }
 }
 

@@ -1,14 +1,16 @@
 //! The engine core: the paper's §2 model, written once.
 //!
-//! Every engine — the simulator ([`Sim`](crate::Sim)), the threaded
-//! runtime ([`net::Runtime`](crate::net::Runtime)) and the one-process
-//! [`Host`](crate::Host) the UDP node wraps — drives one [`EngineState`]
-//! and keeps only its own scheduling loop. The core owns
-//! everything an event may change: crash and detection flags, the receive
-//! filters, the reliable FIFO channel `C_{i,j}` of every ordered pair (a
-//! queue of in-flight copies plus a parked flag), message numbering, the
-//! link and its rng, the classifier, the wire-byte measure, the event
-//! sink, the crash registry and the optional trace recorder. It
+//! Every engine — the simulator ([`Sim`](crate::Sim)) and the
+//! one-process [`Host`](crate::Host) that the UDP node wraps and the
+//! threaded runtime ([`net::Runtime`](crate::net::Runtime)) runs one of
+//! per process — drives an [`EngineState`] and keeps only its own
+//! scheduling loop. The core owns everything an event may change: crash
+//! and detection flags, the receive filters, the reliable FIFO channel
+//! `C_{i,j}` (a queue of in-flight copies plus a parked flag) into every
+//! process it holds — all of them on the simulator, one on a host —
+//! message numbering, the link and its rng, the classifier, the
+//! wire-byte measure, the event sink, the crash registry and the
+//! optional trace recorder. It
 //! implements, once, the interpretation of a handler's [`Action`]s, the
 //! send → link verdict → enqueue path, crashes and detections, and the
 //! admission of a due channel head, timer or injection.
@@ -17,25 +19,24 @@
 //! kinds of deadline — "the head of channel `from → to` is due at `t`" and
 //! "timer `id` is due at `t`" — through the statically dispatched
 //! [`Schedule`] hook: the simulator files them in its calendar queue (or
-//! its scheduled working set), the runtime in its timer wheel. A channel
+//! its scheduled working set), a host in its timer wheel. A channel
 //! has at most one head deadline outstanding and its next head is only
 //! announced once the current one is gone, so every engine's channels are
 //! FIFO by construction, whatever delays the link draws.
 //!
 //! Each engine passes its delay floor at construction: the simulator
-//! delivers and fires no earlier than one tick after the cause, the
-//! runtime and a host at the same instant when the link or the timer says
-//! zero.
+//! delivers and fires no earlier than one tick after the cause, a host
+//! at the same instant when the link or the timer says zero.
 //!
-//! A host's peers live in other OS processes, so [`Schedule`] has two
-//! edges more, which the in-process engines leave at their no-op
-//! defaults: after the link's verdict a copy for a process elsewhere
-//! leaves through [`Schedule::egress`] instead of joining a local
-//! channel, and [`EngineState::ingress`] puts a copy that arrived from
-//! elsewhere on its channel under the sender's id. A host's owner also
-//! waits on real time for an empty wheel, so it drops a cancelled timer
-//! at once ([`Schedule::timer_cancelled`]); the in-process engines leave
-//! it to dissolve when it comes due.
+//! A host's peers live on other hosts, so [`Schedule`] has two edges
+//! more, which the simulator leaves at their no-op defaults: after the
+//! link's verdict a copy for a process elsewhere leaves through
+//! [`Schedule::egress`] instead of joining a local channel, and
+//! [`EngineState::ingress`] puts a copy that arrived from elsewhere on its
+//! channel under the sender's id. A host's owner also waits for an empty
+//! wheel, so it drops a cancelled timer at once
+//! ([`Schedule::timer_cancelled`]); the simulator leaves it to dissolve
+//! when it comes due.
 
 use crate::fault::Injection;
 use crate::id::{MsgId, ProcessId, TimerId};
@@ -46,22 +47,22 @@ use crate::text::Text;
 use crate::time::VirtualTime;
 use crate::timers::CancelledTimers;
 use crate::trace::{SimStats, TraceEvent, TraceEventKind};
-use crate::wheel::TimerWheel;
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
 use std::fmt;
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Predicate marking payloads as infrastructure (`true`) rather than
 /// model-level application messages; see `SimBuilder::classify` and
-/// `RuntimeConfig::classify`.
-pub type Classify<M> = Box<dyn Fn(&M) -> bool + Send>;
+/// `RuntimeConfig::classify`. Shared, so that one value serves every host
+/// of a threaded run.
+pub type Classify<M> = Arc<dyn Fn(&M) -> bool + Send + Sync>;
 
 /// Per-payload wire-byte measure; see `SimBuilder::measure` and
-/// `RuntimeConfig::measure`.
-pub type Measure<M> = Box<dyn Fn(&M) -> u64 + Send>;
+/// `RuntimeConfig::measure`. Shared, as the classifier is.
+pub type Measure<M> = Arc<dyn Fn(&M) -> u64 + Send + Sync>;
 
 /// Live view of which processes have crashed, shared with oracle-style
 /// detectors that model a *perfect* failure detector (used to produce
@@ -88,7 +89,7 @@ impl CrashRegistry {
         }
     }
 
-    fn mark(&self, pid: ProcessId) {
+    pub(crate) fn mark(&self, pid: ProcessId) {
         if let Some(flag) = self.inner.get(pid.index()) {
             flag.store(true, Ordering::Release);
         }
@@ -139,9 +140,9 @@ pub(crate) trait Schedule<M> {
     /// wheel, drops it now.
     #[inline(always)]
     fn timer_cancelled(&mut self, _id: TimerId) {}
-    /// Whether channels into `to` end in this OS process. Both in-process
-    /// engines hold every process, so the default is a constant the
-    /// compiler folds away.
+    /// Whether channels into `to` end in this core. The simulator holds
+    /// every process, so the default is a constant the compiler folds
+    /// away.
     #[inline(always)]
     fn is_local(&self, _to: ProcessId) -> bool {
         true
@@ -152,8 +153,8 @@ pub(crate) trait Schedule<M> {
     fn egress(&mut self, _to: ProcessId, _msg: MsgId, _at: VirtualTime, _payload: M) {}
 }
 
-/// A deadline the core announced, or a fault-plan entry: what the
-/// runtime's and a host's timer wheels hold.
+/// A deadline the core announced, or a fault-plan entry: what a host's
+/// timer wheel holds.
 pub(crate) enum Due<M> {
     Head {
         from: ProcessId,
@@ -169,19 +170,9 @@ pub(crate) enum Due<M> {
     },
 }
 
-impl<M> Schedule<M> for TimerWheel<Due<M>> {
-    fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
-        self.insert(at, Due::Head { from, to });
-    }
-
-    fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId) {
-        self.insert(at, Due::Fire { pid, id });
-    }
-}
-
 /// What a run plugs into the core: the network, the observers and the
-/// bounds. The simulator's builder fills it setter by setter; the
-/// runtime fills it from its `RuntimeConfig`.
+/// bounds. The simulator's builder fills it setter by setter; a host
+/// fills it from its `RuntimeConfig`.
 pub(crate) struct Hooks<M> {
     /// `None` puts every copy on its channel with no delay beyond the
     /// engine's floor.
@@ -203,9 +194,11 @@ struct InFlight<M> {
     infra: bool,
 }
 
-/// The state both engines share; see the module docs.
+/// The state every engine shares; see the module docs.
 pub(crate) struct EngineState<M> {
     n: usize,
+    /// The first process this core holds; see [`EngineState::new`].
+    first: usize,
     /// Least delay, in ticks, of a delivery or a timer.
     floor: u64,
     /// The current instant; the owning engine moves it.
@@ -216,10 +209,11 @@ pub(crate) struct EngineState<M> {
     crashed: Vec<bool>,
     /// Processes that have not crashed.
     live: usize,
+    /// `failed_i(j)` at [`EngineState::pair`]`(i, j)`.
     failed_flags: Vec<bool>,
     cancelled: CancelledTimers,
     filters: Vec<Option<ReceiveFilter<M>>>,
-    /// Channel `from -> to` at `from * n + to`.
+    /// Channel `from -> to` at [`EngineState::pair`]`(to, from)`.
     channels: Vec<VecDeque<InFlight<M>>>,
     /// Per channel: the head was refused by the receiver's filter, so no
     /// head deadline is outstanding until the filter changes.
@@ -234,25 +228,42 @@ pub(crate) struct EngineState<M> {
 }
 
 impl<M: Clone + fmt::Debug> EngineState<M> {
-    pub(crate) fn new(n: usize, floor: u64, rng: StdRng, hooks: Hooks<M>) -> Self {
+    /// The core of `n` processes that holds the channels into the `held`
+    /// ones and their detections: all of them on the simulator, one on a
+    /// host.
+    pub(crate) fn new(
+        n: usize,
+        held: Range<usize>,
+        floor: u64,
+        rng: StdRng,
+        hooks: Hooks<M>,
+    ) -> Self {
+        let pairs = held.len() * n;
         EngineState {
             n,
+            first: held.start,
             floor,
             now: VirtualTime::ZERO,
             rng,
             hooks,
             crashed: vec![false; n],
             live: n,
-            failed_flags: vec![false; n * n],
+            failed_flags: vec![false; pairs],
             cancelled: CancelledTimers::new(),
             filters: (0..n).map(|_| None).collect(),
-            channels: (0..n * n).map(|_| VecDeque::new()).collect(),
-            parked: vec![false; n * n],
+            channels: (0..pairs).map(|_| VecDeque::new()).collect(),
+            parked: vec![false; pairs],
             msg_seq: vec![0; n],
             stats: SimStats::default(),
             emitted: 0,
             recorder: None,
         }
+    }
+
+    /// The slot of channel `other -> held` and of `failed_held(other)`.
+    #[inline(always)]
+    fn pair(&self, held: ProcessId, other: ProcessId) -> usize {
+        (held.index() - self.first) * self.n + other.index()
     }
 
     /// Whether `pid` has crashed.
@@ -382,7 +393,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
     /// filter parked.
     fn unpark_to(&mut self, to: ProcessId, s: &mut impl Schedule<M>) {
         for from in ProcessId::all(self.n) {
-            let ch = from.index() * self.n + to.index();
+            let ch = self.pair(to, from);
             if std::mem::take(&mut self.parked[ch]) {
                 if let Some(head) = self.channels[ch].front() {
                     s.head_due(head.deliver_at.max(self.now), from, to);
@@ -450,22 +461,24 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         }
     }
 
-    /// The ingress edge: a copy another OS process sent to `to` joins
-    /// channel `msg.source() -> to` at the current instant, under the
-    /// sender's id. From here on it is the core's like any local copy:
-    /// parked by a filter, consumed at a crash, counted once admitted.
+    /// The ingress edge: a copy another host sent to `to` joins channel
+    /// `msg.source() -> to`, under the sender's id, due at `at` or at the
+    /// current instant if that is later. From here on it is the core's
+    /// like any local copy: parked by a filter, consumed at a crash,
+    /// counted once admitted.
     pub(crate) fn ingress(
         &mut self,
         to: ProcessId,
         msg: MsgId,
         payload: M,
+        at: VirtualTime,
         s: &mut impl Schedule<M>,
     ) {
         let infra = self.hooks.classify.as_ref().is_some_and(|f| f(&payload));
         let copy = InFlight {
             msg,
             payload,
-            deliver_at: self.now,
+            deliver_at: at.max(self.now),
             infra,
         };
         self.enqueue(msg.source(), to, copy, s);
@@ -480,7 +493,8 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         copy: InFlight<M>,
         s: &mut impl Schedule<M>,
     ) {
-        let queue = &mut self.channels[from.index() * self.n + to.index()];
+        let ch = self.pair(to, from);
+        let queue = &mut self.channels[ch];
         if queue.is_empty() {
             s.head_due(copy.deliver_at, from, to);
         }
@@ -501,8 +515,8 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         // their copies as messages-to-crashed now, or `channels_drained()`
         // would report a finished run as undrained. The other channels into
         // `pid` are counted copy by copy as their heads come due.
-        for from in 0..self.n {
-            let ch = from * self.n + pid.index();
+        for from in ProcessId::all(self.n) {
+            let ch = self.pair(pid, from);
             if std::mem::take(&mut self.parked[ch]) {
                 self.stats.messages_to_crashed += self.channels[ch].len() as u64;
                 self.channels[ch].clear();
@@ -513,7 +527,8 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
     fn declare_failed(&mut self, by: ProcessId, of: ProcessId) {
         // failed_i(j) is a stable boolean in the paper: it becomes true
         // once; re-declarations are idempotent.
-        let flag = &mut self.failed_flags[by.index() * self.n + of.index()];
+        let pair = self.pair(by, of);
+        let flag = &mut self.failed_flags[pair];
         if !std::mem::replace(flag, true) {
             self.emit(TraceEventKind::Failed { by, of });
             self.stats.detections += 1;
@@ -530,7 +545,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         to: ProcessId,
         s: &mut impl Schedule<M>,
     ) -> Option<M> {
-        let ch = from.index() * self.n + to.index();
+        let ch = self.pair(to, from);
         let queue = &mut self.channels[ch];
         let head = queue
             .front()

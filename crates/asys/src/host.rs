@@ -1,10 +1,11 @@
-//! One process of a system whose processes live in separate OS
-//! processes: the engine core with no threads and no I/O.
+//! One process of a system of hosts — on separate OS processes, or on
+//! the threaded runtime's threads: the engine core with no threads and
+//! no I/O.
 //!
-//! A [`Host`] holds one [`Process`], the engine core the simulator and
-//! the threaded runtime drive, and a timer wheel of the core's deadlines
-//! with the fault plan filed first. Whoever owns it — a socket loop, or a
-//! test carrying copies by hand — supplies the clock and the network:
+//! A [`Host`] holds one [`Process`], the engine core the simulator
+//! drives too, and a timer wheel of the core's deadlines with the fault
+//! plan filed first. Whoever owns it — a socket loop, or the threaded
+//! runtime's coordinator — supplies the clock and the network:
 //!
 //! * [`Host::advance_to`] moves the host to the instant the owner's clock
 //!   reads and runs everything due by then;
@@ -18,14 +19,17 @@
 //! counts what the simulator counts: the sum of the hosts'
 //! [`SimStats`] is the run's.
 
-use crate::engine::{Due, EngineState, Schedule};
+use crate::engine::{CrashRegistry, Due, EngineState, Hooks, Schedule};
+use crate::fault::Injection;
 use crate::id::{MsgId, ProcessId, TimerId};
+use crate::link::LinkModel;
 use crate::net::RuntimeConfig;
 use crate::process::{Context, Process};
 use crate::time::VirtualTime;
 use crate::trace::{SimStats, TraceEvent};
 use crate::wheel::{TimerWheel, WheelEntryId};
 use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -54,7 +58,7 @@ struct Edges<M> {
 
 impl<M> Schedule<M> for Edges<M> {
     fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
-        self.wheel.head_due(at, from, to);
+        self.wheel.insert(at, Due::Head { from, to });
     }
 
     fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId) {
@@ -93,6 +97,8 @@ pub struct Host<M> {
     core: EngineState<M>,
     edges: Edges<M>,
     max_time: VirtualTime,
+    /// Handlers run since the runtime's last round ended.
+    handled: u32,
 }
 
 impl<M> fmt::Debug for Host<M> {
@@ -108,12 +114,11 @@ impl<M: Clone + fmt::Debug> Host<M> {
     /// Builds the host of process `me` of `n` and runs its `on_start` at
     /// instant 0.
     ///
-    /// `config` means what it means to the threaded runtime, which this
-    /// host stands in for at one process: the process's rng is the one
-    /// the runtime gives node `me`, the link draws from the router's, and
-    /// delays of zero land at the instant they are issued. Fault-plan
-    /// entries for other processes belong to their hosts and are left
-    /// out.
+    /// `config` means what it means to the threaded runtime, which runs
+    /// one host per process: the process's rng and its link's are the
+    /// ones the runtime gives process `me`, and delays of zero land at the
+    /// instant they are issued. Fault-plan entries for other processes
+    /// belong to their hosts and are left out.
     ///
     /// # Panics
     ///
@@ -125,12 +130,30 @@ impl<M: Clone + fmt::Debug> Host<M> {
         process: Box<dyn Process<M>>,
     ) -> Self {
         assert!(me.index() < n, "{me} is not a process of {n}");
-        let rng = config.node_rng(me);
-        let (core, faults, max_time) = config.into_core(n);
+        let hooks = Hooks {
+            link: config.link.map(|link| link as Box<dyn LinkModel>),
+            classify: config.classify,
+            measure: config.measure,
+            sink: config.sink,
+            registry: config.registry.unwrap_or_else(|| CrashRegistry::new(n)),
+            record_payloads: false,
+            max_events: config.max_events,
+        };
+        // The process and its link draw from streams of their own: the
+        // process's rng never sees a link draw, and one sender's verdicts
+        // do not depend on another's traffic.
+        let i = me.index() as u64;
+        let rng = StdRng::seed_from_u64(config.seed.wrapping_add(i));
+        let link_rng = StdRng::seed_from_u64((config.seed ^ 0x11AC_C01D).wrapping_add(i << 32));
+        let held = me.index()..me.index() + 1;
+        let mut core = EngineState::new(n, held, 0, link_rng, hooks);
+        if config.record {
+            core.recorder = Some(Vec::new());
+        }
         let mut wheel = TimerWheel::new();
         // Plan entries hold the earliest insertion seqs at their instants,
-        // as on the runtime's wheel.
-        for (at, pid, injection) in faults.into_items() {
+        // so each precedes every delivery and timer due at its instant.
+        for (at, pid, injection) in config.faults.into_items() {
             if pid == me {
                 wheel.insert(at, Due::Plan { pid, injection });
             }
@@ -149,7 +172,8 @@ impl<M: Clone + fmt::Debug> Host<M> {
                 armed: HashMap::new(),
                 outbox: Vec::new(),
             },
-            max_time,
+            max_time: config.max_time,
+            handled: 0,
         };
         host.dispatch(|p, ctx| p.on_start(ctx));
         host
@@ -185,13 +209,13 @@ impl<M: Clone + fmt::Debug> Host<M> {
     }
 
     /// Moves the clock to `at`, never past the configured horizon, and
-    /// runs everything due by then at `at`, as the runtime's router
-    /// dispatches an instant: in wheel order — fault-plan entries first,
-    /// then channel heads and timers in the order they were filed — with
-    /// each handler's actions applied before the next admission, and what
-    /// they file for `at` run too. A late owner thus runs overdue work at
-    /// the instant it reads, and timers re-armed there count from it.
-    /// Once the event budget is spent nothing more is run.
+    /// runs everything due by then at `at`, in wheel order — fault-plan
+    /// entries first, then channel heads and timers in the order they
+    /// were filed — with each handler's actions applied before the next
+    /// admission, and what they file for `at` run too. A late owner thus
+    /// runs overdue work at the instant it reads, and timers re-armed
+    /// there count from it. Once the event budget is spent nothing more
+    /// is run.
     pub fn advance_to(&mut self, at: VirtualTime) {
         let at = at.min(self.max_time);
         while !self.core.budget_spent() {
@@ -223,12 +247,46 @@ impl<M: Clone + fmt::Debug> Host<M> {
         if from.index() >= self.n || from == self.me {
             return false;
         }
-        self.core.ingress(self.me, msg, payload, &mut self.edges);
+        let now = self.core.now;
+        self.core
+            .ingress(self.me, msg, payload, now, &mut self.edges);
         true
+    }
+
+    /// The runtime's ingress at instant `now`, which no earlier call
+    /// passed: a copy from another process of the system joins its
+    /// channel at once, due when the sender's link said — so the channel
+    /// keeps send order whatever the delays.
+    pub(crate) fn ingress_at(&mut self, now: VirtualTime, copy: Egress<M>) {
+        self.core.now = now;
+        let (me, edges) = (self.me, &mut self.edges);
+        self.core
+            .ingress(me, copy.msg, copy.payload, copy.at, edges);
+    }
+
+    /// Files a hand injection on the wheel at instant `at`, which no
+    /// earlier call passed, after whatever else is due then.
+    pub(crate) fn inject(&mut self, at: VirtualTime, injection: Injection<M>) {
+        let pid = self.me;
+        self.edges.wheel.insert(at, Due::Plan { pid, injection });
+    }
+
+    /// Ends one of the runtime's rounds: appends the events emitted and the
+    /// copies sent since the last one, and counts a delivery batch if the
+    /// process ran more than one handler in it.
+    pub(crate) fn end_round(&mut self, events: &mut Vec<TraceEvent>, egress: &mut Vec<Egress<M>>) {
+        if std::mem::take(&mut self.handled) > 1 {
+            self.core.stats.delivery_batches += 1;
+        }
+        if let Some(recorder) = &mut self.core.recorder {
+            events.append(recorder);
+        }
+        egress.append(&mut self.edges.outbox);
     }
 
     /// Runs one handler on a fresh context and applies what it issued.
     fn dispatch(&mut self, f: impl FnOnce(&mut dyn Process<M>, &mut Context<'_, M>)) {
+        self.handled += 1;
         let mut ctx = Context::new(
             self.me,
             self.n,

@@ -125,7 +125,7 @@ impl LatencyModel for UniformLatency {
 /// This is the paper's Appendix A.3 adversary: to build a `k`-cycle in the
 /// failed-before relation, the messages `SUSP_{i, i⊕1}` sent to the set
 /// `S_{i⊖1}` are "delayed indefinitely".
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct OverrideLatency<B> {
     base: B,
     overrides: Vec<(ProcessId, ProcessId, u64)>,
@@ -174,6 +174,7 @@ impl<B: LatencyModel> LatencyModel for OverrideLatency<B> {
 }
 
 /// Arbitrary closure-backed model, for scripted scenarios.
+#[derive(Clone)]
 pub struct FnLatency<F>(pub F);
 
 impl<F> LatencyModel for FnLatency<F>

@@ -23,18 +23,17 @@
 //! * [`FaultPlan`] — crash and stimulus injection;
 //! * [`Trace`] — the total order of observed events, consumed by the
 //!   `sfs-history` and `sfs-tlogic` crates;
-//! * [`net`] — a threaded runtime driving the same [`Process`] automata
-//!   on a pool of worker threads behind a router, over crossbeam channels;
-//! * [`Host`] — one process of a system spread over OS processes, with no
-//!   threads and no I/O: its owner supplies the clock and carries the
-//!   copies between hosts (the UDP backend's node is a socket loop
-//!   around one).
+//! * [`Host`] — one process of a system of hosts, with no threads and no
+//!   I/O: its owner supplies the clock and carries the copies between
+//!   hosts (the UDP backend's node is a socket loop around one);
+//! * [`net`] — a threaded runtime: one [`Host`] per process, on a pool
+//!   of threads, run in rounds on one virtual clock.
 //!
-//! All three drive one crate-private engine core that implements the
-//! model once — channels, crashes, detections, receive filters, the link
-//! seam and the event stream — and differ only in how they schedule:
-//! [`Sim`] by its calendar queue or a [`Strategy`], the runtime by a
-//! [`TimerWheel`] on real threads, a host by a wheel its owner advances.
+//! Both drive one crate-private engine core that implements the model
+//! once — channels, crashes, detections, receive filters, the link seam
+//! and the event stream — and differ only in how they schedule: [`Sim`]
+//! by its calendar queue or a [`Strategy`], a host by a [`TimerWheel`]
+//! its owner advances.
 //!
 //! # Examples
 //!
@@ -99,7 +98,9 @@ pub use id::{MsgId, ProcessId, TimerId};
 pub use latency::{
     FixedLatency, FnLatency, LatencyError, LatencyModel, OverrideLatency, UniformLatency, NEVER,
 };
-pub use link::{FaultyLink, FnLink, LinkModel, LinkVerdict, PartitionSchedule, StormSchedule};
+pub use link::{
+    FaultyLink, FnLink, LinkModel, LinkVerdict, PartitionSchedule, SenderLink, StormSchedule,
+};
 pub use note::{Note, NOTE_LEADER, NOTE_QUORUM};
 pub use observe::{EventSink, EventSinkHandle, Interest, MsgClass};
 pub use process::{Action, Context, Process, ReceiveFilter};

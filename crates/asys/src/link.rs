@@ -35,9 +35,11 @@ pub enum LinkVerdict {
 /// Per-message network behaviour: the generalization of [`LatencyModel`]
 /// to lossy, duplicating, partitionable links.
 ///
-/// Engines consult the model once per send, in send order, with the
-/// run's shared rng — so a run remains fully determined by `(processes,
-/// link model, fault plan, seed)` exactly as with latency models.
+/// Engines consult the model once per send, in send order, with a seeded
+/// rng — so a run remains fully determined by `(processes, link model,
+/// fault plan, seed)` exactly as with latency models. The simulator holds
+/// one model and one rng for the run; the threaded runtime gives every
+/// sender its own [`SenderLink`] copy and rng.
 pub trait LinkModel {
     /// The verdict for a message sent `from -> to` at time `now`.
     fn verdict(
@@ -47,6 +49,19 @@ pub trait LinkModel {
         now: VirtualTime,
         rng: &mut StdRng,
     ) -> LinkVerdict;
+}
+
+/// A [`LinkModel`] the threaded runtime copies for each sender; every
+/// `Clone + Send` link model is one.
+pub trait SenderLink: LinkModel + Send {
+    /// A fresh instance in this one's state.
+    fn fork(&self) -> Box<dyn SenderLink>;
+}
+
+impl<L: LinkModel + Clone + Send + 'static> SenderLink for L {
+    fn fork(&self) -> Box<dyn SenderLink> {
+        Box::new(self.clone())
+    }
 }
 
 /// Every latency model is a loss-free link model: the verdict is always
@@ -371,6 +386,7 @@ impl<B: LatencyModel> LinkModel for FaultyLink<B> {
 
 /// Arbitrary closure-backed link model, for scripted drop/duplicate
 /// patterns (the transport test suite's adversary).
+#[derive(Clone)]
 pub struct FnLink<F>(pub F);
 
 impl<F> LinkModel for FnLink<F>

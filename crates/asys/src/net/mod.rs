@@ -1,34 +1,30 @@
 //! Event-driven threaded runtime: the same [`Process`](crate::Process)
 //! automata over real OS threads, on a virtual clock.
 //!
-//! The simulator in [`Sim`](crate::Sim) explores adversarial schedules
-//! deterministically; this module runs the *identical* protocol code on
-//! real concurrency — a pool of worker threads, one per available core,
-//! each owning a fixed slice of the processes, with crossbeam channels
-//! as the handovers. A central router thread applies every effect through
-//! the engine core the simulator drives too — the same channels, crash
-//! and detection bookkeeping, receive filters and link seam — so channels
-//! are FIFO under any link delays (the property the paper's sFS2d
-//! argument depends on) and the runtime records a single coherent
-//! [`Trace`](crate::Trace) — or, with `RuntimeConfig::record` off, feeds
-//! the same events to its sink and builds none.
-//!
-//! Time is logical, not wall-clock: the router owns a hierarchical
-//! [`TimerWheel`](crate::TimerWheel) holding every pending deadline
-//! (channel heads coming due, timer fires, scheduled fault injections) and
-//! advances its virtual clock straight to the next due instant whenever
-//! nothing is in flight. Each dispatch hands every busy worker one batch
-//! of its processes' due events, run back to back and answered with one
-//! reply; the clock never moves while a reply is outstanding. A run's
-//! wall cost is therefore proportional to the events it executes, not the
-//! virtual span it covers — the property experiment E11 benchmarks.
-//!
-//! The repro substitutes threads + crossbeam for the async-executor
-//! plumbing a modern implementation might use (tokio is outside the
-//! allowed dependency set); the protocol only needs reliable FIFO
-//! point-to-point channels and timers, which this provides.
+//! Every process is a one-process [`Host`](crate::Host), the engine core
+//! the UDP node wraps too, and the hosts sit in contiguous blocks, one
+//! per thread: a coordinator, which runs block 0 itself, and a worker per
+//! further block, `available_parallelism().min(n)` threads in all. The
+//! coordinator runs the hosts in rounds. A round's instant is the least
+//! deadline of any host or copy in transit, never past
+//! [`RuntimeConfig::max_time`]; every block with work ingresses its copies
+//! (each joins its channel due when its sender's link said, so channels
+//! stay FIFO under any link delays) and advances its hosts to the
+//! instant. Then the coordinator takes the round's events in host order,
+//! numbers them, marks crashes in the shared
+//! [`CrashRegistry`](crate::CrashRegistry), offers each to the sink, keeps
+//! it when [`RuntimeConfig::record`] is on, and routes the round's copies.
+//! Nothing depends on which thread ran a host or when it finished: a run
+//! is a function of its configuration, processes and seed, and its wall
+//! cost follows the events it executes, not the virtual span it covers.
+//! Between rounds the coordinator takes hand injections and judges
+//! quiescence for [`Runtime::drain`].
 //!
 //! # Examples
+//!
+//! Three greeters broadcast once. The run quiesces when every greeting
+//! is in, and, being a function of its configuration, it is the same run
+//! every time:
 //!
 //! ```
 //! use sfs_asys::net::{Runtime, RuntimeConfig};
@@ -46,10 +42,14 @@
 //!     fn on_message(&mut self, _: &mut Context<'_, Hello>, _: ProcessId, _: Hello) {}
 //! }
 //!
-//! let rt = Runtime::spawn(3, RuntimeConfig::default(), |_| Box::new(Greeter));
-//! assert!(rt.drain(Duration::from_secs(5)), "greeting quiesces");
-//! let trace = rt.shutdown();
+//! let run = || {
+//!     let rt = Runtime::spawn(3, RuntimeConfig::default(), |_| Box::new(Greeter));
+//!     assert!(rt.drain(Duration::from_secs(5)), "greeting quiesces");
+//!     rt.shutdown()
+//! };
+//! let trace = run();
 //! assert_eq!(trace.stats().messages_sent, 6);
+//! assert_eq!(trace.events(), run().events());
 //! ```
 
 mod router;

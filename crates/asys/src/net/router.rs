@@ -1,92 +1,40 @@
-//! The router-serialized, event-driven threaded runtime.
-//!
-//! Processes run on a small pool of worker threads and exchange messages
-//! through a router thread, but *time* is logical: the router owns a
-//! hierarchical [`TimerWheel`] holding every pending deadline — channel
-//! heads coming due, timer fires, scheduled fault-plan injections — and
-//! advances its virtual clock directly to the next due instant whenever
-//! nothing is in flight. Nothing ever sleeps through empty ticks, so a
-//! run's wall-clock cost is proportional to the work it does, not to the
-//! virtual span it covers.
-//!
-//! # The simulator's model
-//!
-//! The router holds the engine core the simulator drives (`engine.rs`):
-//! channels, crash and detection flags, receive filters, the link seam,
-//! message numbering and — when [`RuntimeConfig::record`] is on — the
-//! trace recorder. It applies every reply's actions
-//! through the core and files the deadlines the core announces on its
-//! wheel. A channel has at most one head on the wheel, and its next head
-//! is filed only once that one is admitted, so channels are FIFO under any
-//! link delays, as on the simulator. What differs is the delay floor: a
-//! zero-delay link or timer lands at the instant it was issued here, one
-//! tick later on the simulator.
-//!
-//! # Workers and batches
-//!
-//! Each of the `W = available_parallelism().min(n)` workers owns the nodes
-//! `k, k + W, k + 2W, …`: their processes, rngs and timer counters. Per
-//! dispatch the router admits everything due at the instant, stages each
-//! admitted delivery, timer fire and external into its owner's batch, in
-//! admission order, and hands each busy worker one batch. The worker runs
-//! the handlers back to back and answers with one reply holding each
-//! call's actions, tagged by node, in execution order. A node belongs to
-//! one worker and a worker runs its batches in the order they were sent,
-//! so per-process order holds by construction.
-//!
-//! # Quiescence protocol
-//!
-//! The router tracks `outstanding`: the number of batches it has handed to
-//! workers whose replies it has not yet received (every batch is answered,
-//! even with no actions). Because the router is the only dispatcher, the
-//! system is quiescent exactly when, in one router observation: the inbox
-//! is empty, `outstanding == 0`, and the wheel holds no deadline.
-//! [`Runtime::drain`] is a handshake against that single-threaded
-//! judgement — no settle-polling, no grace windows.
-//!
-//! # Virtual-clock advancement
-//!
-//! The clock only advances while `outstanding == 0` and the inbox is
-//! empty: any pending reply may schedule new work at the *current* instant,
-//! so advancing earlier could fire a later deadline first. Delay-zero
-//! follow-ups land at the same instant and are dispatched before the clock
-//! moves again; once the event budget is spent nothing more is dispatched.
+//! The threaded runtime: one [`Host`] per process, in blocks on a pool
+//! of threads, run in rounds by a coordinator; see the [module
+//! docs](super).
 
-use crate::engine::{Classify, CrashRegistry, Due, EngineState, Hooks, Measure};
+use crate::engine::{Classify, CrashRegistry, Measure};
 use crate::fault::{FaultPlan, Injection};
-use crate::id::{ProcessId, TimerId};
-use crate::link::LinkModel;
+use crate::host::{Egress, Host};
+use crate::id::ProcessId;
+use crate::link::SenderLink;
 use crate::observe::EventSinkHandle;
-use crate::process::{Action, Context, Process};
+use crate::process::Process;
 use crate::time::VirtualTime;
-use crate::trace::{RunSummary, StopReason, Trace, TraceEvent};
-use crate::wheel::TimerWheel;
-use crossbeam::channel::{self, Receiver, Sender};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use crate::trace::{RunSummary, SimStats, StopReason, Trace, TraceEvent, TraceEventKind};
 use std::fmt;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Configuration for the threaded runtime.
+/// Configuration for the threaded runtime, and for a [`Host`].
 pub struct RuntimeConfig<M = ()> {
-    /// Seed feeding each node's deterministic rng (node `i` uses
-    /// `seed + i`). Scheduling itself is real-concurrency nondeterminism.
+    /// Seed of every rng: process `i`'s handlers draw from one seeded
+    /// `seed + i`, its link verdicts from one seeded from `seed` and `i`.
+    /// Nothing else varies: a run is a function of its configuration, its
+    /// processes and this seed.
     pub seed: u64,
-    /// Optional faulty-network model: the simulator's link seam. The
-    /// router consults it once per send, in send order, with its own
-    /// seeded rng; verdict delays are virtual ticks on the router's wheel,
-    /// so the *same* [`LinkModel`] drives both backends — what E10's
-    /// transport-backed conformance leg relies on. `None` delivers every
-    /// message at the instant it is sent.
-    pub link: Option<Box<dyn LinkModel + Send>>,
-    /// Whether the router keeps a trace. On (the default), every emitted
-    /// event is kept and [`Runtime::shutdown`] returns them as a
-    /// [`Trace`]. Off, no trace is ever built: every event is still
-    /// numbered, counted against [`RuntimeConfig::max_events`] and
-    /// offered to [`RuntimeConfig::sink`], and the run ends through
-    /// [`Runtime::shutdown_unrecorded`], the runtime's twin of
-    /// `Sim::run_unrecorded`. Payload `Debug` text is never rendered.
+    /// Optional faulty-network model: the simulator's link seam. Every
+    /// sender consults its own copy ([`SenderLink::fork`]) once per send,
+    /// with its own link rng; verdict delays are virtual ticks, so the
+    /// same model drives both backends. `None` delivers every message at
+    /// the instant it is sent.
+    pub link: Option<Box<dyn SenderLink>>,
+    /// Whether the runtime keeps a trace (the default). Off, every event
+    /// is still numbered, counted against [`RuntimeConfig::max_events`]
+    /// and offered to [`RuntimeConfig::sink`], and the run ends through
+    /// [`Runtime::shutdown_unrecorded`], the twin of `Sim::run_unrecorded`.
+    /// Payload `Debug` text is never rendered. A [`Host`] keeps its own
+    /// events when on.
     pub record: bool,
     /// Optional classifier marking payloads as infrastructure (`true`)
     /// vs model-level application messages; see `SimBuilder::classify`.
@@ -95,33 +43,24 @@ pub struct RuntimeConfig<M = ()> {
     /// per send on the sender's side (duplicated and dropped copies are
     /// the network's doing); see `SimBuilder::measure`.
     pub measure: Option<Measure<M>>,
-    /// Optional live crash view. When set, the router marks every crash
-    /// in it — as the simulator marks its built-in registry — so
-    /// oracle-configured processes (which poll a [`CrashRegistry`]) can
-    /// run on real threads too.
+    /// Optional live crash view, marked at the end of each round in host
+    /// order, so oracle-configured processes (which poll a
+    /// [`CrashRegistry`]) can run on real threads too.
     pub registry: Option<CrashRegistry>,
-    /// Optional trace-event sink (see [`crate::observe::EventSink`]), as
-    /// `SimBuilder::event_sink`: every event the router emits is handed,
-    /// by reference, to the sink — the live feed the streaming sFS
-    /// property monitors consume. Execution-neutral: the sink sees
-    /// already-decided events and has no path back into scheduling.
+    /// Optional trace-event sink, as `SimBuilder::event_sink`: handed
+    /// every event, numbered and in trace order, on the coordinator's
+    /// thread. Execution-neutral: it has no path back into scheduling.
     pub sink: Option<EventSinkHandle>,
-    /// Scheduled crash/external injections, placed on the wheel at
-    /// construction. Entries take the earliest insertion sequence numbers
-    /// at their instants, so an injection at tick `T` is applied before
-    /// any delivery or timer due at `T` — as the simulator pushes plan
-    /// entries at build time.
+    /// Scheduled crash/external injections, filed first on their hosts'
+    /// wheels, so an injection at tick `T` is applied before any delivery
+    /// or timer due at `T`, as on the simulator.
     pub faults: FaultPlan<M>,
-    /// Virtual-time horizon: the wheel never advances past it. Raw
-    /// runtimes driven by hand default to [`VirtualTime::MAX`]
-    /// (effectively unbounded); spec-driven runs wire their configured
-    /// horizon here.
+    /// Virtual-time horizon: no round runs past it. Defaults to
+    /// [`VirtualTime::MAX`]; spec-driven runs wire their horizon here.
     pub max_time: VirtualTime,
-    /// Event budget: once this many events have been emitted no further
-    /// action is applied and the router dispatches nothing more, not even
-    /// work due at the current instant. The backstop that bounds
-    /// free-running systems — self-rearming heartbeats would otherwise
-    /// burn CPU forever at virtual speed.
+    /// Event budget, checked between rounds: a run ends within one round
+    /// of it. The backstop for free-running systems, whose self-rearming
+    /// heartbeats would otherwise run forever at virtual speed.
     pub max_events: usize,
 }
 
@@ -142,37 +81,6 @@ impl<M> Default for RuntimeConfig<M> {
     }
 }
 
-impl<M: Clone + fmt::Debug> RuntimeConfig<M> {
-    /// The rng node `pid`'s handlers draw from: seeded `seed + pid`.
-    pub(crate) fn node_rng(&self, pid: ProcessId) -> StdRng {
-        StdRng::seed_from_u64(self.seed.wrapping_add(pid.index() as u64))
-    }
-
-    /// The engine core this configuration describes for `n` processes,
-    /// at the runtime's delay floor of zero and recording when `record`
-    /// is on, and the two things its owner's wheel holds instead: the
-    /// fault plan and the horizon.
-    pub(crate) fn into_core(self, n: usize) -> (EngineState<M>, FaultPlan<M>, VirtualTime) {
-        let hooks = Hooks {
-            link: self.link.map(|link| link as Box<dyn LinkModel>),
-            classify: self.classify,
-            measure: self.measure,
-            sink: self.sink,
-            registry: self.registry.unwrap_or_else(|| CrashRegistry::new(n)),
-            record_payloads: false,
-            max_events: self.max_events,
-        };
-        // Link verdicts draw from their own seeded rng: node rngs are
-        // independent, so link draws never perturb process behaviour.
-        let rng = StdRng::seed_from_u64(self.seed ^ 0x11AC_C01D);
-        let mut core = EngineState::new(n, 0, rng, hooks);
-        if self.record {
-            core.start_recording();
-        }
-        (core, self.faults, self.max_time)
-    }
-}
-
 impl<M> fmt::Debug for RuntimeConfig<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RuntimeConfig")
@@ -187,44 +95,7 @@ impl<M> fmt::Debug for RuntimeConfig<M> {
     }
 }
 
-/// One handler call the router stages for a node.
-enum Work<M> {
-    Start,
-    Message { from: ProcessId, msg: M },
-    Timer { id: TimerId },
-    External { payload: M },
-}
-
-/// One handover to a worker: its nodes' work at instant `at`, in
-/// admission order.
-struct Batch<M> {
-    at: VirtualTime,
-    items: Vec<(ProcessId, Work<M>)>,
-}
-
-enum ToRouter<M> {
-    /// A worker's one reply to one batch: every handler call's actions,
-    /// tagged by node, in execution order (calls that issued nothing are
-    /// left out).
-    Actions(Vec<(ProcessId, Vec<Action<M>>)>),
-    /// A crash or stimulus injected by hand, applied at the router's
-    /// current instant.
-    Inject {
-        pid: ProcessId,
-        injection: Injection<M>,
-    },
-    /// Quiescence handshake: the router answers `true` the moment it
-    /// observes genuine quiescence (empty inbox, no outstanding replies,
-    /// empty wheel) and `false` the moment it stalls instead (deadlines
-    /// remain but lie beyond the horizon or the event budget is spent).
-    WaitQuiescent {
-        reply: Sender<bool>,
-    },
-    Shutdown,
-}
-
-/// A running system of `n` processes on a pool of worker threads plus a
-/// router thread.
+/// A running system of `n` processes; see the [module docs](super).
 ///
 /// Construct with [`Runtime::spawn`]; drive with
 /// [`Runtime::inject_external`] and [`Runtime::crash`]; wait with
@@ -233,14 +104,12 @@ enum ToRouter<M> {
 /// with [`Runtime::shutdown_unrecorded`], which returns how the run ended.
 pub struct Runtime<M> {
     n: usize,
-    to_router: Sender<ToRouter<M>>,
-    router: Option<JoinHandle<RouterExit>>,
-    workers: Vec<JoinHandle<()>>,
+    injector: Injector<M>,
+    coordinator: Option<JoinHandle<Exit>>,
 }
 
-/// What the router thread hands back: how the run ended, and the events
-/// when it recorded them.
-type RouterExit = (RunSummary, Option<Vec<TraceEvent>>);
+/// How the run ended, and its events when it recorded them.
+type Exit = (RunSummary, Option<Vec<TraceEvent>>);
 
 impl<M> fmt::Debug for Runtime<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -250,61 +119,89 @@ impl<M> fmt::Debug for Runtime<M> {
     }
 }
 
-/// Worker threads for `n` nodes: one per available core, never more than
-/// there are nodes.
-fn worker_count(n: usize) -> usize {
-    std::thread::available_parallelism()
-        .map_or(1, |p| p.get())
-        .min(n)
-}
-
 impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
     /// Builds the `n` processes (with `make`, in id order), hands them to
-    /// the worker threads, and spawns the router.
+    /// the threads, and starts the run.
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn spawn<F>(n: usize, config: RuntimeConfig<M>, mut make: F) -> Self
+    pub fn spawn<F>(n: usize, config: RuntimeConfig<M>, make: F) -> Self
+    where
+        F: FnMut(ProcessId) -> Box<dyn Process<M> + Send>,
+    {
+        let cores = std::thread::available_parallelism().map_or(1, |p| p.get());
+        Self::spawn_on(cores.min(n), n, config, make)
+    }
+
+    /// [`Runtime::spawn`] on `w` threads, the coordinator's included: as
+    /// many as blocks of `n / w` processes, rounded up, fill.
+    fn spawn_on<F>(w: usize, n: usize, config: RuntimeConfig<M>, mut make: F) -> Self
     where
         F: FnMut(ProcessId) -> Box<dyn Process<M> + Send>,
     {
         assert!(n > 0, "a system needs at least one process");
-        let w = worker_count(n);
-        let mut slices: Vec<Vec<Node<M>>> = (0..w).map(|_| Vec::new()).collect();
-        for pid in ProcessId::all(n) {
-            slices[pid.index() % w].push(Node {
-                pid,
-                process: make(pid),
-                rng: config.node_rng(pid),
-                // Namespace timer ids by process so they are globally unique.
-                next_timer: (pid.index() as u64) << 40,
-            });
-        }
-        let (to_router, router_rx) = channel::unbounded::<ToRouter<M>>();
-        let mut batch_txs = Vec::with_capacity(w);
-        let workers = slices
-            .into_iter()
-            .enumerate()
-            .map(|(k, nodes)| {
-                let (tx, rx) = channel::unbounded::<Batch<M>>();
-                batch_txs.push(tx);
-                let to_router = to_router.clone();
-                std::thread::Builder::new()
+        let size = n.div_ceil(w.max(1));
+        let mut pids = ProcessId::all(n);
+        let mut block = || -> Vec<Start<M>> {
+            let start = |pid| (make(pid), host_config(&config));
+            (&mut pids).take(size).map(start).collect()
+        };
+        let local = block();
+        let remotes: Vec<Remote<M>> = (1..n.div_ceil(size))
+            .map(|k| {
+                let starts = block();
+                let (orders, inbox) = mpsc::channel::<Round<M>>();
+                let (outbox, reports) = mpsc::channel();
+                let thread = std::thread::Builder::new()
                     .name(format!("worker-{k}"))
-                    .spawn(move || worker_main(n, w, nodes, rx, to_router))
-                    .expect("spawn worker thread")
+                    .spawn(move || {
+                        let mut block = Block::start(n, k * size, starts);
+                        let mut round = Round::new();
+                        block.report(&mut round);
+                        while outbox.send(round).is_ok() {
+                            let Ok(order) = inbox.recv() else { break };
+                            round = order;
+                            block.run(&mut round);
+                        }
+                        block.stats()
+                    })
+                    .expect("spawn worker thread");
+                Remote {
+                    orders,
+                    reports,
+                    thread,
+                    out: true,
+                }
             })
             .collect();
-        let router = std::thread::Builder::new()
-            .name("router".to_owned())
-            .spawn(move || router_main(n, config, router_rx, batch_txs))
-            .expect("spawn router thread");
+        let (commands, inbox) = mpsc::channel();
+        let coordinator = std::thread::Builder::new()
+            .name("coordinator".to_owned())
+            .spawn(move || {
+                let mut rounds: Vec<Round<M>> = (0..=remotes.len()).map(|_| Round::new()).collect();
+                let mut local = Block::start(n, 0, local);
+                local.report(&mut rounds[0]);
+                Coordinator {
+                    n,
+                    size,
+                    local,
+                    remotes,
+                    rounds,
+                    injections: Vec::new(),
+                    now: VirtualTime::ZERO,
+                    emitted: 0,
+                    spent: false,
+                    recorder: config.record.then(Vec::new),
+                    config,
+                }
+                .run(&inbox)
+            })
+            .expect("spawn coordinator thread");
         Runtime {
             n,
-            to_router,
-            router: Some(router),
-            workers,
+            injector: Injector { commands },
+            coordinator: Some(coordinator),
         }
     }
 
@@ -317,49 +214,39 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
     /// threads while this runtime keeps running — the concurrent twin of
     /// [`Runtime::inject_external`] / [`Runtime::crash`].
     pub fn injector(&self) -> Injector<M> {
-        Injector {
-            to_router: self.to_router.clone(),
-        }
+        self.injector.clone()
     }
 
-    /// Delivers an external stimulus to `pid` (e.g. a forced suspicion).
-    /// It is applied at whatever virtual instant the router's clock has
-    /// reached when the injection is handled; scripted injections at
-    /// exact virtual times belong in [`RuntimeConfig::faults`].
+    /// Delivers an external stimulus to `pid` (e.g. a forced suspicion)
+    /// at whatever virtual instant the run has reached when the
+    /// coordinator takes it, between rounds; scripted injections at exact
+    /// virtual times belong in [`RuntimeConfig::faults`].
     pub fn inject_external(&self, pid: ProcessId, payload: M) {
-        send_injection(&self.to_router, pid, Injection::External(payload));
+        self.injector.inject_external(pid, payload);
     }
 
-    /// Crashes `pid` permanently, at the router's current virtual
-    /// instant. Scripted crashes at exact virtual times belong in
-    /// [`RuntimeConfig::faults`].
+    /// Crashes `pid` permanently, at the run's current virtual instant;
+    /// see [`Runtime::inject_external`].
     pub fn crash(&self, pid: ProcessId) {
-        send_injection(&self.to_router, pid, Injection::Crash);
+        self.injector.crash(pid);
     }
 
-    /// Blocks until the system is **quiescent** — the router observed, in
-    /// one step, an empty inbox, zero outstanding worker replies, and an
-    /// empty wheel — or until the run can no longer progress, or until
-    /// `timeout` elapses. Returns whether genuine quiescence was reached.
+    /// Blocks until the system is **quiescent** — between rounds, nothing
+    /// is due on any host, no copy is in transit and no injection waits —
+    /// or until the run can no longer progress, or until `timeout`
+    /// elapses. Returns whether genuine quiescence was reached.
     ///
     /// A `true` guarantees the trace a subsequent [`Runtime::shutdown`]
     /// returns is *maximal*: no recorded receive is missing its handler's
     /// effects, and the run is comparable to a
     /// [`Quiescent`](StopReason::Quiescent) simulator run. Systems with
-    /// self-rearming timers (heartbeats, oracle polls) never quiesce;
-    /// for them this returns `false` as soon as the run stalls at its
-    /// horizon or event budget (or when `timeout` elapses, whichever
-    /// comes first).
+    /// self-rearming timers (heartbeats, oracle polls) never quiesce: for
+    /// them this returns `false` as soon as the run stalls at its horizon
+    /// or event budget.
     pub fn drain(&self, timeout: Duration) -> bool {
-        let (reply, done) = channel::unbounded();
-        if self
-            .to_router
-            .send(ToRouter::WaitQuiescent { reply })
-            .is_err()
-        {
-            return false;
-        }
-        done.recv_timeout(timeout).unwrap_or(false)
+        let (reply, done) = mpsc::channel();
+        self.injector.commands.send(Command::Drain(reply)).is_ok()
+            && done.recv_timeout(timeout).unwrap_or(false)
     }
 
     /// Stops all threads and returns the recorded trace.
@@ -367,9 +254,8 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
     /// # Panics
     ///
     /// Panics if the runtime was spawned with [`RuntimeConfig::record`]
-    /// off — it built no trace and ends through
-    /// [`Runtime::shutdown_unrecorded`] — or if the router thread or a
-    /// worker thread (that is, a process handler) panicked.
+    /// off — it ends through [`Runtime::shutdown_unrecorded`] — or if a
+    /// process handler panicked.
     pub fn shutdown(self) -> Trace {
         let n = self.n;
         let (run, events) = self.stop();
@@ -379,55 +265,58 @@ impl<M: Clone + fmt::Debug + Send + 'static> Runtime<M> {
 
     /// Stops all threads and returns how the run ended — everything
     /// [`Runtime::shutdown`]'s trace carries but the events, which went
-    /// only to [`RuntimeConfig::sink`]. The end of a runtime spawned with
-    /// [`RuntimeConfig::record`] off, as `Sim::run_unrecorded` is the
-    /// simulator's; a recorded runtime's events are discarded.
+    /// only to [`RuntimeConfig::sink`]: the end of an unrecorded runtime,
+    /// as `Sim::run_unrecorded` is the simulator's.
     ///
     /// # Panics
     ///
-    /// Panics if the router thread or a worker thread panicked.
+    /// Panics if a process handler panicked.
     pub fn shutdown_unrecorded(self) -> RunSummary {
         self.stop().0
     }
 
-    fn stop(mut self) -> RouterExit {
-        let _ = self.to_router.send(ToRouter::Shutdown);
-        let exit = self
-            .router
-            .take()
-            .expect("router already joined")
+    fn stop(mut self) -> Exit {
+        let _ = self.injector.commands.send(Command::Shutdown);
+        let coordinator = self.coordinator.take().expect("coordinator already joined");
+        coordinator
             .join()
-            .expect("router panicked");
-        // The router dropped its batch senders on exit, so every worker
-        // has finished its last batch and returned.
-        for worker in self.workers.drain(..) {
-            worker.join().expect("a process handler panicked");
-        }
-        exit
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
     }
 }
 
-/// Hands a crash or stimulus to the router; dropped after shutdown.
-fn send_injection<M>(to_router: &Sender<ToRouter<M>>, pid: ProcessId, injection: Injection<M>) {
-    let _ = to_router.send(ToRouter::Inject { pid, injection });
+/// One host's configuration: its own copy of the link, the shared hooks,
+/// the whole plan (a host keeps its own entries), and recording on with
+/// no sink or registry — the coordinator numbers, marks, offers and keeps
+/// every host's events.
+fn host_config<M: Clone>(config: &RuntimeConfig<M>) -> RuntimeConfig<M> {
+    RuntimeConfig {
+        seed: config.seed,
+        link: config.link.as_ref().map(|link| link.fork()),
+        record: true,
+        classify: config.classify.clone(),
+        measure: config.measure.clone(),
+        registry: None,
+        sink: None,
+        faults: config.faults.clone(),
+        max_time: config.max_time,
+        max_events: config.max_events,
+    }
+}
+
+/// What the runtime's handles ask of the coordinator.
+enum Command<M> {
+    Inject(ProcessId, Injection<M>),
+    /// Answered `true` once the run is quiescent, `false` once it stalls.
+    Drain(Sender<bool>),
+    Shutdown,
 }
 
 /// A cloneable handle for injecting stimuli into a running [`Runtime`]
-/// from arbitrary threads; obtained via [`Runtime::injector`]. Injections
-/// land at whatever virtual instant the router's clock has reached when
-/// they are handled — scripted injections at exact virtual times belong
-/// in [`RuntimeConfig::faults`]. Sends after shutdown are silently
-/// dropped.
+/// from arbitrary threads, obtained via [`Runtime::injector`]; sends
+/// after shutdown are silently dropped.
+#[derive(Clone)]
 pub struct Injector<M> {
-    to_router: Sender<ToRouter<M>>,
-}
-
-impl<M> Clone for Injector<M> {
-    fn clone(&self) -> Self {
-        Injector {
-            to_router: self.to_router.clone(),
-        }
-    }
+    commands: Sender<Command<M>>,
 }
 
 impl<M> fmt::Debug for Injector<M> {
@@ -440,305 +329,313 @@ impl<M> Injector<M> {
     /// Delivers an external stimulus to `pid`; see
     /// [`Runtime::inject_external`].
     pub fn inject_external(&self, pid: ProcessId, payload: M) {
-        send_injection(&self.to_router, pid, Injection::External(payload));
+        let _ = self
+            .commands
+            .send(Command::Inject(pid, Injection::External(payload)));
     }
 
     /// Crashes `pid` permanently; see [`Runtime::crash`].
     pub fn crash(&self, pid: ProcessId) {
-        send_injection(&self.to_router, pid, Injection::Crash);
+        let _ = self.commands.send(Command::Inject(pid, Injection::Crash));
     }
 }
 
-/// A process as its worker holds it, with the rng and timer counter each
-/// handler's [`Context`] borrows.
-struct Node<M> {
-    pid: ProcessId,
-    process: Box<dyn Process<M> + Send>,
-    rng: StdRng,
-    next_timer: u64,
+/// One block's share of a round. It goes to the block's thread and back,
+/// so its buffers are reused; between rounds it holds the block's last
+/// report and the copies waiting for the block's hosts.
+struct Round<M> {
+    at: VirtualTime,
+    /// Copies for the block's hosts, in (sender, send) order.
+    copies: Vec<Egress<M>>,
+    injections: Vec<(ProcessId, Injection<M>)>,
+    /// Reported: what the hosts emitted and sent, in host order.
+    events: Vec<TraceEvent>,
+    egress: Vec<Egress<M>>,
+    /// Reported: the least deadline of the block's hosts.
+    next: Option<VirtualTime>,
 }
 
-impl<M> Node<M> {
-    /// Runs one handler on a fresh context and appends what it issued to
-    /// `reply`.
-    fn run(
-        &mut self,
-        n: usize,
-        at: VirtualTime,
-        work: Work<M>,
-        reply: &mut Vec<(ProcessId, Vec<Action<M>>)>,
-    ) {
-        let mut ctx = Context::new(self.pid, n, at, &mut self.rng, &mut self.next_timer);
-        match work {
-            Work::Start => self.process.on_start(&mut ctx),
-            Work::Message { from, msg } => self.process.on_message(&mut ctx, from, msg),
-            Work::Timer { id } => self.process.on_timer(&mut ctx, id),
-            Work::External { payload } => self.process.on_external(&mut ctx, payload),
+impl<M> Round<M> {
+    fn new() -> Self {
+        Round {
+            at: VirtualTime::ZERO,
+            copies: Vec::new(),
+            injections: Vec::new(),
+            events: Vec::new(),
+            egress: Vec::new(),
+            next: None,
         }
-        let actions = ctx.take_actions();
-        if !actions.is_empty() {
-            reply.push((self.pid, actions));
-        }
+    }
+
+    /// Whether the block has anything to do at `at`.
+    fn busy(&self, at: VirtualTime) -> bool {
+        self.next.is_some_and(|due| due <= at)
+            || !self.copies.is_empty()
+            || !self.injections.is_empty()
     }
 }
 
-/// A worker's loop: run each batch's handlers in order, answer with one
-/// reply per batch — the router's `outstanding` count, and with it the
-/// whole quiescence protocol, depends on it. Exits when the router drops
-/// its sender. Node `pid` sits at `nodes[pid / w]`.
-fn worker_main<M>(
+/// A process and its host's configuration, before the host is built.
+type Start<M> = (Box<dyn Process<M> + Send>, RuntimeConfig<M>);
+
+/// A contiguous block of hosts, `first` onward, built on the thread that
+/// runs them so that their `on_start`s run there.
+struct Block<M> {
+    first: usize,
+    hosts: Vec<Host<M>>,
+}
+
+impl<M: Clone + fmt::Debug> Block<M> {
+    fn start(n: usize, first: usize, starts: Vec<Start<M>>) -> Self {
+        let hosts = (first..)
+            .zip(starts)
+            .map(|(i, (process, config))| Host::start(ProcessId::new(i), n, config, process))
+            .collect();
+        Block { first, hosts }
+    }
+
+    /// Runs the block's share of a round and reports it: the copies join
+    /// their channels, due when their links said, the injections apply,
+    /// and every host with something due advances to the round's instant,
+    /// as the UDP node advances its one host.
+    fn run(&mut self, round: &mut Round<M>) {
+        let at = round.at;
+        for copy in round.copies.drain(..) {
+            self.hosts[copy.to.index() - self.first].ingress_at(at, copy);
+        }
+        for (pid, injection) in round.injections.drain(..) {
+            self.hosts[pid.index() - self.first].inject(at, injection);
+        }
+        for host in &mut self.hosts {
+            if host.next_deadline().is_some_and(|due| due <= at) {
+                host.advance_to(at);
+            }
+        }
+        self.report(round);
+    }
+
+    fn report(&mut self, round: &mut Round<M>) {
+        for host in &mut self.hosts {
+            host.end_round(&mut round.events, &mut round.egress);
+        }
+        round.next = self.hosts.iter().filter_map(Host::next_deadline).min();
+    }
+
+    fn stats(&self) -> SimStats {
+        self.hosts.iter().map(Host::stats).sum()
+    }
+}
+
+/// A block on a worker thread, which returns the block's counters.
+struct Remote<M> {
+    orders: Sender<Round<M>>,
+    reports: Receiver<Round<M>>,
+    thread: JoinHandle<SimStats>,
+    /// Whether the block's round is out with it.
+    out: bool,
+}
+
+/// The coordinator: it owns the clock and the run's event stream, routes
+/// the copies, and runs block 0 itself.
+struct Coordinator<M> {
     n: usize,
-    w: usize,
-    mut nodes: Vec<Node<M>>,
-    rx: Receiver<Batch<M>>,
-    to_router: Sender<ToRouter<M>>,
-) {
-    while let Ok(Batch { at, items }) = rx.recv() {
-        let mut reply = Vec::new();
-        for (pid, work) in items {
-            nodes[pid.index() / w].run(n, at, work, &mut reply);
-        }
-        let _ = to_router.send(ToRouter::Actions(reply));
-    }
-}
-
-struct RouterState<M> {
-    core: EngineState<M>,
-    /// Every pending deadline — channel heads, timer fires, plan
-    /// injections.
-    wheel: TimerWheel<Due<M>>,
-    /// Batches handed to workers whose replies are still pending.
-    outstanding: u64,
-    /// [`ToRouter::WaitQuiescent`] callers waiting for the next
-    /// quiescence-or-stall observation.
-    waiters: Vec<Sender<bool>>,
-    max_time: VirtualTime,
-    /// One batch sender per worker; worker `k` owns the nodes `pid` with
-    /// `pid % workers.len() == k`.
-    workers: Vec<Sender<Batch<M>>>,
-    /// Per-worker work admitted since the last `flush`, in admission order.
-    staged: Vec<Vec<(ProcessId, Work<M>)>>,
-}
-
-impl<M: Clone + fmt::Debug + Send + 'static> RouterState<M> {
-    /// Queues one handler call for `pid`'s worker; `flush` hands it over.
-    fn stage(&mut self, pid: ProcessId, work: Work<M>) {
-        self.staged[pid.index() % self.workers.len()].push((pid, work));
-    }
-
-    /// Hands every busy worker its staged work as one batch at the
-    /// current instant, each batch counting once toward `outstanding`.
-    fn flush(&mut self) {
-        let at = self.core.now;
-        for (tx, staged) in self.workers.iter().zip(&mut self.staged) {
-            if staged.is_empty() {
-                continue;
-            }
-            if staged.len() > 1 {
-                self.core.stats.delivery_batches += 1;
-            }
-            self.outstanding += 1;
-            let items = std::mem::take(staged);
-            let _ = tx.send(Batch { at, items });
-        }
-    }
-
-    /// Applies an injection through the core, staging the stimulus's
-    /// handler unless the target has crashed.
-    fn inject(&mut self, pid: ProcessId, injection: Injection<M>) {
-        if let Some(payload) = self.core.admit_injection(pid, injection) {
-            self.stage(pid, Work::External { payload });
-        }
-    }
-
-    /// Admits one due wheel entry through the core and stages its handler
-    /// call, unless the core dissolved it (crashed target, cancelled
-    /// timer, refused head). Plan entries hold the earliest sequence
-    /// numbers at their instant, so they precede every same-instant
-    /// admission. Admission order IS trace order.
-    fn admit(&mut self, due: Due<M>) {
-        match due {
-            Due::Head { from, to } => {
-                if let Some(msg) = self.core.admit_head(from, to, &mut self.wheel) {
-                    self.stage(to, Work::Message { from, msg });
-                }
-            }
-            Due::Fire { pid, id } => {
-                if self.core.admit_timer(pid, id) {
-                    self.stage(pid, Work::Timer { id });
-                }
-            }
-            Due::Plan { pid, injection } => self.inject(pid, injection),
-        }
-    }
-
-    /// Advances the wheel to `at` and admits everything due by then, in
-    /// wheel (deadline, seq) order — including the channel heads those
-    /// admissions file at the instant, so a channel's same-instant backlog
-    /// goes out in one batch. Returns whether anything was due.
-    fn dispatch(&mut self, at: VirtualTime) -> bool {
-        let mut any = false;
-        loop {
-            let due = self.wheel.advance_to(at);
-            self.core.now = self.wheel.now();
-            if due.is_empty() {
-                return any;
-            }
-            any = true;
-            for (_, item) in due {
-                self.admit(item);
-            }
-        }
-    }
-
-    /// Whether the wheel may keep advancing: the horizon is ahead and the
-    /// event budget is not spent.
-    fn may_advance_to(&self, d: VirtualTime) -> bool {
-        d <= self.max_time && !self.core.budget_spent()
-    }
-
-    /// Answers every parked drain caller with the current judgement.
-    fn notify_waiters(&mut self, quiescent: bool) {
-        for waiter in self.waiters.drain(..) {
-            let _ = waiter.send(quiescent);
-        }
-    }
-
-    /// Processes one inbox message; returns `true` on shutdown.
-    fn handle(&mut self, msg: ToRouter<M>) -> bool {
-        match msg {
-            ToRouter::Actions(reply) => {
-                debug_assert!(self.outstanding > 0);
-                self.outstanding -= 1;
-                for (from, actions) in reply {
-                    self.core.apply(from, actions, &mut self.wheel);
-                }
-            }
-            ToRouter::Inject { pid, injection } => self.inject(pid, injection),
-            ToRouter::WaitQuiescent { reply } => self.waiters.push(reply),
-            ToRouter::Shutdown => return true,
-        }
-        false
-    }
-}
-
-fn router_main<M: Clone + fmt::Debug + Send + 'static>(
-    n: usize,
+    /// Hosts per block: block `k` holds hosts `k * size ..`.
+    size: usize,
+    local: Block<M>,
+    /// Blocks 1 onward.
+    remotes: Vec<Remote<M>>,
+    /// Per block, its round while it is not out.
+    rounds: Vec<Round<M>>,
+    injections: Vec<(ProcessId, Injection<M>)>,
+    now: VirtualTime,
+    emitted: usize,
+    /// The event budget is spent: no further round runs.
+    spent: bool,
+    recorder: Option<Vec<TraceEvent>>,
+    /// The run's sink, registry, horizon and budget.
     config: RuntimeConfig<M>,
-    rx: Receiver<ToRouter<M>>,
-    workers: Vec<Sender<Batch<M>>>,
-) -> RouterExit {
-    let (core, faults, max_time) = config.into_core(n);
-    let mut state = RouterState {
-        core,
-        wheel: TimerWheel::new(),
-        outstanding: 0,
-        waiters: Vec::new(),
-        max_time,
-        staged: workers.iter().map(|_| Vec::new()).collect(),
-        workers,
-    };
-    // Plan entries go on the wheel before anything else so they hold the
-    // earliest insertion seqs at their instants: an injection at tick T is
-    // applied before any delivery or timer due at T.
-    for (at, pid, injection) in faults.into_items() {
-        state.wheel.insert(at, Due::Plan { pid, injection });
+}
+
+impl<M: Clone + fmt::Debug> Coordinator<M> {
+    /// Runs rounds, taking commands between them, until shutdown.
+    fn run(mut self, commands: &Receiver<Command<M>>) -> Exit {
+        let mut waiters = Vec::new();
+        let mut open = self.collect();
+        while open && self.take_sent(commands, &mut waiters) {
+            open = match self.due() {
+                Some(at) => self.round(at),
+                None => {
+                    let quiescent = self.quiescent();
+                    for waiter in waiters.drain(..) {
+                        let _ = waiter.send(quiescent);
+                    }
+                    commands
+                        .recv()
+                        .is_ok_and(|command| self.take(command, &mut waiters))
+                }
+            };
+        }
+        self.finish()
     }
-    // As on the simulator, every `on_start` takes effect before the first
-    // event: a receive filter set there must already guard the first
-    // admission.
-    for pid in ProcessId::all(n) {
-        state.stage(pid, Work::Start);
-    }
-    state.flush();
-    let mut shutdown = false;
-    while state.outstanding > 0 && !shutdown {
-        shutdown = rx.recv().map_or(true, |msg| state.handle(msg));
-    }
-    while !shutdown {
-        // 1. Drain the inbox without blocking: replies retire outstanding
-        // counts and schedule follow-up work; injections apply at the
-        // current instant.
+
+    /// Takes every command sent so far; `false` on shutdown.
+    fn take_sent(
+        &mut self,
+        commands: &Receiver<Command<M>>,
+        waiters: &mut Vec<Sender<bool>>,
+    ) -> bool {
         loop {
-            match rx.try_recv() {
-                Ok(msg) => {
-                    if state.handle(msg) {
-                        shutdown = true;
-                        break;
+            match commands.try_recv() {
+                Ok(command) => {
+                    if !self.take(command, waiters) {
+                        return false;
                     }
                 }
-                Err(channel::TryRecvError::Empty) => break,
-                Err(channel::TryRecvError::Disconnected) => {
-                    shutdown = true;
-                    break;
-                }
-            }
-        }
-        if shutdown {
-            break;
-        }
-        // 2. Admit everything due at the current instant (delay-zero
-        // follow-ups from the replies just drained land here) unless the
-        // event budget is spent, then hand each busy worker its batch.
-        let now = state.core.now;
-        let admitted = !state.core.budget_spent() && state.dispatch(now);
-        state.flush();
-        if admitted {
-            continue;
-        }
-        // 3. Replies outstanding: the clock must hold (a pending reply may
-        // schedule work at the current instant). Block for one.
-        if state.outstanding > 0 {
-            shutdown = rx.recv().map_or(true, |msg| state.handle(msg));
-            continue;
-        }
-        // 4. Idle at this instant: advance the clock to the next due
-        // deadline, or conclude quiescence/stall and park.
-        match state.wheel.next_deadline() {
-            Some(d) if state.may_advance_to(d) => {
-                state.dispatch(d);
-                state.flush();
-            }
-            next => {
-                // Genuinely quiescent (nothing scheduled at all, and no
-                // action dropped at the budget) or stalled (deadlines
-                // beyond the horizon / event budget spent). Either way the
-                // run cannot progress on its own: answer drain callers and
-                // park until an injection or shutdown arrives.
-                let quiescent = next.is_none() && !state.core.budget_spent();
-                state.notify_waiters(quiescent);
-                shutdown = rx.recv().map_or(true, |msg| state.handle(msg));
+                Err(TryRecvError::Empty) => return true,
+                Err(TryRecvError::Disconnected) => return false,
             }
         }
     }
-    // Work staged but never handed over is still pending work; the stop
-    // reasons are judged in the simulator's order.
-    let idle = state.outstanding == 0 && state.staged.iter().all(Vec::is_empty);
-    let stop = if state.core.budget_spent() {
-        StopReason::MaxEvents
-    } else if state.core.all_crashed() {
-        StopReason::AllCrashed
-    } else if state.wheel.is_empty() && idle {
-        StopReason::Quiescent
-    } else {
-        StopReason::MaxTime
-    };
-    let run = RunSummary {
-        stop,
-        end_time: state.core.now,
-        stats: state.core.stats,
-        events: state.core.emitted,
-    };
-    // Dropping the state drops the batch senders: every worker returns.
-    (run, state.core.recorder.take())
+
+    /// Takes one command; `false` on shutdown.
+    fn take(&mut self, command: Command<M>, waiters: &mut Vec<Sender<bool>>) -> bool {
+        match command {
+            Command::Inject(pid, injection) => self.injections.push((pid, injection)),
+            Command::Drain(reply) => waiters.push(reply),
+            Command::Shutdown => return false,
+        }
+        true
+    }
+
+    /// The instant of the next round, if one may run: the least deadline
+    /// of any host or copy in transit, or now while an injection waits.
+    fn due(&self) -> Option<VirtualTime> {
+        let hosts = self.rounds.iter().filter_map(|round| round.next);
+        let copies = self
+            .rounds
+            .iter()
+            .flat_map(|r| r.copies.iter().map(|c| c.at));
+        let next = match self.injections.is_empty() {
+            true => hosts.chain(copies).min(),
+            false => Some(self.now),
+        };
+        next.filter(|&at| at <= self.config.max_time && !self.spent)
+    }
+
+    fn quiescent(&self) -> bool {
+        let idle = |r: &Round<M>| r.next.is_none() && r.copies.is_empty();
+        !self.spent && self.injections.is_empty() && self.rounds.iter().all(idle)
+    }
+
+    /// Runs one round at `at`: hands the busy remote blocks their shares,
+    /// runs block 0's meanwhile, and collects. `false` if a worker died.
+    fn round(&mut self, at: VirtualTime) -> bool {
+        self.now = at;
+        for (pid, injection) in self.injections.drain(..) {
+            self.rounds[pid.index() / self.size]
+                .injections
+                .push((pid, injection));
+        }
+        for (remote, round) in self.remotes.iter_mut().zip(&mut self.rounds[1..]) {
+            remote.out = round.busy(at);
+            if remote.out {
+                round.at = at;
+                if remote
+                    .orders
+                    .send(std::mem::replace(round, Round::new()))
+                    .is_err()
+                {
+                    return false;
+                }
+            }
+        }
+        if self.rounds[0].busy(at) {
+            self.rounds[0].at = at;
+            self.local.run(&mut self.rounds[0]);
+        }
+        self.collect()
+    }
+
+    /// Waits for every remote block out on the round, then takes the
+    /// round's events and egress in block — that is, host — order.
+    /// Nothing is marked in the registry before every host has finished
+    /// the round.
+    fn collect(&mut self) -> bool {
+        for (remote, slot) in self.remotes.iter_mut().zip(&mut self.rounds[1..]) {
+            if std::mem::take(&mut remote.out) {
+                let Ok(round) = remote.reports.recv() else {
+                    return false;
+                };
+                *slot = round;
+            }
+        }
+        for k in 0..self.rounds.len() {
+            let round = &mut self.rounds[k];
+            for mut event in round.events.drain(..) {
+                event.seq = self.emitted;
+                self.emitted += 1;
+                if let (TraceEventKind::Crash { pid }, Some(registry)) =
+                    (&event.kind, &self.config.registry)
+                {
+                    registry.mark(*pid);
+                }
+                if let Some(sink) = &self.config.sink {
+                    sink.on_event(&event);
+                }
+                if let Some(recorder) = &mut self.recorder {
+                    recorder.push(event);
+                }
+            }
+            let mut egress = std::mem::take(&mut round.egress);
+            for copy in egress.drain(..) {
+                self.rounds[copy.to.index() / self.size].copies.push(copy);
+            }
+            self.rounds[k].egress = egress;
+        }
+        self.spent |= self.emitted >= self.config.max_events;
+        true
+    }
+
+    /// Stops the workers and says how the run ended, judging the stop
+    /// reasons in the simulator's order.
+    fn finish(self) -> Exit {
+        let quiescent = self.quiescent();
+        // Hanging up on the workers ends their loops.
+        let threads: Vec<_> = self.remotes.into_iter().map(|r| r.thread).collect();
+        let joined = threads.into_iter().map(|thread| {
+            let joined = thread.join();
+            joined.unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+        });
+        let stats: SimStats = joined.chain([self.local.stats()]).sum();
+        let stop = if self.spent {
+            StopReason::MaxEvents
+        } else if stats.crashes == self.n as u64 {
+            StopReason::AllCrashed
+        } else if quiescent {
+            StopReason::Quiescent
+        } else {
+            StopReason::MaxTime
+        };
+        let run = RunSummary {
+            stop,
+            end_time: self.now,
+            stats,
+            events: self.emitted,
+        };
+        (run, self.recorder)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CrashRegistry;
+    use crate::fault::FaultPlan;
+    use crate::id::TimerId;
     use crate::latency::FixedLatency;
-    use crate::process::Process;
-    use crate::trace::TraceEventKind;
+    use crate::observe::EventSinkHandle;
+    use crate::process::{Context, ReceiveFilter};
+    use rand::rngs::StdRng;
     use std::sync::{Arc, Mutex};
 
     #[derive(Clone, Debug)]
@@ -926,18 +823,14 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(
-            from_p0,
-            vec![0, 1, 2],
-            "FIFO preserved through router parking"
-        );
+        assert_eq!(from_p0, vec![0, 1, 2], "FIFO preserved through parking");
     }
 
     #[test]
     fn parked_messages_to_a_crashed_receiver_count_as_consumed() {
         use crate::process::ReceiveFilter;
-        // p1 refuses everything, so p0's two messages sit in the router's
-        // parked map; the fault plan then crashes p1. The parked copies
+        // p1 refuses everything, so p0's two messages sit parked in its
+        // channel; the fault plan then crashes p1. The parked copies
         // must be consumed as messages_to_crashed (the filter is frozen
         // forever) so the finished run reports its channels drained.
         struct S(usize);
@@ -985,9 +878,9 @@ mod tests {
     fn duplicate_copies_outlive_a_partition_cut_after_the_verdict() {
         use crate::latency::FixedLatency;
         use crate::link::{FaultyLink, PartitionSchedule};
-        // The router consults the link once per send (tick 0); the link
+        // The sender's link is consulted once per send (tick 0); the link
         // is severed from tick 1 forever. Both duplicate copies are
-        // already in flight on the wheel and must deliver across the cut,
+        // already in flight and must deliver across the cut,
         // leaving the accounting balanced.
         struct S(usize);
         impl Process<u32> for S {
@@ -1164,10 +1057,10 @@ mod tests {
     fn batched_router_coalesces_and_preserves_fifo() {
         // Every node floods every node (itself included) behind a fixed
         // 3-tick link and echoes each message while it has hops left, so
-        // each instant hands a worker many events per node. Each node logs
+        // each instant hands a host many events at once. Each node logs
         // what it handled: the log must equal the trace's admission order
         // for that node (per-process order), its send tags must equal the
-        // router's message ids (actions applied in execution order), and
+        // runtime's message ids (actions applied in execution order), and
         // each channel must deliver in send order (FIFO). The sizes cover
         // fewer nodes than cores, as many, and counts the workers do not
         // divide evenly.
@@ -1252,11 +1145,12 @@ mod tests {
 
     #[test]
     fn crash_self_mid_batch_drops_only_the_crashers_later_actions() {
-        // p0 sends to the victim and its worker-mate alternately behind a
-        // fixed link, so all ten deliveries reach their one worker as one
-        // batch. Both echo every message; the victim crashes on its third.
-        // Its later echoes in that batch are dropped, while the mate's —
-        // interleaved after the crash in the same reply — all apply.
+        // p0 sends to the victim and a mate alternately behind a fixed
+        // link, so all ten deliveries come due in one round, each host
+        // taking its five as one batch. Both echo every message; the
+        // victim crashes on its third. Its later echoes in that batch are
+        // dropped, while the mate's — after the crash in the round's host
+        // order — all apply.
         struct Source(ProcessId, ProcessId);
         impl Process<u32> for Source {
             fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
@@ -1279,13 +1173,12 @@ mod tests {
                 }
             }
         }
-        let w = worker_count(usize::MAX);
-        let (victim, mate) = (ProcessId::new(1), ProcessId::new(1 + w));
+        let (victim, mate) = (ProcessId::new(1), ProcessId::new(2));
         let config = RuntimeConfig {
             link: Some(Box::new(FixedLatency(5))),
             ..RuntimeConfig::default()
         };
-        let rt = Runtime::spawn(2 + w, config, |pid| {
+        let rt = Runtime::spawn(3, config, |pid| {
             if pid.index() == 0 {
                 Box::new(Source(victim, mate)) as Box<dyn Process<u32> + Send>
             } else {
@@ -1313,7 +1206,10 @@ mod tests {
         };
         assert_eq!(sends_by(victim, false), 3, "{}", trace.to_pretty_string());
         assert_eq!(sends_by(mate, false), 5, "{}", trace.to_pretty_string());
-        assert_eq!(sends_by(mate, true), 3, "{}", trace.to_pretty_string());
+        assert_eq!(sends_by(mate, true), 5, "{}", trace.to_pretty_string());
+        // One batch each: the victim's and the mate's round at tick 5,
+        // p0's round of echoes at tick 10.
+        assert_eq!(trace.stats().delivery_batches, 3);
     }
 
     #[test]
@@ -1355,8 +1251,10 @@ mod tests {
     fn router_link_model_drops_and_duplicates() {
         use crate::link::{FnLink, LinkVerdict as Verdict};
 
-        // Scripted verdicts, mirroring the sim test: drop the 1st send,
-        // duplicate the 2nd, deliver the rest.
+        // Scripted verdicts for the one sender, mirroring the sim test:
+        // drop its 1st send, duplicate its 2nd, deliver the rest. Every
+        // sender counts on its own copy of the link, so the script is
+        // p0's alone.
         struct Flood;
         impl Process<u32> for Flood {
             fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
@@ -1473,5 +1371,174 @@ mod tests {
             .events()
             .iter()
             .any(|e| matches!(e.kind, TraceEventKind::Note { .. })));
+    }
+
+    /// The relay of `tests/engines_agree.rs`: every token goes round the
+    /// ring one hop less at a time, odd tokens wait behind each filter
+    /// until its timer, and the plan crashes the last process mid-relay
+    /// and injects a token at `p0`. In oracle mode each process polls the
+    /// shared registry every few ticks, declares every crash it finds and
+    /// forwards past the crashed.
+    struct Relay {
+        oracle: Option<CrashRegistry>,
+    }
+
+    impl Relay {
+        fn forward(&self, ctx: &mut Context<'_, u32>, hops: u32) {
+            let n = ctx.n();
+            let next = (1..n)
+                .map(|k| ProcessId::new((ctx.id().index() + k) % n))
+                .find(|p| !self.oracle.as_ref().is_some_and(|r| r.is_crashed(*p)));
+            if let Some(next) = next {
+                ctx.send(next, hops);
+            }
+        }
+    }
+
+    impl Process<u32> for Relay {
+        fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+            ctx.set_receive_filter(Some(ReceiveFilter::new(|h: &u32| h.is_multiple_of(2))));
+            ctx.set_timer(9);
+            if self.oracle.is_some() {
+                ctx.set_timer(3);
+            }
+            for hops in [4, 3, 6, 5] {
+                self.forward(ctx, hops);
+            }
+        }
+
+        fn on_message(&mut self, ctx: &mut Context<'_, u32>, _: ProcessId, hops: u32) {
+            if hops > 0 {
+                self.forward(ctx, hops - 1);
+            }
+        }
+
+        fn on_timer(&mut self, ctx: &mut Context<'_, u32>, _: TimerId) {
+            ctx.set_receive_filter(None);
+            if let Some(registry) = &self.oracle {
+                registry.for_each_crashed(|p| ctx.declare_failed(p));
+                if ctx.now() < VirtualTime::from_ticks(30) {
+                    ctx.set_timer(3);
+                }
+            }
+        }
+
+        fn on_external(&mut self, ctx: &mut Context<'_, u32>, hops: u32) {
+            self.forward(ctx, hops);
+        }
+    }
+
+    /// Keeps every event it is offered.
+    #[derive(Default)]
+    struct Keep(Mutex<Vec<TraceEvent>>);
+
+    impl crate::observe::EventSink for Keep {
+        fn on_event(&self, event: &TraceEvent) {
+            self.0.lock().unwrap().push(event.clone());
+        }
+    }
+
+    #[test]
+    fn a_run_is_a_function_of_its_configuration_not_of_the_worker_count() {
+        use crate::latency::UniformLatency;
+        use crate::link::{FaultyLink, SenderLink};
+
+        let n = 5;
+        let links: [fn() -> Box<dyn SenderLink>; 2] = [
+            || Box::new(FixedLatency(2)),
+            || {
+                let lossy = FaultyLink::new(UniformLatency::new(1, 10));
+                Box::new(lossy.loss(0.1).duplicate(0.1))
+            },
+        ];
+        let legs = links.iter().map(|link| (Some(link()), false));
+        for (leg, (link, oracle)) in legs.chain([(None, true)]).enumerate() {
+            let mut first: Option<Vec<TraceEvent>> = None;
+            for w in [1, 2, 4] {
+                for run in 0..20 {
+                    let registry = oracle.then(|| CrashRegistry::new(n));
+                    let sink = Arc::new(Keep::default());
+                    let config = RuntimeConfig {
+                        seed: 7,
+                        link: link.as_ref().map(|link| link.fork()),
+                        registry: registry.clone(),
+                        sink: Some(EventSinkHandle::new(sink.clone())),
+                        faults: FaultPlan::new()
+                            .crash_at(ProcessId::new(n - 1), VirtualTime::from_ticks(9))
+                            .external_at(ProcessId::new(0), VirtualTime::from_ticks(5), 7),
+                        ..RuntimeConfig::default()
+                    };
+                    let rt = Runtime::spawn_on(w, n, config, |_| {
+                        Box::new(Relay {
+                            oracle: registry.clone(),
+                        })
+                    });
+                    assert!(rt.drain(Duration::from_secs(10)), "leg {leg}: must settle");
+                    let trace = rt.shutdown();
+                    let offered = std::mem::take(&mut *sink.0.lock().unwrap());
+                    assert_eq!(offered, trace.events(), "leg {leg}, w={w}, run {run}");
+                    match &first {
+                        None => first = Some(offered),
+                        Some(first) => assert!(
+                            *first == offered,
+                            "leg {leg}, w={w}, run {run}:\n{}",
+                            trace.to_pretty_string()
+                        ),
+                    }
+                }
+            }
+            let events = first.expect("ran");
+            let has = |f: fn(&TraceEventKind) -> bool| events.iter().any(|e| f(&e.kind));
+            assert!(
+                has(|k| matches!(k, TraceEventKind::Crash { .. })),
+                "leg {leg}"
+            );
+            if oracle {
+                assert!(has(|k| matches!(k, TraceEventKind::Failed { .. })));
+            }
+        }
+    }
+
+    #[test]
+    fn every_sender_draws_its_own_link_verdicts() {
+        // p0 and p1 each send 64 messages to p2 over one configured lossy
+        // link. Each sender consults its own copy with its own rng, so the
+        // send indices each loses are not the same set.
+        use crate::link::FaultyLink;
+        struct Send64;
+        impl Process<u32> for Send64 {
+            fn on_start(&mut self, ctx: &mut Context<'_, u32>) {
+                if ctx.id().index() < 2 {
+                    for k in 0..64 {
+                        ctx.send(ProcessId::new(2), k);
+                    }
+                }
+            }
+            fn on_message(&mut self, _: &mut Context<'_, u32>, _: ProcessId, _: u32) {}
+        }
+        let config = RuntimeConfig {
+            link: Some(Box::new(FaultyLink::new(FixedLatency(1)).loss(0.5))),
+            ..RuntimeConfig::default()
+        };
+        let rt = Runtime::spawn(3, config, |_| Box::new(Send64));
+        assert!(rt.drain(Duration::from_secs(5)), "must quiesce");
+        let trace = rt.shutdown();
+        let dropped = |sender: usize| -> Vec<u64> {
+            let received: Vec<u64> = trace
+                .events()
+                .iter()
+                .filter_map(|e| match e.kind {
+                    TraceEventKind::Recv { from, msg, .. } if from.index() == sender => {
+                        Some(msg.seq())
+                    }
+                    _ => None,
+                })
+                .collect();
+            (0..64).filter(|k| !received.contains(k)).collect()
+        };
+        let (d0, d1) = (dropped(0), dropped(1));
+        assert!(!d0.is_empty() && !d1.is_empty(), "{d0:?} {d1:?}");
+        assert_ne!(d0, d1);
+        assert_eq!(trace.stats().messages_dropped, (d0.len() + d1.len()) as u64);
     }
 }

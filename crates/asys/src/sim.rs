@@ -59,6 +59,7 @@ use crate::trace::{RunSummary, StopReason, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
+use std::sync::Arc;
 
 /// What a queue entry does when it comes due. Process ids are four
 /// bytes and the rare injection payload lives in a side table
@@ -228,8 +229,8 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
     /// model), `false` as a model-level application message. The flag is
     /// recorded on every send/receive trace event so that histories can
     /// be projected onto the model alphabet.
-    pub fn classify(mut self, f: impl Fn(&M) -> bool + Send + 'static) -> Self {
-        self.hooks.classify = Some(Box::new(f));
+    pub fn classify(mut self, f: impl Fn(&M) -> bool + Send + Sync + 'static) -> Self {
+        self.hooks.classify = Some(Arc::new(f));
         self
     }
 
@@ -240,8 +241,8 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
     /// are the network's doing, not the protocol's spend — which makes
     /// simulated byte budgets directly comparable to the UDP backend's
     /// datagram accounting.
-    pub fn measure(mut self, f: impl Fn(&M) -> u64 + Send + 'static) -> Self {
-        self.hooks.measure = Some(Box::new(f));
+    pub fn measure(mut self, f: impl Fn(&M) -> u64 + Send + Sync + 'static) -> Self {
+        self.hooks.measure = Some(Arc::new(f));
         self
     }
 
@@ -272,7 +273,7 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
         let mut sim = Sim {
             n,
             processes: ProcessId::all(n).map(make).collect(),
-            core: EngineState::new(n, 1, StdRng::seed_from_u64(self.seed), self.hooks),
+            core: EngineState::new(n, 0..n, 1, StdRng::seed_from_u64(self.seed), self.hooks),
             queue: Queue {
                 calendar: Calendar::new(),
                 pending: Vec::new(),

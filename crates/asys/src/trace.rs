@@ -190,10 +190,12 @@ pub struct SimStats {
     pub crashes: u64,
     /// Failure detections declared.
     pub detections: u64,
-    /// Worker handovers the threaded router made that carried more than
-    /// one handler call (one batch per busy worker per dispatch). Always
-    /// zero on the simulator, which never batches; purely an
-    /// engine-mechanics counter — batching never changes any of the
+    /// Rounds of the threaded runtime in which one process ran more than
+    /// one handler, summed over processes: how often a host took its due
+    /// work in a batch. Set by the rounds alone, so the same run counts
+    /// the same on any number of worker threads. Always zero on the
+    /// simulator and on a host driven by hand, which run no rounds; purely
+    /// an engine-mechanics counter — batching never changes any of the
     /// other counters.
     pub delivery_batches: u64,
     /// Total bytes the run's sends would put on a real wire, under the

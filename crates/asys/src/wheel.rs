@@ -119,9 +119,7 @@ impl<T> TimerWheel<T> {
     /// An empty wheel with its clock at [`VirtualTime::ZERO`].
     pub fn new() -> Self {
         TimerWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| Slot::new()).collect())
-                .collect(),
+            levels: (0..LEVELS).map(|_| Vec::new()).collect(),
             occupied: [0; LEVELS],
             overflow: Vec::new(),
             now: VirtualTime::ZERO,
@@ -185,7 +183,13 @@ impl<T> TimerWheel<T> {
         };
         let level = level.min(LEVELS - 1);
         let slot = Self::slot_of(entry.deadline, level);
-        let s = &mut self.levels[level][slot];
+        // A level's slots are allocated when it is first used: a wheel
+        // whose deadlines stay near its clock never allocates the others.
+        let slots = &mut self.levels[level];
+        if slots.is_empty() {
+            *slots = (0..SLOTS).map(|_| Slot::new()).collect();
+        }
+        let s = &mut slots[slot];
         s.min = s.min.min(entry.deadline);
         s.entries.push(entry);
         self.occupied[level] |= 1u64 << slot;

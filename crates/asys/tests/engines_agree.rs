@@ -13,20 +13,18 @@
 //! preceding same-instant deliveries and the classifier and measure hooks
 //! all take part.
 //!
-//! The runtime with its recorder off must end the same relay the same
-//! way: the summary it returns equals the recorded run's, and its sink is
-//! offered every event the recorded run kept.
+//! The runtime runs one [`Host`](sfs_asys::Host) per process, as the UDP
+//! backend does, so this is also the check that a system of hosts counts
+//! what the simulator counts.
 //!
-//! Spread over one [`Host`] per process, as the UDP backend runs it, the
-//! relay must end the same way too: the test carries each copy a host
-//! egresses to its receiver's host at the instant the link delay says,
-//! on one virtual clock, and the hosts' counters sum to the simulator's.
+//! The runtime with its recorder off must end the same relay the same
+//! way: the summary it returns equals the recorded run's, batches
+//! included, and its sink is offered every event the recorded run kept.
 
 use sfs_asys::net::{Runtime, RuntimeConfig};
 use sfs_asys::{
-    Context, Egress, EventSink, EventSinkHandle, FaultPlan, FixedLatency, Host, Interest, Process,
-    ProcessId, ReceiveFilter, Sim, SimStats, Text, TimerId, Trace, TraceEvent, TraceEventKind,
-    VirtualTime,
+    Context, EventSink, EventSinkHandle, FaultPlan, FixedLatency, Interest, Process, ProcessId,
+    ReceiveFilter, Sim, Text, TimerId, Trace, TraceEvent, TraceEventKind, VirtualTime,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -106,14 +104,14 @@ fn on_sim(n: usize) -> Trace {
         .run()
 }
 
-/// The relay's configuration on the runtime and on hosts.
+/// The relay's configuration on the runtime.
 fn config(n: usize, record: bool, sink: Option<EventSinkHandle>) -> RuntimeConfig<u32> {
     RuntimeConfig {
         link: Some(Box::new(FixedLatency(DELAY))),
         record,
         faults: plan(n),
-        classify: Some(Box::new(infra)),
-        measure: Some(Box::new(wire_cost)),
+        classify: Some(Arc::new(infra)),
+        measure: Some(Arc::new(wire_cost)),
         sink,
         ..RuntimeConfig::default()
     }
@@ -131,34 +129,6 @@ fn settled_runtime(n: usize, record: bool, sink: Option<EventSinkHandle>) -> Run
 
 fn on_runtime(n: usize) -> Trace {
     settled_runtime(n, true, None).shutdown()
-}
-
-/// The relay on one host per process, run until nothing is due on any
-/// host and no copy is in transit. Each instant, every host is advanced
-/// to it first; the copies due then join their channels next, and are
-/// received on the following turn at the same instant.
-fn on_hosts(n: usize) -> Vec<Host<u32>> {
-    let mut hosts: Vec<Host<u32>> = ProcessId::all(n)
-        .map(|me| Host::start(me, n, config(n, true, None), Box::new(Relay)))
-        .collect();
-    let mut transit: Vec<Egress<u32>> = hosts.iter_mut().flat_map(Host::egress).collect();
-    while let Some(now) = hosts
-        .iter()
-        .filter_map(Host::next_deadline)
-        .chain(transit.iter().map(|copy| copy.at))
-        .min()
-    {
-        for host in &mut hosts {
-            host.advance_to(now);
-            transit.extend(host.egress());
-        }
-        let (due, later) = transit.into_iter().partition(|copy| copy.at <= now);
-        transit = later;
-        for copy in due {
-            assert!(hosts[copy.to.index()].ingress(copy.msg, copy.payload));
-        }
-    }
-    hosts
 }
 
 /// Counts every event it is offered.
@@ -231,7 +201,7 @@ fn simulator_and_runtime_agree_on_a_relay() {
         let sim = on_sim(n);
         let threaded = on_runtime(n);
         let (mut s, mut t) = (sim.stats(), threaded.stats());
-        // How the router batched its handovers is its own business.
+        // The simulator runs no rounds, so it counts no batches.
         (s.delivery_batches, t.delivery_batches) = (0, 0);
         assert_eq!(s, t, "n={n}\nsim:\n{}", sim.to_pretty_string());
         assert_eq!(received(sim.events()), received(threaded.events()), "n={n}");
@@ -259,45 +229,19 @@ fn simulator_and_runtime_agree_on_a_relay() {
 
 #[test]
 fn an_unrecorded_runtime_ends_as_the_recorded_one() {
-    // With `record` off the router builds no trace, yet every event is
+    // With `record` off the runtime builds no trace, yet every event is
     // still numbered and offered to the sink: the summary it ends with
-    // must be the recorded run's, event count included.
+    // must be the recorded run's, event count and batches included.
     for n in [1, 2, 3, 5, 17] {
         let (kept, sink) = Count::attached();
         let trace = settled_runtime(n, true, sink).shutdown();
         let (unkept, sink) = Count::attached();
         let run = settled_runtime(n, false, sink).shutdown_unrecorded();
-        let (mut s, mut t) = (trace.stats(), run.stats);
-        (s.delivery_batches, t.delivery_batches) = (0, 0);
-        assert_eq!(s, t, "n={n}");
+        assert_eq!(trace.stats(), run.stats, "n={n}");
         assert_eq!(run.stop, trace.stop_reason(), "n={n}");
         assert_eq!(run.end_time, trace.end_time(), "n={n}");
         assert_eq!(run.events, trace.events().len(), "n={n}");
         assert_eq!(kept.seen(), trace.events().len(), "n={n}");
         assert_eq!(unkept.seen(), run.events, "n={n}");
-    }
-}
-
-#[test]
-fn the_simulator_and_one_host_per_process_agree_on_a_relay() {
-    for n in [1, 2, 3, 5, 17] {
-        let sim = on_sim(n);
-        let hosts = on_hosts(n);
-        let mut s = sim.stats();
-        let mut h: SimStats = hosts.iter().map(Host::stats).sum();
-        (s.delivery_batches, h.delivery_batches) = (0, 0);
-        assert_eq!(s, h, "n={n}\nsim:\n{}", sim.to_pretty_string());
-        assert_eq!(
-            received(sim.events()),
-            received(hosts.iter().flat_map(Host::events)),
-            "n={n}"
-        );
-        // Each host recorded only its own process's events.
-        for host in &hosts {
-            assert!(host.events().iter().all(|e| e.kind.process() == host.me()));
-        }
-        if n > 1 {
-            assert!(h.messages_to_crashed > 0, "n={n}: {h:?}");
-        }
     }
 }

@@ -1,9 +1,10 @@
 //! Race tests for the event-driven runtime's quiescence protocol.
 //!
-//! [`Runtime::drain`] answers `true` only when the router has judged the
-//! system genuinely quiescent: its inbox empty, no handler reply
-//! outstanding, and the timer wheel bare. The judgement is router-local,
-//! but the *stimuli* arrive from arbitrary threads — so these tests storm
+//! [`Runtime::drain`] answers `true` only when the coordinator has judged
+//! the system genuinely quiescent between rounds: every command before
+//! the drain taken, nothing due on any host, no copy in transit and no
+//! injection waiting. The judgement is the coordinator's alone, but the
+//! *stimuli* arrive from arbitrary threads — so these tests storm
 //! the runtime from an injector thread while the main thread hammers
 //! `drain`, and then hold the runtime to exact message accounting: if a
 //! drain ever declared quiescence with a relay chain still in flight, the
@@ -77,7 +78,7 @@ fn drain_never_declares_quiescence_with_a_message_in_flight() {
         }
         injector.join().expect("injector thread");
 
-        // All storms are now in the router's inbox or already processed.
+        // All storms are now in the coordinator's inbox or already processed.
         // This verdict is the one with teeth: a false `true` with a hop
         // in flight makes the accounting below fail.
         assert!(

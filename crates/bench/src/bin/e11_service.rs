@@ -13,7 +13,7 @@
 //! regression to zero), or — when
 //! `SFS_E11_THREADED_BUDGET_MS` is set — if the threaded cells together
 //! exceed that wall-clock budget. The budget gate is what CI's
-//! threaded-runtime smoke job pins: the event-driven router's wall cost
+//! threaded-runtime smoke job pins: the event-driven runtime's wall cost
 //! must track events executed, so a regression back toward
 //! tick-paced sleeping blows the budget by orders of magnitude.
 

@@ -59,7 +59,8 @@ pub struct E11Row {
     pub op_p99: Option<u64>,
     /// Messages sent per detection event, from the registry counters.
     pub msgs_per_det: f64,
-    /// Multi-call worker handovers (0 on the simulator).
+    /// Rounds in which a process ran more than one handler (0 on the
+    /// simulator).
     pub delivery_batches: u64,
     /// Shards that exhausted their budget (must be exactly shard 0).
     pub exhausted: usize,
@@ -209,8 +210,9 @@ pub fn run_e11(max_n: usize, ops_per_proc: u64) -> (Table, Vec<E11Row>) {
         }
     }
     table.note(
-        "batches: threaded worker handovers carrying more than one handler call — \
-         engine mechanics, 0 on the simulator, which never batches",
+        "batches: threaded rounds in which one process ran more than one handler, summed \
+         over processes — engine mechanics, the same on any number of worker threads, \
+         0 on the simulator, which never batches",
     );
     table.note("detection latency in virtual ticks on both backends");
     table.note(

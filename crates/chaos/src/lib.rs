@@ -22,7 +22,7 @@
 //! designated gray-failure victim. Because the plan only produces
 //! schedules and crash scripts consumed through `ClusterSpec`/`NetSpec`,
 //! it runs unchanged on the deterministic simulator and the threaded
-//! router.
+//! runtime.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

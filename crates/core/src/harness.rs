@@ -22,6 +22,7 @@ use sfs_transport::{
     AdaptiveConfig, ArqConfig, ProbeConfig, Reliable, TransportError, TransportMsg,
 };
 use std::fmt;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Why a [`ClusterSpec`] is rejected before anything runs: the union of
@@ -581,7 +582,7 @@ impl ClusterSpec {
     fn sim_builder<M: Clone + fmt::Debug + 'static>(
         &self,
         plan: FaultPlan<M>,
-        classify: impl Fn(&M) -> bool + Send + 'static,
+        classify: impl Fn(&M) -> bool + Send + Sync + 'static,
     ) -> Result<SimBuilder<M>, SpecError> {
         self.validate()?;
         let builder = Sim::builder(self.n)
@@ -604,13 +605,14 @@ impl ClusterSpec {
     /// measure wire bytes.
     ///
     /// On [`Backend::Threaded`] the same protocol code runs on real OS
-    /// threads on the event-driven virtual clock. The spec's scripted
-    /// crashes and suspicions ride the router's timer wheel and fire at
-    /// their exact virtual ticks (before any message due at the same
-    /// instant); the runtime gets the simulator's infrastructure
-    /// classifier (so histories project identically), a
-    /// [`CrashRegistry`] the router marks (so [`ModeSpec::Oracle`] works
-    /// on threads too), and the spec's `max_time`/`max_events` bounds.
+    /// threads on the event-driven virtual clock, and the run is a
+    /// function of the spec and its seed. The spec's scripted crashes and
+    /// suspicions ride their processes' timer wheels and fire at their
+    /// exact virtual ticks (before any message due at the same instant);
+    /// the runtime gets the simulator's infrastructure classifier (so
+    /// histories project identically), a [`CrashRegistry`] it marks at
+    /// the end of each round (so [`ModeSpec::Oracle`] works on threads
+    /// too), and the spec's `max_time`/`max_events` bounds.
     /// Heartbeat and oracle configurations re-arm timers forever: they
     /// run to those bounds at compute speed and report
     /// [`RunOutcome::quiesced`] `false`.
@@ -658,7 +660,7 @@ impl ClusterSpec {
             (Backend::Sim, Some(_)) => {
                 let sim = self.try_build_net_with(
                     |b| match measure {
-                        Some(measure) => b.measure(measure),
+                        Some(measure) => b.measure(move |m| measure(m)),
                         None => b,
                     },
                     make_app,
@@ -668,7 +670,7 @@ impl ClusterSpec {
             (Backend::Threaded, None) => self.on_threads(
                 RuntimeConfig {
                     record,
-                    classify: Some(Box::new(|m: &SfsMsg<A::Msg>| !m.is_app())),
+                    classify: Some(Arc::new(|m: &SfsMsg<A::Msg>| !m.is_app())),
                     faults: self.fault_plan(),
                     ..RuntimeConfig::default()
                 },
@@ -678,7 +680,7 @@ impl ClusterSpec {
                 RuntimeConfig {
                     record,
                     link: Some(Box::new(self.link_model()?)),
-                    classify: Some(Box::new(|_: &TransportMsg<SfsMsg<A::Msg>>| true)),
+                    classify: Some(Arc::new(|_: &TransportMsg<SfsMsg<A::Msg>>| true)),
                     measure,
                     faults: self.fault_plan_net(),
                     ..RuntimeConfig::default()
@@ -689,9 +691,9 @@ impl ClusterSpec {
     }
 
     /// The threaded arm of [`ClusterSpec::run`]: completes `config` with
-    /// the spec's seed, bounds and sink and a [`CrashRegistry`] the router
-    /// marks, spawns every process `make` builds against that registry,
-    /// drains, and shuts down as `config.record` asks.
+    /// the spec's seed, bounds and sink and a [`CrashRegistry`] the
+    /// runtime marks, spawns every process `make` builds against that
+    /// registry, drains, and shuts down as `config.record` asks.
     fn on_threads<M>(
         &self,
         config: RuntimeConfig<M>,
@@ -972,7 +974,7 @@ mod tests {
 
     #[test]
     fn threaded_crash_at_tick_t_precedes_every_event_at_t_plus_one() {
-        // The spec's fault plan rides the router's timer wheel, so a
+        // The spec's fault plan rides the victim's timer wheel, so a
         // scripted crash at tick 40 must be recorded at exactly tick 40,
         // before any event of tick 41 or later, and the victim must act
         // at no instant after it — the same guarantee the simulator's

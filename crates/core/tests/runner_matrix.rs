@@ -7,47 +7,44 @@
 //! frames — a wire-byte measure sees every one of them — while a bare
 //! cell sends none, and asking it for a measure is a typed error. The
 //! record switch changes what comes back, never how the run went: a
-//! recorded and an unrecorded run of one cell end with equal counters and
-//! event counts (on threads, up to how the router batched its handovers,
-//! as in `engines_agree`).
+//! recorded and an unrecorded run of one cell end with equal counters,
+//! batches included, and equal event counts — on threads too, where a
+//! run is a function of its spec and seed. Each cell runs two specs: a
+//! scripted crash, and a false suspicion whose victim's self-kill races
+//! the survivors' votes on the bare leg's zero-delay channels.
 
 use sfs::{
     Backend, ClusterSpec, Instruments, NetSpec, NullApp, RunOutcome, SfsMsg, SpecError,
     TransportMsg,
 };
-use sfs_asys::{ProcessId, SimStats};
+use sfs_asys::ProcessId;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A wire-byte measure over the frames of a `NullApp` cluster.
-type Measure = Box<dyn Fn(&TransportMsg<SfsMsg<()>>) -> u64 + Send>;
+type Measure = Arc<dyn Fn(&TransportMsg<SfsMsg<()>>) -> u64 + Send + Sync>;
 
 fn p(i: usize) -> ProcessId {
     ProcessId::new(i)
 }
 
-/// p0 crashes at tick 5 and p1 suspects it at tick 10: every survivor
-/// detects p0, and every copy sent to p0 meets a crashed process. How the
-/// threaded router orders the events of one instant changes nothing the
-/// counters see — unlike a false suspicion, where p0's death by its own
-/// obituary races the survivors' votes on the bare leg's zero-delay
-/// channels.
-fn spec(net: Option<NetSpec>) -> ClusterSpec {
+/// p1 suspects p0 at tick 10, and p0 either crashes at tick 5 first or
+/// is alive and learns of it: either way every survivor detects p0, and
+/// p0 ends crashed.
+fn spec(net: Option<NetSpec>, crash: bool) -> ClusterSpec {
+    let spec = ClusterSpec::new(4, 1).seed(5).suspect(p(1), p(0), 10);
     ClusterSpec {
         net,
-        ..ClusterSpec::new(4, 1)
-            .seed(5)
-            .crash(p(0), 5)
-            .suspect(p(1), p(0), 10)
+        ..if crash { spec.crash(p(0), 5) } else { spec }
     }
 }
 
 /// One run of a cell; on a net cell a measure counts the frames sent.
-fn run(backend: Backend, net: Option<NetSpec>, record: bool) -> (RunOutcome, Option<u64>) {
-    let bare = net.is_none();
+fn run(spec: &ClusterSpec, backend: Backend, record: bool) -> (RunOutcome, Option<u64>) {
+    let bare = spec.net.is_none();
     let frames = Arc::new(AtomicU64::new(0));
     let counter = Arc::clone(&frames);
-    let count: Measure = Box::new(move |_| {
+    let count: Measure = Arc::new(move |_| {
         counter.fetch_add(1, Ordering::Relaxed);
         1
     });
@@ -55,39 +52,30 @@ fn run(backend: Backend, net: Option<NetSpec>, record: bool) -> (RunOutcome, Opt
         record,
         measure: (!bare).then_some(count),
     };
-    let out = spec(net)
+    let out = spec
         .run(backend, instruments, |_| NullApp)
         .expect("feasible spec");
     (out, (!bare).then(|| frames.load(Ordering::Relaxed)))
 }
 
-fn counters(backend: Backend, out: &RunOutcome) -> SimStats {
-    let mut stats = out.summary.stats;
-    if backend == Backend::Threaded {
-        // How the router batched its handovers is its own business.
-        stats.delivery_batches = 0;
-    }
-    stats
-}
-
 #[test]
 fn every_cell_of_the_runner_matrix() {
     for backend in Backend::ALL {
-        for net in [None, Some(NetSpec::faultless())] {
-            let cell = format!("{backend} / net {}", net.is_some());
-            let (kept, frames) = run(backend, net.clone(), true);
-            let (unkept, unkept_frames) = run(backend, net.clone(), false);
+        for (net, crash) in [None, Some(NetSpec::faultless())]
+            .into_iter()
+            .flat_map(|net| [(net.clone(), true), (net, false)])
+        {
+            let cell = format!("{backend} / net {} / crash {crash}", net.is_some());
+            let spec = spec(net, crash);
+            let (kept, frames) = run(&spec, backend, true);
+            let (unkept, unkept_frames) = run(&spec, backend, false);
 
             // The record switch: what comes back, not how the run went.
             let trace = kept.trace.as_ref().expect("a recorded run keeps its trace");
             assert!(unkept.trace.is_none(), "{cell}");
             assert_eq!(kept.summary.events, trace.events().len(), "{cell}");
             assert_eq!(kept.summary.events, unkept.summary.events, "{cell}");
-            assert_eq!(
-                counters(backend, &kept),
-                counters(backend, &unkept),
-                "{cell}"
-            );
+            assert_eq!(kept.summary.stats, unkept.summary.stats, "{cell}");
             assert_eq!(kept.summary.stop, unkept.summary.stop, "{cell}");
             assert!(kept.quiesced && unkept.quiesced, "{cell}");
             assert_eq!(frames, unkept_frames, "{cell}");
@@ -102,12 +90,12 @@ fn every_cell_of_the_runner_matrix() {
                 }
                 None => {
                     assert_eq!(stats.wire_bytes, 0, "{cell}");
-                    let measure: Measure = Box::new(|_| 1);
+                    let measure: Measure = Arc::new(|_| 1);
                     let instruments = Instruments {
                         measure: Some(measure),
                         ..Instruments::default()
                     };
-                    let refused = spec(None).run(backend, instruments, |_| NullApp);
+                    let refused = spec.run(backend, instruments, |_| NullApp);
                     assert_eq!(refused.unwrap_err(), SpecError::MeasureWithoutNet, "{cell}");
                 }
             }

@@ -1,6 +1,6 @@
 //! The protocol on the threaded runtime: same code, real concurrency.
 //! The suspicion tests deliberately drive injections *live*
-//! (`inject_external` racing the running router), exercising the
+//! (`inject_external` racing the running coordinator), exercising the
 //! asynchronous-arrival path that wheel-scheduled fault plans bypass,
 //! then use the quiescence handshake (`drain`) to know the cascade is
 //! complete. The heartbeat test runs the other way: a scripted crash on
@@ -14,6 +14,7 @@ use sfs_asys::net::{Runtime, RuntimeConfig};
 use sfs_asys::ProcessId;
 use sfs_history::History;
 use sfs_tlogic::{properties, Verdict};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn p(i: usize) -> ProcessId {
@@ -23,7 +24,7 @@ fn p(i: usize) -> ProcessId {
 fn config_with_classifier<M: Clone + std::fmt::Debug + Send + 'static>() -> RuntimeConfig<SfsMsg<M>>
 {
     RuntimeConfig {
-        classify: Some(Box::new(|m: &SfsMsg<M>| !m.is_app())),
+        classify: Some(Arc::new(|m: &SfsMsg<M>| !m.is_app())),
         ..RuntimeConfig::default()
     }
 }

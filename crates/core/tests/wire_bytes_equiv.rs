@@ -1,6 +1,6 @@
 //! Cross-engine wire-byte accounting (ISSUE 9 satellite): on an
 //! identical instance, the simulator's measured transport leg, the
-//! threaded router's measured leg, and the UDP backend's real-datagram
+//! threaded runtime's measured leg, and the UDP backend's real-datagram
 //! ledgers must all charge bytes with **one ruler** —
 //! `sfs_wire::wire_cost`, the real encoded frame size, one full frame
 //! per engine-level send regardless of link verdicts or ARQ
@@ -16,6 +16,7 @@
 use sfs::{Backend, ClusterSpec, Instruments, NetSpec, NullApp, SfsMsg, TransportMsg};
 use sfs_asys::ProcessId;
 use sfs_wire::wire_cost;
+use std::sync::Arc;
 use std::time::Duration;
 
 const NODE_BIN: &str = env!("CARGO_BIN_EXE_sfs-udp-node");
@@ -42,7 +43,7 @@ fn sim_and_threaded_charge_identical_wire_bytes() {
             .run(
                 Backend::Threaded,
                 Instruments {
-                    measure: Some(Box::new(wire_cost::<TransportMsg<SfsMsg<()>>>)),
+                    measure: Some(Arc::new(wire_cost::<TransportMsg<SfsMsg<()>>>)),
                     ..Instruments::default()
                 },
                 |_| NullApp,

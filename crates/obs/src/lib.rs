@@ -1,7 +1,7 @@
 //! `sfs-obs` — deterministic telemetry for the fail-stop simulation
 //! stack: a metrics registry, causal span export, a flight recorder,
 //! anomaly watermarks and the streaming sFS monitor, shared by all four
-//! engines (virtual-time simulator, threaded router, transport-backed
+//! engines (virtual-time simulator, threaded runtime, transport-backed
 //! runs, and the UDP multi-process backend).
 //!
 //! # One stream

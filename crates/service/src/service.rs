@@ -168,8 +168,9 @@ impl ServiceSpec {
         self
     }
 
-    /// Sets nothing: the threaded runtime batches every dispatch and the
-    /// simulator has one loop mode, so there is no switch left to set.
+    /// Sets nothing: the threaded runtime runs each process's due work in
+    /// a round as one batch and the simulator has one loop mode, so there
+    /// is no switch left to set.
     /// Kept for source compatibility with callers that still pass one.
     pub fn batched(self, _on: bool) -> Self {
         self
@@ -393,8 +394,9 @@ impl ServiceReport {
             .sum()
     }
 
-    /// Multi-call worker handovers across all shard runs (see
-    /// [`SimStats::delivery_batches`]); 0 on the simulator.
+    /// Rounds in which a process ran more than one handler, across all
+    /// shard runs (see [`SimStats::delivery_batches`]); 0 on the
+    /// simulator.
     pub fn delivery_batches(&self) -> u64 {
         self.epochs
             .iter()

@@ -5,19 +5,19 @@
 //! neither backend builds one: the simulator runs `Sim::run_unrecorded`,
 //! the runtime is spawned with `RuntimeConfig::record` off). These tests
 //! pin that kept and unkept runs are indistinguishable from outside, that
-//! each fold fed live — on the simulator and on the threaded router's
-//! thread — equals its `&Trace` entry point on the same run, and that the
+//! each fold fed live — on the simulator and on the threaded runtime's
+//! coordinator thread — equals its `&Trace` entry point on the same run,
+//! and that the
 //! sinks are called for a small, exactly countable share of the events.
 
 use sfs::{Backend, ClusterSpec, HeartbeatConfig, Instruments, NetSpec, ProbeConfig};
-use sfs_asys::{EventSink, EventSinkHandle, Interest, ProcessId, SimStats, TraceEvent};
+use sfs_asys::{EventSink, EventSinkHandle, Interest, ProcessId, TraceEvent};
 use sfs_chaos::ChaosSpec;
 use sfs_history::History;
 use sfs_obs::{metrics, MsgClass, Registry, SfsMonitor, TraceIngest};
 use sfs_service::load::LoadFold;
 use sfs_service::{
     analyze_load, plan_shards, run_service, LoadGenApp, LoadProfile, ServiceReport, ServiceSpec,
-    ShardOutcome,
 };
 use std::sync::{Arc, Mutex};
 
@@ -44,13 +44,7 @@ fn assert_same_outcomes(live: &ServiceReport, kept: &ServiceReport, what: &str) 
             assert_eq!(a.n, b.n, "{what}");
             assert_eq!(a.ops_routed, b.ops_routed, "{what}");
             assert_eq!(a.load, b.load, "{what}");
-            // How the threaded router batched its handovers varies from
-            // run to run; it is 0 on the simulator.
-            let batchless = |s: &ShardOutcome| SimStats {
-                delivery_batches: 0,
-                ..s.stats
-            };
-            assert_eq!(batchless(a), batchless(b), "{what}");
+            assert_eq!(a.stats, b.stats, "{what}");
             assert_eq!(a.events, b.events, "{what}");
             assert_eq!(a.events, trace.events().len() as u64, "{what}");
             assert_eq!(a.detected, b.detected, "{what}");
@@ -181,10 +175,11 @@ fn each_live_fold_equals_its_trace_entry_point_on_the_same_run() {
 
 #[test]
 fn the_threaded_fold_equals_its_replay_over_the_kept_trace() {
-    // On threads the shard fold runs live on the router thread; replaying
-    // the kept trace through `analyze_load` and `Registry::ingest_trace`
-    // (plus the run's counters) must give the same outcome, shard by
-    // shard — over a lossy probed transport, with a crash detected.
+    // On threads the shard fold runs live on the coordinator thread;
+    // replaying the kept trace through `analyze_load` and
+    // `Registry::ingest_trace` (plus the run's counters) must give the
+    // same outcome, shard by shard — over a lossy probed transport, with
+    // a crash detected.
     let plan = plan_shards(32, 2, 16, 5).unwrap();
     let spec = ServiceSpec::new(32, 2, 16)
         .seed(5)

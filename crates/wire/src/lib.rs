@@ -1,7 +1,7 @@
 //! `sfs-wire` — bytes on a real wire.
 //!
 //! Every backend before this one kept the system inside a single OS
-//! process: the deterministic simulator, the threaded router, the ARQ
+//! process: the deterministic simulator, the threaded runtime, the ARQ
 //! transport in both. This crate takes the final step of the fidelity
 //! ladder: each [`Process`](sfs_asys::Process) runs in its **own OS
 //! process** and talks to its peers over **real localhost UDP sockets**,

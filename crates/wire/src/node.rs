@@ -36,11 +36,12 @@ use crate::ctrl::{read_msg, write_msg, CtrlBuf, NodeDump, NodeStatus, NodeToPare
 use crate::frame::{decode_frame, encode_frame, wire_cost, FrameHeader};
 use sfs_asys::net::RuntimeConfig;
 use sfs_asys::{
-    FaultPlan, FaultyLink, FixedLatency, Host, LinkModel, MsgId, Process, ProcessId, VirtualTime,
+    FaultPlan, FaultyLink, FixedLatency, Host, MsgId, Process, ProcessId, SenderLink, VirtualTime,
 };
 use std::fmt;
 use std::io::{self, Read};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs, UdpSocket};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Everything a spawned node needs to know, decoded from the blob the
@@ -107,7 +108,7 @@ impl NodeConfig {
     /// least delay a latency model draws.
     fn runtime<M: WireCodec + 'static>(
         &self,
-        classify: impl Fn(&M) -> bool + Send + 'static,
+        classify: impl Fn(&M) -> bool + Send + Sync + 'static,
         faults: FaultPlan<M>,
     ) -> RuntimeConfig<M> {
         let faulty = self.loss > 0.0 || self.duplicate > 0.0;
@@ -116,9 +117,9 @@ impl NodeConfig {
             .duplicate(self.duplicate);
         RuntimeConfig {
             seed: self.seed,
-            link: faulty.then(|| Box::new(link) as Box<dyn LinkModel + Send>),
-            classify: Some(Box::new(classify)),
-            measure: Some(Box::new(|m: &M| wire_cost(m))),
+            link: faulty.then(|| Box::new(link) as Box<dyn SenderLink>),
+            classify: Some(Arc::new(classify)),
+            measure: Some(Arc::new(|m: &M| wire_cost(m))),
             faults,
             ..RuntimeConfig::default()
         }
@@ -250,7 +251,7 @@ pub fn run_node<M, P, C, A>(
 where
     M: WireCodec + Clone + fmt::Debug + 'static,
     P: Process<M> + 'static,
-    C: Fn(&M) -> bool + Send + 'static,
+    C: Fn(&M) -> bool + Send + Sync + 'static,
     A: ToSocketAddrs,
 {
     let socket = UdpSocket::bind("127.0.0.1:0")?;

@@ -1,11 +1,11 @@
 //! The same protocol code on real OS threads: a live sFS cluster on the
 //! threaded runtime's worker pool (one worker thread per core, each
-//! running its share of the processes) behind a router thread, with a
-//! scripted crash and heartbeat timeouts detecting it — all in *virtual*
-//! time. The event-driven router owns a timer wheel of logical deadlines
-//! and advances the virtual clock at compute speed, so this run takes
-//! milliseconds of wall time while covering a 600-tick horizon, and the
-//! crash lands at exactly tick 200 on every execution.
+//! running its share of the processes, one engine host per process),
+//! with a scripted crash and heartbeat timeouts detecting it — all in
+//! *virtual* time. The coordinator runs the hosts in rounds and advances
+//! the virtual clock at compute speed, so this run takes milliseconds of
+//! wall time while covering a 600-tick horizon, and it is the same run —
+//! the crash at exactly tick 200 included — on every execution.
 //!
 //! Run with: `cargo run --example threaded`
 
@@ -13,6 +13,7 @@ use failstop::prelude::*;
 use sfs::{DetectionMode, SfsConfig};
 use sfs_asys::net::{Runtime, RuntimeConfig};
 use sfs_asys::{FaultPlan, VirtualTime};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn main() {
@@ -25,7 +26,7 @@ fn main() {
     // at that instant, and the horizon bounds the self-rearming
     // heartbeats that would otherwise run forever.
     let config = RuntimeConfig {
-        classify: Some(Box::new(|m: &SfsMsg<()>| !m.is_app())),
+        classify: Some(Arc::new(|m: &SfsMsg<()>| !m.is_app())),
         faults: FaultPlan::new().crash_at(ProcessId::new(2), VirtualTime::from_ticks(200)),
         max_time: VirtualTime::from_ticks(600),
         ..RuntimeConfig::default()
