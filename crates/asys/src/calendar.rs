@@ -110,20 +110,41 @@ impl<T: Copy + Ord> Calendar<T> {
         bucket.1 = index;
     }
 
-    /// Removes and returns the entry with the least `(at, order)`.
-    pub(crate) fn pop(&mut self) -> Option<(VirtualTime, u64, T)> {
+    /// The tick and order of the least entry, and whether it sits on the
+    /// ring (`true`) or the heap.
+    #[inline(always)]
+    fn least(&self) -> Option<(u64, u64, bool)> {
         let near = (self.occupied != 0).then(|| {
             let ahead = self.occupied.rotate_right((self.cursor % RING) as u32);
             let tick = self.cursor + u64::from(ahead.trailing_zeros());
             let head = self.buckets[(tick % RING) as usize].0;
-            (tick, self.slots[head as usize].order)
+            (tick, self.slots[head as usize].order, true)
         });
-        let far = self.far.peek().map(|Reverse((at, order, _))| (*at, *order));
-        let (tick, order, item) = match (near, far) {
-            (None, None) => return None,
-            (Some(near), Some(far)) if far < near => self.pop_far(),
-            (None, Some(_)) => self.pop_far(),
-            (Some((tick, _)), _) => {
+        let far = self
+            .far
+            .peek()
+            .map(|Reverse((at, order, _))| (*at, *order, false));
+        match (near, far) {
+            (Some(near), Some(far)) => Some(near.min(far)),
+            (near, far) => near.or(far),
+        }
+    }
+
+    /// The entry with the least `(at, order)`, left in place.
+    pub(crate) fn peek(&self) -> Option<(VirtualTime, u64, T)> {
+        let (tick, order, near) = self.least()?;
+        let item = match near {
+            true => self.slots[self.buckets[(tick % RING) as usize].0 as usize].item,
+            false => self.far.peek().expect("least").0 .2,
+        };
+        Some((VirtualTime::from_ticks(tick), order, item))
+    }
+
+    /// Removes and returns the entry with the least `(at, order)`.
+    pub(crate) fn pop(&mut self) -> Option<(VirtualTime, u64, T)> {
+        let (tick, order, item) = match self.least()? {
+            (_, _, false) => self.far.pop().expect("least").0,
+            (tick, _, true) => {
                 let bucket = &mut self.buckets[(tick % RING) as usize];
                 let index = bucket.0;
                 let slot = &mut self.slots[index as usize];
@@ -140,10 +161,6 @@ impl<T: Copy + Ord> Calendar<T> {
         // start there (a late entry, due before the cursor, leaves it).
         self.cursor = self.cursor.max(tick);
         Some((VirtualTime::from_ticks(tick), order, item))
-    }
-
-    fn pop_far(&mut self) -> (u64, u64, T) {
-        self.far.pop().expect("peeked").0
     }
 }
 
@@ -163,6 +180,11 @@ mod tests {
         /// Push at an absolute tick.
         PushAt(u64),
         Pop,
+        /// Look at the least entry, as a host's deadline query does.
+        Peek,
+        /// Push at `now`, then peek: a copy or an injection filed at the
+        /// instant just run, as a host's ingress and inject do.
+        PushNowAndPeek,
     }
 
     fn op() -> impl Strategy<Value = Op> {
@@ -178,6 +200,8 @@ mod tests {
             Just(Op::Pop),
             Just(Op::Pop),
             Just(Op::Pop),
+            Just(Op::Peek),
+            Just(Op::PushNowAndPeek),
         ]
     }
 
@@ -195,11 +219,21 @@ mod tests {
         Ok(got.map(|(at, _, _)| at))
     }
 
+    /// Peeks both queues and requires equal results.
+    fn peek_both(queue: &Calendar<u64>, model: &Model) -> Result<(), TestCaseError> {
+        let got = queue
+            .peek()
+            .map(|(at, order, item)| (at.ticks(), order, item));
+        prop_assert_eq!(got, model.peek().map(|Reverse(e)| *e));
+        Ok(())
+    }
+
     proptest! {
-        /// Any interleaving of pushes and pops — same-tick pushes made
-        /// while that tick drains, deadlines already passed, deadlines
-        /// past the ring, `VirtualTime::MAX` — pops in exactly the order
-        /// of a `BinaryHeap` keyed `(at, order)`.
+        /// Any interleaving of pushes, peeks and pops — same-tick pushes
+        /// made while that tick drains, peeks right after them, deadlines
+        /// already passed, deadlines past the ring, `VirtualTime::MAX` —
+        /// peeks and pops exactly what a `BinaryHeap` keyed `(at, order)`
+        /// does.
         #[test]
         fn pops_in_heap_order(ops in proptest::collection::vec(op(), 0..400)) {
             let mut queue = Calendar::new();
@@ -210,8 +244,13 @@ mod tests {
                     Op::PushAhead(delta) => now.saturating_add(delta),
                     Op::PushLate(delta) => now.saturating_sub(delta),
                     Op::PushAt(at) => at,
+                    Op::PushNowAndPeek => now,
                     Op::Pop => {
                         now = pop_both(&mut queue, &mut model)?.unwrap_or(now);
+                        continue;
+                    }
+                    Op::Peek => {
+                        peek_both(&queue, &model)?;
                         continue;
                     }
                 };
@@ -219,6 +258,9 @@ mod tests {
                 model.push(Reverse((at, order, order * 7)));
                 order += 1;
                 prop_assert_eq!(queue.len(), model.len());
+                if matches!(op, Op::PushNowAndPeek) {
+                    peek_both(&queue, &model)?;
+                }
             }
             while !model.is_empty() {
                 pop_both(&mut queue, &mut model)?;

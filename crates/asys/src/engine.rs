@@ -1,42 +1,26 @@
 //! The engine core: the paper's §2 model, written once.
 //!
-//! Every engine — the simulator ([`Sim`](crate::Sim)) and the
-//! one-process [`Host`](crate::Host) that the UDP node wraps and the
-//! threaded runtime ([`net::Runtime`](crate::net::Runtime)) runs one of
-//! per process — drives an [`EngineState`] and keeps only its own
-//! scheduling loop. The core owns everything an event may change: crash
-//! and detection flags, the receive filters, the reliable FIFO channel
-//! `C_{i,j}` (a queue of in-flight copies plus a parked flag) into every
-//! process it holds — all of them on the simulator, one on a host —
-//! message numbering, the link and its rng, the classifier, the
-//! wire-byte measure, the event sink, the crash registry and the
-//! optional trace recorder. It
-//! implements, once, the interpretation of a handler's [`Action`]s, the
-//! send → link verdict → enqueue path, crashes and detections, and the
+//! Every engine is a [`Host`](crate::Host) over an [`EngineState`]: the
+//! simulator ([`Sim`](crate::Sim)) is the host of all `n` processes, a
+//! UDP node the host of one, and the threaded runtime
+//! ([`net::Runtime`](crate::net::Runtime)) runs one host per process.
+//! The core owns everything an event may change, in tables sized by the
+//! processes it holds: crash and detection flags, receive filters, the
+//! FIFO channel `C_{i,j}` (in-flight copies plus a parked flag) into each
+//! held process, message numbering, the link and its rng, the
+//! classifier, the wire-byte measure, the sink, the crash registry and
+//! the optional recorder. It implements, once, a handler's [`Action`]s,
+//! send → link verdict → enqueue or [`Schedule::egress`], crashes and
+//! detections, [`EngineState::ingress`] of a copy from elsewhere, and the
 //! admission of a due channel head, timer or injection.
 //!
-//! What the core does not own is *when* things happen. It announces two
-//! kinds of deadline — "the head of channel `from → to` is due at `t`" and
-//! "timer `id` is due at `t`" — through the statically dispatched
-//! [`Schedule`] hook: the simulator files them in its calendar queue (or
-//! its scheduled working set), a host in its timer wheel. A channel
-//! has at most one head deadline outstanding and its next head is only
-//! announced once the current one is gone, so every engine's channels are
-//! FIFO by construction, whatever delays the link draws.
-//!
-//! Each engine passes its delay floor at construction: the simulator
-//! delivers and fires no earlier than one tick after the cause, a host
-//! at the same instant when the link or the timer says zero.
-//!
-//! A host's peers live on other hosts, so [`Schedule`] has two edges
-//! more, which the simulator leaves at their no-op defaults: after the
-//! link's verdict a copy for a process elsewhere leaves through
-//! [`Schedule::egress`] instead of joining a local channel, and
-//! [`EngineState::ingress`] puts a copy that arrived from elsewhere on its
-//! channel under the sender's id. A host's owner also waits for an empty
-//! wheel, so it drops a cancelled timer at once
-//! ([`Schedule::timer_cancelled`]); the simulator leaves it to dissolve
-//! when it comes due.
+//! *When* things happen is the host's: the core announces "the head of
+//! `from → to` is due at `t`" and "timer `id` is due at `t`" through
+//! [`Schedule`], which the host's queue implements. A channel has at most
+//! one head deadline outstanding and the next is announced only once the
+//! current one is gone, so channels are FIFO whatever delays the link
+//! draws. The delay floor is a constructor value: one tick on the
+//! simulator, none on a host.
 
 use crate::fault::Injection;
 use crate::id::{MsgId, ProcessId, TimerId};
@@ -127,47 +111,16 @@ impl CrashRegistry {
     }
 }
 
-/// Where an engine files the deadlines the core announces, and — for a
-/// [`Host`](crate::Host), whose peers live in other OS processes — where
-/// copies for those peers leave.
+/// Where a host files the deadlines the core announces, and where copies
+/// for processes it does not hold leave.
 pub(crate) trait Schedule<M> {
     /// The head of channel `from -> to` comes due at `at`.
     fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId);
     /// Timer `id`, armed by `pid`, comes due at `at`.
     fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId);
-    /// Timer `id` was cancelled. The core dissolves it when it comes due
-    /// either way; a host, whose owner waits on real time for an empty
-    /// wheel, drops it now.
-    #[inline(always)]
-    fn timer_cancelled(&mut self, _id: TimerId) {}
-    /// Whether channels into `to` end in this core. The simulator holds
-    /// every process, so the default is a constant the compiler folds
-    /// away.
-    #[inline(always)]
-    fn is_local(&self, _to: ProcessId) -> bool {
-        true
-    }
-    /// The egress edge: a copy the link let through, for a receiver that
-    /// [`is_local`](Schedule::is_local) says lives elsewhere, due there at
-    /// `at`. Never called when every receiver is local.
-    fn egress(&mut self, _to: ProcessId, _msg: MsgId, _at: VirtualTime, _payload: M) {}
-}
-
-/// A deadline the core announced, or a fault-plan entry: what a host's
-/// timer wheel holds.
-pub(crate) enum Due<M> {
-    Head {
-        from: ProcessId,
-        to: ProcessId,
-    },
-    Fire {
-        pid: ProcessId,
-        id: TimerId,
-    },
-    Plan {
-        pid: ProcessId,
-        injection: Injection<M>,
-    },
+    /// The egress edge: a copy the link let through, for a receiver the
+    /// core does not hold, due there at `at`.
+    fn egress(&mut self, to: ProcessId, msg: MsgId, at: VirtualTime, payload: M);
 }
 
 /// What a run plugs into the core: the network, the observers and the
@@ -180,7 +133,8 @@ pub(crate) struct Hooks<M> {
     pub(crate) classify: Option<Classify<M>>,
     pub(crate) measure: Option<Measure<M>>,
     pub(crate) sink: Option<EventSinkHandle>,
-    pub(crate) registry: CrashRegistry,
+    /// The live crash view the core marks, when one is configured.
+    pub(crate) registry: Option<CrashRegistry>,
     pub(crate) record_payloads: bool,
     /// Event budget: no handler's actions are applied once this many
     /// events have been emitted.
@@ -196,9 +150,9 @@ struct InFlight<M> {
 
 /// The state every engine shares; see the module docs.
 pub(crate) struct EngineState<M> {
-    n: usize,
-    /// The first process this core holds; see [`EngineState::new`].
-    first: usize,
+    pub(crate) n: usize,
+    /// The processes this core holds; see [`EngineState::new`].
+    pub(crate) held: Range<usize>,
     /// Least delay, in ticks, of a delivery or a timer.
     floor: u64,
     /// The current instant; the owning engine moves it.
@@ -206,8 +160,10 @@ pub(crate) struct EngineState<M> {
     /// Feeds link verdicts; the simulator also lends it to every handler.
     pub(crate) rng: StdRng,
     hooks: Hooks<M>,
+    /// Per held process, at [`EngineState::local`]; so are `filters` and
+    /// `msg_seq`.
     crashed: Vec<bool>,
-    /// Processes that have not crashed.
+    /// Held processes that have not crashed.
     live: usize,
     /// `failed_i(j)` at [`EngineState::pair`]`(i, j)`.
     failed_flags: Vec<bool>,
@@ -218,7 +174,7 @@ pub(crate) struct EngineState<M> {
     /// Per channel: the head was refused by the receiver's filter, so no
     /// head deadline is outstanding until the filter changes.
     parked: Vec<bool>,
-    /// Per source: the sequence its next message gets.
+    /// Per held sender: the sequence its next message gets.
     msg_seq: Vec<u32>,
     pub(crate) stats: SimStats,
     /// Events emitted so far; the next event's `seq`.
@@ -228,9 +184,8 @@ pub(crate) struct EngineState<M> {
 }
 
 impl<M: Clone + fmt::Debug> EngineState<M> {
-    /// The core of `n` processes that holds the channels into the `held`
-    /// ones and their detections: all of them on the simulator, one on a
-    /// host.
+    /// The core of `n` processes that holds the `held` ones: their
+    /// flags, filters, counters, detections and the channels into them.
     pub(crate) fn new(
         n: usize,
         held: Range<usize>,
@@ -238,37 +193,50 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         rng: StdRng,
         hooks: Hooks<M>,
     ) -> Self {
-        let pairs = held.len() * n;
+        let k = held.len();
+        let pairs = k * n;
         EngineState {
             n,
-            first: held.start,
+            held,
             floor,
             now: VirtualTime::ZERO,
             rng,
             hooks,
-            crashed: vec![false; n],
-            live: n,
+            crashed: vec![false; k],
+            live: k,
             failed_flags: vec![false; pairs],
             cancelled: CancelledTimers::new(),
-            filters: (0..n).map(|_| None).collect(),
+            filters: (0..k).map(|_| None).collect(),
             channels: (0..pairs).map(|_| VecDeque::new()).collect(),
             parked: vec![false; pairs],
-            msg_seq: vec![0; n],
+            msg_seq: vec![0; k],
             stats: SimStats::default(),
             emitted: 0,
             recorder: None,
         }
     }
 
+    /// The slot of held process `pid` in the per-process tables.
+    #[inline(always)]
+    fn local(&self, pid: ProcessId) -> usize {
+        pid.index() - self.held.start
+    }
+
+    /// Whether channels into `pid` end in this core.
+    #[inline(always)]
+    pub(crate) fn holds(&self, pid: ProcessId) -> bool {
+        self.held.contains(&pid.index())
+    }
+
     /// The slot of channel `other -> held` and of `failed_held(other)`.
     #[inline(always)]
     fn pair(&self, held: ProcessId, other: ProcessId) -> usize {
-        (held.index() - self.first) * self.n + other.index()
+        self.local(held) * self.n + other.index()
     }
 
-    /// Whether `pid` has crashed.
+    /// Whether held process `pid` has crashed.
     pub(crate) fn is_crashed(&self, pid: ProcessId) -> bool {
-        self.crashed[pid.index()]
+        self.crashed[self.local(pid)]
     }
 
     /// Whether timer `id` is cancelled and has not come due since.
@@ -276,14 +244,9 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         self.cancelled.is_cancelled(id)
     }
 
-    /// Whether every process has crashed.
+    /// Whether every held process has crashed.
     pub(crate) fn all_crashed(&self) -> bool {
         self.live == 0
-    }
-
-    /// The live crash view the core marks.
-    pub(crate) fn registry(&self) -> &CrashRegistry {
-        &self.hooks.registry
     }
 
     /// Whether the event budget is spent.
@@ -353,21 +316,19 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
             // and the rest of the batch falls outside the emitted prefix;
             // dropping it keeps the trace, the counters, the channels and
             // the registry all describing the same prefix.
-            if self.crashed[pid.index()] || self.budget_spent() {
+            if self.is_crashed(pid) || self.budget_spent() {
                 return ControlFlow::Break(());
             }
             match action {
                 Action::Send { to, msg } => self.send(pid, to, msg, s),
                 Action::SetTimer { id, delay } => s.timer_due(self.deadline(delay), pid, id),
-                Action::CancelTimer { id } => {
-                    self.cancelled.cancel(id);
-                    s.timer_cancelled(id);
-                }
+                Action::CancelTimer { id } => self.cancelled.cancel(id),
                 Action::CrashSelf => self.crash(pid),
                 Action::DeclareFailed { of } => self.declare_failed(pid, of),
                 Action::Annotate(note) => self.emit(TraceEventKind::Note { pid, note }),
                 Action::SetReceiveFilter(filter) => {
-                    self.filters[pid.index()] = filter;
+                    let slot = self.local(pid);
+                    self.filters[slot] = filter;
                     self.unpark_to(pid, s);
                 }
                 Action::ModelSend { to, msg } => self.emit(TraceEventKind::Send {
@@ -403,7 +364,8 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
     }
 
     fn send(&mut self, from: ProcessId, to: ProcessId, payload: M, s: &mut impl Schedule<M>) {
-        let seq = self.msg_seq[from.index()];
+        let slot = self.local(from);
+        let seq = self.msg_seq[slot];
         let Some(next) = seq.checked_add(1) else {
             // `from` has numbered every sequence a MsgId holds but the
             // last, which would leave the counter nowhere to go: the run
@@ -411,7 +373,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
             self.hooks.max_events = self.emitted;
             return;
         };
-        self.msg_seq[from.index()] = next;
+        self.msg_seq[slot] = next;
         let msg = MsgId::new(from, u64::from(seq));
         let infra = self.hooks.classify.as_ref().is_some_and(|f| f(&payload));
         self.emit(TraceEventKind::Send {
@@ -450,11 +412,11 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
     }
 
     /// Puts one copy the link let through on its way: onto the local
-    /// channel `from -> to`, or out through the egress edge when `to`
-    /// lives in another OS process.
+    /// channel `from -> to`, or out through the egress edge when the core
+    /// does not hold `to`.
     #[inline(always)]
     fn put(&mut self, from: ProcessId, to: ProcessId, copy: InFlight<M>, s: &mut impl Schedule<M>) {
-        if s.is_local(to) {
+        if self.holds(to) {
             self.enqueue(from, to, copy, s);
         } else {
             s.egress(to, copy.msg, copy.deliver_at, copy.payload);
@@ -503,11 +465,14 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
 
     /// Crashes `pid`, once.
     pub(crate) fn crash(&mut self, pid: ProcessId) {
-        if std::mem::replace(&mut self.crashed[pid.index()], true) {
+        let slot = self.local(pid);
+        if std::mem::replace(&mut self.crashed[slot], true) {
             return;
         }
         self.live -= 1;
-        self.hooks.registry.mark(pid);
+        if let Some(registry) = &self.hooks.registry {
+            registry.mark(pid);
+        }
         self.emit(TraceEventKind::Crash { pid });
         self.stats.crashes += 1;
         // Channels parked behind the crashed process's filter have no head
@@ -545,15 +510,15 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         to: ProcessId,
         s: &mut impl Schedule<M>,
     ) -> Option<M> {
-        let ch = self.pair(to, from);
+        let (ch, slot) = (self.pair(to, from), self.local(to));
         let queue = &mut self.channels[ch];
         let head = queue
             .front()
             .expect("a head came due on an empty channel: engine invariant broken");
         // A refused message stays at the head of its channel, unreceived,
         // and the channel parks until the filter changes.
-        if !self.crashed[to.index()]
-            && self.filters[to.index()]
+        if !self.crashed[slot]
+            && self.filters[slot]
                 .as_ref()
                 .is_some_and(|f| !f.accepts(&head.payload))
         {
@@ -565,7 +530,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
         if let Some(next) = queue.front() {
             s.head_due(next.deliver_at.max(self.now), from, to);
         }
-        if self.crashed[to.index()] {
+        if self.crashed[slot] {
             // The channel does not lose the message; the crashed process
             // simply never executes a receive event for it.
             self.stats.messages_to_crashed += 1;
@@ -585,7 +550,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
     /// Admits a due timer: whether it fires (it was neither cancelled nor
     /// armed by a process that has since crashed).
     pub(crate) fn admit_timer(&mut self, pid: ProcessId, id: TimerId) -> bool {
-        if self.cancelled.take(id) || self.crashed[pid.index()] {
+        if self.cancelled.take(id) || self.is_crashed(pid) {
             return false;
         }
         self.emit(TraceEventKind::TimerFired { pid, timer: id });
@@ -596,7 +561,7 @@ impl<M: Clone + fmt::Debug> EngineState<M> {
     /// Applies an injection to `pid` unless it has crashed; an external
     /// stimulus comes back for the engine to hand to `on_external`.
     pub(crate) fn admit_injection(&mut self, pid: ProcessId, injection: Injection<M>) -> Option<M> {
-        if self.crashed[pid.index()] {
+        if self.is_crashed(pid) {
             return None;
         }
         match injection {
@@ -639,7 +604,7 @@ mod tests {
     #[test]
     fn the_send_that_would_exhaust_a_sequence_ends_the_run_as_the_budget_does() {
         let mut sim = Sim::<u8>::builder(2).build(|_| Box::new(Burst));
-        sim.core_mut().msg_seq[0] = u32::MAX - 1;
+        sim.host.core.msg_seq[0] = u32::MAX - 1;
         let trace = sim.run();
         assert_eq!(trace.stop_reason(), StopReason::MaxEvents);
         let sends: Vec<u64> = trace

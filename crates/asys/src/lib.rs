@@ -23,17 +23,19 @@
 //! * [`FaultPlan`] — crash and stimulus injection;
 //! * [`Trace`] — the total order of observed events, consumed by the
 //!   `sfs-history` and `sfs-tlogic` crates;
-//! * [`Host`] — one process of a system of hosts, with no threads and no
-//!   I/O: its owner supplies the clock and carries the copies between
-//!   hosts (the UDP backend's node is a socket loop around one);
+//! * [`Host`] — a range of processes of a system of hosts, with no
+//!   threads and no I/O: its owner supplies the clock and carries the
+//!   copies between hosts (the UDP backend's node is a socket loop around
+//!   a one-process host);
 //! * [`net`] — a threaded runtime: one [`Host`] per process, on a pool
 //!   of threads, run in rounds on one virtual clock.
 //!
-//! Both drive one crate-private engine core that implements the model
-//! once — channels, crashes, detections, receive filters, the link seam
-//! and the event stream — and differ only in how they schedule: [`Sim`]
-//! by its calendar queue or a [`Strategy`], a host by a [`TimerWheel`]
-//! its owner advances.
+//! There is one driver: [`Sim`] is the host of all `n` processes, under
+//! its own stop rules and, optionally, a [`Strategy`]. Every host runs on
+//! one crate-private engine core that implements the model once —
+//! channels, crashes, detections, receive filters, the link seam and the
+//! event stream — and on one calendar queue of its deadlines. The timer
+//! wheel stays exported only for its microbenchmark.
 //!
 //! # Examples
 //!

@@ -1,8 +1,10 @@
 //! Event-driven threaded runtime: the same [`Process`](crate::Process)
 //! automata over real OS threads, on a virtual clock.
 //!
-//! Every process is a one-process [`Host`](crate::Host), the engine core
-//! the UDP node wraps too, and the hosts sit in contiguous blocks, one
+//! Every process is a one-process [`Host`](crate::Host) — the driver the
+//! simulator and the UDP node are too, on the simulator's calendar queue,
+//! with its fault-plan entries filed first — and the hosts sit in
+//! contiguous blocks, one
 //! per thread: a coordinator, which runs block 0 itself, and a worker per
 //! further block, `available_parallelism().min(n)` threads in all. The
 //! coordinator runs the hosts in rounds. A round's instant is the least

@@ -51,8 +51,8 @@ pub struct RuntimeConfig<M = ()> {
     /// every event, numbered and in trace order, on the coordinator's
     /// thread. Execution-neutral: it has no path back into scheduling.
     pub sink: Option<EventSinkHandle>,
-    /// Scheduled crash/external injections, filed first on their hosts'
-    /// wheels, so an injection at tick `T` is applied before any delivery
+    /// Scheduled crash/external injections, filed first in their hosts'
+    /// queues, so an injection at tick `T` is applied before any delivery
     /// or timer due at `T`, as on the simulator.
     pub faults: FaultPlan<M>,
     /// Virtual-time horizon: no round runs past it. Defaults to
@@ -404,7 +404,7 @@ impl<M: Clone + fmt::Debug> Block<M> {
             self.hosts[copy.to.index() - self.first].ingress_at(at, copy);
         }
         for (pid, injection) in round.injections.drain(..) {
-            self.hosts[pid.index() - self.first].inject(at, injection);
+            self.hosts[pid.index() - self.first].inject(at, pid, injection);
         }
         for host in &mut self.hosts {
             if host.next_deadline().is_some_and(|due| due <= at) {

@@ -14,11 +14,12 @@
 //!   bookkeeping and drives the timeout *mechanism* the paper assumes for
 //!   FS1, nothing more.
 //!
-//! The model itself — channels, crashes, detections, receive filters,
-//! the link seam and the one `emit` path every event takes — is the
-//! engine core the threaded runtime drives too (`engine.rs`); this module
-//! is the simulator's scheduling around it: the processes, the event
-//! queue, the run loops and the strategy seam. Every run is fully
+//! The simulator is the [`Host`](crate::Host) of all `n` processes
+//! (`host.rs`) plus what only it has: its builder, its stop rules (it
+//! stops mid-instant once all have crashed, ends with
+//! [`StopReason::MaxTime`] on an entry popped past the horizon, and lets
+//! a cancelled timer dissolve when it comes due) and the strategy seam.
+//! Every run is fully
 //! determined by `(processes, latency model, fault plan, seed)` — plus,
 //! in scheduled mode, the [`Strategy`]'s choice sequence — and produces a
 //! [`Trace`] consumed by the history and property-checking crates. Every
@@ -34,9 +35,9 @@
 //!
 //! * **Time-ordered** ([`Sim::run`] with no strategy installed) — events
 //!   execute in virtual-time order with creation-order tie-breaks, popped
-//!   from a calendar queue keyed on the tick (see `calendar.rs`); the
-//!   asynchrony adversary acts through the latency model's delay draws.
-//!   This is the fast statistical mode used by the E1–E8 sweeps.
+//!   from the calendar queue (see `calendar.rs`); the asynchrony adversary
+//!   acts through the latency model's delay draws. This is the fast
+//!   statistical mode used by the E1–E8 sweeps.
 //! * **Scheduled** ([`Sim::run_scheduled`], or [`Sim::run`] after a
 //!   [`Strategy`] is installed) — at each step the engine materializes
 //!   every enabled step (deliverable channel heads, armed timers, pending
@@ -46,13 +47,13 @@
 //!   enumerating and randomizing strategies to search the schedule space
 //!   (experiment E9).
 
-use crate::calendar::Calendar;
-use crate::engine::{CrashRegistry, EngineState, Hooks, Schedule};
-use crate::fault::{FaultPlan, Injection};
-use crate::id::{ProcessId, TimerId};
+use crate::engine::{CrashRegistry, EngineState, Hooks};
+use crate::fault::FaultPlan;
+use crate::host::{Host, Pending};
+use crate::id::ProcessId;
 use crate::link::LinkModel;
 use crate::observe::EventSinkHandle;
-use crate::process::{Context, Process};
+use crate::process::Process;
 use crate::strategy::{EnabledStep, ScheduleLog, StepKind, StepLog, Strategy, TimeOrderedStrategy};
 use crate::time::VirtualTime;
 use crate::trace::{RunSummary, StopReason, Trace};
@@ -61,68 +62,11 @@ use rand::SeedableRng;
 use std::fmt;
 use std::sync::Arc;
 
-/// What a queue entry does when it comes due. Process ids are four
-/// bytes and the rare injection payload lives in a side table
-/// ([`Sim::injections`]), so an entry is 16 bytes whatever `M` is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Pending {
-    Deliver { from: ProcessId, to: ProcessId },
-    Timer { pid: ProcessId, id: TimerId },
-    Inject { pid: ProcessId, slot: u32 },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct QueueEntry {
-    at: VirtualTime,
-    order: u64,
-    pending: Pending,
-}
-
-/// The simulator's pending steps, numbered in creation order: the
-/// calendar queue of the time-ordered loop, or the scheduled loop's
-/// working set once a scheduled run starts.
-struct Queue {
-    calendar: Calendar<Pending>,
-    /// The scheduled loop's working set, in creation order.
-    pending: Vec<QueueEntry>,
-    /// Whether pushes go to `pending` (scheduled loop) instead of the
-    /// calendar.
-    scheduled: bool,
-    order: u64,
-}
-
-impl Queue {
-    fn push(&mut self, at: VirtualTime, pending: Pending) {
-        let order = self.order;
-        self.order += 1;
-        if self.scheduled {
-            self.pending.push(QueueEntry { at, order, pending });
-        } else {
-            self.calendar.push(at, order, pending);
-        }
-    }
-}
-
-impl<M> Schedule<M> for Queue {
-    fn head_due(&mut self, at: VirtualTime, from: ProcessId, to: ProcessId) {
-        self.push(at, Pending::Deliver { from, to });
-    }
-
-    fn timer_due(&mut self, at: VirtualTime, pid: ProcessId, id: TimerId) {
-        self.push(at, Pending::Timer { pid, id });
-    }
-}
-
 /// The simulation engine. Construct via [`SimBuilder`].
 pub struct Sim<M> {
-    n: usize,
-    processes: Vec<Box<dyn Process<M>>>,
-    core: EngineState<M>,
-    queue: Queue,
-    /// Payloads of the fault plan's injections, taken when they fire.
-    injections: Vec<Option<Injection<M>>>,
-    next_timer: u64,
-    max_time: VirtualTime,
+    /// The host of every process, at the simulator's delay floor.
+    pub(crate) host: Host<M>,
+    registry: CrashRegistry,
     max_steps: usize,
     /// Installed scheduling strategy; `None` selects the time-ordered
     /// loop.
@@ -132,10 +76,7 @@ pub struct Sim<M> {
 impl<M> fmt::Debug for Sim<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sim")
-            .field("n", &self.n)
-            .field("now", &self.core.now)
-            .field("events", &self.core.emitted)
-            .field("pending", &self.queue.calendar.len())
+            .field("host", &self.host)
             .finish_non_exhaustive()
     }
 }
@@ -147,6 +88,7 @@ pub struct SimBuilder<M> {
     max_time: VirtualTime,
     max_steps: usize,
     hooks: Hooks<M>,
+    registry: CrashRegistry,
     plan: FaultPlan<M>,
     strategy: Option<Box<dyn Strategy>>,
 }
@@ -261,7 +203,7 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
     /// The crash registry for this run, for wiring oracle detectors into
     /// process constructors before the sim is built.
     pub fn crash_registry(&self) -> CrashRegistry {
-        self.hooks.registry.clone()
+        self.registry.clone()
     }
 
     /// Finalizes the simulator with one process per id, built by `make`.
@@ -270,28 +212,14 @@ impl<M: Clone + fmt::Debug + 'static> SimBuilder<M> {
         F: FnMut(ProcessId) -> Box<dyn Process<M>>,
     {
         let n = self.n;
-        let mut sim = Sim {
-            n,
-            processes: ProcessId::all(n).map(make).collect(),
-            core: EngineState::new(n, 0..n, 1, StdRng::seed_from_u64(self.seed), self.hooks),
-            queue: Queue {
-                calendar: Calendar::new(),
-                pending: Vec::new(),
-                scheduled: false,
-                order: 0,
-            },
-            injections: Vec::new(),
-            next_timer: 0,
-            max_time: self.max_time,
+        let core = EngineState::new(n, 0..n, 1, StdRng::seed_from_u64(self.seed), self.hooks);
+        let processes = ProcessId::all(n).map(make).collect();
+        Sim {
+            host: Host::new(core, Vec::new(), processes, self.plan, self.max_time),
+            registry: self.registry,
             max_steps: self.max_steps,
             strategy: self.strategy,
-        };
-        for (time, pid, injection) in self.plan.into_items() {
-            let slot = sim.injections.len() as u32;
-            sim.injections.push(Some(injection));
-            sim.queue.push(time, Pending::Inject { pid, slot });
         }
-        sim
     }
 }
 
@@ -304,6 +232,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     pub fn builder(n: usize) -> SimBuilder<M> {
         assert!(n > 0, "a system needs at least one process");
         assert!(u32::try_from(n).is_ok(), "process ids are 32-bit");
+        let registry = CrashRegistry::new(n);
         SimBuilder {
             n,
             seed: 0,
@@ -314,10 +243,11 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 classify: None,
                 measure: None,
                 sink: None,
-                registry: CrashRegistry::new(n),
+                registry: Some(registry.clone()),
                 record_payloads: false,
                 max_events: 1_000_000,
             },
+            registry,
             plan: FaultPlan::new(),
             strategy: None,
         }
@@ -325,17 +255,17 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
 
     /// Number of processes.
     pub fn n(&self) -> usize {
-        self.n
+        self.host.core.n
     }
 
     /// Current virtual time.
     pub fn now(&self) -> VirtualTime {
-        self.core.now
+        self.host.core.now
     }
 
     /// The live crash view shared with oracle detectors.
     pub fn crash_registry(&self) -> CrashRegistry {
-        self.core.registry().clone()
+        self.registry.clone()
     }
 
     /// Installs (or replaces) the scheduling strategy after construction.
@@ -351,26 +281,6 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         self.max_steps = max;
     }
 
-    /// Runs the process callback `f` for `pid` and applies the actions it
-    /// issued.
-    fn dispatch<F>(&mut self, pid: ProcessId, f: F)
-    where
-        F: FnOnce(&mut dyn Process<M>, &mut Context<'_, M>),
-    {
-        debug_assert!(!self.core.is_crashed(pid));
-        let core = &mut self.core;
-        let mut ctx = Context::new(pid, self.n, core.now, &mut core.rng, &mut self.next_timer);
-        f(self.processes[pid.index()].as_mut(), &mut ctx);
-        let actions = ctx.take_actions();
-        self.core.apply(pid, actions, &mut self.queue);
-    }
-
-    /// The engine core, for tests that preset its state.
-    #[cfg(test)]
-    pub(crate) fn core_mut(&mut self) -> &mut EngineState<M> {
-        &mut self.core
-    }
-
     /// Runs the simulation to completion and returns the trace.
     ///
     /// With a [`Strategy`] installed (via [`SimBuilder::strategy`] or
@@ -378,7 +288,7 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// [`Sim::run_scheduled`], and the schedule log is discarded; without
     /// one it runs the default time-ordered loop.
     pub fn run(mut self) -> Trace {
-        self.core.start_recording();
+        self.host.core.start_recording();
         let (summary, _) = self.execute();
         self.into_trace(summary)
     }
@@ -415,47 +325,31 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     pub fn run_scheduled(mut self) -> (Trace, ScheduleLog) {
         self.strategy
             .get_or_insert_with(|| Box::new(TimeOrderedStrategy));
-        self.core.start_recording();
+        self.host.core.start_recording();
         let (summary, log) = self.execute();
         (self.into_trace(summary), log)
     }
 
     fn into_trace(mut self, run: RunSummary) -> Trace {
-        let events = self.core.recorder.take().unwrap_or_default();
+        let events = self.host.core.recorder.take().unwrap_or_default();
         debug_assert_eq!(events.len(), run.events);
-        Trace::from_parts(self.n, events, run.stop, run.end_time, run.stats)
+        Trace::from_parts(self.host.core.n, events, run.stop, run.end_time, run.stats)
     }
 
     /// Starts every process and runs the loop the configuration selects.
     fn execute(&mut self) -> (RunSummary, ScheduleLog) {
-        let strategy = self.strategy.take();
-        if strategy.is_some() {
-            // Route all further pushes into the scheduled working set and
-            // move the construction-time entries (the fault plan) over,
-            // restoring creation order.
-            let queue = &mut self.queue;
-            queue.scheduled = true;
-            while let Some((at, order, pending)) = queue.calendar.pop() {
-                queue.pending.push(QueueEntry { at, order, pending });
-            }
-            queue.pending.sort_by_key(|e| e.order);
-        }
-        // on_start for every process, in id order, at time zero.
-        for pid in ProcessId::all(self.n) {
-            if !self.core.is_crashed(pid) {
-                self.dispatch(pid, |p, ctx| p.on_start(ctx));
-            }
-        }
+        self.host.start_processes();
         let mut log = ScheduleLog::default();
-        let stop = match strategy {
+        let stop = match self.strategy.take() {
             None => self.time_ordered_loop(),
             Some(strategy) => self.scheduled_loop(strategy, &mut log),
         };
+        let core = &self.host.core;
         let summary = RunSummary {
             stop,
-            end_time: self.core.now,
-            stats: self.core.stats,
-            events: self.core.emitted,
+            end_time: core.now,
+            stats: core.stats,
+            events: core.emitted,
         };
         (summary, log)
     }
@@ -464,9 +358,9 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
     /// The core stops applying actions mid-batch at the event budget, so
     /// the emitted events are an exact prefix there.
     fn finished(&self) -> Option<StopReason> {
-        if self.core.budget_spent() {
+        if self.host.core.budget_spent() {
             Some(StopReason::MaxEvents)
-        } else if self.core.all_crashed() {
+        } else if self.host.core.all_crashed() {
             Some(StopReason::AllCrashed)
         } else {
             None
@@ -478,14 +372,15 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             if let Some(stop) = self.finished() {
                 return stop;
             }
-            let Some((at, _, pending)) = self.queue.calendar.pop() else {
+            let host = &mut self.host;
+            let Some((at, _, pending)) = host.queue.calendar.pop() else {
                 return StopReason::Quiescent;
             };
-            if at > self.max_time {
+            if at > host.max_time {
                 return StopReason::MaxTime;
             }
-            self.core.now = at;
-            self.step(pending);
+            host.core.now = at;
+            host.step(pending);
         }
     }
 
@@ -494,11 +389,17 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
         mut strategy: Box<dyn Strategy>,
         log: &mut ScheduleLog,
     ) -> StopReason {
+        // The pending steps, `(at, order, pending)` in creation order: what
+        // each step filed in the calendar joins them before the next.
+        let mut set = Vec::new();
         loop {
+            let fresh = set.len();
+            set.extend(std::iter::from_fn(|| self.host.queue.calendar.pop()));
+            set[fresh..].sort_unstable_by_key(|&(_, order, _)| order);
             if let Some(stop) = self.finished() {
                 return stop;
             }
-            if self.queue.pending.is_empty() {
+            if set.is_empty() {
                 return StopReason::Quiescent;
             }
             // The step budget is checked after the terminal conditions so
@@ -508,14 +409,14 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
             if log.steps.len() >= self.max_steps {
                 return StopReason::MaxSteps;
             }
-            let enabled = self.enabled_steps();
+            let enabled = self.enabled_steps(&set);
             let chosen = strategy.choose(&enabled);
             assert!(
                 chosen < enabled.len(),
                 "strategy chose step {chosen} of {}",
                 enabled.len()
             );
-            let entry = self.queue.pending.remove(chosen);
+            let (at, _, pending) = set.remove(chosen);
             // Every consumed decision is logged — including the one that
             // trips the horizon below — so a replay of `log.choices()`
             // consumes the same choices and stops identically.
@@ -523,80 +424,50 @@ impl<M: Clone + fmt::Debug + 'static> Sim<M> {
                 enabled,
                 chosen: chosen as u32,
             });
-            if entry.at > self.max_time {
+            let host = &mut self.host;
+            if at > host.max_time {
                 return StopReason::MaxTime;
             }
             // Time only ever advances: an adversarially re-ordered step
             // executes at the latest of its own ready time and the
             // current clock, mirroring an adversary that withheld it.
-            self.core.now = self.core.now.max(entry.at);
-            self.step(entry.pending);
+            host.core.now = host.core.now.max(at);
+            host.step(pending);
         }
     }
 
-    /// Executes one due queue entry — the step body shared by the
-    /// time-ordered and the scheduled loop.
-    fn step(&mut self, pending: Pending) {
-        match pending {
-            Pending::Deliver { from, to } => {
-                if let Some(msg) = self.core.admit_head(from, to, &mut self.queue) {
-                    self.dispatch(to, |p, ctx| p.on_message(ctx, from, msg));
-                }
-            }
-            Pending::Timer { pid: owner, id } => {
-                if self.core.admit_timer(owner, id) {
-                    self.dispatch(owner, |p, ctx| p.on_timer(ctx, id));
-                }
-            }
-            Pending::Inject { pid: target, slot } => {
-                let injection = self.injections[slot as usize]
-                    .take()
-                    .expect("an injection fires once");
-                if let Some(payload) = self.core.admit_injection(target, injection) {
-                    self.dispatch(target, |p, ctx| p.on_external(ctx, payload));
-                }
-            }
-        }
-    }
-
-    /// The canonical enabled-step list for the current state: one entry
+    /// The canonical enabled-step list for the pending `set`: one entry
     /// per pending step, in creation order, annotated with the no-op flag
     /// (see [`EnabledStep::noop`]).
-    fn enabled_steps(&self) -> Vec<EnabledStep> {
-        let crashed = |p| self.core.is_crashed(p);
-        self.queue
-            .pending
-            .iter()
-            .map(|e| {
-                let (kind, noop) = match e.pending {
-                    Pending::Deliver { from, to } => (StepKind::Deliver { from, to }, crashed(to)),
-                    Pending::Timer { pid: owner, id } => (
-                        StepKind::Timer {
-                            pid: owner,
-                            timer: id,
-                        },
-                        crashed(owner) || self.core.is_cancelled(id),
-                    ),
-                    Pending::Inject { pid: target, .. } => {
-                        (StepKind::Inject { pid: target }, crashed(target))
-                    }
-                };
-                EnabledStep {
-                    kind,
-                    at: e.at,
-                    order: e.order,
-                    noop,
-                }
-            })
-            .collect()
+    fn enabled_steps(&self, set: &[(VirtualTime, u64, Pending)]) -> Vec<EnabledStep> {
+        let core = &self.host.core;
+        let crashed = |p| core.is_crashed(p);
+        let step = |&(at, order, pending)| {
+            let (kind, noop) = match pending {
+                Pending::Deliver { from, to } => (StepKind::Deliver { from, to }, crashed(to)),
+                Pending::Timer { pid, id } => (
+                    StepKind::Timer { pid, timer: id },
+                    crashed(pid) || core.is_cancelled(id),
+                ),
+                Pending::Inject { pid, .. } => (StepKind::Inject { pid }, crashed(pid)),
+            };
+            EnabledStep {
+                kind,
+                at,
+                order,
+                noop,
+            }
+        };
+        set.iter().map(step).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::id::TimerId;
     use crate::latency::{FixedLatency, OverrideLatency, UniformLatency};
-    use crate::process::ReceiveFilter;
+    use crate::process::{Context, ReceiveFilter};
     use crate::trace::TraceEventKind;
 
     /// Floods `count` messages to a sink on start; sink records nothing.

@@ -1,4 +1,4 @@
-//! Hierarchical timer wheel: the event-driven runtime's deadline store.
+//! Hierarchical timer wheel: kept only for the `asys.wheel.*` probe, until ROADMAP item 12.
 //!
 //! The threaded runtime used to sleep one real millisecond per virtual tick;
 //! every logical deadline (message delivery, ARQ retransmit, heartbeat

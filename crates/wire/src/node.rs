@@ -27,7 +27,8 @@
 //!   consistent trace without synchronised clocks.
 //! * **Control.** Hello, the fault script and the Start barrier; then
 //!   [`NodeStatus`] on every [`ParentToNode::Poll`] — the host's counters
-//!   plus `idle` (nothing due on its wheel) — for the parent's
+//!   plus `idle` (nothing live due on its queue: a cancelled timer does
+//!   not count) — for the parent's
 //!   ledger-balance quiescence check; and the event dump on
 //!   [`ParentToNode::Stop`].
 
@@ -431,6 +432,27 @@ mod tests {
         let seqs: Vec<u64> = faultless.iter().map(|c| c.msg.seq()).collect();
         assert_eq!(seqs, (0..64).collect::<Vec<u64>>());
         assert!(faultless.iter().all(|c| c.at == VirtualTime::ZERO));
+    }
+
+    /// Arms a timer on start and cancels it at once.
+    struct ArmAndCancel;
+
+    impl Process<u64> for ArmAndCancel {
+        fn on_start(&mut self, ctx: &mut Context<'_, u64>) {
+            let timer = ctx.set_timer(50);
+            ctx.cancel_timer(timer);
+        }
+        fn on_message(&mut self, _: &mut Context<'_, u64>, _: ProcessId, _: u64) {}
+    }
+
+    #[test]
+    fn a_node_whose_only_entry_is_a_cancelled_timer_is_idle() {
+        let cfg = config(0, 3, 0.0, 0.0);
+        let runtime = cfg.runtime(|_: &u64| true, FaultPlan::new());
+        let node = Node::new(Host::start(cfg.me(), 3, runtime, Box::new(ArmAndCancel)));
+        let status = node.status();
+        assert!(status.idle && !status.halted);
+        assert_eq!(status.stats, SimStats::default());
     }
 
     #[test]
